@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from .search import (
     SearchMode,
     SearchSpec,
     run_search,
-    worker_count,
 )
 from .simulate import (
     empirical_chsh,
@@ -48,19 +48,32 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
+def _render(doc: dict, fmt: str) -> str:
+    if fmt == "text":
+        return "".join(f"{line}\n" for line in _text_lines(doc))
+    if fmt == "csv":
+        return "".join(f"{key},{value}\n" for key, value in _flat_items(doc, ()))
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write beside the target, then rename over it: never a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _emit(doc: dict, args) -> None:
-    if args.format == "text":
-        for line in _text_lines(doc):
-            print(line)
-        return
-    if args.format == "csv":
-        for key, value in _flat_items(doc, ()):
-            print(f"{key},{value}")
-        return
-    rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    rendered = _render(doc, args.format)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(rendered, encoding="utf-8")
+        _write_atomic(out, rendered)
     else:
         sys.stdout.write(rendered)
 
@@ -150,13 +163,17 @@ def _parse_cardinalities(raw: str):
 
 
 def cmd_search(args) -> int:
-    spec = SearchSpec(
-        cardinalities=_parse_cardinalities(args.cardinalities),
-        mode=SearchMode(args.mode),
-        seed=args.seed,
-        budget=args.budget,
-        assignment_limit=args.limit,
-    )
+    cardinalities = _parse_cardinalities(args.cardinalities)
+    try:
+        spec = SearchSpec(
+            cardinalities=cardinalities,
+            mode=SearchMode(args.mode),
+            seed=args.seed,
+            budget=args.budget,
+            assignment_limit=args.limit,
+        )
+    except ValueError as exc:  # out-of-range flags are input errors
+        raise ModelFormatError(str(exc)) from None
     result = run_search(spec)
     certificate = certify_lhv_bound(result.best_model)
     doc = {
@@ -165,7 +182,6 @@ def cmd_search(args) -> int:
         "cardinalities": list(spec.cardinalities),
         "seed": spec.seed,
         "evaluated": result.evaluated,
-        "workers": worker_count(),
         "rng_algorithm": result.rng_algorithm,
         "improvements": [[k, format_rational(s)] for k, s in result.improvements],
         "best_s_max": format_rational(result.best_s_max),
@@ -267,15 +283,10 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger.to_csv(out_dir / "ledger.csv")
-    summary = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    (out_dir / "summary.json").write_text(summary, encoding="utf-8")
+    (out_dir / "summary.json").write_text(_render(doc, "json"), encoding="utf-8")
     if args.histogram:
         _write_histogram(ledger, out_dir / "histogram.csv")
-    if args.format == "text":
-        for line in _text_lines(doc):
-            print(line)
-    else:
-        sys.stdout.write(summary)
+    sys.stdout.write(_render(doc, args.format))
     return EXIT_OK
 
 
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="verify equivalence, reduction, and the CHSH bound"
     )
     certify.add_argument("--model", required=True, help="model JSON file")
-    certify.add_argument("--out", help="write the certificate JSON here")
+    certify.add_argument("--out", help="write the certificate here instead of stdout")
     certify.add_argument(
         "--limit",
         type=int,
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2**24,
         help="assignment-count limit for exhaustive mode",
     )
-    search.add_argument("--out", help="write the result JSON here")
+    search.add_argument("--out", help="write the result here instead of stdout")
     search.add_argument("--format", choices=("json", "text", "csv"), default="json")
     search.set_defaults(func=cmd_search)
 

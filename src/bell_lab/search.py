@@ -5,19 +5,21 @@ Every mode evaluates candidate models through the real exact pipeline
 as adversarial tests of the bound certificate: any model scoring above 2
 would be an engine bug, surfaced loudly.
 
-Exhaustive enumeration fixes all pmfs to uniform and sweeps every
-assignment of +/-1 response tables.  A mean of a response table under
-uniform weights is just its entry sum over its entry count, and a uniform
-joint source factorizes, so per-assignment correlations come from bit
-counts; the eight-sum report still runs unshortcut on each one.
+Exhaustive search fixes all pmfs to uniform and covers every assignment
+of +/-1 response tables.  A mean of a response table under uniform
+weights is just its entry sum over its entry count, and a uniform joint
+source factorizes, so an assignment's correlations depend only on the
+four per-table popcounts.  The sweep therefore scores one representative
+per popcount class, prod(rows*cols + 1) reports in all; the eight-sum
+report still runs unshortcut on each one.  ``evaluated`` counts the
+assignments the sweep covers, not the reports it ran.
 """
 
 from __future__ import annotations
 
 import enum
-import os
+import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,9 +41,6 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 DEFAULT_ASSIGNMENT_LIMIT = 2**24
 DEFAULT_MAX_DENOMINATOR = 64
-
-# Serial below this many assignments; process startup would dominate.
-_SHARD_THRESHOLD = 2**14
 
 
 class SearchLimitError(RuntimeError):
@@ -85,19 +84,6 @@ class SearchResult:
     evaluated: int
     improvements: tuple[tuple[int, Fraction], ...]
     rng_algorithm: str | None
-
-
-def worker_count() -> int:
-    raw = os.environ.get("BELL_LAB_THREADS")
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"BELL_LAB_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ValueError(f"BELL_LAB_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
 
 
 def _table_shapes(cardinalities) -> tuple[tuple[str, str, int, int], ...]:
@@ -177,15 +163,45 @@ def _lex_key(assignment: int, bits: int) -> int:
     return result
 
 
-def _enumerate_shard(args):
-    cardinalities, start, stop = args
-    bits = assignment_count(cardinalities).bit_length() - 1
+def _class_representatives(cardinalities):
+    """Smallest index of each popcount class, in ascending order.
+
+    A class fixes how many bits k_i of table slice i are set; its
+    smallest index sets the lowest k_i bits of each slice.  The same
+    index has the largest ``_lex_key`` in the class, since each slice's
+    set bits sit as low as they can.  The last table's slice is the most
+    significant, so counting with it slowest yields ascending indices.
+    """
+    cells = [rows * cols for _, _, rows, cols in _table_shapes(cardinalities)]
+    offsets = [sum(cells[:i]) for i in range(len(cells))]
+    for counts in itertools.product(*(range(n + 1) for n in reversed(cells))):
+        yield sum(((1 << k) - 1) << offset for k, offset in zip(reversed(counts), offsets))
+
+
+def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
+    """Exact maximum over every table assignment, with a deterministic winner.
+
+    Scores one representative per popcount class, in ascending index
+    order.  Every member of a class scores the same, and its
+    representative is both the class's first index and its smallest
+    canonical serialization.  So the strict improvements of this scan
+    are those of a scan over every index, and the winner is the
+    top-scoring assignment with the smallest canonical serialization.
+    ``evaluated`` is the number of assignments covered.
+    """
+    if spec.mode is not SearchMode.EXHAUSTIVE:
+        raise ValueError(f"mode {spec.mode.value} is not exhaustive")
+    total = assignment_count(spec.cardinalities)
+    if total > spec.assignment_limit:
+        raise SearchLimitError(total, spec.assignment_limit)
+
+    bits = total.bit_length() - 1
     best_s = None
     best_key = -1
-    best_assignment = start
-    improvements = []
-    for m in range(start, stop):
-        s = _assignment_report(cardinalities, m).s_max
+    best_assignment = 0
+    improvements: list[tuple[int, Fraction]] = []
+    for m in _class_representatives(spec.cardinalities):
+        s = _assignment_report(spec.cardinalities, m).s_max
         if best_s is None or s > best_s:
             best_s = s
             best_key = _lex_key(m, bits)
@@ -196,51 +212,6 @@ def _enumerate_shard(args):
             if key > best_key:
                 best_key = key
                 best_assignment = m
-    return best_s, best_key, best_assignment, improvements, stop - start
-
-
-def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
-    """Sweep every table assignment; exact maximum with a deterministic winner.
-
-    The returned model is independent of worker count: shards merge by
-    maximum score, ties broken toward the smallest canonical
-    serialization, the same rule the serial scan applies.
-    """
-    if spec.mode is not SearchMode.EXHAUSTIVE:
-        raise ValueError(f"mode {spec.mode.value} is not exhaustive")
-    total = assignment_count(spec.cardinalities)
-    if total > spec.assignment_limit:
-        raise SearchLimitError(total, spec.assignment_limit)
-
-    workers = min(worker_count(), 8)
-    if total < _SHARD_THRESHOLD or workers == 1:
-        shards = [_enumerate_shard((spec.cardinalities, 0, total))]
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        args = [
-            (spec.cardinalities, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(_enumerate_shard, args))
-
-    best_s = None
-    best_key = -1
-    best_assignment = 0
-    improvements: list[tuple[int, Fraction]] = []
-    running = None
-    evaluated = 0
-    for shard_s, shard_key, shard_assignment, shard_improvements, count in shards:
-        evaluated += count
-        for m, s in shard_improvements:
-            if running is None or s > running:
-                improvements.append((m, s))
-                running = s
-        if best_s is None or shard_s > best_s:
-            best_s, best_key, best_assignment = shard_s, shard_key, shard_assignment
-        elif shard_s == best_s and shard_key > best_key:
-            best_key, best_assignment = shard_key, shard_assignment
     if best_s > 2:
         raise BoundViolationError(
             f"enumeration reached s_max = {format_rational(best_s)} > 2"
@@ -248,7 +219,7 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     return SearchResult(
         best_model=decode_assignment(spec.cardinalities, best_assignment),
         best_s_max=best_s,
-        evaluated=evaluated,
+        evaluated=total,
         improvements=tuple(improvements),
         rng_algorithm=None,
     )

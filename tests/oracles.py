@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: full product-space enumeration with
 no factorization, no skipping, no shared code with the package beyond the
-model data structures.  Slow is fine; these run on small campaigns.
+model data structures.  The one exception is `exhaustive_oracle`, which
+reuses the package's assignment decoding and exact pipeline but none of
+its search shortcuts.  Slow is fine; these run on small campaigns.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
-from bell_lab.models import ContextualModel
+from bell_lab.chsh import chsh_from_correlations
+from bell_lab.exact import correlation_set
+from bell_lab.models import ContextualModel, canonical_json
+from bell_lab.search import assignment_count, decode_assignment
 
 
 def product_mean(model: ContextualModel, selected) -> Fraction:
@@ -151,3 +156,28 @@ def reduced_context_mean(model: ContextualModel, alice_label: str, bob_label: st
                 bsum += btab[j][bisect_right(bcum, t) - 1]
             total += w0 * Fraction(asum, da) * Fraction(bsum, db)
     return total
+
+
+def exhaustive_oracle(cardinalities):
+    """Exhaustive search by scanning every index through the full pipeline.
+
+    Each index is decoded into a model and scored by `correlation_set`
+    and the eight-sum report, with no popcount shortcut.  Returns
+    (best_model, best_s_max, improvements, evaluated): improvements are
+    the strict records of the scan in index order, and ties on the best
+    score go to the smallest canonical serialization.
+    """
+    total = assignment_count(cardinalities)
+    best_model = best_json = best_s = None
+    improvements = []
+    for m in range(total):
+        model = decode_assignment(cardinalities, m)
+        s = chsh_from_correlations(correlation_set(model)).s_max
+        if best_s is None or s > best_s:
+            best_model, best_json, best_s = model, canonical_json(model), s
+            improvements.append((m, s))
+        elif s == best_s:
+            serialized = canonical_json(model)
+            if serialized < best_json:
+                best_model, best_json = model, serialized
+    return best_model, best_s, tuple(improvements), total

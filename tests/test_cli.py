@@ -20,6 +20,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_out_matches_stdout(capsys, tmp_path, argv):
+    """--out writes exactly the bytes the same command prints, and nothing else."""
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out" / "result"
+    target.parent.mkdir()
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == printed
+    assert [p.name for p in target.parent.iterdir()] == ["result"]
+
+
+def assert_input_error(err):
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestCheck:
     def test_valid_text(self, capsys, model_file):
         code, out, err = run(capsys, "check", "--model", str(model_file))
@@ -96,6 +115,21 @@ class TestCertify:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_out_file_every_format(self, capsys, tmp_path, model_file, fmt):
+        base = ("certify", "--model", str(model_file), "--format", fmt)
+        assert_out_matches_stdout(capsys, tmp_path, base)
+
+    def test_out_missing_directory(self, capsys, tmp_path, model_file):
+        target = tmp_path / "absent" / "certificate.json"
+        code, out, err = run(
+            capsys, "certify", "--model", str(model_file), "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not (tmp_path / "absent").exists()
+
     def test_text_and_csv_formats(self, capsys, model_file):
         code, out, _ = run(
             capsys, "certify", "--model", str(model_file), "--format", "text"
@@ -144,6 +178,29 @@ class TestSearch:
         doc = json.loads(out)
         assert doc["evaluated"] == 60
         assert doc["rng_algorithm"] == "python-random-mt19937"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_out_file_every_format(self, capsys, tmp_path, fmt):
+        base = ("search", "--cardinalities", "1,1,1,1,1,1", "--format", fmt)
+        assert_out_matches_stdout(capsys, tmp_path, base)
+
+    def test_no_host_dependent_fields(self, capsys):
+        _, out, _ = run(capsys, "search", "--cardinalities", "1,1,1,1,1,1")
+        assert "workers" not in json.loads(out)
+
+    def test_bad_budget(self, capsys):
+        code, out, err = run(capsys, "search", "--budget", "0")
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "budget" in err
+
+    def test_zero_cardinality(self, capsys):
+        code, out, err = run(capsys, "search", "--cardinalities", "0,1,1,1,1,1")
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "cardinalities" in err
 
     def test_bad_cardinalities(self, capsys):
         code, _, err = run(capsys, "search", "--cardinalities", "2,2")

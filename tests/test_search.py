@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bell_lab.search as search_module
+import oracles
 from bell_lab.chsh import chsh_from_correlations
 from bell_lab.exact import correlation_set
 from bell_lab.models import canonical_json, validate_model
@@ -19,7 +22,6 @@ from bell_lab.search import (
     random_model,
     random_sampling,
     run_search,
-    worker_count,
 )
 
 TINY = (1, 1, 1, 1, 1, 1)
@@ -47,24 +49,6 @@ class TestSpec:
             enumerate_deterministic(spec)
         with pytest.raises(ValueError):
             hill_climb(spec)
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BELL_LAB_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("BELL_LAB_THREADS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("BELL_LAB_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("BELL_LAB_THREADS", raising=False)
-        assert worker_count() >= 1
 
 
 class TestDecode:
@@ -140,16 +124,49 @@ class TestEnumeration:
             enumerate_deterministic(spec)
         assert err.value.count == 256
 
-    def test_winner_independent_of_sharding(self, monkeypatch):
-        spec = SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
-        serial = enumerate_deterministic(spec)
-        monkeypatch.setattr(search_module, "_SHARD_THRESHOLD", 16)
-        monkeypatch.setenv("BELL_LAB_THREADS", "3")
-        sharded = enumerate_deterministic(spec)
-        assert sharded.best_model == serial.best_model
-        assert sharded.best_s_max == serial.best_s_max
-        assert sharded.improvements == serial.improvements
-        assert sharded.evaluated == serial.evaluated
+    def test_class_representatives(self):
+        # Under uniform pmfs every shape's optimum is 2 at index 0 and the
+        # winner is all -1, so the oracle comparison cannot see which member
+        # represents a class; check the representatives against every index.
+        for cards in (SMALL, (2, 1, 2, 1, 1, 2), (1, 1, 3, 2, 1, 4)):
+            total = assignment_count(cards)
+            bits = total.bit_length() - 1
+            classes = {}
+            for m in range(total):
+                model = decode_assignment(cards, m)
+                popcounts = tuple(
+                    sum(v == -1 for row in local.table.values for v in row)
+                    for side in (model.alice, model.bob)
+                    for local in side.values()
+                )
+                classes.setdefault(popcounts, []).append(m)
+            reps = list(search_module._class_representatives(cards))
+            assert reps == sorted(min(members) for members in classes.values())
+            for members in classes.values():
+                assert max(members, key=lambda m: search_module._lex_key(m, bits)) == min(members)
+
+    def test_one_report_per_popcount_class(self, monkeypatch):
+        calls = 0
+        real = search_module.chsh_from_correlations
+
+        def counted(correlations):
+            nonlocal calls
+            calls += 1
+            return real(correlations)
+
+        monkeypatch.setattr(search_module, "chsh_from_correlations", counted)
+        result = enumerate_deterministic(
+            SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
+        )
+        assert calls == 5**4
+        assert result.evaluated == 2**16
+
+    def test_default_limit_sweep_completes(self):
+        spec = SearchSpec(cardinalities=(3, 3, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
+        assert assignment_count(spec.cardinalities) == spec.assignment_limit == 2**24
+        result = enumerate_deterministic(spec)
+        assert result.best_s_max == 2
+        assert result.evaluated == 2**24
 
     def test_improvements_strictly_increase(self):
         result = enumerate_deterministic(
@@ -157,6 +174,43 @@ class TestEnumeration:
         )
         scores = [s for _, s in result.improvements]
         assert scores == sorted(set(scores))
+
+
+def assert_matches_oracle(cards):
+    result = enumerate_deterministic(
+        SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
+    )
+    best_model, best_s_max, improvements, evaluated = oracles.exhaustive_oracle(cards)
+    assert result.best_model == best_model
+    assert result.best_s_max == best_s_max
+    assert result.improvements == improvements
+    assert result.evaluated == evaluated
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize(
+        "cards",
+        [
+            TINY,
+            SMALL,
+            (1, 2, 1, 1, 1, 1),
+            (1, 1, 2, 1, 3, 1),
+            (2, 1, 2, 1, 1, 2),
+            (1, 1, 3, 2, 1, 4),
+            (3, 1, 2, 1, 1, 3),
+        ],
+    )
+    def test_matches_full_scan(self, cards):
+        assert_matches_oracle(cards)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.tuples(*(st.integers(1, 3) for _ in range(6))).filter(
+            lambda cards: assignment_count(cards) <= 2**10
+        )
+    )
+    def test_matches_full_scan_on_small_shapes(self, cards):
+        assert_matches_oracle(cards)
 
 
 class TestRandomModel:
