@@ -54,6 +54,7 @@ from .search import (
 )
 from .simulate import (
     EmpiricalChsh,
+    EmptyContextError,
     NoSignallingReport,
     TrialLedger,
     empirical_chsh,
@@ -82,6 +83,7 @@ __all__ = [
     "CorrelationSet",
     "CounterfactualSet",
     "EmpiricalChsh",
+    "EmptyContextError",
     "IntervalPartition",
     "InvalidModelError",
     "JointPmf",

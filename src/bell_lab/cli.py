@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from .exact import correlation_set
 from .models import (
     InvalidModelError,
     ModelFormatError,
+    atomic_writer,
     decimal_str,
     format_rational,
     load_model,
@@ -34,6 +35,8 @@ from .search import (
     run_search,
 )
 from .simulate import (
+    RNG_ALGORITHM,
+    EmptyContextError,
     empirical_chsh,
     no_signalling_report,
     quantum_reference,
@@ -58,15 +61,8 @@ def _render(doc: dict, fmt: str) -> str:
 
 def _write_atomic(path, text: str) -> None:
     """Write beside the target, then rename over it: never a partial file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def _emit(doc: dict, args) -> None:
@@ -198,9 +194,12 @@ def _parse_angles(raw: str):
     if len(parts) != 4:
         raise ModelFormatError(f"--quantum needs 4 comma-separated angles, got {raw!r}")
     try:
-        return tuple(float(p) for p in parts)
+        angles = tuple(float(p) for p in parts)
     except ValueError:
         raise ModelFormatError(f"bad angle in {raw!r}") from None
+    if not all(math.isfinite(angle) for angle in angles):
+        raise ModelFormatError(f"--quantum angles must be finite, got {raw!r}")
+    return angles
 
 
 def _context_section(ledger, exact_by_context):
@@ -229,6 +228,8 @@ def _context_section(ledger, exact_by_context):
 def cmd_simulate(args) -> int:
     if (args.model is None) == (args.quantum is None):
         raise ModelFormatError("simulate needs exactly one of --model or --quantum")
+    if args.n < 1:
+        raise ModelFormatError(f"--n must be at least 1, got {args.n}")
 
     if args.quantum is not None:
         angles = _parse_angles(args.quantum)
@@ -249,12 +250,16 @@ def cmd_simulate(args) -> int:
             "exact_no_signalling_equal": verify_no_signalling(model).equal,
         }
 
-    empirical, contexts = _context_section(ledger, exact_by_context)
-    signalling = no_signalling_report(ledger)
+    try:
+        empirical, contexts = _context_section(ledger, exact_by_context)
+        signalling = no_signalling_report(ledger)
+    except EmptyContextError as exc:
+        raise ModelFormatError(f"{exc}: --n {args.n} is too small") from None
     doc = {
         "command": "simulate",
         "n": ledger.n,
         "seed": ledger.seed,
+        "rng_algorithm": RNG_ALGORITHM,
         "contexts": contexts,
         "chsh": {
             "sums": list(empirical.sums),
@@ -283,22 +288,19 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger.to_csv(out_dir / "ledger.csv")
-    (out_dir / "summary.json").write_text(_render(doc, "json"), encoding="utf-8")
+    _write_atomic(out_dir / "summary.json", _render(doc, "json"))
     if args.histogram:
-        _write_histogram(ledger, out_dir / "histogram.csv")
+        _write_atomic(out_dir / "histogram.csv", _histogram_text(ledger))
     sys.stdout.write(_render(doc, args.format))
     return EXIT_OK
 
 
-def _write_histogram(ledger, path) -> None:
-    counts = ledger.context_counts()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alice_setting,bob_setting,a,b,count\n")
-        for (alice_label, bob_label), cells in counts.items():
-            for (va, vb), count in cells.items():
-                fh.write(
-                    f"{alice_label},{bob_label},{va:+d},{vb:+d},{count}\n"
-                )
+def _histogram_text(ledger) -> str:
+    lines = ["alice_setting,bob_setting,a,b,count\n"]
+    for (alice_label, bob_label), cells in ledger.context_counts().items():
+        for (va, vb), count in cells.items():
+            lines.append(f"{alice_label},{bob_label},{va:+d},{vb:+d},{count}\n")
+    return "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Mapping
 
 RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -385,7 +388,7 @@ def _expect_keys(doc: dict, required: tuple[str, ...], where: str) -> None:
         raise ModelFormatError(f"{where}: missing field(s) {missing}")
 
 
-def _parse_side(side: str, doc, source_dim_hint: int) -> dict[str, LocalSetting]:
+def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
     _expect_mapping(doc, side)
     settings: dict[str, LocalSetting] = {}
     for label, entry in doc.items():
@@ -425,8 +428,8 @@ def model_from_dict(doc) -> ContextualModel:
     if not isinstance(source_doc, list) or not all(isinstance(r, list) for r in source_doc):
         raise ModelFormatError("source: expected an array of arrays")
     source = JointPmf(tuple(tuple(parse_rational(w) for w in row) for row in source_doc))
-    alice = _parse_side("alice", doc["alice"], source.rows)
-    bob = _parse_side("bob", doc["bob"], source.cols)
+    alice = _parse_side("alice", doc["alice"])
+    bob = _parse_side("bob", doc["bob"])
     return ContextualModel(source=source, alice=alice, bob=bob)
 
 
@@ -437,6 +440,24 @@ def load_model(path) -> ContextualModel:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(doc)
+
+
+@contextmanager
+def atomic_writer(path, newline=None):
+    """Text handle on a file beside `path`, renamed over it on success.
+
+    On any exception the temporary file is removed and `path` is left as
+    it was, so a reader never sees a partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_model(model: ContextualModel, path) -> None:

@@ -10,6 +10,12 @@ the lower interval.  Thresholds beyond 53-bit resolution would collapse;
 each interval is then under-weighted by at most 2^-53, which is far below
 anything the statistics here can resolve.
 
+Draws are taken in row chunks of CHUNK trials, each chunk's results
+written into preallocated one-byte arrays, so memory is about 4 B per
+trial.  numpy's PCG64 `integers` fills rows in stream order, so the
+chunked stream is identical to one whole-run block draw and the ledger
+bytes do not depend on the chunk size.
+
 Floats appear in this module's estimates and z-scores only; the
 no-signalling marginal check at the bottom is exact rational arithmetic.
 """
@@ -17,6 +23,7 @@ no-signalling marginal check at the bottom is exact rational arithmetic.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,16 +31,26 @@ from fractions import Fraction
 import numpy as np
 
 from .chsh import CHSH_PATTERNS
-from .models import ContextualModel, require_valid
+from .models import ContextualModel, atomic_writer, require_valid
 from .reduction import reduce_model
 
 U_BITS = 53
 U_SCALE = 1 << U_BITS
 
+# The bit generator behind every draw; summary.json names it.
+RNG_ALGORITHM = "PCG64"
+
+# Trials per draw, sample and ledger-write chunk; bounds the temporaries.
+CHUNK = 1 << 16
+
 DEFAULT_BIAS = (Fraction(1, 2),) * 4
 
 QUANTUM_ALICE_LABELS = ("a0", "a1")
 QUANTUM_BOB_LABELS = ("b0", "b1")
+
+
+class EmptyContextError(ValueError):
+    """A ledger has no trials in some context, so its statistics are undefined."""
 
 
 def _thresholds(breakpoints) -> np.ndarray:
@@ -42,6 +59,18 @@ def _thresholds(breakpoints) -> np.ndarray:
         [(b.numerator << U_BITS) // b.denominator for b in breakpoints[1:]],
         dtype=np.int64,
     )
+
+
+def _chunks(n: int):
+    """(start, stop) row ranges of at most CHUNK trials covering range(n)."""
+    for start in range(0, n, CHUNK):
+        yield start, min(start + CHUNK, n)
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
 
 
 def _cumulative(weights) -> list[Fraction]:
@@ -73,8 +102,9 @@ class TrialLedger:
         return len(self.a)
 
     def _codes(self) -> np.ndarray:
-        context = self.alice_settings.astype(np.int64) * 2 + self.bob_settings
-        outcome = (self.a > 0).astype(np.int64) * 2 + (self.b > 0)
+        """Per-trial context*4 + outcome in 0..15, one byte each."""
+        context = self.alice_settings.astype(np.uint8) * 2 + self.bob_settings.astype(np.uint8)
+        outcome = (self.a > 0).astype(np.uint8) * 2 + (self.b > 0)
         return context * 4 + outcome
 
     def context_counts(self) -> dict:
@@ -92,17 +122,57 @@ class TrialLedger:
                 }
         return out
 
+    def _row_suffixes(self) -> tuple[str, ...]:
+        """The 16 possible `,alice,bob,a,b` row endings, indexed by code.
+
+        Each is rendered through csv.writer behind a one-digit trial
+        number, so labels that need quoting are quoted exactly as a
+        per-row writer would quote them.
+        """
+        signs = ("-1", "+1")
+        return tuple(
+            _csv_line([0, self.alice_labels[code >> 3], self.bob_labels[(code >> 2) & 1],
+                       signs[(code >> 1) & 1], signs[code & 1]])[1:]
+            for code in range(16)
+        )
+
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "alice_setting", "bob_setting", "a", "b"])
-            alice_names = [self.alice_labels[k] for k in self.alice_settings]
-            bob_names = [self.bob_labels[k] for k in self.bob_settings]
-            signs = {1: "+1", -1: "-1"}
-            for t, (sa, sb, va, vb) in enumerate(
-                zip(alice_names, bob_names, self.a, self.b)
-            ):
-                writer.writerow([t, sa, sb, signs[int(va)], signs[int(vb)]])
+        """Write one row per trial to `path`, atomically."""
+        suffixes = self._row_suffixes()
+        codes = self._codes()
+        with atomic_writer(path, newline="") as fh:
+            fh.write(_csv_line(["trial", "alice_setting", "bob_setting", "a", "b"]))
+            for start, stop in _chunks(self.n):
+                fh.write("".join([
+                    f"{t}{suffixes[code]}"
+                    for t, code in zip(range(start, stop), codes[start:stop].tolist())
+                ]))
+
+
+def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_labels) -> TrialLedger:
+    """Draw n rows of `cols` 53-bit integers, CHUNK rows at a time.
+
+    `sample` maps one chunk's (rows, cols) draw block to the chunk's
+    (alice setting, bob setting, a, b) arrays, which are stored as int8.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one trial, got n={n}")
+    columns = tuple(np.empty(n, dtype=np.int8) for _ in range(4))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start, stop in _chunks(n):
+        draws = rng.integers(0, U_SCALE, size=(stop - start, cols), dtype=np.int64)
+        for column, values in zip(columns, sample(draws)):
+            column[start:stop] = values
+    alice_settings, bob_settings, a, b = columns
+    return TrialLedger(
+        seed=seed,
+        alice_labels=alice_labels,
+        bob_labels=bob_labels,
+        alice_settings=alice_settings,
+        bob_settings=bob_settings,
+        a=a,
+        b=b,
+    )
 
 
 def _check_bias(bias) -> tuple[Fraction, ...]:
@@ -129,8 +199,6 @@ def simulate_trials(model: ContextualModel, n: int, bias=None, seed: int = 0) ->
     reduced form's interval maps.
     """
     require_valid(model)
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
     bias = _check_bias(DEFAULT_BIAS if bias is None else bias)
     reduced = reduce_model(model)
 
@@ -155,42 +223,25 @@ def simulate_trials(model: ContextualModel, n: int, bias=None, seed: int = 0) ->
     alice_tables = table_stack(model.alice, model.alice_labels)
     bob_tables = table_stack(model.bob, model.bob_labels)
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, U_SCALE, size=(n, 5), dtype=np.int64)
+    def sample(draws):
+        a_set = np.searchsorted(alice_setting_k, draws[:, 0], side="left")
+        b_set = np.searchsorted(bob_setting_k, draws[:, 1], side="left")
+        src = np.searchsorted(source_k, draws[:, 2], side="left")
+        l1 = src // model.source.cols
+        l2 = src % model.source.cols
+        local_a = alice_pairs[np.searchsorted(alice_map_k, draws[:, 3], side="left"), a_set]
+        local_b = bob_pairs[np.searchsorted(bob_map_k, draws[:, 4], side="left"), b_set]
+        return a_set, b_set, alice_tables[a_set, l1, local_a], bob_tables[b_set, l2, local_b]
 
-    a_set = np.searchsorted(alice_setting_k, draws[:, 0], side="left")
-    b_set = np.searchsorted(bob_setting_k, draws[:, 1], side="left")
-    src = np.searchsorted(source_k, draws[:, 2], side="left")
-    l1 = src // model.source.cols
-    l2 = src % model.source.cols
-    local_a = alice_pairs[np.searchsorted(alice_map_k, draws[:, 3], side="left"), a_set]
-    local_b = bob_pairs[np.searchsorted(bob_map_k, draws[:, 4], side="left"), b_set]
-
-    return TrialLedger(
-        seed=seed,
-        alice_labels=model.alice_labels,
-        bob_labels=model.bob_labels,
-        alice_settings=a_set.astype(np.int8),
-        bob_settings=b_set.astype(np.int8),
-        a=alice_tables[a_set, l1, local_a],
-        b=bob_tables[b_set, l2, local_b],
-    )
+    return _sample_ledger(seed, n, 5, sample, model.alice_labels, model.bob_labels)
 
 
-def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
-    """Singlet-statistics trial generator: the positive control.
-
-    Outcomes follow P(a, b | alpha, beta) = (1 - a*b*cos(alpha - beta))/4
-    with uniform random settings.  No model in this package can produce
-    these statistics; the empirical pipeline must be able to say so.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
+def _quantum_grid(angles) -> np.ndarray:
+    """Per context (Alice index * 2 + Bob index), cumulative integer
+    thresholds over the outcome cells ordered (+1,+1), (+1,-1), (-1,+1),
+    (-1,-1)."""
     alice_angles = (float(angles[0]), float(angles[1]))
     bob_angles = (float(angles[2]), float(angles[3]))
-
-    # Context rows hold cumulative integer thresholds over the outcome
-    # cells ordered (+1,+1), (+1,-1), (-1,+1), (-1,-1).
     grid = np.empty((4, 4), dtype=np.int64)
     for i, alpha in enumerate(alice_angles):
         for j, beta in enumerate(bob_angles):
@@ -203,25 +254,29 @@ def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
                 row.append(min(int(cum * U_SCALE), U_SCALE))
             row[-1] = U_SCALE
             grid[i * 2 + j] = row
+    return grid
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, U_SCALE, size=(n, 3), dtype=np.int64)
-    a_set = (draws[:, 0] >= U_SCALE // 2).astype(np.int64)
-    b_set = (draws[:, 1] >= U_SCALE // 2).astype(np.int64)
-    context = a_set * 2 + b_set
-    code = np.empty(n, dtype=np.int64)
-    for ctx in range(4):
-        mask = context == ctx
-        code[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
-    return TrialLedger(
-        seed=seed,
-        alice_labels=QUANTUM_ALICE_LABELS,
-        bob_labels=QUANTUM_BOB_LABELS,
-        alice_settings=a_set.astype(np.int8),
-        bob_settings=b_set.astype(np.int8),
-        a=(1 - 2 * (code // 2)).astype(np.int8),
-        b=(1 - 2 * (code % 2)).astype(np.int8),
-    )
+
+def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
+    """Singlet-statistics trial generator: the positive control.
+
+    Outcomes follow P(a, b | alpha, beta) = (1 - a*b*cos(alpha - beta))/4
+    with uniform random settings.  No model in this package can produce
+    these statistics; the empirical pipeline must be able to say so.
+    """
+    grid = _quantum_grid(angles)
+
+    def sample(draws):
+        a_set = draws[:, 0] >= U_SCALE // 2
+        b_set = draws[:, 1] >= U_SCALE // 2
+        context = a_set * 2 + b_set
+        code = np.empty(len(draws), dtype=np.int64)
+        for ctx in range(4):
+            mask = context == ctx
+            code[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
+        return a_set, b_set, 1 - 2 * (code // 2), 1 - 2 * (code % 2)
+
+    return _sample_ledger(seed, n, 3, sample, QUANTUM_ALICE_LABELS, QUANTUM_BOB_LABELS)
 
 
 @dataclass(frozen=True)
@@ -254,7 +309,7 @@ def empirical_chsh(ledger: TrialLedger) -> EmpiricalChsh:
         cell = counts[ctx]
         n_ctx = sum(cell.values())
         if n_ctx == 0:
-            raise ValueError(f"context {ctx} has no trials")
+            raise EmptyContextError(f"context {ctx} has no trials")
         e = (cell[(1, 1)] + cell[(-1, -1)] - cell[(1, -1)] - cell[(-1, 1)]) / n_ctx
         ns.append(n_ctx)
         correlations.append(e)
@@ -319,7 +374,7 @@ def no_signalling_report(ledger: TrialLedger) -> NoSignallingReport:
                         x = cell[(1, outcome)] + cell[(-1, outcome)]
                     n_ctx = sum(cell.values())
                     if n_ctx == 0:
-                        raise ValueError(f"context {key} has no trials")
+                        raise EmptyContextError(f"context {key} has no trials")
                     hits.append(x)
                     totals.append(n_ctx)
                 f1, f2 = hits[0] / totals[0], hits[1] / totals[1]

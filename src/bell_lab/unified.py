@@ -234,7 +234,7 @@ class EquivalenceReport:
     contexts: tuple[Context, ...]
     dedicated: tuple[Fraction, ...]
     factored: tuple[Fraction, ...]
-    expanded: tuple[Fraction, ...] | None
+    expanded: tuple[Fraction, ...]
     equal: bool
 
 

@@ -2,22 +2,36 @@
 
 Everything here is deliberately naive: full product-space enumeration with
 no factorization, no skipping, no shared code with the package beyond the
-model data structures.  The one exception is `exhaustive_oracle`, which
+model data structures.  The exceptions are `exhaustive_oracle`, which
 reuses the package's assignment decoding and exact pipeline but none of
-its search shortcuts.  Slow is fine; these run on small campaigns.
+its search shortcuts, and the simulation oracles at the bottom, which
+reuse the sampler's thresholds but draw and write without chunking or
+precomputed rows.  Slow is fine; these run on small campaigns.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from bell_lab.chsh import chsh_from_correlations
 from bell_lab.exact import correlation_set
 from bell_lab.models import ContextualModel, canonical_json
+from bell_lab.reduction import reduce_model
 from bell_lab.search import assignment_count, decode_assignment
+from bell_lab.simulate import (
+    DEFAULT_BIAS,
+    U_SCALE,
+    _check_bias,
+    _cumulative,
+    _quantum_grid,
+    _thresholds,
+)
 
 
 def product_mean(model: ContextualModel, selected) -> Fraction:
@@ -181,3 +195,68 @@ def exhaustive_oracle(cardinalities):
             if serialized < best_json:
                 best_model, best_json = model, serialized
     return best_model, best_s, tuple(improvements), total
+
+
+def unchunked_trials_oracle(model: ContextualModel, n: int, bias=None, seed: int = 0):
+    """(alice_settings, bob_settings, a, b) of `simulate_trials`, from one
+    (n, 5) block draw pushed through the searchsorted pipeline at once."""
+    bias = _check_bias(DEFAULT_BIAS if bias is None else bias)
+    reduced = reduce_model(model)
+
+    def table_stack(settings, labels):
+        depth = max(s.pmf.size for s in settings.values())
+        rows = max(s.table.rows for s in settings.values())
+        stack = np.zeros((2, rows, depth), dtype=np.int8)
+        for t, label in enumerate(labels):
+            for r, row in enumerate(settings[label].table.values):
+                stack[t, r, : len(row)] = row
+        return stack
+
+    draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(n, 5), dtype=np.int64)
+    a_set = np.searchsorted(_thresholds(_cumulative(bias[:2])), draws[:, 0], side="left")
+    b_set = np.searchsorted(_thresholds(_cumulative(bias[2:])), draws[:, 1], side="left")
+    src = np.searchsorted(
+        _thresholds(_cumulative(model.source.flattened())), draws[:, 2], side="left"
+    )
+    alice_pairs = np.array(reduced.alice_map.pairs, dtype=np.int64)
+    bob_pairs = np.array(reduced.bob_map.pairs, dtype=np.int64)
+    alice_k = _thresholds(reduced.alice_map.breakpoints)
+    bob_k = _thresholds(reduced.bob_map.breakpoints)
+    local_a = alice_pairs[np.searchsorted(alice_k, draws[:, 3], side="left"), a_set]
+    local_b = bob_pairs[np.searchsorted(bob_k, draws[:, 4], side="left"), b_set]
+    a = table_stack(model.alice, model.alice_labels)[a_set, src // model.source.cols, local_a]
+    b = table_stack(model.bob, model.bob_labels)[b_set, src % model.source.cols, local_b]
+    return a_set.astype(np.int8), b_set.astype(np.int8), a, b
+
+
+def unchunked_quantum_oracle(angles, n: int, seed: int = 0):
+    """(alice_settings, bob_settings, a, b) of `quantum_reference`, from
+    one (n, 3) block draw."""
+    grid = _quantum_grid(angles)
+    draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(n, 3), dtype=np.int64)
+    a_set = (draws[:, 0] >= U_SCALE // 2).astype(np.int64)
+    b_set = (draws[:, 1] >= U_SCALE // 2).astype(np.int64)
+    context = a_set * 2 + b_set
+    code = np.empty(n, dtype=np.int64)
+    for ctx in range(4):
+        mask = context == ctx
+        code[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
+    a = (1 - 2 * (code // 2)).astype(np.int8)
+    b = (1 - 2 * (code % 2)).astype(np.int8)
+    return a_set.astype(np.int8), b_set.astype(np.int8), a, b
+
+
+def ledger_csv_oracle(ledger, path) -> None:
+    """`TrialLedger.to_csv` as one csv.writer row per trial."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "alice_setting", "bob_setting", "a", "b"])
+        signs = {1: "+1", -1: "-1"}
+        for t in range(ledger.n):
+            writer.writerow([
+                t,
+                ledger.alice_labels[ledger.alice_settings[t]],
+                ledger.bob_labels[ledger.bob_settings[t]],
+                signs[int(ledger.a[t])],
+                signs[int(ledger.b[t])],
+            ])

@@ -298,3 +298,49 @@ class TestSimulate:
         assert lines[0] == "alice_setting,bob_setting,a,b,count"
         total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
         assert total == 500
+
+    @pytest.mark.parametrize("n", ("0", "-3"))
+    def test_non_positive_n_is_input_error(self, capsys, tmp_path, model_file, n):
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", n, "--out", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "--n" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("angle", ("nan", "inf", "-inf"))
+    def test_non_finite_angle_is_input_error(self, capsys, tmp_path, angle):
+        code, out, err = run(
+            capsys, "simulate", "--quantum", f"0,1,2,{angle}", "--n", "100",
+            "--out", str(tmp_path / "q"),
+        )
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "finite" in err
+
+    def test_too_few_trials_is_input_error(self, capsys, tmp_path, model_file):
+        out_dir = tmp_path / "run"
+        code, _, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "1", "--out", str(out_dir)
+        )
+        assert code == 2
+        assert_input_error(err)
+        assert "no trials" in err
+        assert not out_dir.exists()
+
+    def test_rng_algorithm_in_summary(self, capsys, tmp_path, model_file):
+        for source in (["--model", str(model_file)], ["--quantum", "0,0,0,0"]):
+            out_dir = tmp_path / source[0].lstrip("-")
+            code, out, _ = run(
+                capsys, "simulate", *source, "--n", "200", "--out", str(out_dir), "--histogram"
+            )
+            assert code == 0
+            doc = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+            assert doc["rng_algorithm"] == "PCG64"
+            assert doc == json.loads(out)
+            names = sorted(p.name for p in out_dir.iterdir())
+            assert names == ["histogram.csv", "ledger.csv", "summary.json"]

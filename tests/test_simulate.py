@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
+from bell_lab import simulate
 from bell_lab.exact import correlation_set
+from bell_lab.models import atomic_writer, model_from_dict, model_to_dict
+from bell_lab.presets import PRESETS, noisy_readout_model
 from bell_lab.reduction import reduce_model
 from bell_lab.simulate import (
+    CHUNK,
     U_SCALE,
     TrialLedger,
     _thresholds,
@@ -21,6 +25,34 @@ from bell_lab.simulate import (
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+CHUNK_SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+
+
+def quoted_label_model():
+    """The noisy preset with labels a CSV writer must quote."""
+    doc = model_to_dict(noisy_readout_model())
+    doc["alice"] = dict(zip(('a,"q', "x'"), doc["alice"].values()))
+    doc["bob"] = dict(zip(("y", '"b"'), doc["bob"].values()))
+    return model_from_dict(doc)
+
+
+ORACLE_MODELS = {**PRESETS, "quoted_labels": quoted_label_model}
+
+
+def ledger_arrays(ledger):
+    return (ledger.alice_settings, ledger.bob_settings, ledger.a, ledger.b)
+
+
+def assert_same_ledger(ledger, expected, tmp_path):
+    """Arrays equal the oracle's, element and dtype; CSV bytes equal the
+    per-row writer's."""
+    for got, want in zip(ledger_arrays(ledger), expected):
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    ledger.to_csv(fast)
+    oracles.ledger_csv_oracle(ledger, slow)
+    assert fast.read_bytes() == slow.read_bytes()
 
 
 class TestThresholds:
@@ -249,3 +281,59 @@ class TestLedgerCsv:
         simulate_trials(noisy, 300, seed=5).to_csv(first)
         simulate_trials(noisy, 300, seed=5).to_csv(second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestChunkedOracles:
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_model_matches_unchunked(self, tmp_path, name, n):
+        model = ORACLE_MODELS[name]()
+        expected = oracles.unchunked_trials_oracle(model, n, seed=n)
+        assert_same_ledger(simulate_trials(model, n, seed=n), expected, tmp_path)
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_quantum_matches_unchunked(self, tmp_path, n):
+        expected = oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=n)
+        assert_same_ledger(quantum_reference(OPTIMAL_ANGLES, n, seed=n), expected, tmp_path)
+
+    def test_biased_settings_match_unchunked(self, tmp_path, random7):
+        bias = (F(1, 3), F(2, 3), F(5, 7), F(2, 7))
+        n = CHUNK + 1
+        expected = oracles.unchunked_trials_oracle(random7, n, bias=bias, seed=11)
+        ledger = simulate_trials(random7, n, bias=bias, seed=11)
+        assert_same_ledger(ledger, expected, tmp_path)
+
+    @pytest.mark.parametrize("chunk", (1, 77, 4096))
+    def test_chunk_size_does_not_change_stream(self, monkeypatch, noisy, chunk):
+        n = 5003
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        expected = oracles.unchunked_trials_oracle(noisy, n, seed=3)
+        for got, want in zip(ledger_arrays(simulate_trials(noisy, n, seed=3)), expected):
+            assert np.array_equal(got, want)
+        expected = oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=3)
+        ledger = quantum_reference(OPTIMAL_ANGLES, n, seed=3)
+        for got, want in zip(ledger_arrays(ledger), expected):
+            assert np.array_equal(got, want)
+
+
+class TestAtomicLedger:
+    def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch, noisy):
+        # A setting index past the labels fails on the last chunk, after
+        # earlier chunks were already written to the temporary file.
+        monkeypatch.setattr(simulate, "CHUNK", 4)
+        ledger = simulate_trials(noisy, 20, seed=1)
+        ledger.alice_settings[-1] = 7
+        target = tmp_path / "ledger.csv"
+        target.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(IndexError):
+            ledger.to_csv(target)
+        assert target.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        target = tmp_path / "summary.json"
+        with pytest.raises(RuntimeError):
+            with atomic_writer(target) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
