@@ -26,7 +26,6 @@ from .models import (
     ResponseTable,
     UnknownSettingError,
     load_model,
-    model_dimensions,
     model_from_dict,
     model_hash,
     model_to_dict,
@@ -115,7 +114,6 @@ __all__ = [
     "hill_climb",
     "inverse_transform_partition",
     "load_model",
-    "model_dimensions",
     "model_from_dict",
     "model_hash",
     "model_to_dict",

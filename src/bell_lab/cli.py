@@ -25,6 +25,7 @@ from .models import (
     load_model,
     model_hash,
     model_to_dict,
+    require_valid,
     validate_model,
 )
 from .reduction import verify_reduction
@@ -94,14 +95,6 @@ def _flat_items(doc, path):
             yield joined, json.dumps(value) if isinstance(value, (list, str)) else value
 
 
-def _load_checked(path):
-    model = load_model(path)
-    problems = validate_model(model)
-    if problems:
-        raise InvalidModelError(problems)
-    return model
-
-
 def cmd_check(args) -> int:
     model = load_model(args.model)
     problems = validate_model(model)
@@ -120,7 +113,8 @@ def _rationals(values) -> list[str]:
 
 
 def cmd_certify(args) -> int:
-    model = _load_checked(args.model)
+    model = load_model(args.model)
+    require_valid(model)
     equivalence = verify_equivalence(model, cell_limit=args.limit)
     reduction = verify_reduction(model)
     certificate = certify_lhv_bound(model)
@@ -230,6 +224,8 @@ def cmd_simulate(args) -> int:
         raise ModelFormatError("simulate needs exactly one of --model or --quantum")
     if args.n < 1:
         raise ModelFormatError(f"--n must be at least 1, got {args.n}")
+    if args.seed < 0:
+        raise ModelFormatError(f"--seed must be non-negative, got {args.seed}")
 
     if args.quantum is not None:
         angles = _parse_angles(args.quantum)
@@ -237,7 +233,8 @@ def cmd_simulate(args) -> int:
         exact_by_context = None
         extra = {"quantum_angles": list(angles)}
     else:
-        model = _load_checked(args.model)
+        model = load_model(args.model)
+        require_valid(model)
         ledger = simulate_trials(model, n=args.n, seed=args.seed)
         exact = correlation_set(model)
         labels = [

@@ -297,38 +297,6 @@ def require_valid(model: ContextualModel) -> None:
         raise InvalidModelError(problems)
 
 
-@dataclass(frozen=True)
-class Dimensions:
-    source_alice: int
-    source_bob: int
-    alice_locals: dict[str, int]
-    bob_locals: dict[str, int]
-    unified_size: int
-
-
-def model_dimensions(model: ContextualModel) -> Dimensions:
-    """Exact cardinalities of all six hidden-variable spaces.
-
-    The unified size, their product, is the number of cells in the single
-    product sample space on which all four contexts coexist.
-    """
-    require_valid(model)
-    alice_locals = {label: s.pmf.size for label, s in model.alice.items()}
-    bob_locals = {label: s.pmf.size for label, s in model.bob.items()}
-    size = model.source.rows * model.source.cols
-    for n in alice_locals.values():
-        size *= n
-    for n in bob_locals.values():
-        size *= n
-    return Dimensions(
-        source_alice=model.source.rows,
-        source_bob=model.source.cols,
-        alice_locals=alice_locals,
-        bob_locals=bob_locals,
-        unified_size=size,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Model documents.
 #
@@ -439,6 +407,8 @@ def load_model(path) -> ContextualModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     return model_from_dict(doc)
 
 

@@ -24,7 +24,6 @@ from .models import (
     ContextualModel,
     Pmf,
     format_rational,
-    model_to_dict,
     require_valid,
 )
 
@@ -76,24 +75,12 @@ def couple_settings(p_a: Pmf, p_b: Pmf) -> dict[tuple[int, int], Fraction]:
 
     Weight of (i, j) is the length of the intersection of support point
     i's interval under p_a with support point j's under p_b.  Marginals
-    recover p_a and p_b exactly for any inputs.
+    recover p_a and p_b exactly for any inputs.  Each support point owns
+    one contiguous interval, so each (i, j) occurs at most once in the
+    overlay and its refined width is the whole intersection.
     """
-    pa = inverse_transform_partition(p_a)
-    pb = inverse_transform_partition(p_b)
-    joint: dict[tuple[int, int], Fraction] = {}
-    ia = ib = 0
-    lo = Fraction(0)
-    while ia < len(pa.labels) and ib < len(pb.labels):
-        hi = min(pa.breakpoints[ia + 1], pb.breakpoints[ib + 1])
-        if hi > lo:
-            key = (pa.labels[ia], pb.labels[ib])
-            joint[key] = joint.get(key, Fraction(0)) + (hi - lo)
-        if pa.breakpoints[ia + 1] == hi:
-            ia += 1
-        if pb.breakpoints[ib + 1] == hi:
-            ib += 1
-        lo = hi
-    return joint
+    m = _overlay(inverse_transform_partition(p_a), inverse_transform_partition(p_b))
+    return dict(zip(m.pairs, m.widths()))
 
 
 @dataclass(frozen=True)
@@ -214,23 +201,3 @@ def verify_reduction(model: ContextualModel) -> ReductionReport:
     return ReductionReport(
         contexts=contexts, original=original, reduced=values, equal=original == values
     )
-
-
-def reduced_to_dict(reduced: ReducedModel) -> dict:
-    """Model document extended with per-side partition data.
-
-    Not parseable by the strict model loader (which rejects unknown
-    fields); this is an export format for inspection and downstream use.
-    """
-    doc = model_to_dict(reduced.base)
-    doc["partition"] = {
-        "alice": {
-            "breakpoints": [format_rational(b) for b in reduced.alice_map.breakpoints],
-            "pairs": [list(p) for p in reduced.alice_map.pairs],
-        },
-        "bob": {
-            "breakpoints": [format_rational(b) for b in reduced.bob_map.breakpoints],
-            "pairs": [list(p) for p in reduced.bob_map.pairs],
-        },
-    }
-    return doc

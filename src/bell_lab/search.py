@@ -67,7 +67,6 @@ class SearchSpec:
     mode: SearchMode
     seed: int = 0
     budget: int = 1
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR
     assignment_limit: int = DEFAULT_ASSIGNMENT_LIMIT
 
     def __post_init__(self):
@@ -243,11 +242,11 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
     row-major, then Bob the same way.
     """
     s1, s2 = spec.cardinalities[0], spec.cardinalities[1]
-    flat = _random_pmf(s1 * s2, spec.max_denominator, rng)
+    flat = _random_pmf(s1 * s2, DEFAULT_MAX_DENOMINATOR, rng)
     source = JointPmf(tuple(flat[r * s2:(r + 1) * s2] for r in range(s1)))
     sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
     for side, label, rows, cols in _table_shapes(spec.cardinalities):
-        weights = _random_pmf(cols, spec.max_denominator, rng)
+        weights = _random_pmf(cols, DEFAULT_MAX_DENOMINATOR, rng)
         values = tuple(
             tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
         )
@@ -262,59 +261,45 @@ def _score(model: ContextualModel) -> Fraction:
     return chsh_from_correlations(correlation_set(model)).s_max
 
 
+def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetting):
+    settings = dict(model.alice if side == "alice" else model.bob)
+    settings[label] = local
+    return replace(model, **{side: settings})
+
+
 def _with_table_entry(model: ContextualModel, side: str, label: str, r: int, c: int):
     local = model.local(side, label)
     values = [list(row) for row in local.table.values]
     values[r][c] = -values[r][c]
-    new_local = LocalSetting(
-        pmf=local.pmf,
-        table=ResponseTable(side=side, setting=label, values=tuple(map(tuple, values))),
-    )
-    settings = dict(model.alice if side == "alice" else model.bob)
-    settings[label] = new_local
-    if side == "alice":
-        return replace(model, alice=settings)
-    return replace(model, bob=settings)
+    table = ResponseTable(side=side, setting=label, values=tuple(map(tuple, values)))
+    return _with_local(model, side, label, LocalSetting(pmf=local.pmf, table=table))
 
 
-def _moved(weights, i: int, j: int, step: Fraction):
-    if weights[i] < step:
-        return None
-    out = list(weights)
-    out[i] -= step
-    out[j] += step
-    return tuple(out)
+def _mass_moves(weights, step: Fraction):
+    """Weights with `step` moved from i to j, over ordered pairs i != j
+    where weight i holds at least `step`."""
+    for i in range(len(weights)):
+        if weights[i] < step:
+            continue
+        for j in range(len(weights)):
+            if i != j:
+                out = list(weights)
+                out[i] -= step
+                out[j] += step
+                yield tuple(out)
 
 
 def _pmf_neighbors(model: ContextualModel, step: Fraction):
-    flat = model.source.flattened()
-    cols = model.source.cols
-    for i in range(len(flat)):
-        for j in range(len(flat)):
-            if i == j:
-                continue
-            moved = _moved(flat, i, j, step)
-            if moved is None:
-                continue
-            rows = tuple(moved[r * cols:(r + 1) * cols] for r in range(model.source.rows))
-            yield replace(model, source=JointPmf(rows))
+    rows, cols = model.source.rows, model.source.cols
+    for moved in _mass_moves(model.source.flattened(), step):
+        source = tuple(moved[r * cols:(r + 1) * cols] for r in range(rows))
+        yield replace(model, source=JointPmf(source))
     for side in ("alice", "bob"):
         settings = model.alice if side == "alice" else model.bob
         for label, local in settings.items():
-            weights = local.pmf.weights
-            for i in range(len(weights)):
-                for j in range(len(weights)):
-                    if i == j:
-                        continue
-                    moved = _moved(weights, i, j, step)
-                    if moved is None:
-                        continue
-                    updated = dict(settings)
-                    updated[label] = LocalSetting(pmf=Pmf(moved), table=local.table)
-                    if side == "alice":
-                        yield replace(model, alice=updated)
-                    else:
-                        yield replace(model, bob=updated)
+            for moved in _mass_moves(local.pmf.weights, step):
+                moved_local = LocalSetting(pmf=Pmf(moved), table=local.table)
+                yield _with_local(model, side, label, moved_local)
 
 
 def _neighbors(model: ContextualModel, step: Fraction):
@@ -333,7 +318,7 @@ def _neighbors(model: ContextualModel, step: Fraction):
 def hill_climb(spec: SearchSpec, start: ContextualModel | None = None) -> SearchResult:
     """First-improvement local search with random restarts within budget.
 
-    Moves: one table entry flipped, or one 1/max_denominator mass step
+    Moves: one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
     between two pmf weights.  Only strict score increases are accepted;
     at a local maximum the walk restarts from a fresh random model.  The
     budget counts score evaluations, including starts and restarts.
@@ -341,7 +326,7 @@ def hill_climb(spec: SearchSpec, start: ContextualModel | None = None) -> Search
     if spec.mode is not SearchMode.HILL_CLIMB:
         raise ValueError(f"mode {spec.mode.value} is not hill-climb")
     rng = random.Random(spec.seed)
-    step = Fraction(1, spec.max_denominator)
+    step = Fraction(1, DEFAULT_MAX_DENOMINATOR)
     current = start if start is not None else random_model(spec, rng)
     require_valid(current)
     current_score = _score(current)

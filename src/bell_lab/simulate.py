@@ -109,7 +109,11 @@ class TrialLedger:
 
     def context_counts(self) -> dict:
         """counts[(alice_label, bob_label)][(a, b)] over the four contexts."""
-        bins = np.bincount(self._codes(), minlength=16)
+        # bincount casts its input to intp; binning per chunk bounds that copy.
+        codes = self._codes()
+        bins = np.zeros(16, dtype=np.int64)
+        for start, stop in _chunks(self.n):
+            bins += np.bincount(codes[start:stop], minlength=16)
         out = {}
         for i, alice_label in enumerate(self.alice_labels):
             for j, bob_label in enumerate(self.bob_labels):
@@ -240,8 +244,11 @@ def _quantum_grid(angles) -> np.ndarray:
     """Per context (Alice index * 2 + Bob index), cumulative integer
     thresholds over the outcome cells ordered (+1,+1), (+1,-1), (-1,+1),
     (-1,-1)."""
-    alice_angles = (float(angles[0]), float(angles[1]))
-    bob_angles = (float(angles[2]), float(angles[3]))
+    values = [float(angle) for angle in angles]
+    for label, angle in zip(QUANTUM_ALICE_LABELS + QUANTUM_BOB_LABELS, values):
+        if not math.isfinite(angle):
+            raise ValueError(f"quantum angle {label} must be finite, got {angle}")
+    alice_angles, bob_angles = values[:2], values[2:4]
     grid = np.empty((4, 4), dtype=np.int64)
     for i, alpha in enumerate(alice_angles):
         for j, beta in enumerate(bob_angles):

@@ -55,49 +55,6 @@ class UnifiedModel:
             n *= local.pmf.size
         return n
 
-    def _axis(self, side: str, label: str) -> int:
-        # Axis layout: 0=l1, 1=l2, 2..3 alice locals, 4..5 bob locals.
-        if side == "alice":
-            return 2 + self.alice_labels.index(label)
-        return 4 + self.bob_labels.index(label)
-
-    def alice_value(self, cell: tuple[int, ...], label: str) -> int:
-        table = self.base.local("alice", label).table.values
-        return table[cell[0]][cell[self._axis("alice", label)]]
-
-    def bob_value(self, cell: tuple[int, ...], label: str) -> int:
-        table = self.base.local("bob", label).table.values
-        return table[cell[1]][cell[self._axis("bob", label)]]
-
-    def cell_weight(self, cell: tuple[int, ...]) -> Fraction:
-        l1, l2, lx, lxp, ly, lyp = cell
-        a0, a1 = self.alice_labels
-        b0, b1 = self.bob_labels
-        return (
-            self.base.source.weights[l1][l2]
-            * self.base.alice[a0].pmf.weights[lx]
-            * self.base.alice[a1].pmf.weights[lxp]
-            * self.base.bob[b0].pmf.weights[ly]
-            * self.base.bob[b1].pmf.weights[lyp]
-        )
-
-    def iter_cells(self):
-        """Yield (cell, weight) over the fully expanded space; guarded."""
-        if self.size > self.cell_limit:
-            raise SizeExceededError(self.size, self.cell_limit)
-        a0, a1 = self.alice_labels
-        b0, b1 = self.bob_labels
-        ranges = (
-            range(self.base.source.rows),
-            range(self.base.source.cols),
-            range(self.base.alice[a0].pmf.size),
-            range(self.base.alice[a1].pmf.size),
-            range(self.base.bob[b0].pmf.size),
-            range(self.base.bob[b1].pmf.size),
-        )
-        for cell in itertools.product(*ranges):
-            yield cell, self.cell_weight(cell)
-
 
 def build_unified(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) -> UnifiedModel:
     """Construct the product space; never expands, so never fails on size."""
@@ -165,8 +122,8 @@ def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
     }
     a_table = model.local("alice", ctx.alice).table.values
     b_table = model.local("bob", ctx.bob).table.values
-    a_axis = u._axis("alice", ctx.alice) - 2
-    b_axis = u._axis("bob", ctx.bob) - 4
+    a_axis = u.alice_labels.index(ctx.alice)
+    b_axis = u.bob_labels.index(ctx.bob)
 
     cols = model.source.cols
     nums = [local_scaled[k][0] for k in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1))]

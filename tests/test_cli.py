@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bell_lab.cli import main
 from bell_lab.models import model_to_dict, save_model
+from bell_lab.presets import noisy_readout_model
 
 
 @pytest.fixture
@@ -71,6 +76,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--model", str(tmp_path / "absent.json"))
         assert code == 2
         assert err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "UTF-8" in err
 
 
 class TestCertify:
@@ -322,6 +336,18 @@ class TestSimulate:
         assert_input_error(err)
         assert "finite" in err
 
+    def test_negative_seed_is_input_error(self, capsys, tmp_path, model_file):
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "100", "--seed", "-1",
+            "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "--seed" in err
+        assert not out_dir.exists()
+
     def test_too_few_trials_is_input_error(self, capsys, tmp_path, model_file):
         out_dir = tmp_path / "run"
         code, _, err = run(
@@ -344,3 +370,83 @@ class TestSimulate:
             assert doc == json.loads(out)
             names = sorted(p.name for p in out_dir.iterdir())
             assert names == ["histogram.csv", "ledger.csv", "summary.json"]
+
+
+# Repeated entries, here and below, weight the draws towards inputs that
+# get past parsing.
+MODEL_FILES = ("valid.json",) * 4 + ("invalid.json", "utf16.json", "garbage.json", "absent.json")
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_model(noisy_readout_model(), root / "valid.json")
+    doc = model_to_dict(noisy_readout_model())
+    doc["alice"]["x"]["pmf"] = ["3/4", "3/4"]
+    (root / "invalid.json").write_text(json.dumps(doc), encoding="utf-8")
+    (root / "utf16.json").write_bytes(b"\xff\xfe{}")
+    (root / "garbage.json").write_text("{not json", encoding="utf-8")
+    return root
+
+
+def _flag(name, values):
+    """Either nothing or `name` followed by one drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+FORMATS = st.sampled_from(("json", "text", "csv"))
+MODES = st.sampled_from(("exhaustive", "random", "hill-climb"))
+CARDINALITIES = st.one_of(
+    st.lists(st.integers(1, 2), min_size=6, max_size=6).map(lambda c: ",".join(map(str, c))),
+    st.lists(st.integers(0, 2), min_size=5, max_size=7).map(lambda c: ",".join(map(str, c))),
+    st.sampled_from(("", "2,x,1,1,1,1")),
+)
+ANGLES = st.one_of(
+    st.lists(st.floats(-7, 7), min_size=4, max_size=4).map(lambda a: ",".join(map(str, a))),
+    st.lists(st.floats(), min_size=3, max_size=5).map(lambda a: ",".join(map(str, a))),
+    st.sampled_from(("0,1,2", "a,b,c,d")),
+)
+TRIALS = st.one_of(st.integers(100, 2000), st.integers(100, 2000), st.integers(-2, 8))
+JUNK = st.sampled_from(([],) * 6 + (["--bogus"], ["--format", "xml"], ["--n"]))
+
+
+@st.composite
+def argvs(draw, root):
+    command = draw(st.sampled_from(("check", "certify", "search", "simulate")))
+    model = ["--model", str(root / draw(st.sampled_from(MODEL_FILES)))]
+    name = str(draw(st.integers(0, 2)))
+    seed = _flag("--seed", st.integers(-2, 5))
+    if command == "check":
+        argv = [command, *model, *draw(_flag("--format", FORMATS))]
+    elif command == "certify":
+        argv = [command, *model, *draw(_flag("--limit", st.integers(-1, 100)))]
+        argv += draw(_flag("--format", FORMATS)) + draw(_flag("--out", st.just(root / name)))
+    elif command == "search":
+        argv = [command, *draw(_flag("--mode", MODES))]
+        argv += draw(_flag("--cardinalities", CARDINALITIES)) + draw(seed)
+        argv += ["--budget", str(draw(st.integers(-1, 50)))]
+        argv += draw(_flag("--limit", st.integers(-1, 2**16)))
+        argv += draw(_flag("--format", FORMATS)) + draw(_flag("--out", st.just(root / name)))
+    else:
+        quantum = ["--quantum", draw(ANGLES)]
+        sources = draw(st.sampled_from(([model], [quantum], [model], [quantum], [model, quantum], [])))
+        argv = [command, *(arg for source in sources for arg in source)]
+        argv += ["--n", str(draw(TRIALS)), *draw(seed), "--out", str(root / f"run{name}")]
+        argv += draw(st.sampled_from(([], ["--histogram"])))
+        argv += draw(_flag("--format", st.sampled_from(("json", "text"))))
+    return argv + draw(JUNK)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_documented_and_no_traceback(self, fuzz_root, data):
+        argv = data.draw(argvs(fuzz_root))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in stderr.getvalue(), argv

@@ -19,7 +19,6 @@ from bell_lab.models import (
     decimal_str,
     format_rational,
     load_model,
-    model_dimensions,
     model_from_dict,
     model_hash,
     model_to_dict,
@@ -132,28 +131,6 @@ class TestValidation:
     def test_campaign_models_all_valid(self, small_campaign):
         for model in small_campaign:
             assert validate_model(model) == []
-
-
-class TestDimensions:
-    def test_singleton(self, singleton):
-        dims = model_dimensions(singleton)
-        assert dims.unified_size == 1
-        assert dims.source_alice == dims.source_bob == 1
-
-    def test_perfect(self, perfect):
-        dims = model_dimensions(perfect)
-        assert (dims.source_alice, dims.source_bob) == (2, 2)
-        assert all(n == 1 for n in dims.alice_locals.values())
-        assert all(n == 1 for n in dims.bob_locals.values())
-        assert dims.unified_size == 4
-
-    def test_noisy(self, noisy):
-        assert model_dimensions(noisy).unified_size == 64
-
-    def test_rejects_invalid(self, singleton):
-        broken = alter_local(singleton, "alice", "x", pmf=(Fraction(1, 2),))
-        with pytest.raises(InvalidModelError):
-            model_dimensions(broken)
 
 
 class TestContexts:

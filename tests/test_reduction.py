@@ -12,7 +12,6 @@ from bell_lab.reduction import (
     couple_settings,
     inverse_transform_partition,
     reduce_model,
-    reduced_to_dict,
     verify_reduction,
 )
 
@@ -179,17 +178,6 @@ class TestVerifyReduction:
 
 
 class TestExport:
-    def test_partition_extension_present(self, noisy):
-        doc = reduced_to_dict(reduce_model(noisy))
-        assert doc["partition"]["alice"]["breakpoints"] == ["0", "1/2", "3/4", "1"]
-        assert doc["partition"]["alice"]["pairs"] == [[0, 0], [0, 1], [1, 1]]
-        assert set(doc) == {"alice", "bob", "source", "partition"}
-
-    def test_extension_is_not_a_model_document(self, noisy):
-        doc = reduced_to_dict(reduce_model(noisy))
-        with pytest.raises(ModelFormatError, match="unknown field"):
-            model_from_dict(doc)
-
     def test_random_parts_carry_no_setting_labels(self, noisy):
         # Setting dependence lives only in the deterministic maps: the
         # uniform maps key their pairs positionally and the shared source

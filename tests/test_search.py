@@ -11,6 +11,7 @@ from bell_lab.chsh import chsh_from_correlations
 from bell_lab.exact import correlation_set
 from bell_lab.models import canonical_json, validate_model
 from bell_lab.search import (
+    DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
     SearchLimitError,
     SearchMode,
@@ -236,7 +237,7 @@ class TestRandomModel:
             for side in (model.alice, model.bob):
                 for local in side.values():
                     weights.extend(local.pmf.weights)
-            assert all(w.denominator <= spec.max_denominator for w in weights)
+            assert all(w.denominator <= DEFAULT_MAX_DENOMINATOR for w in weights)
 
 
 class TestHillClimb:

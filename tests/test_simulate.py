@@ -81,6 +81,19 @@ class TestSimulateTrials:
         assert sum(first.values()) == int(mask.sum())
         assert first[(1, 1)] == int(((ledger.a == 1) & (ledger.b == 1) & mask).sum())
 
+    def test_counts_match_whole_array_bincount(self, noisy):
+        ledger = simulate_trials(noisy, 3 * CHUNK + 7, seed=4)
+        bins = np.bincount(ledger._codes(), minlength=16)
+        counts = ledger.context_counts()
+        for ctx, (alice_label, bob_label) in enumerate(
+            (a, b) for a in noisy.alice_labels for b in noisy.bob_labels
+        ):
+            cell = counts[(alice_label, bob_label)]
+            assert [cell[(-1, -1)], cell[(-1, 1)], cell[(1, -1)], cell[(1, 1)]] == [
+                int(bins[ctx * 4 + k]) for k in range(4)
+            ]
+        assert sum(sum(c.values()) for c in counts.values()) == 3 * CHUNK + 7
+
     def test_reproducible(self, noisy):
         first = simulate_trials(noisy, 1000, seed=5)
         second = simulate_trials(noisy, 1000, seed=5)
@@ -194,6 +207,15 @@ class TestQuantumReference:
         second = quantum_reference(OPTIMAL_ANGLES, 2000, seed=12)
         assert np.array_equal(first.a, second.a)
         assert np.array_equal(first.b, second.b)
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_angle_named(self, slot, bad):
+        angles = list(OPTIMAL_ANGLES)
+        angles[slot] = bad
+        label = ("a0", "a1", "b0", "b1")[slot]
+        with pytest.raises(ValueError, match=f"angle {label} must be finite"):
+            quantum_reference(tuple(angles), 10, seed=0)
 
     def test_single_trial_cannot_fill_contexts(self):
         ledger = quantum_reference(OPTIMAL_ANGLES, 1, seed=1)

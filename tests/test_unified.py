@@ -13,7 +13,7 @@ from bell_lab.unified import (
     expectation_unified_expanded,
     verify_equivalence,
 )
-from tests_support import alter_pmf
+from tests_support import alter_local, alter_pmf
 
 HALF = Fraction(1, 2)
 
@@ -24,59 +24,25 @@ class TestConstruction:
         assert build_unified(perfect).size == 4
         assert build_unified(noisy).size == 64
 
-    def test_perfect_expanded_pmf(self, perfect):
-        u = build_unified(perfect)
-        cells = dict(u.iter_cells())
-        assert len(cells) == 4
-        by_source = {(l1, l2): w for (l1, l2, *_), w in cells.items()}
-        assert by_source == {
-            (0, 0): HALF, (0, 1): Fraction(0), (1, 0): Fraction(0), (1, 1): HALF,
-        }
-
     def test_total_mass_one(self, small_campaign):
+        # With every table at +1 each context's product is 1 on every
+        # cell, so the expanded sum is the total cell mass.
         for model in small_campaign[:20]:
+            for side, settings in (("alice", model.alice), ("bob", model.bob)):
+                for label, local in settings.items():
+                    ones = ((1,) * local.table.cols,) * local.table.rows
+                    model = alter_local(model, side, label, table=ones)
             u = build_unified(model)
-            assert sum((w for _, w in u.iter_cells()), Fraction(0)) == 1
-
-    def test_cell_weights_match_oracle_product(self, noisy):
-        u = build_unified(noisy)
-        a0, a1 = noisy.alice_labels
-        b0, b1 = noisy.bob_labels
-        for cell, w in u.iter_cells():
-            l1, l2, lx, lxp, ly, lyp = cell
-            expected = (
-                noisy.source.weights[l1][l2]
-                * noisy.alice[a0].pmf.weights[lx]
-                * noisy.alice[a1].pmf.weights[lxp]
-                * noisy.bob[b0].pmf.weights[ly]
-                * noisy.bob[b1].pmf.weights[lyp]
-            )
-            assert w == expected
-
-    def test_lifted_functions_read_only_their_factors(self, noisy):
-        u = build_unified(noisy)
-        base = (0, 1, 1, 0, 1, 0)
-        for axis in (1, 3, 4, 5):
-            varied = list(base)
-            varied[axis] = 1 - varied[axis]
-            assert u.alice_value(tuple(varied), "x") == u.alice_value(base, "x")
-        for axis in (0, 2, 3, 4):
-            varied = list(base)
-            varied[axis] = 1 - varied[axis]
-            assert u.bob_value(tuple(varied), "y'") == u.bob_value(base, "y'")
+            for ctx in model.contexts():
+                assert expectation_unified_expanded(u, ctx) == 1
 
 
 class TestSizeGuard:
-    def test_iter_cells_guarded(self, noisy):
-        u = build_unified(noisy, cell_limit=10)
-        with pytest.raises(SizeExceededError) as err:
-            list(u.iter_cells())
-        assert err.value.size == 64 and err.value.limit == 10
-
     def test_expanded_expectation_guarded(self, noisy):
         u = build_unified(noisy, cell_limit=10)
-        with pytest.raises(SizeExceededError):
+        with pytest.raises(SizeExceededError) as err:
             expectation_unified_expanded(u, Context("x", "y"))
+        assert err.value.size == 64 and err.value.limit == 10
 
     def test_factored_route_unaffected(self, noisy):
         u = build_unified(noisy, cell_limit=10)
