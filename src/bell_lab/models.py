@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -78,6 +79,18 @@ def decimal_str(value: Fraction, digits: int = 12) -> str:
         ctx.prec = digits
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return str(quotient)
+
+
+def _scaled_factors(weights) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator, for fast exact sums.
+
+    Returns ``(nums, d)`` with ``Fraction(nums[k], d) == weights[k]`` for
+    every k; ``d`` is the least common denominator (1 for no weights).
+    Exact kernels multiply and add these integers per cell and divide by
+    the product of the factors' denominators once, at the end.
+    """
+    d = lcm(*[w.denominator for w in weights])
+    return [w.numerator * (d // w.denominator) for w in weights], d
 
 
 def _as_fraction(value, where: str) -> Fraction:

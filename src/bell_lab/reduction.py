@@ -8,8 +8,10 @@ inputs of the reduced form (source pair, U1, U2) carry no setting label;
 every setting dependence lives in the deterministic interval maps and the
 response tables.
 
-Everything here is exact interval algebra on rationals.  Nothing is ever
-sampled in this module; the sampling path lives in the simulator.
+Everything here is exact interval algebra on rationals; the quadrature
+sums integer numerators over each factor's common denominator and returns
+one Fraction.  Nothing is ever sampled in this module; the sampling path
+lives in the simulator.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .models import (
     Context,
     ContextualModel,
     Pmf,
+    _scaled_factors,
     format_rational,
     require_valid,
 )
@@ -146,11 +149,25 @@ def reduce_model(model: ContextualModel) -> ReducedModel:
     return ReducedModel(base=model, alice_map=alice_map, bob_map=bob_map)
 
 
+def _interval_means(uniform_map: UniformMap, table, slot: int) -> tuple[list[int], int]:
+    """Per source index, the width-weighted response over refined intervals,
+    as integer numerators over the widths' common denominator."""
+    widths, d = _scaled_factors(uniform_map.widths())
+    means = [
+        sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.pairs))
+        for row in table
+    ]
+    return means, d
+
+
 def _reduced_expectation(reduced: ReducedModel, ctx: Context) -> Fraction:
     """Context correlation under the reduced form, by exact quadrature.
 
     Integrates over refined intervals times source pairs; each interval
     contributes its width times the response value its pair selects.
+    Widths and source weights are integer numerators over their common
+    denominators, and each side's per-source interval mean is computed
+    once per source index.
     """
     model = reduced.base
     a_slot = model.alice_labels.index(ctx.alice)
@@ -158,29 +175,18 @@ def _reduced_expectation(reduced: ReducedModel, ctx: Context) -> Fraction:
     a_table = model.alice[ctx.alice].table.values
     b_table = model.bob[ctx.bob].table.values
 
-    a_widths = reduced.alice_map.widths()
-    b_widths = reduced.bob_map.widths()
-    total = Fraction(0)
-    for l1, row in enumerate(model.source.weights):
-        a_mean = sum(
-            (
-                w * a_table[l1][pair[a_slot]]
-                for w, pair in zip(a_widths, reduced.alice_map.pairs)
-            ),
-            Fraction(0),
-        )
-        for l2, w_src in enumerate(row):
+    a_means, a_den = _interval_means(reduced.alice_map, a_table, a_slot)
+    b_means, b_den = _interval_means(reduced.bob_map, b_table, b_slot)
+    source, source_den = _scaled_factors(model.source.flattened())
+    cols = model.source.cols
+    total = 0
+    for l1, a_mean in enumerate(a_means):
+        for l2, b_mean in enumerate(b_means):
+            w_src = source[l1 * cols + l2]
             if w_src == 0:
                 continue
-            b_mean = sum(
-                (
-                    w * b_table[l2][pair[b_slot]]
-                    for w, pair in zip(b_widths, reduced.bob_map.pairs)
-                ),
-                Fraction(0),
-            )
             total += w_src * a_mean * b_mean
-    return total
+    return Fraction(total, source_den * a_den * b_den)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,12 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .chsh import CHSH_PATTERNS
-from .models import ContextualModel, atomic_writer, require_valid
+from .models import ContextualModel, _scaled_factors, atomic_writer, require_valid
 from .reduction import reduce_model
 
 U_BITS = 53
@@ -101,8 +102,10 @@ class TrialLedger:
     def n(self) -> int:
         return len(self.a)
 
+    @cached_property
     def _codes(self) -> np.ndarray:
-        """Per-trial context*4 + outcome in 0..15, one byte each."""
+        """Per-trial context*4 + outcome in 0..15, one byte each; built once
+        per ledger and shared by `context_counts` and `to_csv`."""
         context = self.alice_settings.astype(np.uint8) * 2 + self.bob_settings.astype(np.uint8)
         outcome = (self.a > 0).astype(np.uint8) * 2 + (self.b > 0)
         return context * 4 + outcome
@@ -110,7 +113,7 @@ class TrialLedger:
     def context_counts(self) -> dict:
         """counts[(alice_label, bob_label)][(a, b)] over the four contexts."""
         # bincount casts its input to intp; binning per chunk bounds that copy.
-        codes = self._codes()
+        codes = self._codes
         bins = np.zeros(16, dtype=np.int64)
         for start, stop in _chunks(self.n):
             bins += np.bincount(codes[start:stop], minlength=16)
@@ -143,7 +146,7 @@ class TrialLedger:
     def to_csv(self, path) -> None:
         """Write one row per trial to `path`, atomically."""
         suffixes = self._row_suffixes()
-        codes = self._codes()
+        codes = self._codes
         with atomic_writer(path, newline="") as fh:
             fh.write(_csv_line(["trial", "alice_setting", "bob_setting", "a", "b"]))
             for start, stop in _chunks(self.n):
@@ -419,21 +422,29 @@ def outcome_distribution(
     The remote side's local pmf is summed explicitly rather than being
     marginalized away, so the result could in principle depend on the
     remote setting; the point of the check below is that it never does.
+    Weights are integer numerators over each pmf's common denominator,
+    divided out once at the end.
     """
     local = model.local(side, setting)
     remote_local = model.local("bob" if side == "alice" else "alice", remote)
-    p_plus = Fraction(0)
-    total_mass = Fraction(0)
-    for l1, row in enumerate(model.source.weights):
-        for l2, w_src in enumerate(row):
-            own_index = l1 if side == "alice" else l2
-            for k, w_loc in enumerate(local.pmf.weights):
-                for _, w_rem in enumerate(remote_local.pmf.weights):
+    own_pmf, own_den = _scaled_factors(local.pmf.weights)
+    remote_pmf, remote_den = _scaled_factors(remote_local.pmf.weights)
+    source, source_den = _scaled_factors(model.source.flattened())
+    cols = model.source.cols
+    p_plus = 0
+    total_mass = 0
+    for l1 in range(model.source.rows):
+        for l2 in range(cols):
+            w_src = source[l1 * cols + l2]
+            own_row = local.table.values[l1 if side == "alice" else l2]
+            for k, w_loc in enumerate(own_pmf):
+                for w_rem in remote_pmf:
                     w = w_src * w_loc * w_rem
                     total_mass += w
-                    if local.table.values[own_index][k] == 1:
+                    if own_row[k] == 1:
                         p_plus += w
-    return (p_plus, total_mass - p_plus)
+    denom = source_den * own_den * remote_den
+    return (Fraction(p_plus, denom), Fraction(total_mass - p_plus, denom))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ Cells are tuples (l1, l2, lx, lxp, ly, lyp) indexing the six factors in a
 fixed axis order: source pair first, then Alice's locals in declared
 setting order, then Bob's.  The pmf is the product of the source joint
 weight and the four local weights; it is stored factorized and expanded
-only on demand, behind a cell-count guard.
+only on demand, behind a cell-count guard.  The expanded sum runs on
+integer numerators over each factor's common denominator and returns one
+Fraction; the factored route and the counterfactuals stay in Fraction
+arithmetic, so they share no scaling code with the dedicated and expanded
+routes.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -18,10 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exact import expectation_in_context
-from .models import Context, ContextualModel, require_valid
+from .models import Context, ContextualModel, _scaled_factors, require_valid
 
 DEFAULT_CELL_LIMIT = 10**7
 
@@ -95,52 +98,55 @@ def expectation_unified(u: UnifiedModel, ctx: Context) -> Fraction:
     return total
 
 
-def _scaled_factors(weights):
-    """Integer numerators over one common denominator, for fast exact sums."""
-    d = lcm(*[w.denominator for w in weights]) if weights else 1
-    return [int(w * d) for w in weights], d
+def _axis_factors(nums, table_row, axis):
+    """A side's two local axes at one source index, in declared order.
+
+    Both are integer pmf numerators; the axis the context reads also
+    carries the response value, so a cell's product picks it up once.
+    """
+    read = [w * v for w, v in zip(nums[axis], table_row)]
+    return (read, nums[1]) if axis == 0 else (nums[0], read)
 
 
 def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
     """Same expectation by brute-force sum over every expanded cell; guarded.
 
-    Accumulates integer numerators over the product of factor
-    denominators, so the full sweep stays exact without per-cell Fraction
-    arithmetic.
+    Six nested loops, one per axis (l1, l2, lx, lxp, ly, lyp), build each
+    cell's integer term w_src * w_x * w_x' * w_y * w_y' * A * B from
+    partial products of the outer axes, and every cell adds its own term:
+    nothing is summed out.  The pmfs are integer numerators over their
+    common denominators, so the sum is divided by their product once.
     """
     if u.size > u.cell_limit:
         raise SizeExceededError(u.size, u.cell_limit)
     model = u.base
-    a0, a1 = u.alice_labels
-    b0, b1 = u.bob_labels
-    src_num, src_den = _scaled_factors(list(model.source.flattened()))
-    local_scaled = {
-        (side, label): _scaled_factors(list(model.local(side, label).pmf.weights))
-        for side, label in (
-            ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1),
-        )
-    }
+    source, denom = _scaled_factors(model.source.flattened())
+    alice_nums, bob_nums = [], []
+    for nums, settings in ((alice_nums, model.alice), (bob_nums, model.bob)):
+        for local in settings.values():
+            scaled, d = _scaled_factors(local.pmf.weights)
+            nums.append(scaled)
+            denom *= d
     a_table = model.local("alice", ctx.alice).table.values
     b_table = model.local("bob", ctx.bob).table.values
     a_axis = u.alice_labels.index(ctx.alice)
     b_axis = u.bob_labels.index(ctx.bob)
 
     cols = model.source.cols
-    nums = [local_scaled[k][0] for k in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1))]
     total = 0
     for l1 in range(model.source.rows):
+        xs, xps = _axis_factors(alice_nums, a_table[l1], a_axis)
         for l2 in range(cols):
-            w0 = src_num[l1 * cols + l2]
-            for locals_cell in itertools.product(*[range(len(n)) for n in nums]):
-                w = w0
-                for n, k in zip(nums, locals_cell):
-                    w *= n[k]
-                a = a_table[l1][locals_cell[a_axis]]
-                b = b_table[l2][locals_cell[2 + b_axis]]
-                total += w * a * b
-    denom = src_den
-    for _, d in local_scaled.values():
-        denom *= d
+            ys, yps = _axis_factors(bob_nums, b_table[l2], b_axis)
+            w_source = source[l1 * cols + l2]
+            for w_x in xs:
+                w0 = w_source * w_x
+                for w_xp in xps:
+                    w1 = w0 * w_xp
+                    for w_y in ys:
+                        w2 = w1 * w_y
+                        for w_yp in yps:
+                            total += w2 * w_yp
     return Fraction(total, denom)
 
 

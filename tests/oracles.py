@@ -7,6 +7,11 @@ reuses the package's assignment decoding and exact pipeline but none of
 its search shortcuts, and the simulation oracles at the bottom, which
 reuse the sampler's thresholds but draw and write without chunking or
 precomputed rows.  Slow is fine; these run on small campaigns.
+
+The `*_fraction_oracle` and `expanded_scaled_oracle` functions are the
+per-cell loops the package ran before its exact kernels moved to integer
+numerators, kept verbatim so each integer kernel is compared against the
+loop it replaced.  They scale nothing through the package's helpers.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import numpy as np
 
 from bell_lab.chsh import chsh_from_correlations
 from bell_lab.exact import correlation_set
-from bell_lab.models import ContextualModel, canonical_json
-from bell_lab.reduction import reduce_model
+from bell_lab.models import Context, ContextualModel, canonical_json
+from bell_lab.reduction import ReducedModel, reduce_model
 from bell_lab.search import assignment_count, decode_assignment
+from bell_lab.unified import SizeExceededError, UnifiedModel
 from bell_lab.simulate import (
     DEFAULT_BIAS,
     U_SCALE,
@@ -170,6 +176,141 @@ def reduced_context_mean(model: ContextualModel, alice_label: str, bob_label: st
                 bsum += btab[j][bisect_right(bcum, t) - 1]
             total += w0 * Fraction(asum, da) * Fraction(bsum, db)
     return total
+
+
+def dedicated_fraction_oracle(model: ContextualModel, ctx: Context) -> Fraction:
+    """E over one context: sum A(l1,lx) * B(l2,ly) * p_x(lx) * p_y(ly) * p(l1,l2).
+
+    Loop order fixed as (l1, l2, lx, ly) for reproducible traces; only
+    zero-probability source pairs are skipped.
+    """
+    a_local = model.local("alice", ctx.alice)
+    b_local = model.local("bob", ctx.bob)
+    a_table = a_local.table.values
+    b_table = b_local.table.values
+    a_pmf = a_local.pmf.weights
+    b_pmf = b_local.pmf.weights
+
+    total = Fraction(0)
+    for l1, source_row in enumerate(model.source.weights):
+        for l2, w_source in enumerate(source_row):
+            if w_source == 0:
+                continue
+            for lx, w_a in enumerate(a_pmf):
+                for ly, w_b in enumerate(b_pmf):
+                    total += a_table[l1][lx] * b_table[l2][ly] * w_a * w_b * w_source
+    return total
+
+
+def _oracle_scaled_factors(weights):
+    """Integer numerators over one common denominator, for fast exact sums."""
+    d = lcm(*[w.denominator for w in weights]) if weights else 1
+    return [int(w * d) for w in weights], d
+
+
+def expanded_scaled_oracle(u: UnifiedModel, ctx: Context) -> Fraction:
+    """Same expectation by brute-force sum over every expanded cell; guarded.
+
+    Accumulates integer numerators over the product of factor
+    denominators, so the full sweep stays exact without per-cell Fraction
+    arithmetic.
+    """
+    if u.size > u.cell_limit:
+        raise SizeExceededError(u.size, u.cell_limit)
+    model = u.base
+    a0, a1 = u.alice_labels
+    b0, b1 = u.bob_labels
+    src_num, src_den = _oracle_scaled_factors(list(model.source.flattened()))
+    local_scaled = {
+        (side, label): _oracle_scaled_factors(list(model.local(side, label).pmf.weights))
+        for side, label in (
+            ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1),
+        )
+    }
+    a_table = model.local("alice", ctx.alice).table.values
+    b_table = model.local("bob", ctx.bob).table.values
+    a_axis = u.alice_labels.index(ctx.alice)
+    b_axis = u.bob_labels.index(ctx.bob)
+
+    cols = model.source.cols
+    nums = [local_scaled[k][0] for k in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1))]
+    total = 0
+    for l1 in range(model.source.rows):
+        for l2 in range(cols):
+            w0 = src_num[l1 * cols + l2]
+            for locals_cell in itertools.product(*[range(len(n)) for n in nums]):
+                w = w0
+                for n, k in zip(nums, locals_cell):
+                    w *= n[k]
+                a = a_table[l1][locals_cell[a_axis]]
+                b = b_table[l2][locals_cell[2 + b_axis]]
+                total += w * a * b
+    denom = src_den
+    for _, d in local_scaled.values():
+        denom *= d
+    return Fraction(total, denom)
+
+
+def reduced_fraction_oracle(reduced: ReducedModel, ctx: Context) -> Fraction:
+    """Context correlation under the reduced form, by exact quadrature.
+
+    Integrates over refined intervals times source pairs; each interval
+    contributes its width times the response value its pair selects.
+    """
+    model = reduced.base
+    a_slot = model.alice_labels.index(ctx.alice)
+    b_slot = model.bob_labels.index(ctx.bob)
+    a_table = model.alice[ctx.alice].table.values
+    b_table = model.bob[ctx.bob].table.values
+
+    a_widths = reduced.alice_map.widths()
+    b_widths = reduced.bob_map.widths()
+    total = Fraction(0)
+    for l1, row in enumerate(model.source.weights):
+        a_mean = sum(
+            (
+                w * a_table[l1][pair[a_slot]]
+                for w, pair in zip(a_widths, reduced.alice_map.pairs)
+            ),
+            Fraction(0),
+        )
+        for l2, w_src in enumerate(row):
+            if w_src == 0:
+                continue
+            b_mean = sum(
+                (
+                    w * b_table[l2][pair[b_slot]]
+                    for w, pair in zip(b_widths, reduced.bob_map.pairs)
+                ),
+                Fraction(0),
+            )
+            total += w_src * a_mean * b_mean
+    return total
+
+
+def outcome_distribution_fraction_oracle(
+    model: ContextualModel, side: str, setting: str, remote: str
+) -> tuple[Fraction, Fraction]:
+    """Exact (P(+1), P(-1)) for one side's outcome in a full context.
+
+    The remote side's local pmf is summed explicitly rather than being
+    marginalized away, so the result could in principle depend on the
+    remote setting; the point of the check below is that it never does.
+    """
+    local = model.local(side, setting)
+    remote_local = model.local("bob" if side == "alice" else "alice", remote)
+    p_plus = Fraction(0)
+    total_mass = Fraction(0)
+    for l1, row in enumerate(model.source.weights):
+        for l2, w_src in enumerate(row):
+            own_index = l1 if side == "alice" else l2
+            for k, w_loc in enumerate(local.pmf.weights):
+                for _, w_rem in enumerate(remote_local.pmf.weights):
+                    w = w_src * w_loc * w_rem
+                    total_mass += w
+                    if local.table.values[own_index][k] == 1:
+                        p_plus += w
+    return (p_plus, total_mass - p_plus)
 
 
 def exhaustive_oracle(cardinalities):

@@ -209,6 +209,19 @@ class TestSearch:
         assert_input_error(err)
         assert "budget" in err
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random", "hill-climb"])
+    def test_negative_seed_is_input_error(self, capsys, mode):
+        # random.Random(-3) seeds like random.Random(3); the run must not
+        # report a seed it did not use.
+        code, out, err = run(
+            capsys, "search", "--mode", mode, "--seed", "-3", "--budget", "5",
+            "--cardinalities", "1,1,1,1,1,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "seed" in err
+
     def test_zero_cardinality(self, capsys):
         code, out, err = run(capsys, "search", "--cardinalities", "0,1,1,1,1,1")
         assert code == 2

@@ -83,7 +83,7 @@ class TestSimulateTrials:
 
     def test_counts_match_whole_array_bincount(self, noisy):
         ledger = simulate_trials(noisy, 3 * CHUNK + 7, seed=4)
-        bins = np.bincount(ledger._codes(), minlength=16)
+        bins = np.bincount(ledger._codes, minlength=16)
         counts = ledger.context_counts()
         for ctx, (alice_label, bob_label) in enumerate(
             (a, b) for a in noisy.alice_labels for b in noisy.bob_labels
@@ -303,6 +303,32 @@ class TestLedgerCsv:
         simulate_trials(noisy, 300, seed=5).to_csv(first)
         simulate_trials(noisy, 300, seed=5).to_csv(second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestCodesBuiltOnce:
+    def test_counts_and_csv_share_one_build(self, tmp_path, monkeypatch, noisy):
+        build = TrialLedger._codes.func
+        builds = []
+
+        def counting_build(ledger):
+            builds.append(1)
+            return build(ledger)
+
+        monkeypatch.setattr(TrialLedger._codes, "func", counting_build)
+        ledger = simulate_trials(noisy, 2 * CHUNK + 3, seed=8)
+        counts = [ledger.context_counts() for _ in range(3)]
+        ledger.to_csv(tmp_path / "ledger.csv")
+        assert builds == [1]
+
+        oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
+        assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert counts[0] == counts[1] == counts[2]
+        for (alice_label, bob_label), cell in counts[0].items():
+            mask = (ledger.alice_settings == ledger.alice_labels.index(alice_label)) & (
+                ledger.bob_settings == ledger.bob_labels.index(bob_label)
+            )
+            for (a, b), count in cell.items():
+                assert count == int(((ledger.a == a) & (ledger.b == b) & mask).sum())
 
 
 class TestChunkedOracles:
