@@ -9,9 +9,11 @@ Monte Carlo with no-signalling checks.
 
 from .chsh import (
     BoundViolationError,
+    Certification,
     ChshReport,
     LhvCertificate,
     certify_lhv_bound,
+    certify_model,
     chsh_from_correlations,
 )
 from .exact import CorrelationSet, correlation_set, expectation_in_context
@@ -76,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundViolationError",
+    "Certification",
     "ChshReport",
     "Context",
     "ContextualModel",
@@ -103,6 +106,7 @@ __all__ = [
     "UnknownSettingError",
     "build_unified",
     "certify_lhv_bound",
+    "certify_model",
     "chsh_from_correlations",
     "correlation_set",
     "counterfactuals",

@@ -1,4 +1,5 @@
-"""CHSH combination evaluation and the local bound certificate.
+"""CHSH combination evaluation, the local bound certificate, and the
+one-pass certification of a model (`certify_model`).
 
 The eight sign patterns are the four with exactly one term negated plus
 their negations (three terms negated); these are precisely the sign
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import CorrelationSet, correlation_set
-from .models import ContextualModel, decimal_str, format_rational, model_hash, require_valid
+from .models import ContextualModel, decimal_str, format_rational, model_hash
+from .reduction import ReductionReport, reduction_report
+from .unified import DEFAULT_CELL_LIMIT, EquivalenceReport, equivalence_report
 
 # Canonical order: one negated term sweeping left to right, then the negations.
 CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
@@ -81,14 +84,13 @@ class LhvCertificate:
         }
 
 
-def certify_lhv_bound(model: ContextualModel) -> LhvCertificate:
-    """Correlations, all eight sums, and the verdict, bound to the model hash.
+def lhv_certificate(model: ContextualModel, correlations: CorrelationSet) -> LhvCertificate:
+    """All eight sums and the verdict for a valid model's correlations,
+    bound to the model hash.
 
     For every valid model the verdict must be satisfied; a violation is a
     bug in this engine, not a property of the model, and raises.
     """
-    require_valid(model)
-    correlations = correlation_set(model)
     report = chsh_from_correlations(correlations)
     if not report.bound_satisfied:
         raise BoundViolationError(
@@ -96,4 +98,67 @@ def certify_lhv_bound(model: ContextualModel) -> LhvCertificate:
         )
     return LhvCertificate(
         model_sha256=model_hash(model), correlations=correlations, report=report
+    )
+
+
+def certify_lhv_bound(model: ContextualModel) -> LhvCertificate:
+    """Validate, compute the correlations, and certify the bound."""
+    return lhv_certificate(model, correlation_set(model))
+
+
+def _rationals(values) -> list[str]:
+    return [format_rational(v) for v in values]
+
+
+@dataclass(frozen=True)
+class Certification:
+    """Route equivalence, reduction and the CHSH certificate of one model."""
+
+    equivalence: EquivalenceReport
+    reduction: ReductionReport
+    certificate: LhvCertificate
+
+    @property
+    def all_passed(self) -> bool:
+        return (
+            self.equivalence.equal
+            and self.reduction.equal
+            and self.certificate.report.bound_satisfied
+        )
+
+    def to_dict(self) -> dict:
+        equivalence, reduction = self.equivalence, self.reduction
+        return {
+            "model_sha256": self.certificate.model_sha256,
+            "equivalence": {
+                "contexts": [[c.alice, c.bob] for c in equivalence.contexts],
+                "dedicated": _rationals(equivalence.dedicated),
+                "factored": _rationals(equivalence.factored),
+                "expanded": _rationals(equivalence.expanded),
+                "equal": equivalence.equal,
+            },
+            "reduction": {
+                "original": _rationals(reduction.original),
+                "reduced": _rationals(reduction.reduced),
+                "equal": reduction.equal,
+            },
+            "chsh": self.certificate.to_dict(),
+            "all_passed": self.all_passed,
+        }
+
+
+def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) -> Certification:
+    """The whole verification stack on one model, in one pass.
+
+    Validates the model and computes its four dedicated correlations once,
+    then hands them to the route-equivalence check, the reduction check and
+    the CHSH bound; the factored, expanded and reduced routes still compute
+    their own values, so the routes stay independent.
+    """
+    correlations = correlation_set(model)
+    dedicated = correlations.as_tuple()
+    return Certification(
+        equivalence=equivalence_report(model, dedicated, cell_limit),
+        reduction=reduction_report(model, dedicated),
+        certificate=lhv_certificate(model, correlations),
     )

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .chsh import BoundViolationError, certify_lhv_bound
+from .chsh import BoundViolationError, certify_lhv_bound, certify_model
 from .exact import correlation_set
 from .models import (
     InvalidModelError,
@@ -28,7 +28,6 @@ from .models import (
     require_valid,
     validate_model,
 )
-from .reduction import verify_reduction
 from .search import (
     SearchLimitError,
     SearchMode,
@@ -44,7 +43,7 @@ from .simulate import (
     simulate_trials,
     verify_no_signalling,
 )
-from .unified import DEFAULT_CELL_LIMIT, SizeExceededError, verify_equivalence
+from .unified import DEFAULT_CELL_LIMIT, SizeExceededError
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -108,38 +107,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if not problems else EXIT_VERDICT
 
 
-def _rationals(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
 def cmd_certify(args) -> int:
-    model = load_model(args.model)
-    require_valid(model)
-    equivalence = verify_equivalence(model, cell_limit=args.limit)
-    reduction = verify_reduction(model)
-    certificate = certify_lhv_bound(model)
-    doc = {
-        "command": "certify",
-        "model_sha256": model_hash(model),
-        "equivalence": {
-            "contexts": [[c.alice, c.bob] for c in equivalence.contexts],
-            "dedicated": _rationals(equivalence.dedicated),
-            "factored": _rationals(equivalence.factored),
-            "expanded": _rationals(equivalence.expanded),
-            "equal": equivalence.equal,
-        },
-        "reduction": {
-            "original": _rationals(reduction.original),
-            "reduced": _rationals(reduction.reduced),
-            "equal": reduction.equal,
-        },
-        "chsh": certificate.to_dict(),
-        "all_passed": equivalence.equal
-        and reduction.equal
-        and certificate.report.bound_satisfied,
-    }
-    _emit(doc, args)
-    return EXIT_OK if doc["all_passed"] else EXIT_VERDICT
+    if args.limit < 1:
+        raise ModelFormatError(f"--limit must be at least 1, got {args.limit}")
+    result = certify_model(load_model(args.model), cell_limit=args.limit)
+    _emit({"command": "certify", **result.to_dict()}, args)
+    return EXIT_OK if result.all_passed else EXIT_VERDICT
 
 
 def _parse_cardinalities(raw: str):

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import expectation_in_context
+from .exact import correlation_set
 from .models import (
     Context,
     ContextualModel,
@@ -197,13 +197,17 @@ class ReductionReport:
     equal: bool
 
 
-def verify_reduction(model: ContextualModel) -> ReductionReport:
-    """Compare all four correlations before and after reduction, exactly."""
-    require_valid(model)
+def reduction_report(model: ContextualModel, original: tuple[Fraction, ...]) -> ReductionReport:
+    """Compare a valid model's dedicated correlations, in context order, with
+    the reduced form's, exactly."""
     reduced = reduce_model(model)
     contexts = model.contexts()
-    original = tuple(expectation_in_context(model, ctx) for ctx in contexts)
     values = tuple(_reduced_expectation(reduced, ctx) for ctx in contexts)
     return ReductionReport(
         contexts=contexts, original=original, reduced=values, equal=original == values
     )
+
+
+def verify_reduction(model: ContextualModel) -> ReductionReport:
+    """Compare all four correlations before and after reduction, exactly."""
+    return reduction_report(model, correlation_set(model).as_tuple())

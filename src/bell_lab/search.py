@@ -74,6 +74,8 @@ class SearchSpec:
             raise ValueError(f"cardinalities must be six counts >= 1, got {self.cardinalities}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.assignment_limit < 1:
+            raise ValueError(f"limit must be >= 1, got {self.assignment_limit}")
         # random.Random seeds with abs(seed), so -3 would silently run seed 3.
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")

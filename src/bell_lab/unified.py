@@ -4,11 +4,14 @@ Cells are tuples (l1, l2, lx, lxp, ly, lyp) indexing the six factors in a
 fixed axis order: source pair first, then Alice's locals in declared
 setting order, then Bob's.  The pmf is the product of the source joint
 weight and the four local weights; it is stored factorized and expanded
-only on demand, behind a cell-count guard.  The expanded sum runs on
-integer numerators over each factor's common denominator and returns one
-Fraction; the factored route and the counterfactuals stay in Fraction
-arithmetic, so they share no scaling code with the dedicated and expanded
-routes.
+only on demand, behind a cell-count guard.  The expanded sum writes each
+factor's weights as integer numerators over its common denominator and
+adds one term per cell, exactly, in numpy: modulo the fewest word-sized
+primes whose product exceeds twice the bound D on |total| (the product of
+the denominators), rebuilt by the Chinese remainder theorem, one block of
+cells at a time.  The factored route and the counterfactuals stay in
+Fraction arithmetic, so they share no scaling code with the dedicated and
+expanded routes.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -20,11 +23,14 @@ well-defined exact expectations; those are the counterfactuals.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import expectation_in_context
-from .models import Context, ContextualModel, _scaled_factors, require_valid
+import numpy as np
+
+from .exact import correlation_set
+from .models import Context, ContextualModel, LocalSetting, _scaled_factors, require_valid
 
 DEFAULT_CELL_LIMIT = 10**7
 
@@ -98,55 +104,178 @@ def expectation_unified(u: UnifiedModel, ctx: Context) -> Fraction:
     return total
 
 
-def _axis_factors(nums, table_row, axis):
-    """A side's two local axes at one source index, in declared order.
+# Largest number of int64 terms one block of the expanded sum holds, primes
+# included.  Bob's two local axes are never split, so a block holds at least
+# k * |y| * |y'| terms.  Terms are below 2^31, so a block's per-prime sum
+# fits in int64 while the block has fewer than 2^32 cells.
+_BLOCK_ELEMENTS = 1 << 14
 
-    Both are integer pmf numerators; the axis the context reads also
-    carries the response value, so a cell's product picks it up once.
+# Primes below 2^31, largest first, found on first use: a product of two
+# residues then fits in int64.
+_PRIME_CEILING = 1 << 31
+_PRIMES: list[int] = []
+_PRIMES_LOCK = threading.Lock()
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, bases 2, 3, 5, 7: exact below 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _descending_primes():
+    """Yield the primes below 2^31 in descending order, extending the cache."""
+    index = 0
+    while True:
+        with _PRIMES_LOCK:  # two threads must not append the same prime
+            if index == len(_PRIMES):
+                n = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
+                while not _is_prime(n):
+                    n -= 2
+                _PRIMES.append(n)
+        yield _PRIMES[index]
+        index += 1
+
+
+def _moduli(bound: int) -> tuple[list[int], int]:
+    """The fewest largest primes below 2^31 whose product m exceeds 2 * bound."""
+    primes, m = [], 1
+    for p in _descending_primes():
+        if m > 2 * bound:
+            break
+        primes.append(p)
+        m *= p
+    return primes, m
+
+
+def _blocks(shape, inner: int, cap: int):
+    """Boxes of the grid `shape`, in C order, as tuples of slices.
+
+    Each grid index stands for `inner` cells; a box covers at most `cap`
+    cells, or one grid index when a single index already holds more.
     """
-    read = [w * v for w, v in zip(nums[axis], table_row)]
-    return (read, nums[1]) if axis == 0 else (nums[0], read)
+    size, cut = inner, len(shape)
+    while cut > 0 and size * shape[cut - 1] <= cap:
+        cut -= 1
+        size *= shape[cut]
+    if cut == 0:
+        yield (slice(None),) * len(shape)
+        return
+    cut -= 1
+    step = max(1, cap // size)
+    tail = (slice(None),) * (len(shape) - cut - 1)
+    for lead in itertools.product(*(range(n) for n in shape[:cut])):
+        head = tuple(slice(i, i + 1) for i in lead)
+        for start in range(0, shape[cut], step):
+            yield (*head, slice(start, start + step), *tail)
+
+
+def _residues(nums, primes) -> np.ndarray:
+    """Integer numerators modulo each prime: shape (k, len(nums)), int64."""
+    return np.array([[n % p for n in nums] for p in primes], dtype=np.int64)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod p elementwise, for entries in [0, p); axis 0 runs over the primes p."""
+    out = a * b
+    out %= p.reshape(-1, *(1,) * (out.ndim - 1))
+    return out
+
+
+def _local_axes(settings, read: LocalSetting, primes) -> list[np.ndarray]:
+    """One side's two local factors at every source index, shape (k, n_src, n).
+
+    Residues of the pmf numerators, in declared setting order; the axis the
+    context reads also carries the response value, so a cell's product
+    picks it up once.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    axes = []
+    for local in settings.values():
+        table = np.array(local.table.values, dtype=np.int64)
+        res = _residues(_scaled_factors(local.pmf.weights)[0], primes)[:, None, :]
+        if local is read:
+            axes.append(res * table % p)
+        else:
+            axes.append(np.broadcast_to(res, (len(primes), *table.shape)))
+    return axes
 
 
 def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
     """Same expectation by brute-force sum over every expanded cell; guarded.
 
-    Six nested loops, one per axis (l1, l2, lx, lxp, ly, lyp), build each
-    cell's integer term w_src * w_x * w_x' * w_y * w_y' * A * B from
-    partial products of the outer axes, and every cell adds its own term:
-    nothing is summed out.  The pmfs are integer numerators over their
-    common denominators, so the sum is divided by their product once.
+    Every cell (l1, l2, lx, lx', ly, ly') gets its own integer term
+    w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf written as integer
+    numerators over its common denominator; nothing is summed out before the
+    tables multiply in.  The sum is exact by multi-modular arithmetic:
+
+    - The absolute terms sum to exactly D, the product of the five factor
+      denominators (each factor's numerators sum to its denominator and
+      A, B are +-1), so |total| <= D.
+    - The terms are summed modulo the k largest primes below 2^31 whose
+      product m exceeds 2D, all k primes on the leading axis of one int64
+      array, reducing after every product so two residues never overflow.
+    - The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
+      (one Bob (ly, ly') grid per prime when that alone is larger), so
+      memory does not grow with the number of cells.
+    - The Chinese remainder theorem rebuilds the total modulo m in Python
+      integers; re-centred to (-m/2, m/2] it is the exact total, returned
+      as Fraction(total, D).
     """
     if u.size > u.cell_limit:
         raise SizeExceededError(u.size, u.cell_limit)
     model = u.base
     source, denom = _scaled_factors(model.source.flattened())
-    alice_nums, bob_nums = [], []
-    for nums, settings in ((alice_nums, model.alice), (bob_nums, model.bob)):
-        for local in settings.values():
-            scaled, d = _scaled_factors(local.pmf.weights)
-            nums.append(scaled)
-            denom *= d
-    a_table = model.local("alice", ctx.alice).table.values
-    b_table = model.local("bob", ctx.bob).table.values
-    a_axis = u.alice_labels.index(ctx.alice)
-    b_axis = u.bob_labels.index(ctx.bob)
+    for local in itertools.chain(model.alice.values(), model.bob.values()):
+        denom *= _scaled_factors(local.pmf.weights)[1]
+    primes, m = _moduli(denom)
+    p = np.array(primes, dtype=np.int64)
+    k = len(primes)
 
-    cols = model.source.cols
+    rows, cols = model.source.rows, model.source.cols
+    src = _residues(source, primes).reshape(k, rows, cols)
+    x, xp = _local_axes(model.alice, model.local("alice", ctx.alice), primes)
+    y, yp = _local_axes(model.bob, model.local("bob", ctx.bob), primes)
+
+    # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
+    shape = (rows, x.shape[2], xp.shape[2], cols)
+    inner = y.shape[2] * yp.shape[2]
+    residues = np.zeros(k, dtype=np.int64)
+    bob_cols = None
+    for r, ix, ixp, c in _blocks(shape, inner, max(1, _BLOCK_ELEMENTS // k)):
+        if c != bob_cols:  # consecutive blocks mostly share Bob's columns
+            bob = _mulmod(y[:, c, :, None], yp[:, c, None, :], p)
+            bob_cols = c
+        alice = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
+        terms = _mulmod(alice[..., None], src[:, r, None, None, c], p)
+        terms = _mulmod(terms[..., None, None], bob[:, None, None, None], p)
+        residues = (residues + terms.reshape(k, -1).sum(axis=1)) % p
+
     total = 0
-    for l1 in range(model.source.rows):
-        xs, xps = _axis_factors(alice_nums, a_table[l1], a_axis)
-        for l2 in range(cols):
-            ys, yps = _axis_factors(bob_nums, b_table[l2], b_axis)
-            w_source = source[l1 * cols + l2]
-            for w_x in xs:
-                w0 = w_source * w_x
-                for w_xp in xps:
-                    w1 = w0 * w_xp
-                    for w_y in ys:
-                        w2 = w1 * w_y
-                        for w_yp in yps:
-                            total += w2 * w_yp
+    for residue, q in zip(residues.tolist(), primes):
+        rest = m // q
+        total += residue * rest * pow(rest, -1, q)
+    total %= m
+    if total > m // 2:
+        total -= m
     return Fraction(total, denom)
 
 
@@ -201,27 +330,32 @@ class EquivalenceReport:
     equal: bool
 
 
-def verify_equivalence(
-    model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
+def equivalence_report(
+    model: ContextualModel, dedicated: tuple[Fraction, ...], cell_limit: int
 ) -> EquivalenceReport:
-    """Recompute all four correlations on the product space and compare.
+    """Compare the dedicated correlations of a valid model with the product space.
 
+    `dedicated` holds the four dedicated-route values in context order.
     The factored route always runs; the expanded brute-force route runs
     when the space fits under `cell_limit` and raises otherwise, since a
     certificate that silently skipped the heavyweight check would be
     misleading.  Verdict is exact rational equality across every route.
     """
-    require_valid(model)
-    u = build_unified(model, cell_limit)
+    u = UnifiedModel(base=model, cell_limit=cell_limit)
     contexts = model.contexts()
-    dedicated = tuple(expectation_in_context(model, ctx) for ctx in contexts)
     factored = tuple(expectation_unified(u, ctx) for ctx in contexts)
     expanded = tuple(expectation_unified_expanded(u, ctx) for ctx in contexts)
-    equal = dedicated == factored == expanded
     return EquivalenceReport(
         contexts=contexts,
         dedicated=dedicated,
         factored=factored,
         expanded=expanded,
-        equal=equal,
+        equal=dedicated == factored == expanded,
     )
+
+
+def verify_equivalence(
+    model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
+) -> EquivalenceReport:
+    """Validate, compute the dedicated correlations, and compare every route."""
+    return equivalence_report(model, correlation_set(model).as_tuple(), cell_limit)

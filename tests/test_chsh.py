@@ -6,14 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import bell_lab.exact as exact_module
+import bell_lab.models as models_module
 from bell_lab.chsh import (
     CHSH_PATTERNS,
     BoundViolationError,
+    Certification,
     certify_lhv_bound,
+    certify_model,
     chsh_from_correlations,
 )
 from bell_lab.exact import CorrelationSet, correlation_set
-from bell_lab.models import model_hash
+from bell_lab.models import InvalidModelError, model_hash
+from bell_lab.presets import PRESETS
+from bell_lab.reduction import verify_reduction
+from bell_lab.unified import SizeExceededError, verify_equivalence
 from tests_support import alter_local
 
 
@@ -141,3 +148,60 @@ class TestSymmetries:
             after = chsh_from_correlations(correlation_set(swapped))
             assert before.s_max == after.s_max
             assert sorted(before.sums) == sorted(after.sums)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCertifyModel:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_the_separate_checks(self, name):
+        model = PRESETS[name]()
+        expected = Certification(
+            equivalence=verify_equivalence(model),
+            reduction=verify_reduction(model),
+            certificate=certify_lhv_bound(model),
+        )
+        assert certify_model(model) == expected
+        assert certify_model(model).all_passed
+
+    def test_campaign_matches_the_separate_checks(self, small_campaign):
+        for model in small_campaign[:30]:
+            result = certify_model(model)
+            assert result.equivalence == verify_equivalence(model)
+            assert result.reduction == verify_reduction(model)
+            assert result.certificate == certify_lhv_bound(model)
+
+    def test_one_dedicated_pass(self, monkeypatch, random7):
+        dedicated = counting(monkeypatch, exact_module, "expectation_in_context")
+        validations = counting(monkeypatch, models_module, "validate_model")
+        certify_model(random7)
+        assert len(dedicated) == 4
+        assert 1 <= len(validations) <= 2
+
+    def test_invalid_model_rejected_before_any_route(self, monkeypatch, noisy):
+        dedicated = counting(monkeypatch, exact_module, "expectation_in_context")
+        broken = alter_local(noisy, "alice", "x", table=((1, 1),))
+        with pytest.raises(InvalidModelError):
+            certify_model(broken)
+        assert dedicated == []
+
+    def test_size_guard_propagates(self, noisy):
+        with pytest.raises(SizeExceededError):
+            certify_model(noisy, cell_limit=10)
+
+    def test_to_dict_fields(self, noisy):
+        doc = certify_model(noisy).to_dict()
+        assert sorted(doc) == ["all_passed", "chsh", "equivalence", "model_sha256", "reduction"]
+        assert doc["model_sha256"] == model_hash(noisy) == doc["chsh"]["model_sha256"]
+        assert doc["all_passed"] is True

@@ -129,6 +129,15 @@ class TestCertify:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_is_input_error(self, capsys, model_file, limit):
+        # A cell cap below 1 is a bad flag, not a product space too large.
+        code, out, err = run(capsys, "certify", "--model", str(model_file), "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "--limit" in err
+
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_out_file_every_format(self, capsys, tmp_path, model_file, fmt):
         base = ("certify", "--model", str(model_file), "--format", fmt)
@@ -176,6 +185,14 @@ class TestSearch:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_input_error(self, capsys, limit):
+        code, out, err = run(capsys, "search", "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert "limit" in err
 
     def test_rerun_byte_identical(self, capsys):
         args = ("search", "--mode", "random", "--budget", "40", "--seed", "11")

@@ -4,16 +4,28 @@ Every kernel that sums integer numerators over a common denominator is
 compared, for exact rational equality, with its old loop in `oracles.py`
 on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
+The multi-modular expanded route also gets its prime supply, its choice
+of moduli, its re-centring and its block walk checked on their own.
 """
 
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bell_lab import unified
+from bell_lab.chsh import certify_model
 from bell_lab.exact import expectation_in_context
 from bell_lab.models import (
     ContextualModel,
@@ -27,7 +39,14 @@ from bell_lab.presets import PRESETS
 from bell_lab.reduction import _reduced_expectation, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.simulate import outcome_distribution
-from bell_lab.unified import build_unified, expectation_unified_expanded
+from bell_lab.unified import (
+    _blocks,
+    _descending_primes,
+    _is_prime,
+    _moduli,
+    build_unified,
+    expectation_unified_expanded,
+)
 
 BIG = 2**64 + 13
 
@@ -181,3 +200,203 @@ class TestKernelOracles:
         locals_ = [pmf(data.draw(st.integers(1, 3))) for _ in range(4)]
         seed = data.draw(st.integers(0, 2**32))
         assert_kernels_match_oracles(build_model(source, locals_[:2], locals_[2:], random.Random(seed)))
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def denominator_product(model: ContextualModel) -> int:
+    """D: the product of the five factors' least common denominators."""
+    d = math.lcm(*[w.denominator for w in model.source.flattened()])
+    for local in itertools.chain(model.alice.values(), model.bob.values()):
+        d *= math.lcm(*[w.denominator for w in local.pmf.weights])
+    return d
+
+
+def big_weight_model(seed: int, shape=(2, 2, 2, 3, 3, 2), bits: int = 70) -> ContextualModel:
+    """Coin-flip tables and positive weights drawn up to 2^bits, normalised."""
+    rng = random.Random(seed)
+    s1, s2, *local_sizes = shape
+
+    def pmf(size):
+        return normalised([rng.randint(1, 2**bits) for _ in range(size)])
+
+    flat = pmf(s1 * s2)
+    source = [flat[r * s2:(r + 1) * s2] for r in range(s1)]
+    locals_ = [pmf(n) for n in local_sizes]
+    return build_model(source, locals_[:2], locals_[2:], rng)
+
+
+def map_tables(model: ContextualModel, alice, bob) -> ContextualModel:
+    """Copy of `model` with every readout v of Alice's tables replaced by
+    alice(v) and every readout of Bob's by bob(v)."""
+
+    def side(settings, f):
+        return {
+            label: LocalSetting(
+                pmf=local.pmf,
+                table=ResponseTable(
+                    side=local.table.side,
+                    setting=label,
+                    values=tuple(tuple(f(v) for v in row) for row in local.table.values),
+                ),
+            )
+            for label, local in settings.items()
+        }
+
+    return ContextualModel(
+        source=model.source, alice=side(model.alice, alice), bob=side(model.bob, bob)
+    )
+
+
+class TestPrimeSupply:
+    def test_first_64_agree_with_trial_division(self):
+        candidates = range(2**31 - 1, 2**30, -2)
+        expected = list(itertools.islice(filter(is_prime_by_trial_division, candidates), 64))
+        assert list(itertools.islice(_descending_primes(), 64)) == expected
+        assert expected[0] == 2**31 - 1
+
+    def test_threads_extend_the_cache_once(self, monkeypatch):
+        monkeypatch.setattr(unified, "_PRIMES", [])
+        expected = list(itertools.islice(_descending_primes(), 48))
+        monkeypatch.setattr(unified, "_PRIMES", [])
+        results = []
+
+        def take():
+            results.append(list(itertools.islice(_descending_primes(), 48)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=take) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        assert unified._PRIMES == expected
+
+    def test_small_numbers_agree_with_trial_division(self):
+        assert [n for n in range(500) if _is_prime(n)] == [
+            n for n in range(500) if is_prime_by_trial_division(n)
+        ]
+
+    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+    def test_fewer_bases_would_pass_a_composite(self, n):
+        # The least strong pseudoprimes to bases {2}, {2, 3} and {2, 3, 5}.
+        assert not is_prime_by_trial_division(n)
+        assert not _is_prime(n)
+
+    def test_witnesses_are_exact_below_the_ceiling(self):
+        # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to
+        # bases 2, 3, 5 and 7 together; every candidate prime lies below 2^31.
+        assert _is_prime(3_215_031_751) and not is_prime_by_trial_division(3_215_031_751)
+        assert unified._PRIME_CEILING < 3_215_031_751
+
+    def test_import_does_no_prime_work(self):
+        src = os.path.dirname(os.path.dirname(unified.__file__))
+        code = "import bell_lab, bell_lab.unified as u; print(len(u._PRIMES))"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "0\n"
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 2**30, 2**31, 2**62, 2**62 + 1, 3**400, 2**1351 - 1]
+    )
+    def test_moduli_are_the_fewest_largest_primes(self, bound):
+        primes, m = _moduli(bound)
+        assert primes == list(itertools.islice(_descending_primes(), len(primes)))
+        assert m == math.prod(primes) > 2 * bound
+        assert math.prod(primes[:-1]) <= 2 * bound
+
+
+class TestMultiModularExpanded:
+    """Cases where a fault in the residue arithmetic or the CRT would show."""
+
+    def assert_matches_oracle(self, model):
+        u = build_unified(model)
+        values = [expectation_unified_expanded(u, ctx) for ctx in model.contexts()]
+        assert values == [oracles.expanded_scaled_oracle(u, ctx) for ctx in model.contexts()]
+        return values
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_totals_are_recentred(self, seed):
+        model = big_weight_model(seed)
+        values = self.assert_matches_oracle(model)
+        mirror = map_tables(model, lambda v: -v, lambda v: v)
+        assert self.assert_matches_oracle(mirror) == [-v for v in values]
+        assert any(v != 0 for v in values)  # so one of the two has a negative total
+
+    @pytest.mark.parametrize("bits", [1, 70, 300])
+    def test_totals_at_the_bound(self, bits):
+        # Constant tables put |total| at exactly D, where one prime too few
+        # or a wrong re-centring gives a different residue class.
+        model = big_weight_model(bits, bits=bits)
+        assert self.assert_matches_oracle(map_tables(model, lambda v: 1, lambda v: 1)) == [1] * 4
+        assert self.assert_matches_oracle(map_tables(model, lambda v: -1, lambda v: 1)) == [-1] * 4
+
+    def test_more_than_40_primes(self):
+        model = big_weight_model(7, bits=300)
+        assert len(_moduli(denominator_product(model))[0]) > 40
+        self.assert_matches_oracle(model)
+
+
+CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
+
+
+@pytest.fixture(scope="module")
+def chunked_models():
+    """Skewed and bench-sized models with their unpatched expanded values
+    in contexts (x, y) and (x', y'), which read opposite local axes."""
+    cases = []
+    for shape in CHUNKED_SHAPES:
+        spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
+        model = random_model(spec, random.Random(3))
+        u = build_unified(model)
+        contexts = model.contexts()[::3]
+        cases.append((u, contexts, [expectation_unified_expanded(u, c) for c in contexts]))
+    return cases
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("budget", [1, 7, 4096])
+    @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES)))
+    def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
+        u, contexts, expected = chunked_models[case]
+        monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
+        assert [expectation_unified_expanded(u, c) for c in contexts] == expected
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
+    @pytest.mark.parametrize("inner", [1, 3, 16])
+    @pytest.mark.parametrize("cap", [1, 2, 7, 100, 4096, 10**9])
+    def test_blocks_tile_the_grid_once(self, shape, inner, cap):
+        seen = np.zeros(shape, dtype=np.int64)
+        for box in _blocks(shape, inner, cap):
+            block = seen[box]
+            assert block.size and block.size * inner <= max(cap, inner)
+            block += 1
+        assert (seen == 1).all()
+
+    def test_certify_op_memory_is_bounded(self):
+        # Blocks hold 2^14 int64 terms (128 KB); the old six-loop kernel
+        # held O(local cardinality), and one op peaked near 0.3 MB here.
+        spec = SearchSpec(cardinalities=(16, 16, 8, 8, 4, 4), mode=SearchMode.RANDOM)
+        model = random_model(spec, random.Random(0))
+        certify_model(model)
+        tracemalloc.start()
+        try:
+            certify_model(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
