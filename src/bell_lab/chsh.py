@@ -4,7 +4,13 @@ one-pass certification of a model (`certify_model`).
 The eight sign patterns are the four with exactly one term negated plus
 their negations (three terms negated); these are precisely the sign
 vectors in {-1,+1}^4 with an odd number of minus signs, the family for
-which the local bound |s| <= 2 holds.
+which the local bound |s| <= 2 holds.  The sums are taken over integer
+numerators on the four correlations' common denominator, so the report is
+exact without per-term Fraction arithmetic.
+
+`chsh_from_correlations` trusts its caller for where the correlations come
+from; the certificates (`certify_lhv_bound`, `certify_model`) validate the
+model before computing them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import CorrelationSet, correlation_set
-from .models import ContextualModel, decimal_str, format_rational, model_hash
+from .models import (
+    ContextualModel,
+    _scaled_factors,
+    decimal_str,
+    format_rational,
+    model_hash,
+)
 from .reduction import ReductionReport, reduction_report
 from .unified import DEFAULT_CELL_LIMIT, EquivalenceReport, equivalence_report
 
@@ -48,17 +60,24 @@ class ChshReport:
 
 
 def chsh_from_correlations(c: CorrelationSet) -> ChshReport:
-    """Evaluate all eight signed sums exactly and take the maximum magnitude."""
+    """Evaluate all eight signed sums exactly and take the maximum magnitude.
+
+    The four correlations are written as integer numerators over their
+    least common denominator d, so the range check and the eight sums are
+    integer arithmetic; each sum becomes one Fraction over d at the end.
+    """
     values = c.as_tuple()
-    for v in values:
-        if not -1 <= v <= 1:
+    nums, d = _scaled_factors(values)
+    for v, n in zip(values, nums):
+        if not -d <= n <= d:
             raise ValueError(f"correlation {format_rational(v)} outside [-1, 1]")
-    sums = tuple(
-        sum((s * v for s, v in zip(pattern, values)), Fraction(0))
-        for pattern in CHSH_PATTERNS
+    totals = [sum(s * n for s, n in zip(pattern, nums)) for pattern in CHSH_PATTERNS]
+    s_max = Fraction(max(abs(t) for t in totals), d)
+    return ChshReport(
+        sums=tuple(Fraction(t, d) for t in totals),
+        s_max=s_max,
+        bound_satisfied=s_max <= LHV_BOUND,
     )
-    s_max = max(abs(s) for s in sums)
-    return ChshReport(sums=sums, s_max=s_max, bound_satisfied=s_max <= LHV_BOUND)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ two local indices the context actually uses, weighted by the source joint
 pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
+
+The five factors (the source and the four local pmfs) are scaled once per
+model, and one integer loop serves every context.  ``correlation_set``
+validates the model first; ``_unchecked_correlation_set`` skips that for
+callers whose models are valid by construction (the search moves).
 """
 
 from __future__ import annotations
@@ -28,28 +33,29 @@ class CorrelationSet:
         return (self.e_xy, self.e_xyp, self.e_xpy, self.e_xpyp)
 
 
-def expectation_in_context(model: ContextualModel, ctx: Context) -> Fraction:
-    """E over one context: sum A(l1,lx) * B(l2,ly) * p_x(lx) * p_y(ly) * p(l1,l2).
+def _scaled_local(local) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
+    """One setting's pmf numerators, their denominator, and its response table."""
+    nums, den = _scaled_factors(local.pmf.weights)
+    return nums, den, local.table.values
 
+
+def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction:
+    """E over one context from pre-scaled factors.
+
+    `source` is the flattened source's ``(numerators, denominator)``;
+    `alice` and `bob` are the read settings' ``_scaled_local`` triples.
     Loop order fixed as (l1, l2, lx, ly) for reproducible traces; only
-    zero-probability source pairs are skipped.  The three pmfs are scaled
-    to integer numerators, so each cell's term is an integer and the sum
-    is divided by the product of their denominators once.
+    zero-probability source pairs are skipped.
     """
-    a_local = model.local("alice", ctx.alice)
-    b_local = model.local("bob", ctx.bob)
-    a_table = a_local.table.values
-    b_table = b_local.table.values
-    a_pmf, a_den = _scaled_factors(a_local.pmf.weights)
-    b_pmf, b_den = _scaled_factors(b_local.pmf.weights)
-    source, source_den = _scaled_factors(model.source.flattened())
-
+    source_nums, source_den = source
+    a_pmf, a_den, a_table = alice
+    b_pmf, b_den, b_table = bob
     cols = model.source.cols
     total = 0
     for l1 in range(model.source.rows):
         a_row = a_table[l1]
         for l2 in range(cols):
-            w_source = source[l1 * cols + l2]
+            w_source = source_nums[l1 * cols + l2]
             if w_source == 0:
                 continue
             b_row = b_table[l2]
@@ -60,7 +66,33 @@ def expectation_in_context(model: ContextualModel, ctx: Context) -> Fraction:
     return Fraction(total, source_den * a_den * b_den)
 
 
+def expectation_in_context(model: ContextualModel, ctx: Context) -> Fraction:
+    """E over one context: sum A(l1,lx) * B(l2,ly) * p_x(lx) * p_y(ly) * p(l1,l2).
+
+    The three pmfs are scaled to integer numerators, so each cell's term
+    is an integer and the sum is divided by the product of their
+    denominators once.
+    """
+    return _context_expectation(
+        model,
+        _scaled_factors(model.source.flattened()),
+        _scaled_local(model.local("alice", ctx.alice)),
+        _scaled_local(model.local("bob", ctx.bob)),
+    )
+
+
+def _unchecked_correlation_set(model: ContextualModel) -> CorrelationSet:
+    """The four correlations without validating `model`; each factor scaled once."""
+    source = _scaled_factors(model.source.flattened())
+    alice = {label: _scaled_local(local) for label, local in model.alice.items()}
+    bob = {label: _scaled_local(local) for label, local in model.bob.items()}
+    return CorrelationSet(*(
+        _context_expectation(model, source, alice[ctx.alice], bob[ctx.bob])
+        for ctx in model.contexts()
+    ))
+
+
 def correlation_set(model: ContextualModel) -> CorrelationSet:
+    """Validate `model` once, then compute its four correlations."""
     require_valid(model)
-    values = tuple(expectation_in_context(model, ctx) for ctx in model.contexts())
-    return CorrelationSet(*values)
+    return _unchecked_correlation_set(model)

@@ -444,6 +444,7 @@ def atomic_writer(path, newline=None):
 
 
 def save_model(model: ContextualModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write `model` as an indented model document, atomically."""
+    with atomic_writer(path) as fh:
         json.dump(model_to_dict(model), fh, indent=2)
         fh.write("\n")

@@ -1,17 +1,23 @@
 """Strategy-space search: exhaustive, random sampling, and hill climbing.
 
-Every mode evaluates candidate models through the real exact pipeline
-(correlations, then the eight-pattern report), so large campaigns double
-as adversarial tests of the bound certificate: any model scoring above 2
-would be an engine bug, surfaced loudly.
+Random sampling and hill climbing score each candidate with the exact
+dedicated-route correlations and the eight-pattern report, so large
+campaigns double as adversarial tests of the bound: any model scoring
+above 2 would be an engine bug, surfaced loudly.  Candidates are not
+revalidated when scored.  `random_model` and the hill-climb moves
+(`_neighbors`) build valid models by construction, and the tests check
+every model they yield.  Validation happens where a model comes in from
+outside: `hill_climb(start=...)` validates its start, and the CLI
+certifies the winner through `certify_lhv_bound`, which validates it.
 
 Exhaustive search fixes all pmfs to uniform and covers every assignment
 of +/-1 response tables.  A mean of a response table under uniform
 weights is just its entry sum over its entry count, and a uniform joint
 source factorizes, so an assignment's correlations depend only on the
 four per-table popcounts.  The sweep therefore scores one representative
-per popcount class, prod(rows*cols + 1) reports in all; the eight-sum
-report still runs unshortcut on each one.  ``evaluated`` counts the
+per popcount class, prod(rows*cols + 1) reports in all, from popcount
+means rather than through the correlation kernels; the eight-sum report
+still runs unshortcut on each one.  ``evaluated`` counts the
 assignments the sweep covers, not the reports it ran.
 """
 
@@ -24,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chsh import BoundViolationError, ChshReport, chsh_from_correlations
-from .exact import CorrelationSet, correlation_set
+from .exact import CorrelationSet, _unchecked_correlation_set
 from .models import (
     DEFAULT_ALICE_LABELS,
     DEFAULT_BOB_LABELS,
@@ -263,7 +269,8 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
 
 
 def _score(model: ContextualModel) -> Fraction:
-    return chsh_from_correlations(correlation_set(model)).s_max
+    """s_max of a model that is valid by construction; not revalidated."""
+    return chsh_from_correlations(_unchecked_correlation_set(model)).s_max
 
 
 def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetting):
@@ -327,6 +334,10 @@ def hill_climb(spec: SearchSpec, start: ContextualModel | None = None) -> Search
     between two pmf weights.  Only strict score increases are accepted;
     at a local maximum the walk restarts from a fresh random model.  The
     budget counts score evaluations, including starts and restarts.
+
+    Only `start` is validated.  Every neighbour and restart is valid by
+    construction (moves keep each pmf's sum and non-negativity, flips keep
+    outcomes in {-1, +1}), so candidates are scored without revalidation.
     """
     if spec.mode is not SearchMode.HILL_CLIMB:
         raise ValueError(f"mode {spec.mode.value} is not hill-climb")

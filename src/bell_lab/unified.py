@@ -9,9 +9,10 @@ factor's weights as integer numerators over its common denominator and
 adds one term per cell, exactly, in numpy: modulo the fewest word-sized
 primes whose product exceeds twice the bound D on |total| (the product of
 the denominators), rebuilt by the Chinese remainder theorem, one block of
-cells at a time.  The factored route and the counterfactuals stay in
-Fraction arithmetic, so they share no scaling code with the dedicated and
-expanded routes.
+cells at a time.  The scaling, the moduli and the residues are computed
+once per model and shared by the four contexts.  The factored route and
+the counterfactuals stay in Fraction arithmetic, so they share no scaling
+code with the dedicated and expanded routes.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -200,23 +201,77 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_axes(settings, read: LocalSetting, primes) -> list[np.ndarray]:
+def _local_axes(settings, read: LocalSetting, residues, p: np.ndarray) -> list[np.ndarray]:
     """One side's two local factors at every source index, shape (k, n_src, n).
 
-    Residues of the pmf numerators, in declared setting order; the axis the
-    context reads also carries the response value, so a cell's product
-    picks it up once.
+    `residues` holds each setting's pmf numerators modulo the primes, shape
+    (k, 1, n), in declared setting order, and `p` the primes on axis 0; the
+    axis the context reads also carries the response value, so a cell's
+    product picks it up once.
     """
-    p = np.array(primes, dtype=np.int64)[:, None, None]
     axes = []
-    for local in settings.values():
+    for local, res in zip(settings.values(), residues):
         table = np.array(local.table.values, dtype=np.int64)
-        res = _residues(_scaled_factors(local.pmf.weights)[0], primes)[:, None, :]
         if local is read:
             axes.append(res * table % p)
         else:
-            axes.append(np.broadcast_to(res, (len(primes), *table.shape)))
+            axes.append(np.broadcast_to(res, (res.shape[0], *table.shape)))
     return axes
+
+
+def _expanded_route(u: UnifiedModel):
+    """The guarded expanded route of one model, as a function of the context.
+
+    Scales the five factors, picks the moduli and takes the residues once;
+    each call of the returned function then sums one context's cells.
+    """
+    if u.size > u.cell_limit:
+        raise SizeExceededError(u.size, u.cell_limit)
+    model = u.base
+    source, denom = _scaled_factors(model.source.flattened())
+    scaled = {
+        side: [_scaled_factors(local.pmf.weights) for local in settings.values()]
+        for side, settings in (("alice", model.alice), ("bob", model.bob))
+    }
+    for _, d in itertools.chain(*scaled.values()):
+        denom *= d
+    primes, m = _moduli(denom)
+    p = np.array(primes, dtype=np.int64)
+    k = len(primes)
+    rows, cols = model.source.rows, model.source.cols
+    src = _residues(source, primes).reshape(k, rows, cols)
+    residues = {
+        side: [_residues(nums, primes)[:, None, :] for nums, _ in factors]
+        for side, factors in scaled.items()
+    }
+    p_axes = p[:, None, None]
+    crt = [m // q * pow(m // q, -1, q) for q in primes]
+
+    def expectation(ctx: Context) -> Fraction:
+        read_a, read_b = model.local("alice", ctx.alice), model.local("bob", ctx.bob)
+        x, xp = _local_axes(model.alice, read_a, residues["alice"], p_axes)
+        y, yp = _local_axes(model.bob, read_b, residues["bob"], p_axes)
+
+        # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
+        shape = (rows, x.shape[2], xp.shape[2], cols)
+        inner = y.shape[2] * yp.shape[2]
+        sums = np.zeros(k, dtype=np.int64)
+        bob_cols = None
+        for r, ix, ixp, c in _blocks(shape, inner, max(1, _BLOCK_ELEMENTS // k)):
+            if c != bob_cols:  # consecutive blocks mostly share Bob's columns
+                bob = _mulmod(y[:, c, :, None], yp[:, c, None, :], p)
+                bob_cols = c
+            alice = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
+            terms = _mulmod(alice[..., None], src[:, r, None, None, c], p)
+            terms = _mulmod(terms[..., None, None], bob[:, None, None, None], p)
+            sums = (sums + terms.reshape(k, -1).sum(axis=1)) % p
+
+        total = sum(residue * coef for residue, coef in zip(sums.tolist(), crt)) % m
+        if total > m // 2:
+            total -= m
+        return Fraction(total, denom)
+
+    return expectation
 
 
 def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
@@ -239,44 +294,10 @@ def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
     - The Chinese remainder theorem rebuilds the total modulo m in Python
       integers; re-centred to (-m/2, m/2] it is the exact total, returned
       as Fraction(total, D).
+
+    `equivalence_report` shares one scaling across the four contexts.
     """
-    if u.size > u.cell_limit:
-        raise SizeExceededError(u.size, u.cell_limit)
-    model = u.base
-    source, denom = _scaled_factors(model.source.flattened())
-    for local in itertools.chain(model.alice.values(), model.bob.values()):
-        denom *= _scaled_factors(local.pmf.weights)[1]
-    primes, m = _moduli(denom)
-    p = np.array(primes, dtype=np.int64)
-    k = len(primes)
-
-    rows, cols = model.source.rows, model.source.cols
-    src = _residues(source, primes).reshape(k, rows, cols)
-    x, xp = _local_axes(model.alice, model.local("alice", ctx.alice), primes)
-    y, yp = _local_axes(model.bob, model.local("bob", ctx.bob), primes)
-
-    # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
-    shape = (rows, x.shape[2], xp.shape[2], cols)
-    inner = y.shape[2] * yp.shape[2]
-    residues = np.zeros(k, dtype=np.int64)
-    bob_cols = None
-    for r, ix, ixp, c in _blocks(shape, inner, max(1, _BLOCK_ELEMENTS // k)):
-        if c != bob_cols:  # consecutive blocks mostly share Bob's columns
-            bob = _mulmod(y[:, c, :, None], yp[:, c, None, :], p)
-            bob_cols = c
-        alice = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
-        terms = _mulmod(alice[..., None], src[:, r, None, None, c], p)
-        terms = _mulmod(terms[..., None, None], bob[:, None, None, None], p)
-        residues = (residues + terms.reshape(k, -1).sum(axis=1)) % p
-
-    total = 0
-    for residue, q in zip(residues.tolist(), primes):
-        rest = m // q
-        total += residue * rest * pow(rest, -1, q)
-    total %= m
-    if total > m // 2:
-        total -= m
-    return Fraction(total, denom)
+    return _expanded_route(u)(ctx)
 
 
 @dataclass(frozen=True)
@@ -344,7 +365,8 @@ def equivalence_report(
     u = UnifiedModel(base=model, cell_limit=cell_limit)
     contexts = model.contexts()
     factored = tuple(expectation_unified(u, ctx) for ctx in contexts)
-    expanded = tuple(expectation_unified_expanded(u, ctx) for ctx in contexts)
+    expanded_route = _expanded_route(u)
+    expanded = tuple(expanded_route(ctx) for ctx in contexts)
     return EquivalenceReport(
         contexts=contexts,
         dedicated=dedicated,

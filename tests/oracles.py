@@ -12,6 +12,8 @@ The `*_fraction_oracle` and `expanded_scaled_oracle` functions are the
 per-cell loops the package ran before its exact kernels moved to integer
 numerators, kept verbatim so each integer kernel is compared against the
 loop it replaced.  They scale nothing through the package's helpers.
+`chsh_fraction_oracle` is likewise the Fraction-generator CHSH report the
+package used before its eight sums moved to integers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from math import lcm
 
 import numpy as np
 
-from bell_lab.chsh import chsh_from_correlations
-from bell_lab.exact import correlation_set
-from bell_lab.models import Context, ContextualModel, canonical_json
+from bell_lab.chsh import CHSH_PATTERNS, LHV_BOUND, ChshReport, chsh_from_correlations
+from bell_lab.exact import CorrelationSet, correlation_set
+from bell_lab.models import Context, ContextualModel, canonical_json, format_rational
 from bell_lab.reduction import ReducedModel, reduce_model
 from bell_lab.search import assignment_count, decode_assignment
 from bell_lab.unified import SizeExceededError, UnifiedModel
@@ -99,6 +101,20 @@ def chsh_sums(correlations):
 
 def s_max(correlations) -> Fraction:
     return max(abs(s) for s in chsh_sums(correlations))
+
+
+def chsh_fraction_oracle(c: CorrelationSet) -> ChshReport:
+    """Evaluate all eight signed sums exactly and take the maximum magnitude."""
+    values = c.as_tuple()
+    for v in values:
+        if not -1 <= v <= 1:
+            raise ValueError(f"correlation {format_rational(v)} outside [-1, 1]")
+    sums = tuple(
+        sum((s * v for s, v in zip(pattern, values)), Fraction(0))
+        for pattern in CHSH_PATTERNS
+    )
+    s_max = max(abs(s) for s in sums)
+    return ChshReport(sums=sums, s_max=s_max, bound_satisfied=s_max <= LHV_BOUND)
 
 
 def atom_denominator(*weight_lists) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.presets import PRESETS
 from bell_lab.reduction import verify_reduction
 from bell_lab.unified import SizeExceededError, verify_equivalence
-from tests_support import alter_local
+from tests_support import alter_local, counting
 
 
 def flip_all_alice_tables(model):
@@ -88,6 +89,63 @@ class TestReport:
         assert report.s_max == oracles.s_max((c1, c2, c3, c4))
 
 
+def assert_report_matches_oracle(c: CorrelationSet) -> None:
+    report = chsh_from_correlations(c)
+    expected = oracles.chsh_fraction_oracle(c)
+    assert report.sums == expected.sums
+    assert report.s_max == expected.s_max
+    assert report.bound_satisfied == expected.bound_satisfied
+
+
+above_2_64 = st.integers(2**64 + 1, 2**80).flatmap(
+    lambda d: st.integers(-d, d).map(lambda n: Fraction(n, d))
+)
+
+
+class TestIntegerSumsMatchOracle:
+    """The integer-numerator report against the Fraction-generator one it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets(self, name):
+        assert_report_matches_oracle(correlation_set(PRESETS[name]()))
+
+    def test_small_campaign(self, small_campaign):
+        for model in small_campaign:
+            assert_report_matches_oracle(correlation_set(model))
+
+    @given(above_2_64, above_2_64, above_2_64, above_2_64)
+    def test_denominators_above_2_64(self, c1, c2, c3, c4):
+        assert_report_matches_oracle(CorrelationSet(c1, c2, c3, c4))
+
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=4)))
+    def test_exact_unit_values(self, signs):
+        assert_report_matches_oracle(CorrelationSet(*(Fraction(s) for s in signs)))
+        assert_report_matches_oracle(
+            CorrelationSet(Fraction(signs[0]), Fraction(0), Fraction(signs[2], 3), Fraction(signs[3]))
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [1 + Fraction(1, 2**70), -1 - Fraction(1, 3**50), Fraction(3, 2), Fraction(-2)]
+    )
+    @pytest.mark.parametrize("position", range(4))
+    def test_just_outside_the_range(self, bad, position):
+        values = [Fraction(1), Fraction(-1, 2**70), Fraction(-1), Fraction(2, 3**50)]
+        values[position] = bad
+        c = CorrelationSet(*values)
+        with pytest.raises(ValueError) as expected:
+            oracles.chsh_fraction_oracle(c)
+        with pytest.raises(ValueError) as raised:
+            chsh_from_correlations(c)
+        assert str(raised.value) == str(expected.value)
+        assert "outside [-1, 1]" in str(raised.value)
+
+    def test_first_bad_value_is_reported(self):
+        c = CorrelationSet(Fraction(0), Fraction(5, 4), Fraction(-7, 3), Fraction(0))
+        with pytest.raises(ValueError) as raised:
+            chsh_from_correlations(c)
+        assert str(raised.value) == "correlation 5/4 outside [-1, 1]"
+
+
 class TestCertificate:
     def test_singleton(self, singleton):
         cert = certify_lhv_bound(singleton)
@@ -150,19 +208,6 @@ class TestSymmetries:
             assert sorted(before.sums) == sorted(after.sums)
 
 
-def counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that counts its calls."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestCertifyModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_the_separate_checks(self, name):
@@ -183,14 +228,15 @@ class TestCertifyModel:
             assert result.certificate == certify_lhv_bound(model)
 
     def test_one_dedicated_pass(self, monkeypatch, random7):
-        dedicated = counting(monkeypatch, exact_module, "expectation_in_context")
+        # Every dedicated-route context sum, public or not, runs this loop.
+        dedicated = counting(monkeypatch, exact_module, "_context_expectation")
         validations = counting(monkeypatch, models_module, "validate_model")
         certify_model(random7)
         assert len(dedicated) == 4
         assert 1 <= len(validations) <= 2
 
     def test_invalid_model_rejected_before_any_route(self, monkeypatch, noisy):
-        dedicated = counting(monkeypatch, exact_module, "expectation_in_context")
+        dedicated = counting(monkeypatch, exact_module, "_context_expectation")
         broken = alter_local(noisy, "alice", "x", table=((1, 1),))
         with pytest.raises(InvalidModelError):
             certify_model(broken)

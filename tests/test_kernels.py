@@ -6,6 +6,8 @@ on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
 The multi-modular expanded route also gets its prime supply, its choice
 of moduli, its re-centring and its block walk checked on their own.
+The dedicated and expanded routes are also checked to scale each of the
+five factors once per model rather than once per context.
 """
 
 import itertools
@@ -24,9 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bell_lab import unified
+from bell_lab import exact, unified
 from bell_lab.chsh import certify_model
-from bell_lab.exact import expectation_in_context
+from bell_lab.exact import correlation_set, expectation_in_context
 from bell_lab.models import (
     ContextualModel,
     JointPmf,
@@ -47,6 +49,7 @@ from bell_lab.unified import (
     build_unified,
     expectation_unified_expanded,
 )
+from tests_support import counting
 
 BIG = 2**64 + 13
 
@@ -400,3 +403,30 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+class TestScalingOncePerModel:
+    """Each route scales the five factors once per model, not once per context."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_dedicated_route(self, monkeypatch, name):
+        model = PRESETS[name]()
+        scaled = counting(monkeypatch, exact, "_scaled_factors")
+        values = correlation_set(model).as_tuple()
+        assert len(scaled) == 5
+        assert values == tuple(
+            oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()
+        )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_expanded_route(self, monkeypatch, name):
+        model = PRESETS[name]()
+        dedicated = correlation_set(model).as_tuple()
+        scaled = counting(monkeypatch, unified, "_scaled_factors")
+        moduli = counting(monkeypatch, unified, "_moduli")
+        report = unified.equivalence_report(model, dedicated, unified.DEFAULT_CELL_LIMIT)
+        assert (len(scaled), len(moduli)) == (5, 1)
+        u = build_unified(model)
+        assert report.expanded == tuple(
+            oracles.expanded_scaled_oracle(u, ctx) for ctx in model.contexts()
+        )

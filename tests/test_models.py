@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bell_lab.models as models_module
 from bell_lab.models import (
     ContextualModel,
     InvalidModelError,
@@ -190,6 +191,27 @@ class TestDocuments:
         path = tmp_path / "model.json"
         save_model(noisy, path)
         assert load_model(path) == noisy
+
+    def test_save_writes_the_indented_document(self, tmp_path, noisy):
+        path = tmp_path / "model.json"
+        save_model(noisy, path)
+        expected = json.dumps(model_to_dict(noisy), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch, noisy, perfect):
+        path = tmp_path / "model.json"
+        save_model(noisy, path)
+        before = path.read_bytes()
+
+        def failing_dump(doc, fh, **kwargs):
+            fh.write('{"alice": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(models_module.json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(perfect, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_load_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,15 +1,19 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bell_lab.models as models_module
 import bell_lab.search as search_module
 import oracles
+from bell_lab import cli
 from bell_lab.chsh import chsh_from_correlations
 from bell_lab.exact import correlation_set
-from bell_lab.models import canonical_json, validate_model
+from bell_lab.models import JointPmf, canonical_json, model_from_dict, validate_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
@@ -24,6 +28,7 @@ from bell_lab.search import (
     random_sampling,
     run_search,
 )
+from tests_support import alter_local, counting
 
 TINY = (1, 1, 1, 1, 1, 1)
 SMALL = (2, 2, 1, 1, 1, 1)
@@ -280,6 +285,87 @@ class TestHillClimb:
         result = hill_climb(spec)
         assert result.evaluated == 150
         assert result.best_s_max <= 2
+
+
+NEIGHBOUR_SHAPES = ((1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (3, 2, 3, 2, 2, 3))
+NEIGHBOUR_STEPS = (Fraction(1, 64), Fraction(1, 8), Fraction(1, 2))
+
+
+def pmfs(model):
+    """Every pmf's weights: the flattened source, then each local pmf."""
+    out = [model.source.flattened()]
+    for settings_ in (model.alice, model.bob):
+        out.extend(local.pmf.weights for local in settings_.values())
+    return out
+
+
+def shape(model):
+    return (model.source.rows, model.source.cols, *(len(w) for w in pmfs(model)[1:]))
+
+
+def expected_neighbour_count(model, step):
+    flips = 0
+    for settings_ in (model.alice, model.bob):
+        flips += sum(local.table.rows * local.table.cols for local in settings_.values())
+    moves = sum((len(w) - 1) * sum(x >= step for x in w) for w in pmfs(model))
+    return flips + moves
+
+
+class TestMovesStayValid:
+    """Candidates are scored without revalidation, so every move must yield
+    a valid model of the same shape."""
+
+    @pytest.mark.parametrize("cards", NEIGHBOUR_SHAPES)
+    def test_every_neighbour_is_valid(self, cards):
+        rng = random.Random(sum(cards))
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB)
+        zero_models = 0
+        for _ in range(200):
+            model = random_model(spec, rng)
+            assert validate_model(model) == []
+            for step in NEIGHBOUR_STEPS:
+                neighbours = list(search_module._neighbors(model, step))
+                assert len(neighbours) == expected_neighbour_count(model, step)
+                for neighbour in neighbours:
+                    assert validate_model(neighbour) == []
+                    assert shape(neighbour) == shape(model)
+                    assert neighbour != model
+                    zero_models += any(0 in w for w in pmfs(neighbour))
+        if cards != (1, 1, 1, 1, 1, 1):
+            assert zero_models > 0
+
+    def test_moves_from_zero_weights(self):
+        zero, half = Fraction(0), Fraction(1, 2)
+        spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB)
+        model = random_model(spec, random.Random(0))
+        source = ((zero, half), (half, zero))
+        model = replace(model, source=JointPmf(source))
+        for label in model.alice_labels:
+            model = alter_local(model, "alice", label, pmf=(Fraction(1), zero))
+        assert validate_model(model) == []
+        for step in NEIGHBOUR_STEPS:
+            for neighbour in search_module._neighbors(model, step):
+                assert validate_model(neighbour) == []
+
+
+class TestValidationCount:
+    def test_hill_climb_validates_only_its_start(self, monkeypatch):
+        calls = counting(monkeypatch, models_module, "validate_model")
+        spec = SearchSpec(
+            cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=300
+        )
+        result = hill_climb(spec)
+        assert result.evaluated == 300
+        assert len(calls) == 1
+
+    def test_cli_hill_climb_validates_start_and_winner(self, monkeypatch, capsys):
+        calls = counting(monkeypatch, models_module, "validate_model")
+        argv = ["search", "--mode", "hill-climb", "--budget", "300",
+                "--cardinalities", "2,2,2,2,2,2", "--seed", "0"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 2
+        assert calls[-1] == (model_from_dict(doc["best_model"]),)
 
 
 class TestRandomSampling:

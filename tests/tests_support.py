@@ -24,3 +24,16 @@ def alter_local(model, side, label, pmf=None, table=None):
 
 def alter_pmf(model, side, label, weights, table=None):
     return alter_local(model, side, label, pmf=weights, table=table)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
