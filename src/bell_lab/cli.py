@@ -25,7 +25,6 @@ from .models import (
     load_model,
     model_hash,
     model_to_dict,
-    require_valid,
     validate_model,
 )
 from .search import (
@@ -207,14 +206,11 @@ def cmd_simulate(args) -> int:
         extra = {"quantum_angles": list(angles)}
     else:
         model = load_model(args.model)
-        require_valid(model)
         ledger = simulate_trials(model, n=args.n, seed=args.seed)
-        exact = correlation_set(model)
-        labels = [
-            (a, b) for a in model.alice_labels for b in model.bob_labels
-        ]
-        order = (exact.e_xy, exact.e_xyp, exact.e_xpy, exact.e_xpyp)
-        exact_by_context = dict(zip(labels, order))
+        exact_by_context = {
+            (ctx.alice, ctx.bob): e
+            for ctx, e in zip(model.contexts(), correlation_set(model).as_tuple())
+        }
         extra = {
             "model_sha256": model_hash(model),
             "exact_no_signalling_equal": verify_no_signalling(model).equal,

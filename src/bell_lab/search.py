@@ -10,27 +10,27 @@ every model they yield.  Validation happens where a model comes in from
 outside: `hill_climb(start=...)` validates its start, and the CLI
 certifies the winner through `certify_lhv_bound`, which validates it.
 
-Exhaustive search fixes all pmfs to uniform and covers every assignment
-of +/-1 response tables.  A mean of a response table under uniform
-weights is just its entry sum over its entry count, and a uniform joint
-source factorizes, so an assignment's correlations depend only on the
-four per-table popcounts.  The sweep therefore scores one representative
-per popcount class, prod(rows*cols + 1) reports in all, from popcount
-means rather than through the correlation kernels; the eight-sum report
-still runs unshortcut on each one.  ``evaluated`` counts the
-assignments the sweep covers, not the reports it ran.
+Exhaustive search answers its question without a sweep.  The correlations
+of a contextual LHV model are a mixture of those of the 16 deterministic
+strategies, one fixed outcome per setting (Fine, PRL 48, 291, 1982).
+These are the vertices of the local polytope, and |S| is convex in the
+correlations, so its maximum over every table assignment of any shape is
+the maximum over the 16 vertices.  The mode certifies each vertex through
+`certify_lhv_bound` and scores the first and last assignment of the
+requested shape through the dedicated route; each must reach the vertex
+maximum.  ``evaluated`` counts the assignments this argument covers, so
+the assignment limit still bounds the shapes the mode accepts.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chsh import BoundViolationError, ChshReport, chsh_from_correlations
-from .exact import CorrelationSet, _unchecked_correlation_set
+from .chsh import BoundViolationError, certify_lhv_bound, chsh_from_correlations
+from .exact import _unchecked_correlation_set
 from .models import (
     DEFAULT_ALICE_LABELS,
     DEFAULT_BOB_LABELS,
@@ -39,7 +39,6 @@ from .models import (
     LocalSetting,
     Pmf,
     ResponseTable,
-    format_rational,
     require_valid,
 )
 
@@ -138,66 +137,19 @@ def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
-def _assignment_report(cardinalities, assignment: int) -> ChshReport:
-    """Report for one assignment without materializing the model.
-
-    Under uniform pmfs each correlation is the product of the two tables'
-    entry means; entry sums come from bit counts over each table's slice.
-    """
-    shapes = _table_shapes(cardinalities)
-    means = []
-    offset = 0
-    for _, _, rows, cols in shapes:
-        bits = rows * cols
-        ones = (assignment >> offset & ((1 << bits) - 1)).bit_count()
-        means.append(Fraction(bits - 2 * ones, bits))
-        offset += bits
-    ma0, ma1, mb0, mb1 = means
-    return chsh_from_correlations(
-        CorrelationSet(ma0 * mb0, ma0 * mb1, ma1 * mb0, ma1 * mb1)
-    )
-
-
-def _lex_key(assignment: int, bits: int) -> int:
-    """Orders assignments by their canonical model serialization.
-
-    Serializations share structure and differ only at table entries, in
-    flat-bit order; at the first differing entry "-1" sorts before "1".
-    So the lexicographically smallest serialization is the assignment
-    whose lowest differing bit is set: compare bit-reversed integers,
-    larger key = smaller serialization.
-    """
-    result = 0
-    for k in range(bits):
-        result = result << 1 | (assignment >> k & 1)
-    return result
-
-
-def _class_representatives(cardinalities):
-    """Smallest index of each popcount class, in ascending order.
-
-    A class fixes how many bits k_i of table slice i are set; its
-    smallest index sets the lowest k_i bits of each slice.  The same
-    index has the largest ``_lex_key`` in the class, since each slice's
-    set bits sit as low as they can.  The last table's slice is the most
-    significant, so counting with it slowest yields ascending indices.
-    """
-    cells = [rows * cols for _, _, rows, cols in _table_shapes(cardinalities)]
-    offsets = [sum(cells[:i]) for i in range(len(cells))]
-    for counts in itertools.product(*(range(n + 1) for n in reversed(cells))):
-        yield sum(((1 << k) - 1) << offset for k, offset in zip(reversed(counts), offsets))
-
-
 def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
-    """Exact maximum over every table assignment, with a deterministic winner.
+    """Exact maximum of |S| over every table assignment, by the vertex argument.
 
-    Scores one representative per popcount class, in ascending index
-    order.  Every member of a class scores the same, and its
-    representative is both the class's first index and its smallest
-    canonical serialization.  So the strict improvements of this scan
-    are those of a scan over every index, and the winner is the
-    top-scoring assignment with the smallest canonical serialization.
-    ``evaluated`` is the number of assignments covered.
+    An assignment's correlations are a mixture of those of the 16
+    deterministic strategies, which ``decode_assignment`` gives at shape
+    ``(1, 1, 1, 1, 1, 1)`` for indices 0..15.  The CHSH sums are linear in
+    the correlations, so no assignment exceeds the strategies' maximum; each
+    strategy is certified through `certify_lhv_bound`.  Index 0 (all +1)
+    and index ``total - 1`` (all -1) are scored through the dedicated route
+    and must reach that maximum, so index 0 is the only strict improvement
+    in index order, and all -1, the smallest canonical serialization, wins.
+    Raises `BoundViolationError` otherwise.  ``evaluated`` is the number of
+    assignments covered.
     """
     if spec.mode is not SearchMode.EXHAUSTIVE:
         raise ValueError(f"mode {spec.mode.value} is not exhaustive")
@@ -205,32 +157,23 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     if total > spec.assignment_limit:
         raise SearchLimitError(total, spec.assignment_limit)
 
-    bits = total.bit_length() - 1
-    best_s = None
-    best_key = -1
-    best_assignment = 0
-    improvements: list[tuple[int, Fraction]] = []
-    for m in _class_representatives(spec.cardinalities):
-        s = _assignment_report(spec.cardinalities, m).s_max
-        if best_s is None or s > best_s:
-            best_s = s
-            best_key = _lex_key(m, bits)
-            best_assignment = m
-            improvements.append((m, s))
-        elif s == best_s:
-            key = _lex_key(m, bits)
-            if key > best_key:
-                best_key = key
-                best_assignment = m
-    if best_s > 2:
-        raise BoundViolationError(
-            f"enumeration reached s_max = {format_rational(best_s)} > 2"
-        )
+    vertex_max = max(
+        certify_lhv_bound(decode_assignment((1, 1, 1, 1, 1, 1), m)).report.s_max
+        for m in range(16)
+    )
+    first = _score(decode_assignment(spec.cardinalities, 0))
+    best_model = decode_assignment(spec.cardinalities, total - 1)
+    for index, s in ((0, first), (total - 1, _score(best_model))):
+        if s != vertex_max:
+            raise BoundViolationError(
+                f"assignment {index} scored s_max = {s}, but the deterministic "
+                f"strategies reach {vertex_max}"
+            )
     return SearchResult(
-        best_model=decode_assignment(spec.cardinalities, best_assignment),
-        best_s_max=best_s,
+        best_model=best_model,
+        best_s_max=vertex_max,
         evaluated=total,
-        improvements=tuple(improvements),
+        improvements=((0, first),),
         rng_algorithm=None,
     )
 

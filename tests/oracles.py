@@ -333,7 +333,7 @@ def exhaustive_oracle(cardinalities):
     """Exhaustive search by scanning every index through the full pipeline.
 
     Each index is decoded into a model and scored by `correlation_set`
-    and the eight-sum report, with no popcount shortcut.  Returns
+    and the eight-sum report, with no vertex argument.  Returns
     (best_model, best_s_max, improvements, evaluated): improvements are
     the strict records of the scan in index order, and ties on the best
     score go to the smallest canonical serialization.

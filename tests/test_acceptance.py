@@ -19,7 +19,12 @@ from bell_lab.cli import main
 from bell_lab.models import save_model
 from bell_lab.presets import PRESETS
 from bell_lab.reduction import verify_reduction
-from bell_lab.search import SearchMode, SearchSpec, enumerate_deterministic
+from bell_lab.search import (
+    SearchMode,
+    SearchSpec,
+    decode_assignment,
+    enumerate_deterministic,
+)
 from bell_lab.simulate import (
     empirical_chsh,
     no_signalling_report,
@@ -61,6 +66,11 @@ def test_chsh_bound_holds(campaign):
     for model in campaign:
         certificate = certify_lhv_bound(model)  # raises on violation
         worst = max(worst, certificate.report.s_max)
+    # The 16 deterministic strategies are the vertices of the local polytope.
+    vertices = [
+        certify_lhv_bound(decode_assignment((1, 1, 1, 1, 1, 1), m)).report.s_max
+        for m in range(16)
+    ]
     spec = SearchSpec(
         cardinalities=(2, 2, 2, 2, 2, 2),
         mode=SearchMode.EXHAUSTIVE,
@@ -68,10 +78,14 @@ def test_chsh_bound_holds(campaign):
     result = enumerate_deterministic(spec)
     elapsed = time.perf_counter() - start
     report(
-        "CHSH bound on campaign and exhaustive sweep",
-        worst <= 2 and result.best_s_max == 2 and elapsed < 120.0,
-        f"campaign max |s| = {worst}, sweep best = {result.best_s_max} "
-        f"over {result.evaluated} assignments, {elapsed:.1f}s",
+        "CHSH bound on campaign and deterministic strategies",
+        worst <= 2
+        and max(vertices) == 2
+        and result.best_s_max == 2
+        and elapsed < 120.0,
+        f"campaign max |s| = {worst}, max over {len(vertices)} strategies = "
+        f"{max(vertices)}, exhaustive best = {result.best_s_max} "
+        f"covering {result.evaluated} assignments, {elapsed:.1f}s",
     )
 
 

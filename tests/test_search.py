@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -11,9 +12,9 @@ import bell_lab.models as models_module
 import bell_lab.search as search_module
 import oracles
 from bell_lab import cli
-from bell_lab.chsh import chsh_from_correlations
+from bell_lab.chsh import BoundViolationError, chsh_from_correlations
 from bell_lab.exact import correlation_set
-from bell_lab.models import JointPmf, canonical_json, model_from_dict, validate_model
+from bell_lab.models import JointPmf, model_from_dict, validate_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
@@ -86,14 +87,6 @@ class TestDecode:
         flat = model.source.flattened()
         assert all(w == Fraction(1, 4) for w in flat)
 
-    def test_lex_key_orders_serializations(self):
-        pairs = [(3, 5), (0, 1), (7, 8), (10, 12)]
-        for m1, m2 in pairs:
-            json1 = canonical_json(decode_assignment(TINY, m1))
-            json2 = canonical_json(decode_assignment(TINY, m2))
-            key1 = search_module._lex_key(m1, 4)
-            key2 = search_module._lex_key(m2, 4)
-            assert (json1 < json2) == (key1 > key2)
 
 
 class TestEnumeration:
@@ -113,15 +106,6 @@ class TestEnumeration:
         assert result.evaluated == 256
         assert result.best_s_max == 2
 
-    def test_fast_path_matches_real_pipeline(self):
-        rng = random.Random(11)
-        for cards in (TINY, SMALL, (2, 1, 2, 1, 1, 2)):
-            total = assignment_count(cards)
-            for m in (0, total - 1, *(rng.randrange(total) for _ in range(10))):
-                report = search_module._assignment_report(cards, m)
-                model = decode_assignment(cards, m)
-                assert report.s_max == exact_s_max(model)
-
     def test_limit_guard(self):
         spec = SearchSpec(
             cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE, assignment_limit=100
@@ -129,43 +113,6 @@ class TestEnumeration:
         with pytest.raises(SearchLimitError) as err:
             enumerate_deterministic(spec)
         assert err.value.count == 256
-
-    def test_class_representatives(self):
-        # Under uniform pmfs every shape's optimum is 2 at index 0 and the
-        # winner is all -1, so the oracle comparison cannot see which member
-        # represents a class; check the representatives against every index.
-        for cards in (SMALL, (2, 1, 2, 1, 1, 2), (1, 1, 3, 2, 1, 4)):
-            total = assignment_count(cards)
-            bits = total.bit_length() - 1
-            classes = {}
-            for m in range(total):
-                model = decode_assignment(cards, m)
-                popcounts = tuple(
-                    sum(v == -1 for row in local.table.values for v in row)
-                    for side in (model.alice, model.bob)
-                    for local in side.values()
-                )
-                classes.setdefault(popcounts, []).append(m)
-            reps = list(search_module._class_representatives(cards))
-            assert reps == sorted(min(members) for members in classes.values())
-            for members in classes.values():
-                assert max(members, key=lambda m: search_module._lex_key(m, bits)) == min(members)
-
-    def test_one_report_per_popcount_class(self, monkeypatch):
-        calls = 0
-        real = search_module.chsh_from_correlations
-
-        def counted(correlations):
-            nonlocal calls
-            calls += 1
-            return real(correlations)
-
-        monkeypatch.setattr(search_module, "chsh_from_correlations", counted)
-        result = enumerate_deterministic(
-            SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
-        )
-        assert calls == 5**4
-        assert result.evaluated == 2**16
 
     def test_default_limit_sweep_completes(self):
         spec = SearchSpec(cardinalities=(3, 3, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
@@ -180,6 +127,64 @@ class TestEnumeration:
         )
         scores = [s for _, s in result.improvements]
         assert scores == sorted(set(scores))
+
+
+def strategy(model):
+    """The four outcomes (x, x', y, y') of a model with one entry per table."""
+    assert shape(model) == TINY
+    return tuple(
+        local.table.values[0][0] for side in (model.alice, model.bob) for local in side.values()
+    )
+
+
+def inflate_vertex(monkeypatch, index):
+    """Make the search's `index`-th strategy certificate report s_max 5/2."""
+    real = search_module.certify_lhv_bound
+    calls = []
+
+    def inflated(model):
+        certificate = real(model)
+        calls.append(model)
+        if len(calls) - 1 != index:
+            return certificate
+        report = replace(certificate.report, s_max=Fraction(5, 2), bound_satisfied=False)
+        return replace(certificate, report=report)
+
+    monkeypatch.setattr(search_module, "certify_lhv_bound", inflated)
+
+
+class TestVertexCertification:
+    @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2, 2)])
+    def test_certifies_each_strategy_and_scores_two_assignments(self, monkeypatch, cards):
+        certified = counting(monkeypatch, search_module, "certify_lhv_bound")
+        scored = counting(monkeypatch, search_module, "_score")
+        result = enumerate_deterministic(
+            SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
+        )
+        assert len(certified) == 16
+        assert {strategy(model) for (model,) in certified} == set(
+            itertools.product((1, -1), repeat=4)
+        )
+        total = assignment_count(cards)
+        assert scored == [(decode_assignment(cards, 0),), (decode_assignment(cards, total - 1),)]
+        assert result.best_s_max == 2
+        assert result.evaluated == total
+
+    @pytest.mark.parametrize("index", [0, 15])
+    def test_vertex_above_two_raises(self, monkeypatch, index):
+        inflate_vertex(monkeypatch, index)
+        with pytest.raises(BoundViolationError):
+            enumerate_deterministic(
+                SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
+            )
+
+    def test_vertex_above_two_exits_one(self, monkeypatch, capsys):
+        inflate_vertex(monkeypatch, 5)
+        assert cli.main(["search", "--cardinalities", "2,2,2,2,2,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 def assert_matches_oracle(cards):
@@ -204,6 +209,7 @@ class TestExhaustiveOracle:
             (2, 1, 2, 1, 1, 2),
             (1, 1, 3, 2, 1, 4),
             (3, 1, 2, 1, 1, 3),
+            (2, 2, 2, 2, 2, 1),
         ],
     )
     def test_matches_full_scan(self, cards):
