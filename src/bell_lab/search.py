@@ -54,7 +54,9 @@ class SearchLimitError(RuntimeError):
     def __init__(self, count: int, limit: int):
         self.count = count
         self.limit = limit
-        super().__init__(f"{count} table assignments exceed the limit of {limit}")
+        # A power of two; past 2^64 shown as 2^k, as str() refuses 4300+ digits.
+        shown = f"2^{count.bit_length() - 1}" if count > 1 << 64 else count
+        super().__init__(f"{shown} table assignments exceed the limit of {limit}")
 
 
 class SearchMode(enum.Enum):

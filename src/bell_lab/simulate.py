@@ -10,8 +10,8 @@ the lower interval.  Thresholds beyond 53-bit resolution would collapse;
 each interval is then under-weighted by at most 2^-53, which is far below
 anything the statistics here can resolve.
 
-Draws are taken in row chunks of CHUNK trials, each chunk's results
-written into preallocated one-byte arrays, so memory is about 4 B per
+Draws are taken in row chunks of CHUNK trials, each chunk's cell codes
+written into one preallocated byte array, so memory is about 1 B per
 trial.  numpy's PCG64 `integers` fills rows in stream order, so the
 chunked stream is identical to one whole-run block draw and the ledger
 bytes do not depend on the chunk size.
@@ -27,7 +27,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +42,6 @@ RNG_ALGORITHM = "PCG64"
 
 # Trials per draw, sample and ledger-write chunk; bounds the temporaries.
 CHUNK = 1 << 16
-
-DEFAULT_BIAS = (Fraction(1, 2),) * 4
 
 QUANTUM_ALICE_LABELS = ("a0", "a1")
 QUANTUM_BOB_LABELS = ("b0", "b1")
@@ -83,51 +80,38 @@ def _cumulative(weights) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class TrialLedger:
-    """Per-trial settings and outcomes, plus the seed that produced them.
+    """Per-trial records, plus the seed that produced them.
 
-    Settings are stored as indices into the label tuples; outcomes are
-    +/-1.  Counts are derived from the arrays on demand, so they cannot
-    drift out of step with the records.
+    Each trial is one uint8 cell code in 0..15:
+    alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
+    being indices into the label tuples and a, b the +/-1 outcomes.
+    Counts are derived from the codes on demand, so they cannot drift
+    out of step with the records.
     """
 
     seed: int
     alice_labels: tuple[str, str]
     bob_labels: tuple[str, str]
-    alice_settings: np.ndarray
-    bob_settings: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    codes: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.a)
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        """Per-trial context*4 + outcome in 0..15, one byte each; built once
-        per ledger and shared by `context_counts` and `to_csv`."""
-        context = self.alice_settings.astype(np.uint8) * 2 + self.bob_settings.astype(np.uint8)
-        outcome = (self.a > 0).astype(np.uint8) * 2 + (self.b > 0)
-        return context * 4 + outcome
+        return len(self.codes)
 
     def context_counts(self) -> dict:
         """counts[(alice_label, bob_label)][(a, b)] over the four contexts."""
         # bincount casts its input to intp; binning per chunk bounds that copy.
-        codes = self._codes
         bins = np.zeros(16, dtype=np.int64)
         for start, stop in _chunks(self.n):
-            bins += np.bincount(codes[start:stop], minlength=16)
-        out = {}
-        for i, alice_label in enumerate(self.alice_labels):
-            for j, bob_label in enumerate(self.bob_labels):
-                ctx = i * 2 + j
-                out[(alice_label, bob_label)] = {
-                    (1, 1): int(bins[ctx * 4 + 3]),
-                    (1, -1): int(bins[ctx * 4 + 2]),
-                    (-1, 1): int(bins[ctx * 4 + 1]),
-                    (-1, -1): int(bins[ctx * 4 + 0]),
-                }
-        return out
+            bins += np.bincount(self.codes[start:stop], minlength=16)
+        return {
+            (alice_label, bob_label): {
+                (a, b): int(bins[i * 8 + j * 4 + (a > 0) * 2 + (b > 0)])
+                for a in (1, -1) for b in (1, -1)
+            }
+            for i, alice_label in enumerate(self.alice_labels)
+            for j, bob_label in enumerate(self.bob_labels)
+        }
 
     def _row_suffixes(self) -> tuple[str, ...]:
         """The 16 possible `,alice,bob,a,b` row endings, indexed by code.
@@ -146,13 +130,12 @@ class TrialLedger:
     def to_csv(self, path) -> None:
         """Write one row per trial to `path`, atomically."""
         suffixes = self._row_suffixes()
-        codes = self._codes
         with atomic_writer(path, newline="") as fh:
             fh.write(_csv_line(["trial", "alice_setting", "bob_setting", "a", "b"]))
             for start, stop in _chunks(self.n):
                 fh.write("".join([
                     f"{t}{suffixes[code]}"
-                    for t, code in zip(range(start, stop), codes[start:stop].tolist())
+                    for t, code in zip(range(start, stop), self.codes[start:stop].tolist())
                 ]))
 
 
@@ -160,57 +143,30 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
     """Draw n rows of `cols` 53-bit integers, CHUNK rows at a time.
 
     `sample` maps one chunk's (rows, cols) draw block to the chunk's
-    (alice setting, bob setting, a, b) arrays, which are stored as int8.
+    cell codes (see `TrialLedger`).
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
-    columns = tuple(np.empty(n, dtype=np.int8) for _ in range(4))
+    codes = np.empty(n, dtype=np.uint8)
     rng = np.random.Generator(np.random.PCG64(seed))
     for start, stop in _chunks(n):
         draws = rng.integers(0, U_SCALE, size=(stop - start, cols), dtype=np.int64)
-        for column, values in zip(columns, sample(draws)):
-            column[start:stop] = values
-    alice_settings, bob_settings, a, b = columns
-    return TrialLedger(
-        seed=seed,
-        alice_labels=alice_labels,
-        bob_labels=bob_labels,
-        alice_settings=alice_settings,
-        bob_settings=bob_settings,
-        a=a,
-        b=b,
-    )
+        codes[start:stop] = sample(draws)
+    return TrialLedger(seed=seed, alice_labels=alice_labels, bob_labels=bob_labels, codes=codes)
 
 
-def _check_bias(bias) -> tuple[Fraction, ...]:
-    if len(bias) != 4:
-        raise ValueError(f"setting bias needs 4 probabilities, got {len(bias)}")
-    out = []
-    for p in bias:
-        if isinstance(p, float):
-            raise ValueError("setting bias must be exact rationals, not floats")
-        p = Fraction(p)
-        if p <= 0:
-            raise ValueError("setting bias probabilities must be positive")
-        out.append(p)
-    if out[0] + out[1] != 1 or out[2] + out[3] != 1:
-        raise ValueError("setting bias must sum to 1 per side")
-    return tuple(out)
-
-
-def simulate_trials(model: ContextualModel, n: int, bias=None, seed: int = 0) -> TrialLedger:
+def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedger:
     """Run n trials of the four-context protocol; reproducible from seed.
 
     Each trial draws both settings, one source pair, and the two shared
     uniforms, then reads the outcomes off the response tables through the
-    reduced form's interval maps.
+    reduced form's interval maps.  Settings are uniform; a setting draw of
+    exactly 2^52 goes to the first setting, like every other threshold tie
+    (`quantum_reference` sends it to the second).
     """
     require_valid(model)
-    bias = _check_bias(DEFAULT_BIAS if bias is None else bias)
     reduced = reduce_model(model)
 
-    alice_setting_k = _thresholds(_cumulative(bias[:2]))
-    bob_setting_k = _thresholds(_cumulative(bias[2:]))
     source_k = _thresholds(_cumulative(model.source.flattened()))
     alice_map_k = _thresholds(reduced.alice_map.breakpoints)
     bob_map_k = _thresholds(reduced.bob_map.breakpoints)
@@ -220,25 +176,28 @@ def simulate_trials(model: ContextualModel, n: int, bias=None, seed: int = 0) ->
     def table_stack(settings, labels):
         depth = max(s.pmf.size for s in settings.values())
         rows = max(s.table.rows for s in settings.values())
-        stack = np.zeros((2, rows, depth), dtype=np.int8)
+        stack = np.zeros((2, rows, depth), dtype=np.uint8)
         for t, label in enumerate(labels):
             values = settings[label].table.values
             for r, row in enumerate(values):
-                stack[t, r, : len(row)] = row
+                stack[t, r, : len(row)] = [v > 0 for v in row]
         return stack
 
     alice_tables = table_stack(model.alice, model.alice_labels)
     bob_tables = table_stack(model.bob, model.bob_labels)
 
     def sample(draws):
-        a_set = np.searchsorted(alice_setting_k, draws[:, 0], side="left")
-        b_set = np.searchsorted(bob_setting_k, draws[:, 1], side="left")
+        # Integer indices: a boolean array would act as a mask below.
+        a_set = (draws[:, 0] > U_SCALE // 2).astype(np.intp)
+        b_set = (draws[:, 1] > U_SCALE // 2).astype(np.intp)
         src = np.searchsorted(source_k, draws[:, 2], side="left")
         l1 = src // model.source.cols
         l2 = src % model.source.cols
         local_a = alice_pairs[np.searchsorted(alice_map_k, draws[:, 3], side="left"), a_set]
         local_b = bob_pairs[np.searchsorted(bob_map_k, draws[:, 4], side="left"), b_set]
-        return a_set, b_set, alice_tables[a_set, l1, local_a], bob_tables[b_set, l2, local_b]
+        a = alice_tables[a_set, l1, local_a]
+        b = bob_tables[b_set, l2, local_b]
+        return a_set * 8 + b_set * 4 + a * 2 + b
 
     return _sample_ledger(seed, n, 5, sample, model.alice_labels, model.bob_labels)
 
@@ -272,7 +231,9 @@ def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
 
     Outcomes follow P(a, b | alpha, beta) = (1 - a*b*cos(alpha - beta))/4
     with uniform random settings.  No model in this package can produce
-    these statistics; the empirical pipeline must be able to say so.
+    these statistics; the empirical pipeline must be able to say so.  A
+    setting draw of exactly 2^52 goes to the second setting, unlike in
+    `simulate_trials`; the seeded outputs of both depend on that tie.
     """
     grid = _quantum_grid(angles)
 
@@ -280,11 +241,12 @@ def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
         a_set = draws[:, 0] >= U_SCALE // 2
         b_set = draws[:, 1] >= U_SCALE // 2
         context = a_set * 2 + b_set
-        code = np.empty(len(draws), dtype=np.int64)
+        grid_index = np.empty(len(draws), dtype=np.int64)
         for ctx in range(4):
             mask = context == ctx
-            code[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
-        return a_set, b_set, 1 - 2 * (code // 2), 1 - 2 * (code % 2)
+            grid_index[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
+        # Grid index 0 is (+1,+1), outcome bits 3; index 3 is (-1,-1), bits 0.
+        return context * 4 + 3 - grid_index
 
     return _sample_ledger(seed, n, 3, sample, QUANTUM_ALICE_LABELS, QUANTUM_BOB_LABELS)
 

@@ -32,14 +32,7 @@ from bell_lab.models import Context, ContextualModel, canonical_json, format_rat
 from bell_lab.reduction import ReducedModel, reduce_model
 from bell_lab.search import assignment_count, decode_assignment
 from bell_lab.unified import SizeExceededError, UnifiedModel
-from bell_lab.simulate import (
-    DEFAULT_BIAS,
-    U_SCALE,
-    _check_bias,
-    _cumulative,
-    _quantum_grid,
-    _thresholds,
-)
+from bell_lab.simulate import U_SCALE, _cumulative, _quantum_grid, _thresholds
 
 
 def product_mean(model: ContextualModel, selected) -> Fraction:
@@ -354,10 +347,10 @@ def exhaustive_oracle(cardinalities):
     return best_model, best_s, tuple(improvements), total
 
 
-def unchunked_trials_oracle(model: ContextualModel, n: int, bias=None, seed: int = 0):
-    """(alice_settings, bob_settings, a, b) of `simulate_trials`, from one
-    (n, 5) block draw pushed through the searchsorted pipeline at once."""
-    bias = _check_bias(DEFAULT_BIAS if bias is None else bias)
+def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):
+    """(alice setting, bob setting, a, b) int8 arrays of `simulate_trials`,
+    from one (n, 5) block draw pushed through the searchsorted pipeline at
+    once, the settings included."""
     reduced = reduce_model(model)
 
     def table_stack(settings, labels):
@@ -370,8 +363,9 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, bias=None, seed: int
         return stack
 
     draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(n, 5), dtype=np.int64)
-    a_set = np.searchsorted(_thresholds(_cumulative(bias[:2])), draws[:, 0], side="left")
-    b_set = np.searchsorted(_thresholds(_cumulative(bias[2:])), draws[:, 1], side="left")
+    setting_k = _thresholds((Fraction(0), Fraction(1, 2), Fraction(1)))
+    a_set = np.searchsorted(setting_k, draws[:, 0], side="left")
+    b_set = np.searchsorted(setting_k, draws[:, 1], side="left")
     src = np.searchsorted(
         _thresholds(_cumulative(model.source.flattened())), draws[:, 2], side="left"
     )
@@ -387,8 +381,8 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, bias=None, seed: int
 
 
 def unchunked_quantum_oracle(angles, n: int, seed: int = 0):
-    """(alice_settings, bob_settings, a, b) of `quantum_reference`, from
-    one (n, 3) block draw."""
+    """(alice setting, bob setting, a, b) int8 arrays of
+    `quantum_reference`, from one (n, 3) block draw."""
     grid = _quantum_grid(angles)
     draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(n, 3), dtype=np.int64)
     a_set = (draws[:, 0] >= U_SCALE // 2).astype(np.int64)
@@ -404,16 +398,18 @@ def unchunked_quantum_oracle(angles, n: int, seed: int = 0):
 
 
 def ledger_csv_oracle(ledger, path) -> None:
-    """`TrialLedger.to_csv` as one csv.writer row per trial."""
+    """`TrialLedger.to_csv` as one csv.writer row per trial, each decoded
+    from its cell code alice*8 + bob*4 + (a > 0)*2 + (b > 0)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial", "alice_setting", "bob_setting", "a", "b"])
-        signs = {1: "+1", -1: "-1"}
+        signs = {0: "-1", 1: "+1"}
         for t in range(ledger.n):
+            code = int(ledger.codes[t])
             writer.writerow([
                 t,
-                ledger.alice_labels[ledger.alice_settings[t]],
-                ledger.bob_labels[ledger.bob_settings[t]],
-                signs[int(ledger.a[t])],
-                signs[int(ledger.b[t])],
+                ledger.alice_labels[code // 8],
+                ledger.bob_labels[code // 4 % 2],
+                signs[code // 2 % 2],
+                signs[code % 2],
             ])

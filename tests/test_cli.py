@@ -186,6 +186,18 @@ class TestSearch:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("cardinalities, count", [
+        ("3,2,3,2,2,3", "33554432"),
+        # 4 * 10^6 table bits, far past the 4300 digits str() renders.  No
+        # larger shape: assignment_count builds 1 << bits before the check.
+        ("1000,1000,1000,1000,1000,1000", "2^4000000"),
+    ])
+    def test_limit_guard_message(self, capsys, cardinalities, count):
+        code, out, err = run(capsys, "search", "--cardinalities", cardinalities)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {count} table assignments exceed the limit of 16777216\n"
+
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_limit_below_one_is_input_error(self, capsys, limit):
         code, out, err = run(capsys, "search", "--limit", limit)

@@ -40,12 +40,16 @@ ORACLE_MODELS = {**PRESETS, "quoted_labels": quoted_label_model}
 
 
 def ledger_arrays(ledger):
-    return (ledger.alice_settings, ledger.bob_settings, ledger.a, ledger.b)
+    """(alice setting, bob setting, a, b) as int8 arrays, decoded from the
+    cell codes alice*8 + bob*4 + (a > 0)*2 + (b > 0)."""
+    codes = ledger.codes.astype(np.int8)
+    return codes // 8, codes // 4 % 2, codes // 2 % 2 * 2 - 1, codes % 2 * 2 - 1
 
 
 def assert_same_ledger(ledger, expected, tmp_path):
-    """Arrays equal the oracle's, element and dtype; CSV bytes equal the
-    per-row writer's."""
+    """Decoded arrays equal the oracle's, element and dtype; CSV bytes equal
+    the per-row writer's."""
+    assert ledger.codes.dtype == np.uint8
     for got, want in zip(ledger_arrays(ledger), expected):
         assert got.dtype == want.dtype == np.int8
         assert np.array_equal(got, want)
@@ -68,22 +72,24 @@ class TestThresholds:
 class TestSimulateTrials:
     def test_singleton_constant(self, singleton):
         ledger = simulate_trials(singleton, 10, seed=42)
+        _, _, a, b = ledger_arrays(ledger)
         assert ledger.n == 10
-        assert set(ledger.a.tolist()) == {1}
-        assert set(ledger.b.tolist()) == {1}
+        assert set(a.tolist()) == {1}
+        assert set(b.tolist()) == {1}
 
     def test_counts_consistent_with_records(self, noisy):
         ledger = simulate_trials(noisy, 500, seed=9)
         counts = ledger.context_counts()
         assert sum(sum(c.values()) for c in counts.values()) == 500
         first = counts[("x", "y")]
-        mask = (ledger.alice_settings == 0) & (ledger.bob_settings == 0)
+        a_set, b_set, a, b = ledger_arrays(ledger)
+        mask = (a_set == 0) & (b_set == 0)
         assert sum(first.values()) == int(mask.sum())
-        assert first[(1, 1)] == int(((ledger.a == 1) & (ledger.b == 1) & mask).sum())
+        assert first[(1, 1)] == int(((a == 1) & (b == 1) & mask).sum())
 
     def test_counts_match_whole_array_bincount(self, noisy):
         ledger = simulate_trials(noisy, 3 * CHUNK + 7, seed=4)
-        bins = np.bincount(ledger._codes, minlength=16)
+        bins = np.bincount(ledger.codes, minlength=16)
         counts = ledger.context_counts()
         for ctx, (alice_label, bob_label) in enumerate(
             (a, b) for a in noisy.alice_labels for b in noisy.bob_labels
@@ -97,9 +103,10 @@ class TestSimulateTrials:
     def test_reproducible(self, noisy):
         first = simulate_trials(noisy, 1000, seed=5)
         second = simulate_trials(noisy, 1000, seed=5)
-        for name in ("alice_settings", "bob_settings", "a", "b"):
-            assert np.array_equal(getattr(first, name), getattr(second, name))
-        assert not np.array_equal(first.a, simulate_trials(noisy, 1000, seed=6).a)
+        for got, want in zip(ledger_arrays(first), ledger_arrays(second)):
+            assert np.array_equal(got, want)
+        other = simulate_trials(noisy, 1000, seed=6)
+        assert not np.array_equal(ledger_arrays(first)[2], ledger_arrays(other)[2])
 
     def test_draw_order_contract(self, noisy):
         # Five 53-bit columns per trial: Alice setting, Bob setting,
@@ -107,10 +114,11 @@ class TestSimulateTrials:
         seed = 77
         ledger = simulate_trials(noisy, 1, seed=seed)
         draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(1, 5), dtype=np.int64)
-        a_set = int(draws[0, 0] >= U_SCALE // 2)
-        b_set = int(draws[0, 1] >= U_SCALE // 2)
-        assert ledger.alice_settings[0] == a_set
-        assert ledger.bob_settings[0] == b_set
+        a_set = int(draws[0, 0] > U_SCALE // 2)
+        b_set = int(draws[0, 1] > U_SCALE // 2)
+        got_a_set, got_b_set, got_a, _ = ledger_arrays(ledger)
+        assert got_a_set[0] == a_set
+        assert got_b_set[0] == b_set
 
         reduced = reduce_model(noisy)
         u1 = F(int(draws[0, 3]), U_SCALE)
@@ -122,7 +130,7 @@ class TestSimulateTrials:
         l1 = src // 2
         label = noisy.alice_labels[a_set]
         expected_a = noisy.alice[label].table.values[l1][pair[a_set]]
-        assert ledger.a[0] == expected_a
+        assert got_a[0] == expected_a
 
     def test_perfect_pair_deterministic_given_source(self, perfect):
         ledger = simulate_trials(perfect, 10**5, seed=1)
@@ -147,22 +155,31 @@ class TestSimulateTrials:
             simulate_trials(singleton, 0, seed=1)
 
 
-class TestSettingBias:
-    def test_rejects_bad_bias(self, singleton):
-        with pytest.raises(ValueError, match="positive"):
-            simulate_trials(singleton, 10, bias=(F(1), F(0), F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError, match="sum to 1"):
-            simulate_trials(singleton, 10, bias=(F(1, 2), F(1, 3), F(1, 2), F(1, 2)))
-        with pytest.raises(ValueError, match="floats"):
-            simulate_trials(singleton, 10, bias=(0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(ValueError, match="4 probabilities"):
-            simulate_trials(singleton, 10, bias=(F(1, 2), F(1, 2)))
+class TestSettingTie:
+    @pytest.fixture
+    def tied_draws(self, monkeypatch):
+        """Both setting columns draw exactly 2^52 in row 0 and 2^52 + 1 in
+        row 1; every other column keeps its seeded draw."""
+        generator = np.random.Generator
 
-    def test_bias_shifts_setting_frequencies(self, noisy):
-        bias = (F(1, 8), F(7, 8), F(1, 2), F(1, 2))
-        ledger = simulate_trials(noisy, 20000, bias=bias, seed=2)
-        share = float((ledger.alice_settings == 0).mean())
-        assert abs(share - 1 / 8) < 0.02
+        class TiedGenerator:
+            def __init__(self, bit_generator):
+                self._rng = generator(bit_generator)
+
+            def integers(self, *args, **kwargs):
+                draws = self._rng.integers(*args, **kwargs)
+                draws[:2, :2] = [[U_SCALE // 2], [U_SCALE // 2 + 1]]
+                return draws
+
+        monkeypatch.setattr(np.random, "Generator", TiedGenerator)
+
+    def test_simulate_sends_tie_to_first_setting(self, tied_draws, noisy):
+        a_set, b_set, _, _ = ledger_arrays(simulate_trials(noisy, 2, seed=0))
+        assert a_set.tolist() == b_set.tolist() == [0, 1]
+
+    def test_quantum_sends_tie_to_second_setting(self, tied_draws):
+        a_set, b_set, _, _ = ledger_arrays(quantum_reference(OPTIMAL_ANGLES, 2, seed=0))
+        assert a_set.tolist() == b_set.tolist() == [1, 1]
 
 
 class TestEmpiricalChsh:
@@ -205,8 +222,8 @@ class TestQuantumReference:
     def test_reproducible(self):
         first = quantum_reference(OPTIMAL_ANGLES, 2000, seed=12)
         second = quantum_reference(OPTIMAL_ANGLES, 2000, seed=12)
-        assert np.array_equal(first.a, second.a)
-        assert np.array_equal(first.b, second.b)
+        for got, want in zip(ledger_arrays(first), ledger_arrays(second)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("slot", range(4))
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
@@ -245,15 +262,11 @@ class TestNoSignallingEmpirical:
         b_set = rng.integers(0, 2, size=n).astype(np.int8)
         a_set = rng.integers(0, 2, size=n).astype(np.int8)
         a = np.where(b_set == 0, 1, -1).astype(np.int8)
-        ledger = TrialLedger(
-            seed=0,
-            alice_labels=("x", "x'"),
-            bob_labels=("y", "y'"),
-            alice_settings=a_set,
-            bob_settings=b_set,
-            a=a,
-            b=np.ones(n, dtype=np.int8),
-        )
+        b = np.ones(n, dtype=np.int8)
+        codes = (a_set * 8 + b_set * 4 + (a > 0) * 2 + (b > 0)).astype(np.uint8)
+        ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"), codes=codes)
+        for got, want in zip(ledger_arrays(ledger), (a_set, b_set, a, b)):
+            assert np.array_equal(got, want)
         report = no_signalling_report(ledger)
         alice_rows = [r for r in report.rows if r.side == "alice"]
         assert max(abs(r.z) for r in alice_rows) > 10
@@ -305,30 +318,25 @@ class TestLedgerCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
-class TestCodesBuiltOnce:
-    def test_counts_and_csv_share_one_build(self, tmp_path, monkeypatch, noisy):
-        build = TrialLedger._codes.func
-        builds = []
-
-        def counting_build(ledger):
-            builds.append(1)
-            return build(ledger)
-
-        monkeypatch.setattr(TrialLedger._codes, "func", counting_build)
+class TestLedgerViews:
+    def test_counts_and_csv_match_records(self, tmp_path, noisy):
         ledger = simulate_trials(noisy, 2 * CHUNK + 3, seed=8)
         counts = [ledger.context_counts() for _ in range(3)]
         ledger.to_csv(tmp_path / "ledger.csv")
-        assert builds == [1]
 
         oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
         assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert counts[0] == counts[1] == counts[2]
+        a_set, b_set, a_out, b_out = ledger_arrays(ledger)
+        cells = 0
         for (alice_label, bob_label), cell in counts[0].items():
-            mask = (ledger.alice_settings == ledger.alice_labels.index(alice_label)) & (
-                ledger.bob_settings == ledger.bob_labels.index(bob_label)
+            mask = (a_set == ledger.alice_labels.index(alice_label)) & (
+                b_set == ledger.bob_labels.index(bob_label)
             )
             for (a, b), count in cell.items():
-                assert count == int(((ledger.a == a) & (ledger.b == b) & mask).sum())
+                assert count == int(((a_out == a) & (b_out == b) & mask).sum())
+                cells += 1
+        assert cells == 16
 
 
 class TestChunkedOracles:
@@ -343,13 +351,6 @@ class TestChunkedOracles:
     def test_quantum_matches_unchunked(self, tmp_path, n):
         expected = oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=n)
         assert_same_ledger(quantum_reference(OPTIMAL_ANGLES, n, seed=n), expected, tmp_path)
-
-    def test_biased_settings_match_unchunked(self, tmp_path, random7):
-        bias = (F(1, 3), F(2, 3), F(5, 7), F(2, 7))
-        n = CHUNK + 1
-        expected = oracles.unchunked_trials_oracle(random7, n, bias=bias, seed=11)
-        ledger = simulate_trials(random7, n, bias=bias, seed=11)
-        assert_same_ledger(ledger, expected, tmp_path)
 
     @pytest.mark.parametrize("chunk", (1, 77, 4096))
     def test_chunk_size_does_not_change_stream(self, monkeypatch, noisy, chunk):
@@ -366,11 +367,11 @@ class TestChunkedOracles:
 
 class TestAtomicLedger:
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch, noisy):
-        # A setting index past the labels fails on the last chunk, after
-        # earlier chunks were already written to the temporary file.
+        # A code past the 16 cells fails on the last chunk, after earlier
+        # chunks were already written to the temporary file.
         monkeypatch.setattr(simulate, "CHUNK", 4)
         ledger = simulate_trials(noisy, 20, seed=1)
-        ledger.alice_settings[-1] = 7
+        ledger.codes[-1] = 16
         target = tmp_path / "ledger.csv"
         target.write_text("previous\n", encoding="utf-8")
         with pytest.raises(IndexError):
