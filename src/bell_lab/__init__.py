@@ -16,7 +16,7 @@ from .chsh import (
     certify_model,
     chsh_from_correlations,
 )
-from .exact import CorrelationSet, correlation_set, expectation_in_context
+from .exact import CorrelationSet, correlation_set
 from .models import (
     Context,
     ContextualModel,
@@ -37,10 +37,8 @@ from .models import (
 from .reduction import (
     IntervalPartition,
     ReducedModel,
-    couple_settings,
     inverse_transform_partition,
     reduce_model,
-    verify_reduction,
 )
 from .search import (
     SearchLimitError,
@@ -67,11 +65,8 @@ from .simulate import (
 from .unified import (
     CounterfactualSet,
     SizeExceededError,
-    UnifiedModel,
-    build_unified,
     counterfactuals,
     expectation_unified,
-    verify_equivalence,
 )
 
 __version__ = "0.1.0"
@@ -102,18 +97,14 @@ __all__ = [
     "SearchSpec",
     "SizeExceededError",
     "TrialLedger",
-    "UnifiedModel",
     "UnknownSettingError",
-    "build_unified",
     "certify_lhv_bound",
     "certify_model",
     "chsh_from_correlations",
     "correlation_set",
     "counterfactuals",
-    "couple_settings",
     "empirical_chsh",
     "enumerate_deterministic",
-    "expectation_in_context",
     "expectation_unified",
     "hill_climb",
     "inverse_transform_partition",
@@ -130,7 +121,5 @@ __all__ = [
     "save_model",
     "simulate_trials",
     "validate_model",
-    "verify_equivalence",
     "verify_no_signalling",
-    "verify_reduction",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands: check, certify, search, simulate.  Exit codes: 0 all passed,
 1 verdict failure or invariant violation, 2 input or I/O error, 3
-resource guard tripped.  All JSON output is printed with sorted keys and
-fixed indentation so identical inputs produce byte-identical bytes.
+resource guard tripped or memory exhausted.  All JSON output is printed
+with sorted keys and fixed indentation so identical inputs produce
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
         return EXIT_VERDICT
     except (SizeExceededError, SearchLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:
+        print("error:", str(exc) or "out of memory", file=sys.stderr)
         return EXIT_GUARD
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

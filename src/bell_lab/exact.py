@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .models import Context, ContextualModel, _scaled_factors, require_valid
+from .models import ContextualModel, _scaled_factors, require_valid
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,6 @@ def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction
                 for ly, w_b in enumerate(b_pmf):
                     total += w * w_b * b_row[ly]
     return Fraction(total, source_den * a_den * b_den)
-
-
-def expectation_in_context(model: ContextualModel, ctx: Context) -> Fraction:
-    """E over one context: sum A(l1,lx) * B(l2,ly) * p_x(lx) * p_y(ly) * p(l1,l2).
-
-    The three pmfs are scaled to integer numerators, so each cell's term
-    is an integer and the sum is divided by the product of their
-    denominators once.
-    """
-    return _context_expectation(
-        model,
-        _scaled_factors(model.source.flattened()),
-        _scaled_local(model.local("alice", ctx.alice)),
-        _scaled_local(model.local("bob", ctx.bob)),
-    )
 
 
 def _unchecked_correlation_set(model: ContextualModel) -> CorrelationSet:

@@ -122,9 +122,6 @@ class Pmf:
     def size(self) -> int:
         return len(self.weights)
 
-    def mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
 
 @dataclass(frozen=True)
 class JointPmf:

@@ -20,7 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import correlation_set
 from .models import (
     Context,
     ContextualModel,
@@ -73,19 +72,6 @@ def inverse_transform_partition(pmf: Pmf) -> IntervalPartition:
     return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
 
 
-def couple_settings(p_a: Pmf, p_b: Pmf) -> dict[tuple[int, int], Fraction]:
-    """Joint law of two discrete variables driven by one shared uniform.
-
-    Weight of (i, j) is the length of the intersection of support point
-    i's interval under p_a with support point j's under p_b.  Marginals
-    recover p_a and p_b exactly for any inputs.  Each support point owns
-    one contiguous interval, so each (i, j) occurs at most once in the
-    overlay and its refined width is the whole intersection.
-    """
-    m = _overlay(inverse_transform_partition(p_a), inverse_transform_partition(p_b))
-    return dict(zip(m.pairs, m.widths()))
-
-
 @dataclass(frozen=True)
 class UniformMap:
     """One side's refined partition: each interval fixes both local values.
@@ -108,6 +94,12 @@ class UniformMap:
 
 
 def _overlay(first: IntervalPartition, second: IntervalPartition) -> UniformMap:
+    """Common refinement of two partitions; each interval carries both labels.
+
+    An interval's width is the weight of its label pair when one shared
+    uniform drives both partitions, so the widths recover each partition's
+    weights as marginals.
+    """
     breakpoints = [Fraction(0)]
     pairs = []
     ia = ib = 0
@@ -206,8 +198,3 @@ def reduction_report(model: ContextualModel, original: tuple[Fraction, ...]) -> 
     return ReductionReport(
         contexts=contexts, original=original, reduced=values, equal=original == values
     )
-
-
-def verify_reduction(model: ContextualModel) -> ReductionReport:
-    """Compare all four correlations before and after reduction, exactly."""
-    return reduction_report(model, correlation_set(model).as_tuple())

@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .chsh import CHSH_PATTERNS
-from .models import ContextualModel, _scaled_factors, atomic_writer, require_valid
-from .reduction import reduce_model
+from .models import ContextualModel, Pmf, _scaled_factors, atomic_writer, require_valid
+from .reduction import inverse_transform_partition, reduce_model
 
 U_BITS = 53
 U_SCALE = 1 << U_BITS
@@ -69,13 +69,6 @@ def _csv_line(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
     return buf.getvalue()
-
-
-def _cumulative(weights) -> list[Fraction]:
-    cum = [Fraction(0)]
-    for w in weights:
-        cum.append(cum[-1] + w)
-    return cum
 
 
 @dataclass(frozen=True)
@@ -160,14 +153,17 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
 
     Each trial draws both settings, one source pair, and the two shared
     uniforms, then reads the outcomes off the response tables through the
-    reduced form's interval maps.  Settings are uniform; a setting draw of
-    exactly 2^52 goes to the first setting, like every other threshold tie
-    (`quantum_reference` sends it to the second).
+    reduced form's interval maps.  The source pair is read through its own
+    inverse-transform partition, so a pair of weight zero is never drawn.
+    Settings are uniform; a setting draw of exactly 2^52 goes to the first
+    setting, like every other threshold tie (`quantum_reference` sends it
+    to the second).
     """
-    require_valid(model)
-    reduced = reduce_model(model)
+    reduced = reduce_model(model)  # validates the model
 
-    source_k = _thresholds(_cumulative(model.source.flattened()))
+    source_map = inverse_transform_partition(Pmf(model.source.flattened()))
+    source_k = _thresholds(source_map.breakpoints)
+    source_labels = np.array(source_map.labels, dtype=np.int64)
     alice_map_k = _thresholds(reduced.alice_map.breakpoints)
     bob_map_k = _thresholds(reduced.bob_map.breakpoints)
     alice_pairs = np.array(reduced.alice_map.pairs, dtype=np.int64)
@@ -190,7 +186,7 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
         # Integer indices: a boolean array would act as a mask below.
         a_set = (draws[:, 0] > U_SCALE // 2).astype(np.intp)
         b_set = (draws[:, 1] > U_SCALE // 2).astype(np.intp)
-        src = np.searchsorted(source_k, draws[:, 2], side="left")
+        src = source_labels[np.searchsorted(source_k, draws[:, 2], side="left")]
         l1 = src // model.source.cols
         l2 = src % model.source.cols
         local_a = alice_pairs[np.searchsorted(alice_map_k, draws[:, 3], side="left"), a_set]

@@ -3,16 +3,12 @@
 Cells are tuples (l1, l2, lx, lxp, ly, lyp) indexing the six factors in a
 fixed axis order: source pair first, then Alice's locals in declared
 setting order, then Bob's.  The pmf is the product of the source joint
-weight and the four local weights; it is stored factorized and expanded
-only on demand, behind a cell-count guard.  The expanded sum writes each
-factor's weights as integer numerators over its common denominator and
-adds one term per cell, exactly, in numpy: modulo the fewest word-sized
-primes whose product exceeds twice the bound D on |total| (the product of
-the denominators), rebuilt by the Chinese remainder theorem, one block of
-cells at a time.  The scaling, the moduli and the residues are computed
-once per model and shared by the four contexts.  The factored route and
-the counterfactuals stay in Fraction arithmetic, so they share no scaling
-code with the dedicated and expanded routes.
+weight and the four local weights.  No object holds the space: every
+route reads the model's five factors directly.  The factored route and
+the counterfactuals integrate the unread factors out in Fraction
+arithmetic, so they share no scaling code with the dedicated and expanded
+routes.  The expanded route sums one integer term per cell, behind a
+cell-count guard; `_expanded_route` states why that sum is exact.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -30,7 +26,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import correlation_set
 from .models import Context, ContextualModel, LocalSetting, _scaled_factors, require_valid
 
 DEFAULT_CELL_LIMIT = 10**7
@@ -45,31 +40,12 @@ class SizeExceededError(RuntimeError):
         super().__init__(f"unified space has {size} cells, limit is {limit}")
 
 
-@dataclass(frozen=True)
-class UnifiedModel:
-    base: ContextualModel
-    cell_limit: int
-
-    @property
-    def alice_labels(self) -> tuple[str, ...]:
-        return self.base.alice_labels
-
-    @property
-    def bob_labels(self) -> tuple[str, ...]:
-        return self.base.bob_labels
-
-    @property
-    def size(self) -> int:
-        n = self.base.source.rows * self.base.source.cols
-        for local in itertools.chain(self.base.alice.values(), self.base.bob.values()):
-            n *= local.pmf.size
-        return n
-
-
-def build_unified(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) -> UnifiedModel:
-    """Construct the product space; never expands, so never fails on size."""
-    require_valid(model)
-    return UnifiedModel(base=model, cell_limit=cell_limit)
+def _cell_count(model: ContextualModel) -> int:
+    """Cells of the expanded space: the source grid times the four local sizes."""
+    n = model.source.rows * model.source.cols
+    for local in itertools.chain(model.alice.values(), model.bob.values()):
+        n *= local.pmf.size
+    return n
 
 
 def _local_mean(model: ContextualModel, side: str, label: str, source_index: int) -> Fraction:
@@ -81,7 +57,7 @@ def _local_mean(model: ContextualModel, side: str, label: str, source_index: int
     )
 
 
-def expectation_unified(u: UnifiedModel, ctx: Context) -> Fraction:
+def expectation_unified(model: ContextualModel, ctx: Context) -> Fraction:
     """E of the lifted product for one context, marginalizing unused factors.
 
     The four factors the context does not read integrate out to 1, so the
@@ -89,7 +65,6 @@ def expectation_unified(u: UnifiedModel, ctx: Context) -> Fraction:
     Deliberately a different computation route from the dedicated-space
     four-fold sum; exact agreement between the two is the point.
     """
-    model = u.base
     a_means = [
         _local_mean(model, "alice", ctx.alice, l1) for l1 in range(model.source.rows)
     ]
@@ -219,15 +194,34 @@ def _local_axes(settings, read: LocalSetting, residues, p: np.ndarray) -> list[n
     return axes
 
 
-def _expanded_route(u: UnifiedModel):
+def _expanded_route(model: ContextualModel, cell_limit: int):
     """The guarded expanded route of one model, as a function of the context.
 
-    Scales the five factors, picks the moduli and takes the residues once;
-    each call of the returned function then sums one context's cells.
+    Raises `SizeExceededError` when the space has more than `cell_limit`
+    cells.  Otherwise scales the five factors, picks the moduli and takes
+    the residues once; each call of the returned function then sums one
+    context's cells.  Every cell (l1, l2, lx, lx', ly, ly') gets its own
+    integer term w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf
+    written as integer numerators over its common denominator; nothing is
+    summed out before the tables multiply in.  The sum is exact by
+    multi-modular arithmetic:
+
+    - The absolute terms sum to exactly D, the product of the five factor
+      denominators (each factor's numerators sum to its denominator and
+      A, B are +-1), so |total| <= D.
+    - The terms are summed modulo the k largest primes below 2^31 whose
+      product m exceeds 2D, all k primes on the leading axis of one int64
+      array, reducing after every product so two residues never overflow.
+    - The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
+      (one Bob (ly, ly') grid per prime when that alone is larger), so
+      memory does not grow with the number of cells.
+    - The Chinese remainder theorem rebuilds the total modulo m in Python
+      integers; re-centred to (-m/2, m/2] it is the exact total, returned
+      as Fraction(total, D).
     """
-    if u.size > u.cell_limit:
-        raise SizeExceededError(u.size, u.cell_limit)
-    model = u.base
+    size = _cell_count(model)
+    if size > cell_limit:
+        raise SizeExceededError(size, cell_limit)
     source, denom = _scaled_factors(model.source.flattened())
     scaled = {
         side: [_scaled_factors(local.pmf.weights) for local in settings.values()]
@@ -274,32 +268,6 @@ def _expanded_route(u: UnifiedModel):
     return expectation
 
 
-def expectation_unified_expanded(u: UnifiedModel, ctx: Context) -> Fraction:
-    """Same expectation by brute-force sum over every expanded cell; guarded.
-
-    Every cell (l1, l2, lx, lx', ly, ly') gets its own integer term
-    w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf written as integer
-    numerators over its common denominator; nothing is summed out before the
-    tables multiply in.  The sum is exact by multi-modular arithmetic:
-
-    - The absolute terms sum to exactly D, the product of the five factor
-      denominators (each factor's numerators sum to its denominator and
-      A, B are +-1), so |total| <= D.
-    - The terms are summed modulo the k largest primes below 2^31 whose
-      product m exceeds 2D, all k primes on the leading axis of one int64
-      array, reducing after every product so two residues never overflow.
-    - The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
-      (one Bob (ly, ly') grid per prime when that alone is larger), so
-      memory does not grow with the number of cells.
-    - The Chinese remainder theorem rebuilds the total modulo m in Python
-      integers; re-centred to (-m/2, m/2] it is the exact total, returned
-      as Fraction(total, D).
-
-    `equivalence_report` shares one scaling across the four contexts.
-    """
-    return _expanded_route(u)(ctx)
-
-
 @dataclass(frozen=True)
 class CounterfactualSet:
     """Expectations of products never jointly measured in any single context."""
@@ -312,16 +280,17 @@ class CounterfactualSet:
         return (self.alice_pair, self.bob_pair, self.full_product)
 
 
-def counterfactuals(u: UnifiedModel) -> CounterfactualSet:
-    """E of both-Alice, both-Bob, and all-four products, factor-aware.
+def counterfactuals(model: ContextualModel) -> CounterfactualSet:
+    """E of both-Alice, both-Bob, and all-four products of a model, factor-aware.
 
-    Each side's two functions read disjoint local factors, so the local
-    pmfs integrate into independent per-source means and the sums reduce
-    to source-weighted products; no expansion, so no size guard in play.
+    Validates `model` first.  Each side's two functions read disjoint local
+    factors, so the local pmfs integrate into independent per-source means
+    and the sums reduce to source-weighted products; no expansion, so no
+    size guard in play.
     """
-    model = u.base
-    a0, a1 = u.alice_labels
-    b0, b1 = u.bob_labels
+    require_valid(model)
+    a0, a1 = model.alice_labels
+    b0, b1 = model.bob_labels
     ax = [_local_mean(model, "alice", a0, i) for i in range(model.source.rows)]
     axp = [_local_mean(model, "alice", a1, i) for i in range(model.source.rows)]
     by = [_local_mean(model, "bob", b0, j) for j in range(model.source.cols)]
@@ -362,10 +331,9 @@ def equivalence_report(
     certificate that silently skipped the heavyweight check would be
     misleading.  Verdict is exact rational equality across every route.
     """
-    u = UnifiedModel(base=model, cell_limit=cell_limit)
     contexts = model.contexts()
-    factored = tuple(expectation_unified(u, ctx) for ctx in contexts)
-    expanded_route = _expanded_route(u)
+    factored = tuple(expectation_unified(model, ctx) for ctx in contexts)
+    expanded_route = _expanded_route(model, cell_limit)
     expanded = tuple(expanded_route(ctx) for ctx in contexts)
     return EquivalenceReport(
         contexts=contexts,
@@ -374,10 +342,3 @@ def equivalence_report(
         expanded=expanded,
         equal=dedicated == factored == expanded,
     )
-
-
-def verify_equivalence(
-    model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> EquivalenceReport:
-    """Validate, compute the dedicated correlations, and compare every route."""
-    return equivalence_report(model, correlation_set(model).as_tuple(), cell_limit)

@@ -31,8 +31,8 @@ from bell_lab.exact import CorrelationSet, correlation_set
 from bell_lab.models import Context, ContextualModel, canonical_json, format_rational
 from bell_lab.reduction import ReducedModel, reduce_model
 from bell_lab.search import assignment_count, decode_assignment
-from bell_lab.unified import SizeExceededError, UnifiedModel
-from bell_lab.simulate import U_SCALE, _cumulative, _quantum_grid, _thresholds
+from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError
+from bell_lab.simulate import U_SCALE, _quantum_grid, _thresholds
 
 
 def product_mean(model: ContextualModel, selected) -> Fraction:
@@ -217,18 +217,22 @@ def _oracle_scaled_factors(weights):
     return [int(w * d) for w in weights], d
 
 
-def expanded_scaled_oracle(u: UnifiedModel, ctx: Context) -> Fraction:
+def expanded_scaled_oracle(
+    model: ContextualModel, ctx: Context, cell_limit: int = DEFAULT_CELL_LIMIT
+) -> Fraction:
     """Same expectation by brute-force sum over every expanded cell; guarded.
 
     Accumulates integer numerators over the product of factor
     denominators, so the full sweep stays exact without per-cell Fraction
     arithmetic.
     """
-    if u.size > u.cell_limit:
-        raise SizeExceededError(u.size, u.cell_limit)
-    model = u.base
-    a0, a1 = u.alice_labels
-    b0, b1 = u.bob_labels
+    a0, a1 = model.alice_labels
+    b0, b1 = model.bob_labels
+    size = model.source.rows * model.source.cols
+    for side, label in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)):
+        size *= len(model.local(side, label).pmf.weights)
+    if size > cell_limit:
+        raise SizeExceededError(size, cell_limit)
     src_num, src_den = _oracle_scaled_factors(list(model.source.flattened()))
     local_scaled = {
         (side, label): _oracle_scaled_factors(list(model.local(side, label).pmf.weights))
@@ -238,8 +242,8 @@ def expanded_scaled_oracle(u: UnifiedModel, ctx: Context) -> Fraction:
     }
     a_table = model.local("alice", ctx.alice).table.values
     b_table = model.local("bob", ctx.bob).table.values
-    a_axis = u.alice_labels.index(ctx.alice)
-    b_axis = u.bob_labels.index(ctx.bob)
+    a_axis = model.alice_labels.index(ctx.alice)
+    b_axis = model.bob_labels.index(ctx.bob)
 
     cols = model.source.cols
     nums = [local_scaled[k][0] for k in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1))]
@@ -366,9 +370,13 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):
     setting_k = _thresholds((Fraction(0), Fraction(1, 2), Fraction(1)))
     a_set = np.searchsorted(setting_k, draws[:, 0], side="left")
     b_set = np.searchsorted(setting_k, draws[:, 1], side="left")
-    src = np.searchsorted(
-        _thresholds(_cumulative(model.source.flattened())), draws[:, 2], side="left"
-    )
+    # Every flat source cell gets a threshold; a draw that lands on a
+    # zero-weight cell (only a draw of 0 can) moves forward to the next cell.
+    source = model.source.flattened()
+    source_k = _thresholds([Fraction(0), *itertools.accumulate(source)])
+    src = np.searchsorted(source_k, draws[:, 2], side="left")
+    positive = np.flatnonzero([w > 0 for w in source])
+    src = positive[np.searchsorted(positive, src, side="left")]
     alice_pairs = np.array(reduced.alice_map.pairs, dtype=np.int64)
     bob_pairs = np.array(reduced.bob_map.pairs, dtype=np.int64)
     alice_k = _thresholds(reduced.alice_map.breakpoints)

@@ -14,11 +14,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import campaign_models
-from bell_lab.chsh import certify_lhv_bound
+from bell_lab.chsh import certify_lhv_bound, certify_model
 from bell_lab.cli import main
 from bell_lab.models import save_model
 from bell_lab.presets import PRESETS
-from bell_lab.reduction import verify_reduction
 from bell_lab.search import (
     SearchMode,
     SearchSpec,
@@ -33,7 +32,6 @@ from bell_lab.simulate import (
     verify_no_signalling,
 )
 from bell_lab.exact import correlation_set
-from bell_lab.unified import verify_equivalence
 
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
@@ -51,7 +49,7 @@ def report(label: str, passed: bool, detail: str) -> None:
 
 def test_three_route_equivalence(campaign):
     start = time.perf_counter()
-    failures = sum(1 for model in campaign if not verify_equivalence(model).equal)
+    failures = sum(1 for model in campaign if not certify_model(model).equivalence.equal)
     elapsed = time.perf_counter() - start
     report(
         "three-route context equivalence",
@@ -90,7 +88,7 @@ def test_chsh_bound_holds(campaign):
 
 
 def test_uniform_reduction_preserves_correlations(campaign):
-    failures = sum(1 for model in campaign if not verify_reduction(model).equal)
+    failures = sum(1 for model in campaign if not certify_model(model).reduction.equal)
     report(
         "inverse-transform reduction",
         failures == 0,

@@ -20,8 +20,8 @@ from bell_lab.chsh import (
 from bell_lab.exact import CorrelationSet, correlation_set
 from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.presets import PRESETS
-from bell_lab.reduction import verify_reduction
-from bell_lab.unified import SizeExceededError, verify_equivalence
+from bell_lab.reduction import reduction_report
+from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError, equivalence_report
 from tests_support import alter_local, counting
 
 
@@ -212,19 +212,29 @@ class TestCertifyModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_the_separate_checks(self, name):
         model = PRESETS[name]()
+        dedicated = correlation_set(model).as_tuple()
         expected = Certification(
-            equivalence=verify_equivalence(model),
-            reduction=verify_reduction(model),
+            equivalence=equivalence_report(model, dedicated, DEFAULT_CELL_LIMIT),
+            reduction=reduction_report(model, dedicated),
             certificate=certify_lhv_bound(model),
         )
         assert certify_model(model) == expected
         assert certify_model(model).all_passed
 
     def test_campaign_matches_the_separate_checks(self, small_campaign):
+        # Every route's values against the naive oracles, not the engine.
         for model in small_campaign[:30]:
             result = certify_model(model)
-            assert result.equivalence == verify_equivalence(model)
-            assert result.reduction == verify_reduction(model)
+            contexts = model.contexts()
+            quadruple = oracles.correlation_quadruple(model)
+            assert result.equivalence.dedicated == result.reduction.original == quadruple
+            assert result.equivalence.factored == quadruple
+            assert result.equivalence.expanded == tuple(
+                oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
+            )
+            assert result.reduction.reduced == tuple(
+                oracles.reduced_context_mean(model, ctx.alice, ctx.bob) for ctx in contexts
+            )
             assert result.certificate == certify_lhv_bound(model)
 
     def test_one_dedicated_pass(self, monkeypatch, random7):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bell_lab import simulate
 from bell_lab.cli import main
 from bell_lab.models import model_to_dict, save_model
 from bell_lab.presets import noisy_readout_model
@@ -398,6 +399,22 @@ class TestSimulate:
         assert code == 2
         assert_input_error(err)
         assert "no trials" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
+    def test_memory_exhaustion_is_guard_error(self, capsys, monkeypatch, tmp_path, model_file, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)  # what np.empty raises for an impossible --n
+
+        monkeypatch.setattr(simulate, "_sample_ledger", exhausted)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "1000000000000",
+            "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert_input_error(err)
         assert not out_dir.exists()
 
     def test_rng_algorithm_in_summary(self, capsys, tmp_path, model_file):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import oracles
-from bell_lab.exact import correlation_set, expectation_in_context
+from bell_lab.exact import correlation_set
 from bell_lab.models import Context, UnknownSettingError
+from bell_lab.unified import DEFAULT_CELL_LIMIT, _expanded_route, expectation_unified
 from tests_support import alter_pmf
 
 HALF = Fraction(1, 2)
@@ -18,13 +20,9 @@ class TestFrozenValues:
         assert correlation_set(singleton_flip).as_tuple() == (1, 1, -1, -1)
 
     def test_perfect_correlations(self, perfect):
-        assert expectation_in_context(perfect, Context("x", "y")) == 1
-        assert expectation_in_context(perfect, Context("x", "y'")) == -1
-        assert expectation_in_context(perfect, Context("x'", "y")) == 0
         assert correlation_set(perfect).as_tuple() == (1, -1, 0, 0)
 
     def test_noisy_first_context(self, noisy):
-        assert expectation_in_context(noisy, Context("x", "y")) == HALF
         assert correlation_set(noisy).as_tuple() == (HALF, -HALF, 0, 0)
 
 
@@ -64,7 +62,11 @@ class TestProperties:
         assert correlation_set(padded) == correlation_set(permuted)
 
     def test_unknown_context_label(self, perfect):
-        with pytest.raises(UnknownSettingError, match="alice"):
-            expectation_in_context(perfect, Context("nope", "y"))
-        with pytest.raises(UnknownSettingError, match="bob"):
-            expectation_in_context(perfect, Context("x", "nope"))
+        # correlation_set only walks the model's own contexts; the routes
+        # that take a context reject a label the model does not declare.
+        expanded = _expanded_route(perfect, DEFAULT_CELL_LIMIT)
+        for route in (partial(expectation_unified, perfect), expanded):
+            with pytest.raises(UnknownSettingError, match="alice"):
+                route(Context("nope", "y"))
+            with pytest.raises(UnknownSettingError, match="bob"):
+                route(Context("x", "nope"))

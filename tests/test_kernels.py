@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import oracles
 from bell_lab import exact, unified
 from bell_lab.chsh import certify_model
-from bell_lab.exact import correlation_set, expectation_in_context
+from bell_lab.exact import correlation_set
 from bell_lab.models import (
     ContextualModel,
     JointPmf,
@@ -42,12 +42,12 @@ from bell_lab.reduction import _reduced_expectation, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.simulate import outcome_distribution
 from bell_lab.unified import (
+    DEFAULT_CELL_LIMIT,
     _blocks,
     _descending_primes,
+    _expanded_route,
     _is_prime,
     _moduli,
-    build_unified,
-    expectation_unified_expanded,
 )
 from tests_support import counting
 
@@ -57,11 +57,13 @@ SHAPES = ((1, 1, 1, 1, 1, 1), (3, 1, 5, 2, 1, 4), (4, 4, 3, 3, 2, 2))
 
 
 def assert_kernels_match_oracles(model: ContextualModel) -> None:
-    u = build_unified(model)
+    expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
     reduced = reduce_model(model)
+    assert correlation_set(model).as_tuple() == tuple(
+        oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()
+    )
     for ctx in model.contexts():
-        assert expectation_in_context(model, ctx) == oracles.dedicated_fraction_oracle(model, ctx)
-        assert expectation_unified_expanded(u, ctx) == oracles.expanded_scaled_oracle(u, ctx)
+        assert expanded(ctx) == oracles.expanded_scaled_oracle(model, ctx)
         assert _reduced_expectation(reduced, ctx) == oracles.reduced_fraction_oracle(reduced, ctx)
     for side, labels, remote_labels in (
         ("alice", model.alice_labels, model.bob_labels),
@@ -327,9 +329,9 @@ class TestMultiModularExpanded:
     """Cases where a fault in the residue arithmetic or the CRT would show."""
 
     def assert_matches_oracle(self, model):
-        u = build_unified(model)
-        values = [expectation_unified_expanded(u, ctx) for ctx in model.contexts()]
-        assert values == [oracles.expanded_scaled_oracle(u, ctx) for ctx in model.contexts()]
+        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
+        values = [expanded(ctx) for ctx in model.contexts()]
+        assert values == [oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()]
         return values
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -365,9 +367,9 @@ def chunked_models():
     for shape in CHUNKED_SHAPES:
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(3))
-        u = build_unified(model)
         contexts = model.contexts()[::3]
-        cases.append((u, contexts, [expectation_unified_expanded(u, c) for c in contexts]))
+        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
+        cases.append((model, contexts, [expanded(c) for c in contexts]))
     return cases
 
 
@@ -375,9 +377,10 @@ class TestBlocks:
     @pytest.mark.parametrize("budget", [1, 7, 4096])
     @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES)))
     def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
-        u, contexts, expected = chunked_models[case]
+        model, contexts, expected = chunked_models[case]
         monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
-        assert [expectation_unified_expanded(u, c) for c in contexts] == expected
+        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
+        assert [expanded(c) for c in contexts] == expected
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
     @pytest.mark.parametrize("inner", [1, 3, 16])
@@ -424,9 +427,8 @@ class TestScalingOncePerModel:
         dedicated = correlation_set(model).as_tuple()
         scaled = counting(monkeypatch, unified, "_scaled_factors")
         moduli = counting(monkeypatch, unified, "_moduli")
-        report = unified.equivalence_report(model, dedicated, unified.DEFAULT_CELL_LIMIT)
+        report = unified.equivalence_report(model, dedicated, DEFAULT_CELL_LIMIT)
         assert (len(scaled), len(moduli)) == (5, 1)
-        u = build_unified(model)
         assert report.expanded == tuple(
-            oracles.expanded_scaled_oracle(u, ctx) for ctx in model.contexts()
+            oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
         )

@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 
 import oracles
 from bell_lab.models import ModelFormatError, Pmf, model_from_dict
+from bell_lab.chsh import certify_model
 from bell_lab.reduction import (
     IntervalPartition,
-    couple_settings,
+    _overlay,
     inverse_transform_partition,
     reduce_model,
-    verify_reduction,
 )
 
 F = Fraction
+
+
+def overlay_coupling(p_a: Pmf, p_b: Pmf) -> dict:
+    """Joint law of two pmfs driven by one shared uniform: the overlay of
+    their inverse-transform partitions, each refined interval's pair
+    weighted by its width."""
+    m = _overlay(inverse_transform_partition(p_a), inverse_transform_partition(p_b))
+    return dict(zip(m.pairs, m.widths()))
 
 
 @st.composite
@@ -85,23 +93,23 @@ class TestLocate:
 
 class TestCoupling:
     def test_trivial(self):
-        assert couple_settings(Pmf((F(1),)), Pmf((F(1),))) == {(0, 0): F(1)}
+        assert overlay_coupling(Pmf((F(1),)), Pmf((F(1),))) == {(0, 0): F(1)}
 
     def test_identical_partitions_are_diagonal(self):
         half = Pmf((F(1, 2), F(1, 2)))
-        assert couple_settings(half, half) == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+        assert overlay_coupling(half, half) == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
 
     def test_frozen_example(self):
-        joint = couple_settings(Pmf((F(3, 4), F(1, 4))), Pmf((F(1, 2), F(1, 2))))
+        joint = overlay_coupling(Pmf((F(3, 4), F(1, 4))), Pmf((F(1, 2), F(1, 2))))
         assert joint == {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 1): F(1, 4)}
 
     @given(pmfs(), pmfs())
     def test_matches_atom_oracle(self, p, q):
-        assert couple_settings(p, q) == oracles.couple_by_atoms(p.weights, q.weights)
+        assert overlay_coupling(p, q) == oracles.couple_by_atoms(p.weights, q.weights)
 
     @given(pmfs(), pmfs())
     def test_marginals_recovered(self, p, q):
-        joint = couple_settings(p, q)
+        joint = overlay_coupling(p, q)
         for index, weight in enumerate(p.weights):
             assert sum(
                 (w for (i, _), w in joint.items() if i == index), F(0)
@@ -157,17 +165,17 @@ class TestReduceModel:
 class TestVerifyReduction:
     def test_presets_equal(self, singleton, singleton_flip, perfect, noisy, random7):
         for model in (singleton, singleton_flip, perfect, noisy, random7):
-            report = verify_reduction(model)
+            report = certify_model(model).reduction
             assert report.equal
             assert report.original == report.reduced
 
     def test_campaign_equal(self, small_campaign):
         for model in small_campaign:
-            assert verify_reduction(model).equal
+            assert certify_model(model).reduction.equal
 
     def test_reduced_quadrature_matches_oracle(self, small_campaign):
         for model in small_campaign[:30]:
-            report = verify_reduction(model)
+            report = certify_model(model).reduction
             a0, a1 = model.alice_labels
             b0, b1 = model.bob_labels
             expected = tuple(

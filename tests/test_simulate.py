@@ -1,13 +1,21 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
+import bell_lab.models as models_module
 from bell_lab import simulate
 from bell_lab.exact import correlation_set
-from bell_lab.models import atomic_writer, model_from_dict, model_to_dict
+from bell_lab.models import (
+    InvalidModelError,
+    JointPmf,
+    atomic_writer,
+    model_from_dict,
+    model_to_dict,
+)
 from bell_lab.presets import PRESETS, noisy_readout_model
 from bell_lab.reduction import reduce_model
 from bell_lab.simulate import (
@@ -22,6 +30,7 @@ from bell_lab.simulate import (
     simulate_trials,
     verify_no_signalling,
 )
+from tests_support import counting
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -180,6 +189,48 @@ class TestSettingTie:
     def test_quantum_sends_tie_to_second_setting(self, tied_draws):
         a_set, b_set, _, _ = ledger_arrays(quantum_reference(OPTIMAL_ANGLES, 2, seed=0))
         assert a_set.tolist() == b_set.tolist() == [1, 1]
+
+
+class TestZeroSourceDraw:
+    """A source draw of exactly 0 selects the first pair of positive weight."""
+
+    @pytest.fixture
+    def zero_draws(self, monkeypatch):
+        """Every generator, the oracle's included, draws 0 in every column."""
+        generator = np.random.Generator
+
+        class ZeroGenerator:
+            def __init__(self, bit_generator):
+                self._rng = generator(bit_generator)
+
+            def integers(self, *args, **kwargs):
+                return np.zeros_like(self._rng.integers(*args, **kwargs))
+
+        monkeypatch.setattr(np.random, "Generator", ZeroGenerator)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroGenerator(np.random.PCG64(seed)))
+
+    def test_zero_weight_first_pair_never_drawn(self, zero_draws, noisy):
+        # Source pair (0, 0) has weight 0; the first real pair is (0, 1),
+        # where Alice's x reads +1 and Bob's y reads -1: code 2, not 3.
+        half = F(1, 2)
+        model = replace(noisy, source=JointPmf(((F(0), half), (half, F(0)))))
+        ledger = simulate_trials(model, 4, seed=0)
+        assert ledger.codes.tolist() == [2, 2, 2, 2]
+        expected = oracles.unchunked_trials_oracle(model, 4, seed=0)
+        for got, want in zip(ledger_arrays(ledger), expected):
+            assert np.array_equal(got, want)
+
+
+class TestValidation:
+    def test_simulate_trials_validates_once(self, monkeypatch, noisy):
+        calls = counting(monkeypatch, models_module, "validate_model")
+        simulate_trials(noisy, 10, seed=0)
+        assert len(calls) == 1
+
+    def test_invalid_model_rejected(self, noisy):
+        broken = replace(noisy, source=JointPmf(((F(1, 2), F(0)), (F(0), F(1, 4)))))
+        with pytest.raises(InvalidModelError, match="source"):
+            simulate_trials(broken, 10, seed=0)
 
 
 class TestEmpiricalChsh:

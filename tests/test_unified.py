@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bell_lab.exact import expectation_in_context
-from bell_lab.models import Context
+from bell_lab.chsh import certify_model
+from bell_lab.exact import correlation_set
+from bell_lab.models import Context, InvalidModelError
 from bell_lab.unified import (
+    DEFAULT_CELL_LIMIT,
     SizeExceededError,
-    build_unified,
+    _cell_count,
+    _expanded_route,
     counterfactuals,
+    equivalence_report,
     expectation_unified,
-    expectation_unified_expanded,
-    verify_equivalence,
 )
 from tests_support import alter_local, alter_pmf
 
@@ -20,9 +22,9 @@ HALF = Fraction(1, 2)
 
 class TestConstruction:
     def test_sizes(self, singleton, perfect, noisy):
-        assert build_unified(singleton).size == 1
-        assert build_unified(perfect).size == 4
-        assert build_unified(noisy).size == 64
+        assert _cell_count(singleton) == 1
+        assert _cell_count(perfect) == 4
+        assert _cell_count(noisy) == 64
 
     def test_total_mass_one(self, small_campaign):
         # With every table at +1 each context's product is 1 on every
@@ -32,72 +34,67 @@ class TestConstruction:
                 for label, local in settings.items():
                     ones = ((1,) * local.table.cols,) * local.table.rows
                     model = alter_local(model, side, label, table=ones)
-            u = build_unified(model)
+            expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
             for ctx in model.contexts():
-                assert expectation_unified_expanded(u, ctx) == 1
+                assert expanded(ctx) == 1
 
 
 class TestSizeGuard:
     def test_expanded_expectation_guarded(self, noisy):
-        u = build_unified(noisy, cell_limit=10)
         with pytest.raises(SizeExceededError) as err:
-            expectation_unified_expanded(u, Context("x", "y"))
+            _expanded_route(noisy, 10)
         assert err.value.size == 64 and err.value.limit == 10
 
     def test_factored_route_unaffected(self, noisy):
-        u = build_unified(noisy, cell_limit=10)
-        assert expectation_unified(u, Context("x", "y")) == HALF
+        # The factored route takes no cell limit: it never expands.
+        assert expectation_unified(noisy, Context("x", "y")) == HALF
 
     def test_verify_equivalence_propagates_guard(self, noisy):
+        dedicated = correlation_set(noisy).as_tuple()
         with pytest.raises(SizeExceededError):
-            verify_equivalence(noisy, cell_limit=10)
+            equivalence_report(noisy, dedicated, cell_limit=10)
 
 
 class TestExpectations:
     def test_noisy_first_context(self, noisy):
-        u = build_unified(noisy)
-        assert expectation_unified(u, Context("x", "y")) == HALF
-        assert expectation_unified_expanded(u, Context("x", "y")) == HALF
+        assert expectation_unified(noisy, Context("x", "y")) == HALF
+        assert _expanded_route(noisy, DEFAULT_CELL_LIMIT)(Context("x", "y")) == HALF
 
     def test_perfect_all_contexts(self, perfect):
-        u = build_unified(perfect)
-        values = tuple(expectation_unified(u, ctx) for ctx in perfect.contexts())
+        values = tuple(expectation_unified(perfect, ctx) for ctx in perfect.contexts())
         assert values == (1, -1, 0, 0)
 
     def test_both_routes_match_dedicated(self, small_campaign):
         for model in small_campaign[:60]:
-            u = build_unified(model)
-            for ctx in model.contexts():
-                dedicated = expectation_in_context(model, ctx)
-                assert expectation_unified(u, ctx) == dedicated
-                assert expectation_unified_expanded(u, ctx) == dedicated
+            expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
+            dedicated = correlation_set(model).as_tuple()
+            assert tuple(expectation_unified(model, ctx) for ctx in model.contexts()) == dedicated
+            assert tuple(expanded(ctx) for ctx in model.contexts()) == dedicated
 
     def test_remote_pmf_is_invisible(self, noisy):
         # The first context never reads Bob's second local space.
         reshaped = alter_pmf(noisy, "bob", "y'", (Fraction(1, 4), Fraction(3, 4)))
-        u_before = build_unified(noisy)
-        u_after = build_unified(reshaped)
         ctx = Context("x", "y")
-        assert expectation_unified(u_before, ctx) == expectation_unified(u_after, ctx)
+        assert expectation_unified(noisy, ctx) == expectation_unified(reshaped, ctx)
 
 
 class TestCounterfactuals:
     def test_singleton(self, singleton):
-        assert counterfactuals(build_unified(singleton)).as_tuple() == (1, 1, 1)
+        assert counterfactuals(singleton).as_tuple() == (1, 1, 1)
 
     def test_flip(self, singleton_flip):
-        cf = counterfactuals(build_unified(singleton_flip))
+        cf = counterfactuals(singleton_flip)
         assert cf.alice_pair == -1
 
     def test_perfect(self, perfect):
-        cf = counterfactuals(build_unified(perfect))
+        cf = counterfactuals(perfect)
         assert cf.as_tuple() == (0, -1, 0)
 
     def test_matches_full_product_oracle(self, small_campaign):
         for model in small_campaign[:40]:
             a0, a1 = model.alice_labels
             b0, b1 = model.bob_labels
-            cf = counterfactuals(build_unified(model))
+            cf = counterfactuals(model)
             assert cf.alice_pair == oracles.product_mean(
                 model, [("alice", a0), ("alice", a1)]
             )
@@ -111,23 +108,29 @@ class TestCounterfactuals:
 
     def test_bounds(self, small_campaign):
         for model in small_campaign[:40]:
-            for value in counterfactuals(build_unified(model)).as_tuple():
+            for value in counterfactuals(model).as_tuple():
                 assert -1 <= value <= 1
 
     def test_no_guard_in_factor_aware_route(self, noisy):
-        # Counterfactuals never expand the product, so a tight cell limit
-        # does not stop them.
-        cf = counterfactuals(build_unified(noisy, cell_limit=1))
-        assert cf.as_tuple() == (0, -1, 0)
+        # Counterfactuals never expand the product: they take no cell limit
+        # and still run where the expanded route refuses one cell.
+        with pytest.raises(SizeExceededError):
+            _expanded_route(noisy, 1)
+        assert counterfactuals(noisy).as_tuple() == (0, -1, 0)
+
+    def test_invalid_model_rejected(self, noisy):
+        broken = alter_local(noisy, "alice", "x", table=((1, 1),))
+        with pytest.raises(InvalidModelError):
+            counterfactuals(broken)
 
 
 class TestEquivalence:
     def test_presets_equal(self, singleton, singleton_flip, perfect, noisy, random7):
         for model in (singleton, singleton_flip, perfect, noisy, random7):
-            report = verify_equivalence(model)
+            report = certify_model(model).equivalence
             assert report.equal
             assert report.dedicated == report.factored == report.expanded
 
     def test_campaign_equal(self, small_campaign):
         for model in small_campaign:
-            assert verify_equivalence(model).equal
+            assert certify_model(model).equivalence.equal
