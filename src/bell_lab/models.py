@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import re
 from contextlib import contextmanager
@@ -31,6 +32,7 @@ RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 DEFAULT_ALICE_LABELS = ("x", "x'")
 DEFAULT_BOB_LABELS = ("y", "y'")
+DECIMAL_DIGITS = 12  # significant digits of the decimal renderings
 
 
 class ModelFormatError(ValueError):
@@ -60,7 +62,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string like ``"-3"`` or ``"5/12"``."""
     if not isinstance(text, str) or RATIONAL_PATTERN.fullmatch(text) is None:
         raise ModelFormatError(f"invalid rational string {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # past the interpreter's integer-digit limit
+        raise ModelFormatError(f"rational string of {len(text)} characters: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -70,13 +75,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering of a rational to `digits` significant digits.
+def decimal_str(value: Fraction) -> str:
+    """Decimal rendering of a rational to `DECIMAL_DIGITS` significant digits.
 
     Convenience only; verdicts never depend on this rounding.
     """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return str(quotient)
 
@@ -94,13 +99,11 @@ def _scaled_factors(weights) -> tuple[list[int], int]:
 
 
 def _as_fraction(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"{where}: exact rational required, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    raise TypeError(f"{where}: expected Fraction or int, got {type(value).__name__}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"{where}: exact rational required, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,18 @@ class ResponseTable:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        coerced = tuple(tuple(int(v) for v in row) for row in self.values)
+        coerced = tuple(tuple(map(self._outcome, row)) for row in self.values)
         object.__setattr__(self, "values", coerced)
+
+    def _outcome(self, value) -> int:
+        """An entry as an int: numpy integers pass; bool, float and str do not."""
+        try:
+            if type(value) is not bool:
+                return operator.index(value)
+        except TypeError:
+            pass
+        where = f"{self.side}[{self.setting!r}].table"
+        raise TypeError(f"{where}: integer outcome required, got {value!r}")
 
     @property
     def rows(self) -> int:
@@ -382,13 +395,10 @@ def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
         table_doc = entry["table"]
         if not isinstance(table_doc, list) or not all(isinstance(r, list) for r in table_doc):
             raise ModelFormatError(f"{where}.table: expected an array of arrays")
-        for row in table_doc:
-            for v in row:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ModelFormatError(f"{where}.table: entries must be integers")
-        table = ResponseTable(
-            side=side, setting=label, values=tuple(tuple(r) for r in table_doc)
-        )
+        try:
+            table = ResponseTable(side=side, setting=label, values=table_doc)
+        except TypeError as exc:
+            raise ModelFormatError(str(exc)) from None
         settings[label] = LocalSetting(pmf=Pmf(weights), table=table)
     return settings
 
@@ -415,10 +425,10 @@ def load_model(path) -> ContextualModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        except (RecursionError, ValueError) as exc:  # also nesting and integer-digit limits
+            raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(doc)
 
 

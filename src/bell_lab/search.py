@@ -3,12 +3,11 @@
 Random sampling and hill climbing score each candidate with the exact
 dedicated-route correlations and the eight-pattern report, so large
 campaigns double as adversarial tests of the bound: any model scoring
-above 2 would be an engine bug, surfaced loudly.  Candidates are not
-revalidated when scored.  `random_model` and the hill-climb moves
-(`_neighbors`) build valid models by construction, and the tests check
-every model they yield.  Validation happens where a model comes in from
-outside: `hill_climb(start=...)` validates its start, and the CLI
-certifies the winner through `certify_lhv_bound`, which validates it.
+above 2 would be an engine bug, surfaced loudly.  Candidates are never
+validated: `random_model` and the hill-climb moves (`_neighbors`) build
+valid models by construction, and the tests check every model they yield.
+The CLI certifies the winner through `certify_lhv_bound`, which validates
+it.
 
 Exhaustive search answers its question without a sweep.  The correlations
 of a contextual LHV model are a mixture of those of the 16 deterministic
@@ -39,7 +38,6 @@ from .models import (
     LocalSetting,
     Pmf,
     ResponseTable,
-    require_valid,
 )
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -272,7 +270,7 @@ def _neighbors(model: ContextualModel, step: Fraction):
     yield from _pmf_neighbors(model, step)
 
 
-def hill_climb(spec: SearchSpec, start: ContextualModel | None = None) -> SearchResult:
+def hill_climb(spec: SearchSpec) -> SearchResult:
     """First-improvement local search with random restarts within budget.
 
     Moves: one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
@@ -280,16 +278,15 @@ def hill_climb(spec: SearchSpec, start: ContextualModel | None = None) -> Search
     at a local maximum the walk restarts from a fresh random model.  The
     budget counts score evaluations, including starts and restarts.
 
-    Only `start` is validated.  Every neighbour and restart is valid by
+    The seeded start, every neighbour and every restart are valid by
     construction (moves keep each pmf's sum and non-negativity, flips keep
-    outcomes in {-1, +1}), so candidates are scored without revalidation.
+    outcomes in {-1, +1}), so candidates are scored without validation.
     """
     if spec.mode is not SearchMode.HILL_CLIMB:
         raise ValueError(f"mode {spec.mode.value} is not hill-climb")
     rng = random.Random(spec.seed)
     step = Fraction(1, DEFAULT_MAX_DENOMINATOR)
-    current = start if start is not None else random_model(spec, rng)
-    require_valid(current)
+    current = random_model(spec, rng)
     current_score = _score(current)
     evaluated = 1
     best_model, best_score = current, current_score

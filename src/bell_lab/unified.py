@@ -7,8 +7,9 @@ weight and the four local weights.  No object holds the space: every
 route reads the model's five factors directly.  The factored route and
 the counterfactuals integrate the unread factors out in Fraction
 arithmetic, so they share no scaling code with the dedicated and expanded
-routes.  The expanded route sums one integer term per cell, behind a
-cell-count guard; `_expanded_route` states why that sum is exact.
+routes.  The expanded route sums one integer term per cell modulo coprime
+moduli, behind a cell-count guard; `_expanded_route` states why that sum
+is exact.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -20,7 +21,7 @@ well-defined exact expectations; those are the counterfactuals.
 from __future__ import annotations
 
 import itertools
-import threading
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,66 +81,27 @@ def expectation_unified(model: ContextualModel, ctx: Context) -> Fraction:
     return total
 
 
-# Largest number of int64 terms one block of the expanded sum holds, primes
+# Largest number of int64 terms one block of the expanded sum holds, moduli
 # included.  Bob's two local axes are never split, so a block holds at least
-# k * |y| * |y'| terms.  Terms are below 2^31, so a block's per-prime sum
+# k * |y| * |y'| terms.  Terms are below 2^31, so a block's per-modulus sum
 # fits in int64 while the block has fewer than 2^32 cells.
 _BLOCK_ELEMENTS = 1 << 14
 
-# Primes below 2^31, largest first, found on first use: a product of two
-# residues then fits in int64.
-_PRIME_CEILING = 1 << 31
-_PRIMES: list[int] = []
-_PRIMES_LOCK = threading.Lock()
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, bases 2, 3, 5, 7: exact below 3,215,031,751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _descending_primes():
-    """Yield the primes below 2^31 in descending order, extending the cache."""
-    index = 0
-    while True:
-        with _PRIMES_LOCK:  # two threads must not append the same prime
-            if index == len(_PRIMES):
-                n = _PRIMES[-1] - 2 if _PRIMES else _PRIME_CEILING - 1
-                while not _is_prime(n):
-                    n -= 2
-                _PRIMES.append(n)
-        yield _PRIMES[index]
-        index += 1
-
 
 def _moduli(bound: int) -> tuple[list[int], int]:
-    """The fewest largest primes below 2^31 whose product m exceeds 2 * bound."""
-    primes, m = [], 1
-    for p in _descending_primes():
-        if m > 2 * bound:
-            break
-        primes.append(p)
-        m *= p
-    return primes, m
+    """Coprime odd moduli below 2^31 whose product m exceeds 2 * bound.
+
+    Keeps each odd number from 2^31 - 1 down that is coprime to the product
+    so far: the CRT needs coprime moduli, not primes, and a product of two
+    residues below 2^31 fits in int64.
+    """
+    moduli, m, q = [], 1, (1 << 31) - 1
+    while m <= 2 * bound:
+        if math.gcd(q, m) == 1:
+            moduli.append(q)
+            m *= q
+        q -= 2
+    return moduli, m
 
 
 def _blocks(shape, inner: int, cap: int):
@@ -164,13 +126,13 @@ def _blocks(shape, inner: int, cap: int):
             yield (*head, slice(start, start + step), *tail)
 
 
-def _residues(nums, primes) -> np.ndarray:
-    """Integer numerators modulo each prime: shape (k, len(nums)), int64."""
-    return np.array([[n % p for n in nums] for p in primes], dtype=np.int64)
+def _residues(nums, moduli) -> np.ndarray:
+    """Integer numerators modulo each modulus: shape (k, len(nums)), int64."""
+    return np.array([[n % q for n in nums] for q in moduli], dtype=np.int64)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod p elementwise, for entries in [0, p); axis 0 runs over the primes p."""
+    """a * b mod p elementwise, for entries in [0, p); axis 0 runs over the moduli p."""
     out = a * b
     out %= p.reshape(-1, *(1,) * (out.ndim - 1))
     return out
@@ -179,8 +141,8 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _local_axes(settings, read: LocalSetting, residues, p: np.ndarray) -> list[np.ndarray]:
     """One side's two local factors at every source index, shape (k, n_src, n).
 
-    `residues` holds each setting's pmf numerators modulo the primes, shape
-    (k, 1, n), in declared setting order, and `p` the primes on axis 0; the
+    `residues` holds each setting's pmf numerators modulo the moduli, shape
+    (k, 1, n), in declared setting order, and `p` the moduli on axis 0; the
     axis the context reads also carries the response value, so a cell's
     product picks it up once.
     """
@@ -209,11 +171,12 @@ def _expanded_route(model: ContextualModel, cell_limit: int):
     - The absolute terms sum to exactly D, the product of the five factor
       denominators (each factor's numerators sum to its denominator and
       A, B are +-1), so |total| <= D.
-    - The terms are summed modulo the k largest primes below 2^31 whose
-      product m exceeds 2D, all k primes on the leading axis of one int64
+    - The terms are summed modulo k pairwise coprime odd numbers below
+      2^31, taken greedily from 2^31 - 1 down until their product m
+      exceeds 2D (`_moduli`), all k moduli on the leading axis of one int64
       array, reducing after every product so two residues never overflow.
     - The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
-      (one Bob (ly, ly') grid per prime when that alone is larger), so
+      (one Bob (ly, ly') grid per modulus when that alone is larger), so
       memory does not grow with the number of cells.
     - The Chinese remainder theorem rebuilds the total modulo m in Python
       integers; re-centred to (-m/2, m/2] it is the exact total, returned
@@ -229,17 +192,17 @@ def _expanded_route(model: ContextualModel, cell_limit: int):
     }
     for _, d in itertools.chain(*scaled.values()):
         denom *= d
-    primes, m = _moduli(denom)
-    p = np.array(primes, dtype=np.int64)
-    k = len(primes)
+    moduli, m = _moduli(denom)
+    p = np.array(moduli, dtype=np.int64)
+    k = len(moduli)
     rows, cols = model.source.rows, model.source.cols
-    src = _residues(source, primes).reshape(k, rows, cols)
+    src = _residues(source, moduli).reshape(k, rows, cols)
     residues = {
-        side: [_residues(nums, primes)[:, None, :] for nums, _ in factors]
+        side: [_residues(nums, moduli)[:, None, :] for nums, _ in factors]
         for side, factors in scaled.items()
     }
     p_axes = p[:, None, None]
-    crt = [m // q * pow(m // q, -1, q) for q in primes]
+    crt = [m // q * pow(m // q, -1, q) for q in moduli]
 
     def expectation(ctx: Context) -> Fraction:
         read_a, read_b = model.local("alice", ctx.alice), model.local("bob", ctx.bob)

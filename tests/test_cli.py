@@ -431,9 +431,45 @@ class TestSimulate:
             assert names == ["histogram.csv", "ledger.csv", "summary.json"]
 
 
+def _unreadable_models() -> dict[str, str]:
+    """Model files that `json.load` or `Fraction` cannot read: nesting past
+    the recursion limit, and numbers past the integer-digit limit."""
+    doc = model_to_dict(noisy_readout_model())
+    doc["alice"]["x"]["table"][0][0] = "LONG"
+    long_integer = json.dumps(doc).replace('"LONG"', "1" * 4301)
+    doc["alice"]["x"]["pmf"][0] = "1" * 4301
+    return {
+        "nested.json": "[" * 100_000 + "]" * 100_000,
+        "long_integer.json": long_integer,
+        "long_rational.json": json.dumps(doc),
+    }
+
+
+UNREADABLE = _unreadable_models()
+
+
+class TestUnreadableModel:
+    @pytest.mark.parametrize("command", ["check", "certify", "simulate"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_input_error(self, capsys, tmp_path, name, command):
+        path = tmp_path / name
+        path.write_text(UNREADABLE[name], encoding="utf-8")
+        out_dir = tmp_path / "run"
+        argv = [command, "--model", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(out_dir)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert_input_error(err)
+        assert not out_dir.exists()
+
+
 # Repeated entries, here and below, weight the draws towards inputs that
 # get past parsing.
-MODEL_FILES = ("valid.json",) * 4 + ("invalid.json", "utf16.json", "garbage.json", "absent.json")
+MODEL_FILES = ("valid.json",) * 4 + (
+    "invalid.json", "utf16.json", "garbage.json", "absent.json", *UNREADABLE
+)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +481,8 @@ def fuzz_root(tmp_path_factory):
     (root / "invalid.json").write_text(json.dumps(doc), encoding="utf-8")
     (root / "utf16.json").write_bytes(b"\xff\xfe{}")
     (root / "garbage.json").write_text("{not json", encoding="utf-8")
+    for name, text in UNREADABLE.items():
+        (root / name).write_text(text, encoding="utf-8")
     return root
 
 

@@ -4,25 +4,21 @@ Every kernel that sums integer numerators over a common denominator is
 compared, for exact rational equality, with its old loop in `oracles.py`
 on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
-The multi-modular expanded route also gets its prime supply, its choice
-of moduli, its re-centring and its block walk checked on their own.
+The multi-modular expanded route also gets its choice of moduli, its
+re-centring and its block walk checked on their own.
 The dedicated and expanded routes are also checked to scale each of the
 five factors once per model rather than once per context.
 """
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -44,9 +40,7 @@ from bell_lab.simulate import outcome_distribution
 from bell_lab.unified import (
     DEFAULT_CELL_LIMIT,
     _blocks,
-    _descending_primes,
     _expanded_route,
-    _is_prime,
     _moduli,
 )
 from tests_support import counting
@@ -207,14 +201,6 @@ class TestKernelOracles:
         assert_kernels_match_oracles(build_model(source, locals_[:2], locals_[2:], random.Random(seed)))
 
 
-def is_prime_by_trial_division(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
-
-
 def denominator_product(model: ContextualModel) -> int:
     """D: the product of the five factors' least common denominators."""
     d = math.lcm(*[w.denominator for w in model.source.flattened()])
@@ -259,70 +245,30 @@ def map_tables(model: ContextualModel, alice, bob) -> ContextualModel:
     )
 
 
-class TestPrimeSupply:
-    def test_first_64_agree_with_trial_division(self):
-        candidates = range(2**31 - 1, 2**30, -2)
-        expected = list(itertools.islice(filter(is_prime_by_trial_division, candidates), 64))
-        assert list(itertools.islice(_descending_primes(), 64)) == expected
-        assert expected[0] == 2**31 - 1
+MODULUS_CEILING = 2**31
 
-    def test_threads_extend_the_cache_once(self, monkeypatch):
-        monkeypatch.setattr(unified, "_PRIMES", [])
-        expected = list(itertools.islice(_descending_primes(), 48))
-        monkeypatch.setattr(unified, "_PRIMES", [])
-        results = []
 
-        def take():
-            results.append(list(itertools.islice(_descending_primes(), 48)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=take) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [expected] * 8
-        assert unified._PRIMES == expected
-
-    def test_small_numbers_agree_with_trial_division(self):
-        assert [n for n in range(500) if _is_prime(n)] == [
-            n for n in range(500) if is_prime_by_trial_division(n)
-        ]
-
-    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
-    def test_fewer_bases_would_pass_a_composite(self, n):
-        # The least strong pseudoprimes to bases {2}, {2, 3} and {2, 3, 5}.
-        assert not is_prime_by_trial_division(n)
-        assert not _is_prime(n)
-
-    def test_witnesses_are_exact_below_the_ceiling(self):
-        # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to
-        # bases 2, 3, 5 and 7 together; every candidate prime lies below 2^31.
-        assert _is_prime(3_215_031_751) and not is_prime_by_trial_division(3_215_031_751)
-        assert unified._PRIME_CEILING < 3_215_031_751
-
-    def test_import_does_no_prime_work(self):
-        src = os.path.dirname(os.path.dirname(unified.__file__))
-        code = "import bell_lab, bell_lab.unified as u; print(len(u._PRIMES))"
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout == "0\n"
-
-    @pytest.mark.parametrize(
-        "bound", [1, 2, 2**30, 2**31, 2**62, 2**62 + 1, 3**400, 2**1351 - 1]
-    )
-    def test_moduli_are_the_fewest_largest_primes(self, bound):
-        primes, m = _moduli(bound)
-        assert primes == list(itertools.islice(_descending_primes(), len(primes)))
-        assert m == math.prod(primes) > 2 * bound
-        assert math.prod(primes[:-1]) <= 2 * bound
+class TestModuli:
+    @given(st.integers(1, 2**1351 - 1))
+    @example(1)
+    @example(2)
+    @example(2**30)
+    @example(2**31)
+    @example(2**62)
+    @example(2**62 + 1)
+    @example(3**400)
+    @example(2**1351 - 1)
+    def test_greedy_coprime_walk(self, bound):
+        moduli, m = _moduli(bound)
+        assert moduli[0] == MODULUS_CEILING - 1
+        assert all(q % 2 == 1 and q < MODULUS_CEILING for q in moduli)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+        assert m == math.prod(moduli) > 2 * bound
+        assert math.prod(moduli[:-1]) <= 2 * bound
+        kept = set(moduli)
+        for n in range(moduli[0], moduli[-1], -2):
+            if n not in kept:
+                assert any(math.gcd(n, q) > 1 for q in moduli if q > n), n
 
 
 class TestMultiModularExpanded:

@@ -1,7 +1,9 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +134,26 @@ class TestValidation:
     def test_campaign_models_all_valid(self, small_campaign):
         for model in small_campaign:
             assert validate_model(model) == []
+
+
+class TestEntryTypes:
+    @pytest.mark.parametrize("value", [1.9, -1.5, True, "1"])
+    def test_non_integer_entry_named(self, value):
+        expected = f"alice['x'].table: integer outcome required, got {value!r}"
+        with pytest.raises(TypeError, match=re.escape(expected)):
+            ResponseTable(side="alice", setting="x", values=((1, -1), (value, 1)))
+
+    @pytest.mark.parametrize("value", [0.5, True, "1/2"])
+    def test_pmf_weights_must_be_exact(self, value):
+        expected = f"pmf weight: exact rational required, got {value!r}"
+        with pytest.raises(TypeError, match=re.escape(expected)):
+            Pmf((Fraction(1, 2), value))
+
+    def test_numpy_integers_become_ints(self):
+        values = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        table = ResponseTable(side="bob", setting="y", values=values)
+        assert table.values == ((1, -1), (-1, 1))
+        assert {type(v) for row in table.values for v in row} == {int}
 
 
 class TestContexts:

@@ -252,23 +252,27 @@ class TestRandomModel:
 
 
 class TestHillClimb:
-    def test_budget_one_returns_start_evaluation(self, singleton):
-        spec = SearchSpec(cardinalities=TINY, mode=SearchMode.HILL_CLIMB, seed=7)
-        result = hill_climb(spec, start=singleton)
+    def test_budget_one_returns_start_evaluation(self):
+        spec = SearchSpec(cardinalities=SMALL, mode=SearchMode.HILL_CLIMB, seed=7)
+        start = random_model(spec, random.Random(7))
+        result = hill_climb(spec)
         assert result.evaluated == 1
-        assert result.best_model == singleton
-        assert result.best_s_max == 2
+        assert result.best_model == start
+        assert result.best_s_max == exact_s_max(start)
+        assert result.improvements == ((1, result.best_s_max),)
         assert result.rng_algorithm == RNG_ALGORITHM
 
-    def test_converges_from_singleton(self, singleton):
+    def test_converges_from_singleton(self):
+        # The seeded start at the singleton shape is one deterministic strategy.
         spec = SearchSpec(
             cardinalities=(1, 1, 1, 1, 1, 1),
             mode=SearchMode.HILL_CLIMB,
             seed=7,
             budget=200,
         )
-        result = hill_climb(spec, start=singleton)
+        result = hill_climb(spec)
         assert result.best_s_max == 2
+        assert result.evaluated == 200
 
     def test_deterministic(self):
         spec = SearchSpec(
@@ -355,23 +359,22 @@ class TestMovesStayValid:
 
 
 class TestValidationCount:
-    def test_hill_climb_validates_only_its_start(self, monkeypatch):
+    def test_hill_climb_validates_nothing(self, monkeypatch):
         calls = counting(monkeypatch, models_module, "validate_model")
         spec = SearchSpec(
             cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=300
         )
         result = hill_climb(spec)
         assert result.evaluated == 300
-        assert len(calls) == 1
+        assert calls == []
 
-    def test_cli_hill_climb_validates_start_and_winner(self, monkeypatch, capsys):
+    def test_cli_hill_climb_validates_only_the_winner(self, monkeypatch, capsys):
         calls = counting(monkeypatch, models_module, "validate_model")
         argv = ["search", "--mode", "hill-climb", "--budget", "300",
                 "--cardinalities", "2,2,2,2,2,2", "--seed", "0"]
         assert cli.main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(calls) == 2
-        assert calls[-1] == (model_from_dict(doc["best_model"]),)
+        assert calls == [(model_from_dict(doc["best_model"]),)]
 
 
 class TestRandomSampling:
