@@ -248,6 +248,32 @@ def map_tables(model: ContextualModel, alice, bob) -> ContextualModel:
 MODULUS_CEILING = 2**31
 
 
+def largest_primes(count: int) -> list[int]:
+    """The `count` largest primes below 2^31, by trial division."""
+    def is_prime(n):
+        return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    candidates = range(MODULUS_CEILING - 1, 2, -2)
+    return list(itertools.islice(filter(is_prime, candidates), count))
+
+
+class TestPrimeSupply:
+    """The coprime walk against the supply it replaced: the largest primes below 2^31."""
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 2**30, 2**31, 2**62, 2**62 + 1, 3**400, 2**1351 - 1]
+    )
+    def test_moduli_are_the_fewest_largest_primes(self, bound):
+        # Every prime above 2^31 / 3 is kept by the walk, so its i-th modulus
+        # is at least the i-th prime, and it needs exactly as many moduli as
+        # the fewest largest primes whose product exceeds 2 * bound.
+        moduli, m = _moduli(bound)
+        primes = largest_primes(len(moduli))
+        assert all(q >= p for q, p in zip(moduli, primes, strict=True))
+        assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+        assert m == math.prod(moduli) > 2 * bound >= math.prod(moduli[:-1])
+
+
 class TestModuli:
     @given(st.integers(1, 2**1351 - 1))
     @example(1)
