@@ -16,7 +16,7 @@ from .chsh import (
     certify_model,
     chsh_from_correlations,
 )
-from .exact import CorrelationSet, correlation_set
+from .exact import CorrelationSet, correlation_set, verify_no_signalling
 from .models import (
     Context,
     ContextualModel,
@@ -60,7 +60,6 @@ from .simulate import (
     no_signalling_report,
     quantum_reference,
     simulate_trials,
-    verify_no_signalling,
 )
 from .unified import (
     CounterfactualSet,

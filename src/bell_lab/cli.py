@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .chsh import BoundViolationError, certify_lhv_bound, certify_model
-from .exact import correlation_set
+from .exact import correlation_set, verify_no_signalling
 from .models import (
     InvalidModelError,
     ModelFormatError,
@@ -29,6 +29,7 @@ from .models import (
     validate_model,
 )
 from .search import (
+    DEFAULT_ASSIGNMENT_LIMIT,
     SearchLimitError,
     SearchMode,
     SearchSpec,
@@ -41,7 +42,6 @@ from .simulate import (
     no_signalling_report,
     quantum_reference,
     simulate_trials,
-    verify_no_signalling,
 )
 from .unified import DEFAULT_CELL_LIMIT, SizeExceededError
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--limit",
         type=int,
-        default=2**24,
+        default=DEFAULT_ASSIGNMENT_LIMIT,
         help="assignment-count limit for exhaustive mode",
     )
     search.add_argument("--out", help="write the result here instead of stdout")

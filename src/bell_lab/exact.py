@@ -10,6 +10,10 @@ The five factors (the source and the four local pmfs) are scaled once per
 model, and one integer loop serves every context.  ``correlation_set``
 validates the model first; ``_unchecked_correlation_set`` skips that for
 callers whose models are valid by construction (the search moves).
+
+The exact no-signalling check runs on the same loop: one side's outcome
+law in a context is the context expectation with the remote table set to
+all +1, so the remote pmf is still summed explicitly.
 """
 
 from __future__ import annotations
@@ -81,3 +85,65 @@ def correlation_set(model: ContextualModel) -> CorrelationSet:
     """Validate `model` once, then compute its four correlations."""
     require_valid(model)
     return _unchecked_correlation_set(model)
+
+
+def outcome_distribution(
+    model: ContextualModel, side: str, setting: str, remote: str
+) -> tuple[Fraction, Fraction]:
+    """Exact (P(+1), P(-1)) for one side's outcome in a full context.
+
+    The remote setting enters with its own pmf and an all +1 table, so the
+    result could in principle depend on it; the point of the check below
+    is that it never does.  The expectation E gives P(+/-1) = (1 +/- E)/2.
+    """
+    source = _scaled_factors(model.source.flattened())
+    own = _scaled_local(model.local(side, setting))
+    remote_side = "bob" if side == "alice" else "alice"
+    nums, den, table = _scaled_local(model.local(remote_side, remote))
+    ones = (nums, den, tuple((1,) * len(row) for row in table))
+    pair = (own, ones) if side == "alice" else (ones, own)
+    e = _context_expectation(model, source, *pair)
+    return ((1 + e) / 2, (1 - e) / 2)
+
+
+@dataclass(frozen=True)
+class ExactMarginalRow:
+    side: str
+    setting: str
+    remote_labels: tuple[str, str]
+    distributions: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    equal: bool
+
+
+@dataclass(frozen=True)
+class ExactNoSignallingReport:
+    rows: tuple[ExactMarginalRow, ...]
+    equal: bool
+
+
+def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
+    """Exact check: each side's outcome law is identical across the remote
+    setting, as rationals, for all four side/setting combinations."""
+    require_valid(model)
+    rows = []
+    for side, labels, remote_labels in (
+        ("alice", model.alice_labels, model.bob_labels),
+        ("bob", model.bob_labels, model.alice_labels),
+    ):
+        for setting in labels:
+            dists = tuple(
+                outcome_distribution(model, side, setting, remote)
+                for remote in remote_labels
+            )
+            rows.append(
+                ExactMarginalRow(
+                    side=side,
+                    setting=setting,
+                    remote_labels=tuple(remote_labels),
+                    distributions=dists,
+                    equal=dists[0] == dists[1],
+                )
+            )
+    return ExactNoSignallingReport(
+        rows=tuple(rows), equal=all(r.equal for r in rows)
+    )

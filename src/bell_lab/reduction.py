@@ -32,28 +32,35 @@ from .models import (
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Partition of [0,1) into consecutive intervals, one per support point.
+    """Partition of [0,1) into consecutive labelled intervals.
 
     breakpoints are strictly increasing from 0 to 1; interval i spans
     (breakpoints[i], breakpoints[i+1]], except the first which includes 0.
-    labels[i] is the support index the interval maps to.  Zero-weight
-    support points yield zero-width intervals, which are dropped; their
-    indices simply never appear in labels.
+    labels[i] is what interval i maps to: a support index for one pmf's
+    inverse transform, or a (first-setting, second-setting) index pair for
+    a side's overlay of two.  Zero-weight support points yield zero-width
+    intervals, which are dropped; their indices simply never appear in
+    labels.
     """
 
     breakpoints: tuple[Fraction, ...]
-    labels: tuple[int, ...]
+    labels: tuple[int | tuple[int, int], ...]
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.labels) + 1:
             raise ValueError("breakpoint/label count mismatch")
 
-    def locate(self, u: Fraction) -> int:
-        """Support index for a point of [0,1); boundaries go to the lower interval."""
+    def locate(self, u: Fraction) -> int | tuple[int, int]:
+        """Label for a point of [0,1); boundaries go to the lower interval."""
         if not 0 <= u < 1:
             raise ValueError(f"point {format_rational(Fraction(u))} outside [0, 1)")
         idx = bisect_left(self.breakpoints, u) - 1
         return self.labels[max(idx, 0)]
+
+    def widths(self) -> tuple[Fraction, ...]:
+        return tuple(
+            hi - lo for lo, hi in zip(self.breakpoints, self.breakpoints[1:])
+        )
 
 
 def inverse_transform_partition(pmf: Pmf) -> IntervalPartition:
@@ -72,49 +79,29 @@ def inverse_transform_partition(pmf: Pmf) -> IntervalPartition:
     return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class UniformMap:
-    """One side's refined partition: each interval fixes both local values.
-
-    pairs[i] gives (first-setting value index, second-setting value index)
-    for refined interval i, in the side's declared setting order.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-    def locate(self, u: Fraction) -> tuple[int, int]:
-        idx = bisect_left(self.breakpoints, u) - 1
-        return self.pairs[max(idx, 0)]
-
-    def widths(self) -> tuple[Fraction, ...]:
-        return tuple(
-            hi - lo for lo, hi in zip(self.breakpoints, self.breakpoints[1:])
-        )
-
-
-def _overlay(first: IntervalPartition, second: IntervalPartition) -> UniformMap:
-    """Common refinement of two partitions; each interval carries both labels.
+def _overlay(first: IntervalPartition, second: IntervalPartition) -> IntervalPartition:
+    """Common refinement of two partitions; each interval's label is the pair
+    (first label, second label).
 
     An interval's width is the weight of its label pair when one shared
     uniform drives both partitions, so the widths recover each partition's
     weights as marginals.
     """
     breakpoints = [Fraction(0)]
-    pairs = []
+    labels = []
     ia = ib = 0
     lo = Fraction(0)
     while ia < len(first.labels) and ib < len(second.labels):
         hi = min(first.breakpoints[ia + 1], second.breakpoints[ib + 1])
         if hi > lo:
             breakpoints.append(hi)
-            pairs.append((first.labels[ia], second.labels[ib]))
+            labels.append((first.labels[ia], second.labels[ib]))
         if first.breakpoints[ia + 1] == hi:
             ia += 1
         if second.breakpoints[ib + 1] == hi:
             ib += 1
         lo = hi
-    return UniformMap(breakpoints=tuple(breakpoints), pairs=tuple(pairs))
+    return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -122,8 +109,8 @@ class ReducedModel:
     """Original source and tables; local randomness replaced by two uniforms."""
 
     base: ContextualModel
-    alice_map: UniformMap
-    bob_map: UniformMap
+    alice_map: IntervalPartition
+    bob_map: IntervalPartition
 
 
 def reduce_model(model: ContextualModel) -> ReducedModel:
@@ -141,12 +128,12 @@ def reduce_model(model: ContextualModel) -> ReducedModel:
     return ReducedModel(base=model, alice_map=alice_map, bob_map=bob_map)
 
 
-def _interval_means(uniform_map: UniformMap, table, slot: int) -> tuple[list[int], int]:
+def _interval_means(uniform_map: IntervalPartition, table, slot: int) -> tuple[list[int], int]:
     """Per source index, the width-weighted response over refined intervals,
     as integer numerators over the widths' common denominator."""
     widths, d = _scaled_factors(uniform_map.widths())
     means = [
-        sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.pairs))
+        sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
         for row in table
     ]
     return means, d

@@ -16,8 +16,8 @@ trial.  numpy's PCG64 `integers` fills rows in stream order, so the
 chunked stream is identical to one whole-run block draw and the ledger
 bytes do not depend on the chunk size.
 
-Floats appear in this module's estimates and z-scores only; the
-no-signalling marginal check at the bottom is exact rational arithmetic.
+Floats appear in this module's estimates and z-scores only; the exact
+no-signalling check lives in `exact`.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .chsh import CHSH_PATTERNS
-from .models import ContextualModel, Pmf, _scaled_factors, atomic_writer, require_valid
+from .models import ContextualModel, Pmf, atomic_writer
 from .reduction import inverse_transform_partition, reduce_model
 
 U_BITS = 53
@@ -166,8 +165,8 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     source_labels = np.array(source_map.labels, dtype=np.int64)
     alice_map_k = _thresholds(reduced.alice_map.breakpoints)
     bob_map_k = _thresholds(reduced.bob_map.breakpoints)
-    alice_pairs = np.array(reduced.alice_map.pairs, dtype=np.int64)
-    bob_pairs = np.array(reduced.bob_map.pairs, dtype=np.int64)
+    alice_pairs = np.array(reduced.alice_map.labels, dtype=np.int64)
+    bob_pairs = np.array(reduced.bob_map.labels, dtype=np.int64)
 
     def table_stack(settings, labels):
         depth = max(s.pmf.size for s in settings.values())
@@ -369,80 +368,4 @@ def no_signalling_report(ledger: TrialLedger) -> NoSignallingReport:
                 )
     return NoSignallingReport(
         rows=tuple(rows), max_abs_z=max(abs(r.z) for r in rows)
-    )
-
-
-def outcome_distribution(
-    model: ContextualModel, side: str, setting: str, remote: str
-) -> tuple[Fraction, Fraction]:
-    """Exact (P(+1), P(-1)) for one side's outcome in a full context.
-
-    The remote side's local pmf is summed explicitly rather than being
-    marginalized away, so the result could in principle depend on the
-    remote setting; the point of the check below is that it never does.
-    Weights are integer numerators over each pmf's common denominator,
-    divided out once at the end.
-    """
-    local = model.local(side, setting)
-    remote_local = model.local("bob" if side == "alice" else "alice", remote)
-    own_pmf, own_den = _scaled_factors(local.pmf.weights)
-    remote_pmf, remote_den = _scaled_factors(remote_local.pmf.weights)
-    source, source_den = _scaled_factors(model.source.flattened())
-    cols = model.source.cols
-    p_plus = 0
-    total_mass = 0
-    for l1 in range(model.source.rows):
-        for l2 in range(cols):
-            w_src = source[l1 * cols + l2]
-            own_row = local.table.values[l1 if side == "alice" else l2]
-            for k, w_loc in enumerate(own_pmf):
-                for w_rem in remote_pmf:
-                    w = w_src * w_loc * w_rem
-                    total_mass += w
-                    if own_row[k] == 1:
-                        p_plus += w
-    denom = source_den * own_den * remote_den
-    return (Fraction(p_plus, denom), Fraction(total_mass - p_plus, denom))
-
-
-@dataclass(frozen=True)
-class ExactMarginalRow:
-    side: str
-    setting: str
-    remote_labels: tuple[str, str]
-    distributions: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    equal: bool
-
-
-@dataclass(frozen=True)
-class ExactNoSignallingReport:
-    rows: tuple[ExactMarginalRow, ...]
-    equal: bool
-
-
-def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
-    """Exact check: each side's outcome law is identical across the remote
-    setting, as rationals, for all four side/setting combinations."""
-    require_valid(model)
-    rows = []
-    for side, labels, remote_labels in (
-        ("alice", model.alice_labels, model.bob_labels),
-        ("bob", model.bob_labels, model.alice_labels),
-    ):
-        for setting in labels:
-            dists = tuple(
-                outcome_distribution(model, side, setting, remote)
-                for remote in remote_labels
-            )
-            rows.append(
-                ExactMarginalRow(
-                    side=side,
-                    setting=setting,
-                    remote_labels=tuple(remote_labels),
-                    distributions=dists,
-                    equal=dists[0] == dists[1],
-                )
-            )
-    return ExactNoSignallingReport(
-        rows=tuple(rows), equal=all(r.equal for r in rows)
     )

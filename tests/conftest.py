@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from bell_lab.presets import (
-    frozen_random_model,
-    noisy_readout_model,
-    perfect_correlation_model,
-    singleton_flip_model,
-    singleton_model,
-)
 from bell_lab.search import SearchMode, SearchSpec, random_model
+from tests_support import PRESETS
 
 CAMPAIGN_SEED = 20260822
 
@@ -32,24 +26,24 @@ def small_campaign():
 
 @pytest.fixture
 def singleton():
-    return singleton_model()
+    return PRESETS["singleton"]()
 
 
 @pytest.fixture
 def singleton_flip():
-    return singleton_flip_model()
+    return PRESETS["singleton_flip"]()
 
 
 @pytest.fixture
 def perfect():
-    return perfect_correlation_model()
+    return PRESETS["perfect_correlation"]()
 
 
 @pytest.fixture
 def noisy():
-    return noisy_readout_model()
+    return PRESETS["noisy_readout"]()
 
 
 @pytest.fixture
 def random7():
-    return frozen_random_model()
+    return PRESETS["random_seed7"]()

@@ -283,7 +283,7 @@ def reduced_fraction_oracle(reduced: ReducedModel, ctx: Context) -> Fraction:
         a_mean = sum(
             (
                 w * a_table[l1][pair[a_slot]]
-                for w, pair in zip(a_widths, reduced.alice_map.pairs)
+                for w, pair in zip(a_widths, reduced.alice_map.labels)
             ),
             Fraction(0),
         )
@@ -293,7 +293,7 @@ def reduced_fraction_oracle(reduced: ReducedModel, ctx: Context) -> Fraction:
             b_mean = sum(
                 (
                     w * b_table[l2][pair[b_slot]]
-                    for w, pair in zip(b_widths, reduced.bob_map.pairs)
+                    for w, pair in zip(b_widths, reduced.bob_map.labels)
                 ),
                 Fraction(0),
             )
@@ -377,8 +377,8 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):
     src = np.searchsorted(source_k, draws[:, 2], side="left")
     positive = np.flatnonzero([w > 0 for w in source])
     src = positive[np.searchsorted(positive, src, side="left")]
-    alice_pairs = np.array(reduced.alice_map.pairs, dtype=np.int64)
-    bob_pairs = np.array(reduced.bob_map.pairs, dtype=np.int64)
+    alice_pairs = np.array(reduced.alice_map.labels, dtype=np.int64)
+    bob_pairs = np.array(reduced.bob_map.labels, dtype=np.int64)
     alice_k = _thresholds(reduced.alice_map.breakpoints)
     bob_k = _thresholds(reduced.bob_map.breakpoints)
     local_a = alice_pairs[np.searchsorted(alice_k, draws[:, 3], side="left"), a_set]

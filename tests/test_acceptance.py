@@ -17,7 +17,6 @@ from conftest import campaign_models
 from bell_lab.chsh import certify_lhv_bound, certify_model
 from bell_lab.cli import main
 from bell_lab.models import save_model
-from bell_lab.presets import PRESETS
 from bell_lab.search import (
     SearchMode,
     SearchSpec,
@@ -29,9 +28,9 @@ from bell_lab.simulate import (
     no_signalling_report,
     quantum_reference,
     simulate_trials,
-    verify_no_signalling,
 )
-from bell_lab.exact import correlation_set
+from bell_lab.exact import correlation_set, verify_no_signalling
+from tests_support import PRESETS
 
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 

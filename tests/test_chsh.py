@@ -19,10 +19,9 @@ from bell_lab.chsh import (
 )
 from bell_lab.exact import CorrelationSet, correlation_set
 from bell_lab.models import InvalidModelError, model_hash
-from bell_lab.presets import PRESETS
 from bell_lab.reduction import reduction_report
 from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError, equivalence_report
-from tests_support import alter_local, counting
+from tests_support import PRESETS, alter_local, counting
 
 
 def flip_all_alice_tables(model):

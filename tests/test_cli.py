@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bell_lab import simulate
 from bell_lab.cli import main
 from bell_lab.models import model_to_dict, save_model
-from bell_lab.presets import noisy_readout_model
+from tests_support import PRESETS
 
 
 @pytest.fixture
@@ -434,7 +434,7 @@ class TestSimulate:
 def _unreadable_models() -> dict[str, str]:
     """Model files that `json.load` or `Fraction` cannot read: nesting past
     the recursion limit, and numbers past the integer-digit limit."""
-    doc = model_to_dict(noisy_readout_model())
+    doc = model_to_dict(PRESETS["noisy_readout"]())
     doc["alice"]["x"]["table"][0][0] = "LONG"
     long_integer = json.dumps(doc).replace('"LONG"', "1" * 4301)
     doc["alice"]["x"]["pmf"][0] = "1" * 4301
@@ -475,8 +475,8 @@ MODEL_FILES = ("valid.json",) * 4 + (
 @pytest.fixture(scope="module")
 def fuzz_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    save_model(noisy_readout_model(), root / "valid.json")
-    doc = model_to_dict(noisy_readout_model())
+    save_model(PRESETS["noisy_readout"](), root / "valid.json")
+    doc = model_to_dict(PRESETS["noisy_readout"]())
     doc["alice"]["x"]["pmf"] = ["3/4", "3/4"]
     (root / "invalid.json").write_text(json.dumps(doc), encoding="utf-8")
     (root / "utf16.json").write_bytes(b"\xff\xfe{}")

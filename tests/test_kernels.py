@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import oracles
 from bell_lab import exact, unified
 from bell_lab.chsh import certify_model
-from bell_lab.exact import correlation_set
+from bell_lab.exact import correlation_set, outcome_distribution
 from bell_lab.models import (
     ContextualModel,
     JointPmf,
@@ -33,17 +33,15 @@ from bell_lab.models import (
     ResponseTable,
     _scaled_factors,
 )
-from bell_lab.presets import PRESETS
 from bell_lab.reduction import _reduced_expectation, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
-from bell_lab.simulate import outcome_distribution
 from bell_lab.unified import (
     DEFAULT_CELL_LIMIT,
     _blocks,
     _expanded_route,
     _moduli,
 )
-from tests_support import counting
+from tests_support import PRESETS, counting
 
 BIG = 2**64 + 13
 

@@ -82,6 +82,17 @@ class TestValidation:
         assert len(problems) == 1
         assert "table[0][0]" in problems[0] and "y'" in problems[0]
 
+    def test_mislabelled_table_named(self, singleton):
+        # A model file cannot produce this: the loader labels each table
+        # with its own key.
+        alice = dict(singleton.alice)
+        alice["x"] = LocalSetting(
+            pmf=alice["x"].pmf, table=ResponseTable("bob", "y", ((1,),))
+        )
+        assert validate_model(replace(singleton, alice=alice)) == [
+            "alice['x'].table: labeled bob/'y', expected alice/'x'"
+        ]
+
     def test_negative_weight_flagged(self, perfect):
         source = JointPmf(
             ((Fraction(3, 2), Fraction(0)), (Fraction(0), Fraction(-1, 2)))

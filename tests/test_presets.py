@@ -1,44 +1,24 @@
-from pathlib import Path
+import random
 
-from bell_lab.models import model_hash, validate_model
-from bell_lab.presets import (
-    FROZEN_SEED,
-    PRESETS,
-    frozen_random_model,
-    write_preset_files,
-)
-
-BUNDLED = Path(__file__).resolve().parent.parent / "presets"
+from bell_lab.models import save_model, validate_model
+from bell_lab.search import SearchMode, SearchSpec, random_model
+from tests_support import PRESET_DIR, PRESETS
 
 
 def test_catalog_keys_frozen():
-    assert tuple(PRESETS) == (
-        "singleton",
-        "singleton_flip",
-        "perfect_correlation",
-        "noisy_readout",
-        "random_seed7",
-    )
+    expected = ["noisy_readout", "perfect_correlation", "random_seed7", "singleton", "singleton_flip"]
+    assert sorted(p.stem for p in PRESET_DIR.glob("*.json")) == expected
+    assert sorted(PRESETS) == expected
 
 
 def test_all_presets_valid():
-    for build in PRESETS.values():
-        assert validate_model(build()) == []
+    for load in PRESETS.values():
+        assert validate_model(load()) == []
 
 
-def test_bundled_files_match_builders(tmp_path):
-    written = write_preset_files(tmp_path)
-    assert sorted(p.name for p in written) == sorted(
-        p.name for p in BUNDLED.glob("*.json")
-    )
-    for fresh in written:
-        bundled = BUNDLED / fresh.name
-        assert fresh.read_bytes() == bundled.read_bytes(), fresh.name
-
-
-def test_frozen_random_model_pinned():
-    assert FROZEN_SEED == 7
-    model = frozen_random_model()
-    assert model_hash(model) == model_hash(PRESETS["random_seed7"]())
-    # Same seed, same stream: regeneration is stable across runs.
-    assert model_hash(model) == model_hash(frozen_random_model())
+def test_random_seed7_is_generator_output(tmp_path):
+    # Pins the generator's stream at seed 7 and the save format, byte for byte.
+    spec = SearchSpec((2,) * 6, SearchMode.RANDOM)
+    path = tmp_path / "random_seed7.json"
+    save_model(random_model(spec, random.Random(7)), path)
+    assert path.read_bytes() == (PRESET_DIR / "random_seed7.json").read_bytes()

@@ -23,7 +23,7 @@ def overlay_coupling(p_a: Pmf, p_b: Pmf) -> dict:
     their inverse-transform partitions, each refined interval's pair
     weighted by its width."""
     m = _overlay(inverse_transform_partition(p_a), inverse_transform_partition(p_b))
-    return dict(zip(m.pairs, m.widths()))
+    return dict(zip(m.labels, m.widths()))
 
 
 @st.composite
@@ -124,18 +124,18 @@ class TestReduceModel:
     def test_singleton_trivial_maps(self, singleton):
         reduced = reduce_model(singleton)
         assert reduced.alice_map.breakpoints == (0, 1)
-        assert reduced.alice_map.pairs == ((0, 0),)
-        assert reduced.bob_map.pairs == ((0, 0),)
+        assert reduced.alice_map.labels == ((0, 0),)
+        assert reduced.bob_map.labels == ((0, 0),)
 
     def test_noisy_alice_refinement(self, noisy):
         reduced = reduce_model(noisy)
         assert reduced.alice_map.breakpoints == (0, F(1, 2), F(3, 4), 1)
-        assert reduced.alice_map.pairs == ((0, 0), (0, 1), (1, 1))
+        assert reduced.alice_map.labels == ((0, 0), (0, 1), (1, 1))
 
     def test_shared_pmfs_give_diagonal_pairs(self, noisy):
         # Bob's two settings use the same local pmf, so both slots agree.
         reduced = reduce_model(noisy)
-        assert all(i == j for i, j in reduced.bob_map.pairs)
+        assert all(i == j for i, j in reduced.bob_map.labels)
 
     def test_map_marginals_match_pmfs(self, small_campaign):
         for model in small_campaign[:40]:
@@ -151,7 +151,7 @@ class TestReduceModel:
                         mass = sum(
                             (
                                 w
-                                for w, pair in zip(widths, umap.pairs)
+                                for w, pair in zip(widths, umap.labels)
                                 if pair[slot] == index
                             ),
                             F(0),
@@ -188,11 +188,11 @@ class TestVerifyReduction:
 class TestExport:
     def test_random_parts_carry_no_setting_labels(self, noisy):
         # Setting dependence lives only in the deterministic maps: the
-        # uniform maps key their pairs positionally and the shared source
+        # side maps key their label pairs positionally and the shared source
         # is the untouched label-free joint pmf.
         reduced = reduce_model(noisy)
         for umap in (reduced.alice_map, reduced.bob_map):
             assert all(
-                isinstance(i, int) and isinstance(j, int) for i, j in umap.pairs
+                isinstance(i, int) and isinstance(j, int) for i, j in umap.labels
             )
         assert reduced.base.source is noisy.source

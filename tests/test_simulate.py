@@ -8,7 +8,7 @@ import pytest
 import oracles
 import bell_lab.models as models_module
 from bell_lab import simulate
-from bell_lab.exact import correlation_set
+from bell_lab.exact import correlation_set, outcome_distribution, verify_no_signalling
 from bell_lab.models import (
     InvalidModelError,
     JointPmf,
@@ -16,7 +16,6 @@ from bell_lab.models import (
     model_from_dict,
     model_to_dict,
 )
-from bell_lab.presets import PRESETS, noisy_readout_model
 from bell_lab.reduction import reduce_model
 from bell_lab.simulate import (
     CHUNK,
@@ -25,12 +24,10 @@ from bell_lab.simulate import (
     _thresholds,
     empirical_chsh,
     no_signalling_report,
-    outcome_distribution,
     quantum_reference,
     simulate_trials,
-    verify_no_signalling,
 )
-from tests_support import counting
+from tests_support import PRESETS, counting
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -39,7 +36,7 @@ CHUNK_SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 
 def quoted_label_model():
     """The noisy preset with labels a CSV writer must quote."""
-    doc = model_to_dict(noisy_readout_model())
+    doc = model_to_dict(PRESETS["noisy_readout"]())
     doc["alice"] = dict(zip(('a,"q', "x'"), doc["alice"].values()))
     doc["bob"] = dict(zip(("y", '"b"'), doc["bob"].values()))
     return model_from_dict(doc)

@@ -1,8 +1,17 @@
-"""Shared helpers for building model variants in tests."""
+"""Shared helpers: the bundled presets and model variants for tests."""
 
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
-from bell_lab.models import LocalSetting, Pmf, ResponseTable
+from bell_lab.models import LocalSetting, Pmf, ResponseTable, load_model
+
+PRESET_DIR = Path(__file__).resolve().parent.parent / "presets"
+# Name -> loader of the committed file; the files are the only presets.
+PRESETS = {
+    name: partial(load_model, PRESET_DIR / f"{name}.json")
+    for name in ("singleton", "singleton_flip", "perfect_correlation", "noisy_readout", "random_seed7")
+}
 
 
 def alter_local(model, side, label, pmf=None, table=None):
