@@ -138,7 +138,13 @@ def cmd_search(args) -> int:
     except ValueError as exc:  # out-of-range flags are input errors
         raise ModelFormatError(str(exc)) from None
     result = run_search(spec)
+    # An independent route behind every score the search reports.
     certificate = certify_lhv_bound(result.best_model)
+    if certificate.report.s_max != result.best_s_max:
+        raise BoundViolationError(
+            f"search scored its winner s_max = {format_rational(result.best_s_max)}, "
+            f"but it certifies at {format_rational(certificate.report.s_max)}"
+        )
     doc = {
         "command": "search",
         "mode": spec.mode.value,

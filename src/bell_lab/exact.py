@@ -6,14 +6,14 @@ pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
 
-The five factors (the source and the four local pmfs) are scaled once per
-model, and one integer loop serves every context.  ``correlation_set``
-validates the model first; ``_unchecked_correlation_set`` skips that for
-callers whose models are valid by construction (the search moves).
+``correlation_set`` validates the model once, scales the five factors
+(the source and the four local pmfs) once, and runs one integer loop per
+context.
 
 The exact no-signalling check runs on the same loop: one side's outcome
 law in a context is the context expectation with the remote table set to
-all +1, so the remote pmf is still summed explicitly.
+all +1, so the remote pmf is still summed explicitly.  It too scales the
+five factors once per model.
 """
 
 from __future__ import annotations
@@ -70,21 +70,34 @@ def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction
     return Fraction(total, source_den * a_den * b_den)
 
 
-def _unchecked_correlation_set(model: ContextualModel) -> CorrelationSet:
-    """The four correlations without validating `model`; each factor scaled once."""
+def _scaled_sides(model: ContextualModel) -> dict[str, dict]:
+    """Every setting's ``_scaled_local`` triple, by side and label."""
+    return {
+        side: {label: _scaled_local(local) for label, local in settings.items()}
+        for side, settings in (("alice", model.alice), ("bob", model.bob))
+    }
+
+
+def correlation_set(model: ContextualModel) -> CorrelationSet:
+    """Validate `model` once, then compute its four correlations, each
+    factor scaled once."""
+    require_valid(model)
     source = _scaled_factors(model.source.flattened())
-    alice = {label: _scaled_local(local) for label, local in model.alice.items()}
-    bob = {label: _scaled_local(local) for label, local in model.bob.items()}
+    sides = _scaled_sides(model)
     return CorrelationSet(*(
-        _context_expectation(model, source, alice[ctx.alice], bob[ctx.bob])
+        _context_expectation(model, source, sides["alice"][ctx.alice], sides["bob"][ctx.bob])
         for ctx in model.contexts()
     ))
 
 
-def correlation_set(model: ContextualModel) -> CorrelationSet:
-    """Validate `model` once, then compute its four correlations."""
-    require_valid(model)
-    return _unchecked_correlation_set(model)
+def _outcome_distribution(model, source, side, own, remote) -> tuple[Fraction, Fraction]:
+    """`outcome_distribution` from the pre-scaled source and the two
+    settings' ``_scaled_local`` triples."""
+    nums, den, table = remote
+    ones = (nums, den, tuple((1,) * len(row) for row in table))
+    pair = (own, ones) if side == "alice" else (ones, own)
+    e = _context_expectation(model, source, *pair)
+    return ((1 + e) / 2, (1 - e) / 2)
 
 
 def outcome_distribution(
@@ -96,14 +109,14 @@ def outcome_distribution(
     result could in principle depend on it; the point of the check below
     is that it never does.  The expectation E gives P(+/-1) = (1 +/- E)/2.
     """
-    source = _scaled_factors(model.source.flattened())
-    own = _scaled_local(model.local(side, setting))
     remote_side = "bob" if side == "alice" else "alice"
-    nums, den, table = _scaled_local(model.local(remote_side, remote))
-    ones = (nums, den, tuple((1,) * len(row) for row in table))
-    pair = (own, ones) if side == "alice" else (ones, own)
-    e = _context_expectation(model, source, *pair)
-    return ((1 + e) / 2, (1 - e) / 2)
+    return _outcome_distribution(
+        model,
+        _scaled_factors(model.source.flattened()),
+        side,
+        _scaled_local(model.local(side, setting)),
+        _scaled_local(model.local(remote_side, remote)),
+    )
 
 
 @dataclass(frozen=True)
@@ -125,21 +138,21 @@ def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
     """Exact check: each side's outcome law is identical across the remote
     setting, as rationals, for all four side/setting combinations."""
     require_valid(model)
+    source = _scaled_factors(model.source.flattened())
+    sides = _scaled_sides(model)
     rows = []
-    for side, labels, remote_labels in (
-        ("alice", model.alice_labels, model.bob_labels),
-        ("bob", model.bob_labels, model.alice_labels),
-    ):
-        for setting in labels:
+    for side, remote_side in (("alice", "bob"), ("bob", "alice")):
+        remotes = sides[remote_side]
+        for setting, own in sides[side].items():
             dists = tuple(
-                outcome_distribution(model, side, setting, remote)
-                for remote in remote_labels
+                _outcome_distribution(model, source, side, own, remote)
+                for remote in remotes.values()
             )
             rows.append(
                 ExactMarginalRow(
                     side=side,
                     setting=setting,
-                    remote_labels=tuple(remote_labels),
+                    remote_labels=tuple(remotes),
                     distributions=dists,
                     equal=dists[0] == dists[1],
                 )

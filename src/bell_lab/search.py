@@ -1,13 +1,25 @@
 """Strategy-space search: exhaustive, random sampling, and hill climbing.
 
-Random sampling and hill climbing score each candidate with the exact
-dedicated-route correlations and the eight-pattern report, so large
-campaigns double as adversarial tests of the bound: any model scoring
-above 2 would be an engine bug, surfaced loudly.  Candidates are never
-validated: `random_model` and the hill-climb moves (`_neighbors`) build
-valid models by construction, and the tests check every model they yield.
-The CLI certifies the winner through `certify_lhv_bound`, which validates
-it.
+Random sampling and hill climbing score every candidate exactly, so large
+campaigns double as adversarial tests of the bound: a correlation outside
+[-1, 1] or a score above 2 would be an engine bug, and either raises.
+
+Scores come from `_IntegerState`, not from the certification routes.  All
+pmfs become integer numerators over one denominator d, and each setting's
+per-source local mean m(l) = sum_k p(k) R(l, k), R its response table, is
+kept as an integer over d.  A context's correlation is then
+E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2) over d^3, S the source pmf.
+With T the sum of the four correlations, the eight CHSH pattern sums are
+exactly +/-(T - 2 E_k), so s_max is max_k |T - 2 E_k|, compared as an
+integer.  A hill-climb candidate is a move (a table flip or a mass step)
+scored from the few products it changes; it is applied to the state only
+when accepted, and a model is built only for a new best.  Candidates are
+never validated: `random_model` and the moves yield valid models by
+construction, and the tests compare each move's model and score with a
+neighbour built as a model and scored through the dedicated route.  The
+CLI certifies the winner through `certify_lhv_bound`, which validates it,
+and refuses a winner whose certified s_max differs from the search's
+score.
 
 Exhaustive search answers its question without a sweep.  The correlations
 of a contextual LHV model are a mixture of those of the 16 deterministic
@@ -16,7 +28,7 @@ These are the vertices of the local polytope, and |S| is convex in the
 correlations, so its maximum over every table assignment of any shape is
 the maximum over the 16 vertices.  The mode certifies each vertex through
 `certify_lhv_bound` and scores the first and last assignment of the
-requested shape through the dedicated route; each must reach the vertex
+requested shape with the same integer scorer; each must reach the vertex
 maximum.  ``evaluated`` counts the assignments this argument covers, so
 the assignment limit still bounds the shapes the mode accepts.
 """
@@ -25,11 +37,11 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .chsh import BoundViolationError, certify_lhv_bound, chsh_from_correlations
-from .exact import _unchecked_correlation_set
+from .chsh import BoundViolationError, certify_lhv_bound
 from .models import (
     DEFAULT_ALICE_LABELS,
     DEFAULT_BOB_LABELS,
@@ -38,6 +50,7 @@ from .models import (
     LocalSetting,
     Pmf,
     ResponseTable,
+    format_rational,
 )
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -145,7 +158,7 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     ``(1, 1, 1, 1, 1, 1)`` for indices 0..15.  The CHSH sums are linear in
     the correlations, so no assignment exceeds the strategies' maximum; each
     strategy is certified through `certify_lhv_bound`.  Index 0 (all +1)
-    and index ``total - 1`` (all -1) are scored through the dedicated route
+    and index ``total - 1`` (all -1) are scored by `_IntegerState`
     and must reach that maximum, so index 0 is the only strict improvement
     in index order, and all -1, the smallest canonical serialization, wins.
     Raises `BoundViolationError` otherwise.  ``evaluated`` is the number of
@@ -161,9 +174,9 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
         certify_lhv_bound(decode_assignment((1, 1, 1, 1, 1, 1), m)).report.s_max
         for m in range(16)
     )
-    first = _score(decode_assignment(spec.cardinalities, 0))
+    first = _s_max(decode_assignment(spec.cardinalities, 0))
     best_model = decode_assignment(spec.cardinalities, total - 1)
-    for index, s in ((0, first), (total - 1, _score(best_model))):
+    for index, s in ((0, first), (total - 1, _s_max(best_model))):
         if s != vertex_max:
             raise BoundViolationError(
                 f"assignment {index} scored s_max = {s}, but the deterministic "
@@ -211,63 +224,195 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
-def _score(model: ContextualModel) -> Fraction:
+# A move is data, (kind, factor, i, j): a flip negates entry (i, j) of
+# factor f's table; a mass move shifts one step of weight from index i to
+# index j of factor f's pmf, a source move the same in the flattened source.
+_FLIP, _MASS, _SOURCE = range(3)
+_STEP = Fraction(1, DEFAULT_MAX_DENOMINATOR)
+
+
+def _means(pmf, table) -> tuple[int, ...]:
+    """m(l) = sum_k p(k) R(l, k) for every source share l, R the table."""
+    return tuple(sum(p * t for p, t in zip(pmf, row)) for row in table)
+
+
+def _shifted(weights, i: int, j: int, step: int) -> tuple[int, ...]:
+    out = list(weights)
+    out[i] -= step
+    out[j] += step
+    return tuple(out)
+
+
+def _s_num(e, d3: int) -> int:
+    """max |CHSH sum| over the eight patterns, as a numerator over `d3`.
+
+    `e` holds the four correlation numerators over `d3`.  With
+    T = e0 + e1 + e2 + e3 the eight pattern sums are exactly +/-(T - 2 e_k),
+    so four integers cover them.  A correlation outside [-1, 1] raises
+    ValueError and a score above 2 raises `BoundViolationError`.
+    """
+    for n in e:
+        if not -d3 <= n <= d3:
+            raise ValueError(f"correlation {format_rational(Fraction(n, d3))} outside [-1, 1]")
+    t = e[0] + e[1] + e[2] + e[3]
+    s = max(abs(t - 2 * e[0]), abs(t - 2 * e[1]), abs(t - 2 * e[2]), abs(t - 2 * e[3]))
+    if s > 2 * d3:
+        raise BoundViolationError(
+            f"search candidate scored s_max = {format_rational(Fraction(s, d3))} > 2"
+        )
+    return s
+
+
+class _IntegerState:
+    """One model as integers, so its neighbours are scored without building them.
+
+    Every weight is a numerator over one denominator ``d``, the lcm of the
+    model's weight denominators and the step's.  Factors 0..3 are Alice's
+    settings then Bob's, each side in declared order, and ``means[f][l]`` is
+    sum_k p_f(k) R_f(l, k), setting f's mean outcome at source share l, over
+    d.  Context (a, b) reads factors a and 2 + b; its correlation numerator
+    over ``d3`` = d^3 is
+    ``e[2a + b]`` = sum_{l1, l2} S(l1, l2) m_a(l1) m_{2+b}(l2).
+    ``reads[f]`` pairs each context reading factor f with the vector that a
+    change of m_f multiplies, so a move changes ``e`` by a few products.
+    """
+
+    __slots__ = ("settings", "d", "d3", "step", "cols", "source", "pmfs", "tables",
+                 "means", "e", "reads")
+
+    def __init__(self, settings, d, step, cols, source, pmfs, tables, means):
+        self.settings, self.d, self.d3, self.step = settings, d, d**3, step
+        self.cols, self.source, self.pmfs, self.tables, self.means = (
+            cols, source, pmfs, tables, means
+        )
+        grid = [source[r:r + cols] for r in range(0, len(source), cols)]
+        # by_row[b][l1] = sum_l2 S(l1, l2) m_{2+b}(l2); by_col[a][l2] likewise.
+        by_row = [
+            tuple(sum(s * m for s, m in zip(row, means[f])) for row in grid) for f in (2, 3)
+        ]
+        by_col = [
+            tuple(sum(row[c] * m for row, m in zip(grid, means[f])) for c in range(cols))
+            for f in (0, 1)
+        ]
+        self.reads = (
+            ((0, by_row[0]), (1, by_row[1])),
+            ((2, by_row[0]), (3, by_row[1])),
+            ((0, by_col[0]), (2, by_col[1])),
+            ((1, by_col[0]), (3, by_col[1])),
+        )
+        self.e = tuple(
+            sum(m * w for m, w in zip(means[a], by_row[b])) for a in (0, 1) for b in (0, 1)
+        )
+
+    @classmethod
+    def of(cls, model: ContextualModel, step: Fraction = _STEP) -> _IntegerState:
+        settings = tuple(
+            (side, label)
+            for side, labels in (("alice", model.alice_labels), ("bob", model.bob_labels))
+            for label in labels
+        )
+        locals_ = [model.local(side, label) for side, label in settings]
+        flat = model.source.flattened()
+        d = lcm(
+            step.denominator,
+            *(w.denominator for w in flat),
+            *(w.denominator for local in locals_ for w in local.pmf.weights),
+        )
+
+        def scaled(weights):
+            return tuple(w.numerator * (d // w.denominator) for w in weights)
+
+        pmfs = tuple(scaled(local.pmf.weights) for local in locals_)
+        tables = tuple(local.table.values for local in locals_)
+        means = tuple(_means(p, t) for p, t in zip(pmfs, tables))
+        return cls(settings, d, step.numerator * (d // step.denominator),
+                   model.source.cols, scaled(flat), pmfs, tables, means)
+
+    def model(self) -> ContextualModel:
+        d = self.d
+        source = JointPmf(tuple(
+            tuple(Fraction(n, d) for n in self.source[r:r + self.cols])
+            for r in range(0, len(self.source), self.cols)
+        ))
+        sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
+        for (side, label), pmf, table in zip(self.settings, self.pmfs, self.tables):
+            sides[side][label] = LocalSetting(
+                pmf=Pmf(tuple(Fraction(n, d) for n in pmf)),
+                table=ResponseTable(side=side, setting=label, values=table),
+            )
+        return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
+
+    def moves(self):
+        """Every neighbour's move in the fixed scan order: single table flips
+        (Alice's settings in declared order then Bob's, row-major), then
+        single-step mass moves (source flat, then each local pmf, ordered
+        index pairs (i, j), i != j, where weight i holds at least a step)."""
+        for f, table in enumerate(self.tables):
+            for r, row in enumerate(table):
+                for c in range(len(row)):
+                    yield (_FLIP, f, r, c)
+        pmfs = ((_SOURCE, None, self.source), *((_MASS, f, p) for f, p in enumerate(self.pmfs)))
+        for kind, f, weights in pmfs:
+            for i, w in enumerate(weights):
+                if w >= self.step:
+                    for j in range(len(weights)):
+                        if j != i:
+                            yield (kind, f, i, j)
+
+    def _flip_delta(self, f: int, r: int, c: int) -> int:
+        """Change of m_f(r) when entry (r, c) of factor f's table flips."""
+        return -2 * self.pmfs[f][c] * self.tables[f][r][c]
+
+    def score(self, move=None) -> int:
+        """s_max numerator over ``d3`` of this model, or of its neighbour by `move`."""
+        if move is None:
+            return _s_num(self.e, self.d3)
+        kind, f, i, j = move
+        e = list(self.e)
+        if kind == _SOURCE:
+            (i1, i2), (j1, j2), m = divmod(i, self.cols), divmod(j, self.cols), self.means
+            for a in (0, 1):
+                for b in (0, 1):
+                    e[2 * a + b] += self.step * (
+                        m[a][j1] * m[2 + b][j2] - m[a][i1] * m[2 + b][i2]
+                    )
+        elif kind == _FLIP:
+            delta = self._flip_delta(f, i, j)
+            for k, weights in self.reads[f]:
+                e[k] += delta * weights[i]
+        else:
+            step = self.step
+            changes = [step * (row[j] - row[i]) for row in self.tables[f]]
+            for k, weights in self.reads[f]:
+                e[k] += sum(dm * w for dm, w in zip(changes, weights))
+        return _s_num(e, self.d3)
+
+    def apply(self, move) -> _IntegerState:
+        """The neighbour by `move`: a flip changes one mean entry, a mass move
+        re-derives one setting's means, a source move two source weights."""
+        kind, f, i, j = move
+        source = self.source
+        pmfs, tables, means = list(self.pmfs), list(self.tables), list(self.means)
+        if kind == _SOURCE:
+            source = _shifted(source, i, j, self.step)
+        elif kind == _MASS:
+            pmfs[f] = _shifted(pmfs[f], i, j, self.step)
+            means[f] = _means(pmfs[f], tables[f])
+        else:
+            mean = list(means[f])
+            mean[i] += self._flip_delta(f, i, j)
+            means[f] = tuple(mean)
+            rows = [list(row) for row in tables[f]]
+            rows[i][j] = -rows[i][j]
+            tables[f] = tuple(map(tuple, rows))
+        return _IntegerState(self.settings, self.d, self.step, self.cols, source,
+                             tuple(pmfs), tuple(tables), tuple(means))
+
+
+def _s_max(model: ContextualModel) -> Fraction:
     """s_max of a model that is valid by construction; not revalidated."""
-    return chsh_from_correlations(_unchecked_correlation_set(model)).s_max
-
-
-def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetting):
-    settings = dict(model.alice if side == "alice" else model.bob)
-    settings[label] = local
-    return replace(model, **{side: settings})
-
-
-def _with_table_entry(model: ContextualModel, side: str, label: str, r: int, c: int):
-    local = model.local(side, label)
-    values = [list(row) for row in local.table.values]
-    values[r][c] = -values[r][c]
-    table = ResponseTable(side=side, setting=label, values=tuple(map(tuple, values)))
-    return _with_local(model, side, label, LocalSetting(pmf=local.pmf, table=table))
-
-
-def _mass_moves(weights, step: Fraction):
-    """Weights with `step` moved from i to j, over ordered pairs i != j
-    where weight i holds at least `step`."""
-    for i in range(len(weights)):
-        if weights[i] < step:
-            continue
-        for j in range(len(weights)):
-            if i != j:
-                out = list(weights)
-                out[i] -= step
-                out[j] += step
-                yield tuple(out)
-
-
-def _pmf_neighbors(model: ContextualModel, step: Fraction):
-    rows, cols = model.source.rows, model.source.cols
-    for moved in _mass_moves(model.source.flattened(), step):
-        source = tuple(moved[r * cols:(r + 1) * cols] for r in range(rows))
-        yield replace(model, source=JointPmf(source))
-    for side in ("alice", "bob"):
-        settings = model.alice if side == "alice" else model.bob
-        for label, local in settings.items():
-            for moved in _mass_moves(local.pmf.weights, step):
-                moved_local = LocalSetting(pmf=Pmf(moved), table=local.table)
-                yield _with_local(model, side, label, moved_local)
-
-
-def _neighbors(model: ContextualModel, step: Fraction):
-    """Fixed scan order: single table flips (Alice's settings in declared
-    order then Bob's, row-major), then single-step pmf mass moves
-    (source flat, then each local pmf, ordered index pairs)."""
-    for side in ("alice", "bob"):
-        settings = model.alice if side == "alice" else model.bob
-        for label, local in settings.items():
-            for r in range(local.table.rows):
-                for c in range(local.table.cols):
-                    yield _with_table_entry(model, side, label, r, c)
-    yield from _pmf_neighbors(model, step)
+    state = _IntegerState.of(model)
+    return Fraction(state.score(), state.d3)
 
 
 def hill_climb(spec: SearchSpec) -> SearchResult:
@@ -278,44 +423,48 @@ def hill_climb(spec: SearchSpec) -> SearchResult:
     at a local maximum the walk restarts from a fresh random model.  The
     budget counts score evaluations, including starts and restarts.
 
-    The seeded start, every neighbour and every restart are valid by
-    construction (moves keep each pmf's sum and non-negativity, flips keep
-    outcomes in {-1, +1}), so candidates are scored without validation.
+    Each candidate is a move scored on the current `_IntegerState`; a move
+    becomes a state only when accepted, and a model only for a new best.
+    Every `random_model` weight lies on the step's grid, so every state has
+    d = DEFAULT_MAX_DENOMINATOR and scores compare as integers.  Moves keep
+    each pmf's sum and non-negativity and flips keep outcomes in {-1, +1},
+    so nothing is validated.
     """
     if spec.mode is not SearchMode.HILL_CLIMB:
         raise ValueError(f"mode {spec.mode.value} is not hill-climb")
     rng = random.Random(spec.seed)
-    step = Fraction(1, DEFAULT_MAX_DENOMINATOR)
-    current = random_model(spec, rng)
-    current_score = _score(current)
+    best_model = random_model(spec, rng)
+    state = _IntegerState.of(best_model)
+    d3 = state.d3
+    current = best = state.score()
     evaluated = 1
-    best_model, best_score = current, current_score
-    improvements = [(1, current_score)]
+    improvements = [(1, Fraction(best, d3))]
 
     while evaluated < spec.budget:
         advanced = False
-        for candidate in _neighbors(current, step):
-            score = _score(candidate)
+        for move in state.moves():
+            score = state.score(move)
             evaluated += 1
-            if score > current_score:
-                current, current_score = candidate, score
-                if score > best_score:
-                    best_model, best_score = candidate, score
-                    improvements.append((evaluated, score))
+            if score > current:
+                state, current = state.apply(move), score
+                if score > best:
+                    best, best_model = score, state.model()
+                    improvements.append((evaluated, Fraction(score, d3)))
                 advanced = True
                 break
             if evaluated >= spec.budget:
                 break
         if not advanced and evaluated < spec.budget:
-            current = random_model(spec, rng)
-            current_score = _score(current)
+            model = random_model(spec, rng)
+            state = _IntegerState.of(model)
+            current = state.score()
             evaluated += 1
-            if current_score > best_score:
-                best_model, best_score = current, current_score
-                improvements.append((evaluated, current_score))
+            if current > best:
+                best, best_model = current, model
+                improvements.append((evaluated, Fraction(current, d3)))
     return SearchResult(
         best_model=best_model,
-        best_s_max=best_score,
+        best_s_max=Fraction(best, d3),
         evaluated=evaluated,
         improvements=tuple(improvements),
         rng_algorithm=RNG_ALGORITHM,
@@ -324,22 +473,24 @@ def hill_climb(spec: SearchSpec) -> SearchResult:
 
 def random_sampling(spec: SearchSpec) -> SearchResult:
     """Independent draws from the model generator; best score wins, first
-    achiever kept on ties."""
+    achiever kept on ties.  Each draw is scored once by `_IntegerState`,
+    whose d is DEFAULT_MAX_DENOMINATOR for every draw."""
     if spec.mode is not SearchMode.RANDOM:
         raise ValueError(f"mode {spec.mode.value} is not random")
     rng = random.Random(spec.seed)
     best_model = None
-    best_score = None
+    best = None
     improvements = []
     for k in range(1, spec.budget + 1):
         model = random_model(spec, rng)
-        score = _score(model)
-        if best_score is None or score > best_score:
-            best_model, best_score = model, score
-            improvements.append((k, score))
+        state = _IntegerState.of(model)
+        score = state.score()
+        if best is None or score > best:
+            best_model, best = model, score
+            improvements.append((k, Fraction(score, state.d3)))
     return SearchResult(
         best_model=best_model,
-        best_s_max=best_score,
+        best_s_max=improvements[-1][1],
         evaluated=spec.budget,
         improvements=tuple(improvements),
         rng_algorithm=RNG_ALGORITHM,

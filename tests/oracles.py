@@ -14,13 +14,21 @@ numerators, kept verbatim so each integer kernel is compared against the
 loop it replaced.  They scale nothing through the package's helpers.
 `chsh_fraction_oracle` is likewise the Fraction-generator CHSH report the
 package used before its eight sums moved to integers.
+
+`score_oracle`, `neighbors_oracle`, `hill_climb_oracle` and
+`random_sampling_oracle` are the search the package ran before it scored
+candidates as moves on integer per-source means: every neighbour is built
+as a model and scored through `correlation_set` and the eight-sum report.
+The neighbour order is the specification of the package's move order.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import random
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -28,9 +36,25 @@ import numpy as np
 
 from bell_lab.chsh import CHSH_PATTERNS, LHV_BOUND, ChshReport, chsh_from_correlations
 from bell_lab.exact import CorrelationSet, correlation_set
-from bell_lab.models import Context, ContextualModel, canonical_json, format_rational
+from bell_lab.models import (
+    Context,
+    ContextualModel,
+    JointPmf,
+    LocalSetting,
+    Pmf,
+    ResponseTable,
+    canonical_json,
+    format_rational,
+)
 from bell_lab.reduction import ReducedModel, reduce_model
-from bell_lab.search import assignment_count, decode_assignment
+from bell_lab.search import (
+    DEFAULT_MAX_DENOMINATOR,
+    RNG_ALGORITHM,
+    SearchResult,
+    assignment_count,
+    decode_assignment,
+    random_model,
+)
 from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError
 from bell_lab.simulate import U_SCALE, _quantum_grid, _thresholds
 
@@ -349,6 +373,110 @@ def exhaustive_oracle(cardinalities):
             if serialized < best_json:
                 best_model, best_json = model, serialized
     return best_model, best_s, tuple(improvements), total
+
+
+def score_oracle(model: ContextualModel) -> Fraction:
+    """s_max through the dedicated route and the eight-sum report."""
+    return chsh_from_correlations(correlation_set(model)).s_max
+
+
+def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetting):
+    settings = dict(model.alice if side == "alice" else model.bob)
+    settings[label] = local
+    return replace(model, **{side: settings})
+
+
+def _with_table_entry(model: ContextualModel, side: str, label: str, r: int, c: int):
+    local = model.local(side, label)
+    values = [list(row) for row in local.table.values]
+    values[r][c] = -values[r][c]
+    table = ResponseTable(side=side, setting=label, values=tuple(map(tuple, values)))
+    return _with_local(model, side, label, LocalSetting(pmf=local.pmf, table=table))
+
+
+def _mass_moves(weights, step: Fraction):
+    """Weights with `step` moved from i to j, over ordered pairs i != j
+    where weight i holds at least `step`."""
+    for i in range(len(weights)):
+        if weights[i] < step:
+            continue
+        for j in range(len(weights)):
+            if i != j:
+                out = list(weights)
+                out[i] -= step
+                out[j] += step
+                yield tuple(out)
+
+
+def neighbors_oracle(model: ContextualModel, step: Fraction):
+    """Fixed scan order: single table flips (Alice's settings in declared
+    order then Bob's, row-major), then single-step pmf mass moves
+    (source flat, then each local pmf, ordered index pairs)."""
+    for side in ("alice", "bob"):
+        settings = model.alice if side == "alice" else model.bob
+        for label, local in settings.items():
+            for r in range(local.table.rows):
+                for c in range(local.table.cols):
+                    yield _with_table_entry(model, side, label, r, c)
+    rows, cols = model.source.rows, model.source.cols
+    for moved in _mass_moves(model.source.flattened(), step):
+        source = tuple(moved[r * cols:(r + 1) * cols] for r in range(rows))
+        yield replace(model, source=JointPmf(source))
+    for side in ("alice", "bob"):
+        settings = model.alice if side == "alice" else model.bob
+        for label, local in settings.items():
+            for moved in _mass_moves(local.pmf.weights, step):
+                moved_local = LocalSetting(pmf=Pmf(moved), table=local.table)
+                yield _with_local(model, side, label, moved_local)
+
+
+def hill_climb_oracle(spec) -> SearchResult:
+    """First-improvement hill climb over built neighbour models, each scored
+    by `score_oracle`; same rng stream, budget and records as the package."""
+    rng = random.Random(spec.seed)
+    step = Fraction(1, DEFAULT_MAX_DENOMINATOR)
+    current = random_model(spec, rng)
+    current_score = score_oracle(current)
+    evaluated = 1
+    best_model, best_score = current, current_score
+    improvements = [(1, current_score)]
+    while evaluated < spec.budget:
+        advanced = False
+        for candidate in neighbors_oracle(current, step):
+            score = score_oracle(candidate)
+            evaluated += 1
+            if score > current_score:
+                current, current_score = candidate, score
+                if score > best_score:
+                    best_model, best_score = candidate, score
+                    improvements.append((evaluated, score))
+                advanced = True
+                break
+            if evaluated >= spec.budget:
+                break
+        if not advanced and evaluated < spec.budget:
+            current = random_model(spec, rng)
+            current_score = score_oracle(current)
+            evaluated += 1
+            if current_score > best_score:
+                best_model, best_score = current, current_score
+                improvements.append((evaluated, current_score))
+    return SearchResult(best_model, best_score, evaluated, tuple(improvements), RNG_ALGORITHM)
+
+
+def random_sampling_oracle(spec) -> SearchResult:
+    """Independent `random_model` draws scored by `score_oracle`; the first
+    achiever of the best score wins."""
+    rng = random.Random(spec.seed)
+    best_model = best_score = None
+    improvements = []
+    for k in range(1, spec.budget + 1):
+        model = random_model(spec, rng)
+        score = score_oracle(model)
+        if best_score is None or score > best_score:
+            best_model, best_score = model, score
+            improvements.append((k, score))
+    return SearchResult(best_model, best_score, spec.budget, tuple(improvements), RNG_ALGORITHM)
 
 
 def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bell_lab import simulate
+from bell_lab import cli, simulate
 from bell_lab.cli import main
 from bell_lab.models import model_to_dict, save_model
 from tests_support import PRESETS
@@ -231,6 +233,21 @@ class TestSearch:
     def test_no_host_dependent_fields(self, capsys):
         _, out, _ = run(capsys, "search", "--cardinalities", "1,1,1,1,1,1")
         assert "workers" not in json.loads(out)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random", "hill-climb"])
+    def test_winner_score_mismatch_exits_one(self, monkeypatch, capsys, mode):
+        # A search whose score disagrees with its winner's certificate.
+        def misscored(spec):
+            result = real(spec)
+            return replace(result, best_s_max=result.best_s_max - Fraction(1, 64))
+
+        real = cli.run_search
+        monkeypatch.setattr(cli, "run_search", misscored)
+        code, out, err = run(capsys, "search", "--mode", mode, "--budget", "30")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: search scored its winner s_max = ")
+        assert err.count("\n") == 1
 
     def test_bad_budget(self, capsys):
         code, out, err = run(capsys, "search", "--budget", "0")

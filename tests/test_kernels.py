@@ -392,6 +392,19 @@ class TestScalingOncePerModel:
         )
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_signalling(self, monkeypatch, name):
+        model = PRESETS[name]()
+        scaled = counting(monkeypatch, exact, "_scaled_factors")
+        report = exact.verify_no_signalling(model)
+        assert len(scaled) == 5
+        assert len(report.rows) == 4
+        for row in report.rows:
+            assert row.distributions == tuple(
+                oracles.outcome_distribution_fraction_oracle(model, row.side, row.setting, remote)
+                for remote in row.remote_labels
+            )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_expanded_route(self, monkeypatch, name):
         model = PRESETS[name]()
         dedicated = correlation_set(model).as_tuple()

@@ -13,7 +13,7 @@ import bell_lab.search as search_module
 import oracles
 from bell_lab import cli
 from bell_lab.chsh import BoundViolationError, chsh_from_correlations
-from bell_lab.exact import correlation_set
+from bell_lab.exact import CorrelationSet, correlation_set
 from bell_lab.models import JointPmf, model_from_dict, validate_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
@@ -157,7 +157,7 @@ class TestVertexCertification:
     @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2, 2)])
     def test_certifies_each_strategy_and_scores_two_assignments(self, monkeypatch, cards):
         certified = counting(monkeypatch, search_module, "certify_lhv_bound")
-        scored = counting(monkeypatch, search_module, "_score")
+        scored = counting(monkeypatch, search_module, "_s_max")
         result = enumerate_deterministic(
             SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
         )
@@ -321,6 +321,11 @@ def expected_neighbour_count(model, step):
     return flips + moves
 
 
+def materialised(state):
+    """Every neighbour of `state` as a model, in move order."""
+    return [state.apply(move).model() for move in state.moves()]
+
+
 class TestMovesStayValid:
     """Candidates are scored without revalidation, so every move must yield
     a valid model of the same shape."""
@@ -334,7 +339,7 @@ class TestMovesStayValid:
             model = random_model(spec, rng)
             assert validate_model(model) == []
             for step in NEIGHBOUR_STEPS:
-                neighbours = list(search_module._neighbors(model, step))
+                neighbours = materialised(search_module._IntegerState.of(model, step))
                 assert len(neighbours) == expected_neighbour_count(model, step)
                 for neighbour in neighbours:
                     assert validate_model(neighbour) == []
@@ -354,8 +359,147 @@ class TestMovesStayValid:
             model = alter_local(model, "alice", label, pmf=(Fraction(1), zero))
         assert validate_model(model) == []
         for step in NEIGHBOUR_STEPS:
-            for neighbour in search_module._neighbors(model, step):
+            state = search_module._IntegerState.of(model, step)
+            assert state.model() == model
+            for neighbour in materialised(state):
                 assert validate_model(neighbour) == []
+
+
+ORACLE_SHAPES = (
+    (1, 1, 1, 1, 1, 1),
+    (2, 2, 2, 2, 2, 2),
+    (3, 2, 3, 2, 2, 3),
+    (4, 4, 3, 3, 2, 2),
+    (2, 3, 1, 4, 2, 1),
+)
+ORACLE_SEEDS = (0, 7, 12345)
+
+
+def recorded_scores(monkeypatch):
+    """Record every (state, move, score) the search scores."""
+    calls = []
+    original = search_module._IntegerState.score
+
+    def recording(self, move=None):
+        score = original(self, move)
+        calls.append((self, move, score))
+        return score
+
+    monkeypatch.setattr(search_module._IntegerState, "score", recording)
+    return calls
+
+
+class TestScoresMatchOracle:
+    """The integer move scorer against the slow path it replaced: every
+    neighbour built as a model and scored through the dedicated route."""
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    def test_moves_match_oracle_neighbours(self, cards):
+        rng = random.Random(sum(cards))
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB)
+        for _ in range(10):
+            model = random_model(spec, rng)
+            for step in NEIGHBOUR_STEPS:
+                state = search_module._IntegerState.of(model, step)
+                assert state.model() == model
+                neighbours = list(oracles.neighbors_oracle(model, step))
+                assert materialised(state) == neighbours
+                assert [Fraction(state.score(move), state.d3) for move in state.moves()] == [
+                    oracles.score_oracle(n) for n in neighbours
+                ]
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_every_hill_climb_candidate(self, monkeypatch, cards, seed):
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=seed, budget=120)
+        calls = recorded_scores(monkeypatch)
+        result = hill_climb(spec)
+        assert len(calls) == result.evaluated
+        scanned = {}
+        for state, move, score in calls:
+            assert state.d == DEFAULT_MAX_DENOMINATOR
+            model = state.model()
+            if move is None:
+                assert Fraction(score, state.d3) == oracles.score_oracle(model)
+                continue
+            if id(state) not in scanned:
+                scanned[id(state)] = (
+                    list(state.moves()),
+                    list(oracles.neighbors_oracle(model, search_module._STEP)),
+                )
+            moves, neighbours = scanned[id(state)]
+            assert len(moves) == len(neighbours)
+            neighbour = neighbours[moves.index(move)]
+            assert state.apply(move).model() == neighbour
+            assert Fraction(score, state.d3) == oracles.score_oracle(neighbour)
+        assert result == oracles.hill_climb_oracle(spec)
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_every_random_candidate(self, monkeypatch, cards, seed):
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.RANDOM, seed=seed, budget=40)
+        calls = recorded_scores(monkeypatch)
+        result = random_sampling(spec)
+        rng = random.Random(seed)
+        assert len(calls) == 40
+        for state, move, score in calls:
+            model = random_model(spec, rng)
+            assert move is None
+            assert state.model() == model
+            assert Fraction(score, state.d3) == oracles.score_oracle(model)
+        assert result == oracles.random_sampling_oracle(spec)
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    @pytest.mark.parametrize("budget", [1, 2, 50, 400])
+    def test_results_match_oracle_search(self, cards, budget):
+        for seed in (1, 99):
+            for mode, search, oracle in (
+                (SearchMode.HILL_CLIMB, hill_climb, oracles.hill_climb_oracle),
+                (SearchMode.RANDOM, random_sampling, oracles.random_sampling_oracle),
+            ):
+                spec = SearchSpec(cardinalities=cards, mode=mode, seed=seed, budget=budget)
+                assert search(spec) == oracle(spec)
+
+    def test_models_built_only_for_a_new_best(self, monkeypatch):
+        built = counting(monkeypatch, search_module._IntegerState, "model")
+        spec = SearchSpec(
+            cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=2000
+        )
+        result = hill_climb(spec)
+        # The start is a record without a build; so is every improving restart.
+        assert 0 < len(built) < len(result.improvements)
+
+
+class TestFourSumScore:
+    """max_k |T - 2 E_k| against the eight Fraction pattern sums."""
+
+    D3 = 4**3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-D3, D3), min_size=4, max_size=4))
+    def test_matches_eight_sums(self, e):
+        report = oracles.chsh_fraction_oracle(
+            CorrelationSet(*(Fraction(n, self.D3) for n in e))
+        )
+        if report.s_max > 2:
+            with pytest.raises(BoundViolationError):
+                search_module._s_num(e, self.D3)
+        else:
+            assert Fraction(search_module._s_num(e, self.D3), self.D3) == report.s_max
+
+    def test_just_above_two_raises(self):
+        d3 = self.D3
+        # T - 2 e_3 = 2 d3 + 1.
+        with pytest.raises(BoundViolationError, match="129/64 > 2"):
+            search_module._s_num((d3, d3, 1, 0), d3)
+        assert search_module._s_num((d3, d3, 0, 0), d3) == 2 * d3
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_correlation_outside_range(self, k):
+        e = [0, 0, 0, 0]
+        e[k] = self.D3 + 1
+        with pytest.raises(ValueError, match="correlation 65/64 outside"):
+            search_module._s_num(e, self.D3)
 
 
 class TestValidationCount:
