@@ -11,6 +11,10 @@ exact without per-term Fraction arithmetic.
 `chsh_from_correlations` trusts its caller for where the correlations come
 from; the certificates (`certify_lhv_bound`, `certify_model`) validate the
 model before computing them.
+
+`certify_model` runs the dedicated, factored, expanded and reduced routes;
+each returns the model's four correlations in context order, and each
+check in `Certification` is one exact equality between those tuples.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from fractions import Fraction
 
 from .exact import CorrelationSet, correlation_set
 from .models import (
+    Context,
     ContextualModel,
     _scaled_factors,
     decimal_str,
     format_rational,
     model_hash,
 )
-from .reduction import ReductionReport, reduction_report
-from .unified import DEFAULT_CELL_LIMIT, EquivalenceReport, equivalence_report
+from .reduction import reduced_route
+from .unified import DEFAULT_CELL_LIMIT, expanded_route, expectation_unified
 
 # Canonical order: one negated term sweeping left to right, then the negations.
 CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
@@ -131,35 +136,50 @@ def _rationals(values) -> list[str]:
 
 @dataclass(frozen=True)
 class Certification:
-    """Route equivalence, reduction and the CHSH certificate of one model."""
+    """Each route's four correlations, in context order, and the CHSH
+    certificate of one model; the dedicated values are the certificate's."""
 
-    equivalence: EquivalenceReport
-    reduction: ReductionReport
+    contexts: tuple[Context, ...]
+    factored: tuple[Fraction, ...]
+    expanded: tuple[Fraction, ...]
+    reduced: tuple[Fraction, ...]
     certificate: LhvCertificate
+
+    @property
+    def dedicated(self) -> tuple[Fraction, ...]:
+        return self.certificate.correlations.as_tuple()
+
+    @property
+    def routes_equal(self) -> bool:
+        return self.dedicated == self.factored == self.expanded
+
+    @property
+    def reduction_equal(self) -> bool:
+        return self.dedicated == self.reduced
 
     @property
     def all_passed(self) -> bool:
         return (
-            self.equivalence.equal
-            and self.reduction.equal
+            self.routes_equal
+            and self.reduction_equal
             and self.certificate.report.bound_satisfied
         )
 
     def to_dict(self) -> dict:
-        equivalence, reduction = self.equivalence, self.reduction
+        dedicated = _rationals(self.dedicated)
         return {
             "model_sha256": self.certificate.model_sha256,
             "equivalence": {
-                "contexts": [[c.alice, c.bob] for c in equivalence.contexts],
-                "dedicated": _rationals(equivalence.dedicated),
-                "factored": _rationals(equivalence.factored),
-                "expanded": _rationals(equivalence.expanded),
-                "equal": equivalence.equal,
+                "contexts": [[c.alice, c.bob] for c in self.contexts],
+                "dedicated": dedicated,
+                "factored": _rationals(self.factored),
+                "expanded": _rationals(self.expanded),
+                "equal": self.routes_equal,
             },
             "reduction": {
-                "original": _rationals(reduction.original),
-                "reduced": _rationals(reduction.reduced),
-                "equal": reduction.equal,
+                "original": dedicated,
+                "reduced": _rationals(self.reduced),
+                "equal": self.reduction_equal,
             },
             "chsh": self.certificate.to_dict(),
             "all_passed": self.all_passed,
@@ -169,15 +189,17 @@ class Certification:
 def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) -> Certification:
     """The whole verification stack on one model, in one pass.
 
-    Validates the model and computes its four dedicated correlations once,
-    then hands them to the route-equivalence check, the reduction check and
-    the CHSH bound; the factored, expanded and reduced routes still compute
-    their own values, so the routes stay independent.
+    Validates the model and computes its four dedicated correlations once;
+    the factored, expanded and reduced routes each compute their own four,
+    so the routes stay independent.  The expanded route raises
+    `SizeExceededError` past `cell_limit` cells rather than being skipped,
+    since a certificate that silently skipped it would be misleading.
     """
     correlations = correlation_set(model)
-    dedicated = correlations.as_tuple()
     return Certification(
-        equivalence=equivalence_report(model, dedicated, cell_limit),
-        reduction=reduction_report(model, dedicated),
+        contexts=model.contexts(),
+        factored=expectation_unified(model),
+        expanded=expanded_route(model, cell_limit),
+        reduced=reduced_route(model),
         certificate=lhv_certificate(model, correlations),
     )

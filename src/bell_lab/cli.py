@@ -10,6 +10,8 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -269,11 +271,16 @@ def cmd_simulate(args) -> int:
 
 
 def _histogram_text(ledger) -> str:
-    lines = ["alice_setting,bob_setting,a,b,count\n"]
-    for (alice_label, bob_label), cells in ledger.context_counts().items():
-        for (va, vb), count in cells.items():
-            lines.append(f"{alice_label},{bob_label},{va:+d},{vb:+d},{count}\n")
-    return "".join(lines)
+    """Per-context outcome counts; labels are quoted as in ledger.csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["alice_setting", "bob_setting", "a", "b", "count"])
+    writer.writerows(
+        [alice_label, bob_label, f"{va:+d}", f"{vb:+d}", count]
+        for (alice_label, bob_label), cells in ledger.context_counts().items()
+        for (va, vb), count in cells.items()
+    )
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,10 +8,11 @@ inputs of the reduced form (source pair, U1, U2) carry no setting label;
 every setting dependence lives in the deterministic interval maps and the
 response tables.
 
-Everything here is exact interval algebra on rationals; the quadrature
-sums integer numerators over each factor's common denominator and returns
-one Fraction.  Nothing is ever sampled in this module; the sampling path
-lives in the simulator.
+Everything here is exact interval algebra on rationals.  `reduced_route`
+gives the reduced form's four correlations in context order by quadrature:
+it sums integer numerators over each factor's common denominator and
+returns one Fraction per context.  Nothing is ever sampled in this module;
+the sampling path lives in the simulator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import (
-    Context,
     ContextualModel,
     Pmf,
     _scaled_factors,
@@ -128,60 +128,41 @@ def reduce_model(model: ContextualModel) -> ReducedModel:
     return ReducedModel(base=model, alice_map=alice_map, bob_map=bob_map)
 
 
-def _interval_means(uniform_map: IntervalPartition, table, slot: int) -> tuple[list[int], int]:
-    """Per source index, the width-weighted response over refined intervals,
-    as integer numerators over the widths' common denominator."""
+def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[dict, int]:
+    """Per setting and source index, the width-weighted response over the
+    refined intervals, as integer numerators over the widths' common
+    denominator; the i-th declared setting reads slot i of each label pair."""
     widths, d = _scaled_factors(uniform_map.widths())
-    means = [
-        sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
-        for row in table
-    ]
+    means = {
+        label: [
+            sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
+            for row in local.table.values
+        ]
+        for slot, (label, local) in enumerate(settings.items())
+    }
     return means, d
 
 
-def _reduced_expectation(reduced: ReducedModel, ctx: Context) -> Fraction:
-    """Context correlation under the reduced form, by exact quadrature.
+def reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
+    """The reduced form's correlations in context order, by exact quadrature.
 
-    Integrates over refined intervals times source pairs; each interval
-    contributes its width times the response value its pair selects.
-    Widths and source weights are integer numerators over their common
-    denominators, and each side's per-source interval mean is computed
-    once per source index.
+    Reduces (and so validates) `model`, then integrates over refined
+    intervals times source pairs; each interval contributes its width
+    times the response value its pair selects.  The source and each side's
+    widths are scaled to integer numerators once, and each setting's
+    per-source interval means are computed once.
     """
-    model = reduced.base
-    a_slot = model.alice_labels.index(ctx.alice)
-    b_slot = model.bob_labels.index(ctx.bob)
-    a_table = model.alice[ctx.alice].table.values
-    b_table = model.bob[ctx.bob].table.values
-
-    a_means, a_den = _interval_means(reduced.alice_map, a_table, a_slot)
-    b_means, b_den = _interval_means(reduced.bob_map, b_table, b_slot)
-    source, source_den = _scaled_factors(model.source.flattened())
-    cols = model.source.cols
-    total = 0
-    for l1, a_mean in enumerate(a_means):
-        for l2, b_mean in enumerate(b_means):
-            w_src = source[l1 * cols + l2]
-            if w_src == 0:
-                continue
-            total += w_src * a_mean * b_mean
-    return Fraction(total, source_den * a_den * b_den)
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    contexts: tuple[Context, ...]
-    original: tuple[Fraction, ...]
-    reduced: tuple[Fraction, ...]
-    equal: bool
-
-
-def reduction_report(model: ContextualModel, original: tuple[Fraction, ...]) -> ReductionReport:
-    """Compare a valid model's dedicated correlations, in context order, with
-    the reduced form's, exactly."""
     reduced = reduce_model(model)
-    contexts = model.contexts()
-    values = tuple(_reduced_expectation(reduced, ctx) for ctx in contexts)
-    return ReductionReport(
-        contexts=contexts, original=original, reduced=values, equal=original == values
+    source, source_den = _scaled_factors(model.source.flattened())
+    alice, a_den = _interval_means(reduced.alice_map, model.alice)
+    bob, b_den = _interval_means(reduced.bob_map, model.bob)
+    cols = model.source.cols
+    rows = [source[i:i + cols] for i in range(0, len(source), cols)]
+    den = source_den * a_den * b_den
+    return tuple(
+        Fraction(sum(
+            a_mean * sum(w * b_mean for w, b_mean in zip(row, bob[ctx.bob]) if w)
+            for row, a_mean in zip(rows, alice[ctx.alice])
+        ), den)
+        for ctx in model.contexts()
     )

@@ -62,11 +62,12 @@ DEFAULT_MAX_DENOMINATOR = 64
 class SearchLimitError(RuntimeError):
     """Exhaustive enumeration would exceed the assignment limit."""
 
-    def __init__(self, count: int, limit: int):
-        self.count = count
+    def __init__(self, bits: int, limit: int):
+        self.bits = bits
         self.limit = limit
-        # A power of two; past 2^64 shown as 2^k, as str() refuses 4300+ digits.
-        shown = f"2^{count.bit_length() - 1}" if count > 1 << 64 else count
+        # 2^bits assignments; past 2^64 shown as 2^k, as str() refuses 4300+
+        # digits and 2^k is never built.
+        shown = f"2^{bits}" if bits > 64 else 1 << bits
         super().__init__(f"{shown} table assignments exceed the limit of {limit}")
 
 
@@ -118,9 +119,13 @@ def _table_shapes(cardinalities) -> tuple[tuple[str, str, int, int], ...]:
     )
 
 
+def _table_bits(cardinalities) -> int:
+    """Table entries of a shape: one bit each in an assignment index."""
+    return sum(rows * cols for _, _, rows, cols in _table_shapes(cardinalities))
+
+
 def assignment_count(cardinalities) -> int:
-    bits = sum(rows * cols for _, _, rows, cols in _table_shapes(cardinalities))
-    return 1 << bits
+    return 1 << _table_bits(cardinalities)
 
 
 def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
@@ -166,9 +171,12 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     """
     if spec.mode is not SearchMode.EXHAUSTIVE:
         raise ValueError(f"mode {spec.mode.value} is not exhaustive")
-    total = assignment_count(spec.cardinalities)
-    if total > spec.assignment_limit:
-        raise SearchLimitError(total, spec.assignment_limit)
+    # 2^bits > limit exactly when bits >= limit.bit_length(); checked on the
+    # bit count, so a huge shape never builds 2^bits.
+    bits = _table_bits(spec.cardinalities)
+    if bits >= spec.assignment_limit.bit_length():
+        raise SearchLimitError(bits, spec.assignment_limit)
+    total = 1 << bits
 
     vertex_max = max(
         certify_lhv_bound(decode_assignment((1, 1, 1, 1, 1, 1), m)).report.s_max

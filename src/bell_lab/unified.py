@@ -4,12 +4,13 @@ Cells are tuples (l1, l2, lx, lxp, ly, lyp) indexing the six factors in a
 fixed axis order: source pair first, then Alice's locals in declared
 setting order, then Bob's.  The pmf is the product of the source joint
 weight and the four local weights.  No object holds the space: every
-route reads the model's five factors directly.  The factored route and
-the counterfactuals integrate the unread factors out in Fraction
-arithmetic, so they share no scaling code with the dedicated and expanded
-routes.  The expanded route sums one integer term per cell modulo coprime
-moduli, behind a cell-count guard; `_expanded_route` states why that sum
-is exact.
+route reads the model's five factors directly and returns its four
+correlations in context order.  The factored route and the
+counterfactuals integrate the unread factors out in Fraction arithmetic,
+one mean vector per setting and one bilinear form over the source per
+expectation, so they share no scaling code with the dedicated and
+expanded routes.  `expanded_route` sums one integer term per cell modulo
+coprime moduli, behind a cell-count guard, and states why that is exact.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import Context, ContextualModel, LocalSetting, _scaled_factors, require_valid
+from .models import ContextualModel, LocalSetting, _scaled_factors, require_valid
 
 DEFAULT_CELL_LIMIT = 10**7
 
@@ -49,36 +50,33 @@ def _cell_count(model: ContextualModel) -> int:
     return n
 
 
-def _local_mean(model: ContextualModel, side: str, label: str, source_index: int) -> Fraction:
-    """Mean of one response function over its local pmf, at a fixed source index."""
-    local = model.local(side, label)
-    row = local.table.values[source_index]
+def _means(local: LocalSetting) -> list[Fraction]:
+    """One setting's mean vector m(l) = sum_k p(k) * R(l, k), one entry per source index."""
+    weights = local.pmf.weights
+    return [sum((w * v for w, v in zip(weights, row)), Fraction(0)) for row in local.table.values]
+
+
+def _bilinear(model: ContextualModel, u, v) -> Fraction:
+    """sum over source pairs of S(l1, l2) * u(l1) * v(l2), exactly."""
     return sum(
-        (w * v for w, v in zip(local.pmf.weights, row)), Fraction(0)
+        (u[l1] * sum((w * v[l2] for l2, w in enumerate(row) if w), Fraction(0))
+         for l1, row in enumerate(model.source.weights)),
+        Fraction(0),
     )
 
 
-def expectation_unified(model: ContextualModel, ctx: Context) -> Fraction:
-    """E of the lifted product for one context, marginalizing unused factors.
+def expectation_unified(model: ContextualModel) -> tuple[Fraction, ...]:
+    """The factored route: E of the lifted product in each context, in context order.
 
-    The four factors the context does not read integrate out to 1, so the
-    sum collapses to source-weighted products of per-side local means.
-    Deliberately a different computation route from the dedicated-space
-    four-fold sum; exact agreement between the two is the point.
+    The four factors a context does not read integrate out to 1, so its
+    correlation is the bilinear form of the source with the two read
+    settings' mean vectors.  Deliberately a different computation route
+    from the dedicated-space four-fold sum; exact agreement between the two
+    is the point.
     """
-    a_means = [
-        _local_mean(model, "alice", ctx.alice, l1) for l1 in range(model.source.rows)
-    ]
-    b_means = [
-        _local_mean(model, "bob", ctx.bob, l2) for l2 in range(model.source.cols)
-    ]
-    total = Fraction(0)
-    for l1, row in enumerate(model.source.weights):
-        for l2, w in enumerate(row):
-            if w == 0:
-                continue
-            total += w * a_means[l1] * b_means[l2]
-    return total
+    alice = {label: _means(local) for label, local in model.alice.items()}
+    bob = {label: _means(local) for label, local in model.bob.items()}
+    return tuple(_bilinear(model, alice[c.alice], bob[c.bob]) for c in model.contexts())
 
 
 # Largest number of int64 terms one block of the expanded sum holds, moduli
@@ -138,34 +136,35 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_axes(settings, read: LocalSetting, residues, p: np.ndarray) -> list[np.ndarray]:
-    """One side's two local factors at every source index, shape (k, n_src, n).
+def _local_axes(settings, scaled, moduli, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each setting's local factor at every source index, shape (k, n_src, n),
+    as the pair (unread, read), in declared setting order.
 
-    `residues` holds each setting's pmf numerators modulo the moduli, shape
-    (k, 1, n), in declared setting order, and `p` the moduli on axis 0; the
-    axis the context reads also carries the response value, so a cell's
+    `scaled` holds each setting's `_scaled_factors` pair and `p` the
+    moduli; the read factor also carries the response value, so a cell's
     product picks it up once.
     """
     axes = []
-    for local, res in zip(settings.values(), residues):
+    for local, (nums, _) in zip(settings.values(), scaled):
+        res = _residues(nums, moduli)[:, None, :]
         table = np.array(local.table.values, dtype=np.int64)
-        if local is read:
-            axes.append(res * table % p)
-        else:
-            axes.append(np.broadcast_to(res, (res.shape[0], *table.shape)))
+        read = res * table % p[:, None, None]
+        axes.append((np.broadcast_to(res, read.shape), read))
     return axes
 
 
-def _expanded_route(model: ContextualModel, cell_limit: int):
-    """The guarded expanded route of one model, as a function of the context.
+def expanded_route(
+    model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
+) -> tuple[Fraction, ...]:
+    """The guarded expanded route: the four correlations in context order.
 
     Raises `SizeExceededError` when the space has more than `cell_limit`
-    cells.  Otherwise scales the five factors, picks the moduli and takes
-    the residues once; each call of the returned function then sums one
-    context's cells.  Every cell (l1, l2, lx, lx', ly, ly') gets its own
-    integer term w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf
-    written as integer numerators over its common denominator; nothing is
-    summed out before the tables multiply in.  The sum is exact by
+    cells.  Otherwise scales the five factors, picks the moduli, takes the
+    residues and builds each setting's read and unread axes once, then
+    sums each context's cells.  Every cell (l1, l2, lx, lx', ly, ly') gets
+    its own integer term w_src * w_x * w_x' * w_y * w_y' * A * B, with each
+    pmf written as integer numerators over its common denominator; nothing
+    is summed out before the tables multiply in.  The sum is exact by
     multi-modular arithmetic:
 
     - The absolute terms sum to exactly D, the product of the five factor
@@ -197,17 +196,15 @@ def _expanded_route(model: ContextualModel, cell_limit: int):
     k = len(moduli)
     rows, cols = model.source.rows, model.source.cols
     src = _residues(source, moduli).reshape(k, rows, cols)
-    residues = {
-        side: [_residues(nums, moduli)[:, None, :] for nums, _ in factors]
-        for side, factors in scaled.items()
-    }
-    p_axes = p[:, None, None]
+    alice = _local_axes(model.alice, scaled["alice"], moduli, p)
+    bob = _local_axes(model.bob, scaled["bob"], moduli, p)
     crt = [m // q * pow(m // q, -1, q) for q in moduli]
 
-    def expectation(ctx: Context) -> Fraction:
-        read_a, read_b = model.local("alice", ctx.alice), model.local("bob", ctx.bob)
-        x, xp = _local_axes(model.alice, read_a, residues["alice"], p_axes)
-        y, yp = _local_axes(model.bob, read_b, residues["bob"], p_axes)
+    values = []
+    for ctx in model.contexts():
+        i, j = model.alice_labels.index(ctx.alice), model.bob_labels.index(ctx.bob)
+        x, xp = (read if s == i else unread for s, (unread, read) in enumerate(alice))
+        y, yp = (read if s == j else unread for s, (unread, read) in enumerate(bob))
 
         # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
         shape = (rows, x.shape[2], xp.shape[2], cols)
@@ -216,19 +213,18 @@ def _expanded_route(model: ContextualModel, cell_limit: int):
         bob_cols = None
         for r, ix, ixp, c in _blocks(shape, inner, max(1, _BLOCK_ELEMENTS // k)):
             if c != bob_cols:  # consecutive blocks mostly share Bob's columns
-                bob = _mulmod(y[:, c, :, None], yp[:, c, None, :], p)
+                bob_terms = _mulmod(y[:, c, :, None], yp[:, c, None, :], p)
                 bob_cols = c
-            alice = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
-            terms = _mulmod(alice[..., None], src[:, r, None, None, c], p)
-            terms = _mulmod(terms[..., None, None], bob[:, None, None, None], p)
+            alice_terms = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
+            terms = _mulmod(alice_terms[..., None], src[:, r, None, None, c], p)
+            terms = _mulmod(terms[..., None, None], bob_terms[:, None, None, None], p)
             sums = (sums + terms.reshape(k, -1).sum(axis=1)) % p
 
         total = sum(residue * coef for residue, coef in zip(sums.tolist(), crt)) % m
         if total > m // 2:
             total -= m
-        return Fraction(total, denom)
-
-    return expectation
+        values.append(Fraction(total, denom))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -248,60 +244,16 @@ def counterfactuals(model: ContextualModel) -> CounterfactualSet:
 
     Validates `model` first.  Each side's two functions read disjoint local
     factors, so the local pmfs integrate into independent per-source means
-    and the sums reduce to source-weighted products; no expansion, so no
-    size guard in play.
+    and each product is the bilinear form of the source with the per-side
+    products of means; no expansion, so no size guard in play.
     """
     require_valid(model)
-    a0, a1 = model.alice_labels
-    b0, b1 = model.bob_labels
-    ax = [_local_mean(model, "alice", a0, i) for i in range(model.source.rows)]
-    axp = [_local_mean(model, "alice", a1, i) for i in range(model.source.rows)]
-    by = [_local_mean(model, "bob", b0, j) for j in range(model.source.cols)]
-    byp = [_local_mean(model, "bob", b1, j) for j in range(model.source.cols)]
-
-    alice_pair = Fraction(0)
-    bob_pair = Fraction(0)
-    full = Fraction(0)
-    for l1, row in enumerate(model.source.weights):
-        for l2, w in enumerate(row):
-            if w == 0:
-                continue
-            alice_pair += w * ax[l1] * axp[l1]
-            bob_pair += w * by[l2] * byp[l2]
-            full += w * ax[l1] * axp[l1] * by[l2] * byp[l2]
-    return CounterfactualSet(alice_pair=alice_pair, bob_pair=bob_pair, full_product=full)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Side-by-side values from the dedicated-space and product-space routes."""
-
-    contexts: tuple[Context, ...]
-    dedicated: tuple[Fraction, ...]
-    factored: tuple[Fraction, ...]
-    expanded: tuple[Fraction, ...]
-    equal: bool
-
-
-def equivalence_report(
-    model: ContextualModel, dedicated: tuple[Fraction, ...], cell_limit: int
-) -> EquivalenceReport:
-    """Compare the dedicated correlations of a valid model with the product space.
-
-    `dedicated` holds the four dedicated-route values in context order.
-    The factored route always runs; the expanded brute-force route runs
-    when the space fits under `cell_limit` and raises otherwise, since a
-    certificate that silently skipped the heavyweight check would be
-    misleading.  Verdict is exact rational equality across every route.
-    """
-    contexts = model.contexts()
-    factored = tuple(expectation_unified(model, ctx) for ctx in contexts)
-    expanded_route = _expanded_route(model, cell_limit)
-    expanded = tuple(expanded_route(ctx) for ctx in contexts)
-    return EquivalenceReport(
-        contexts=contexts,
-        dedicated=dedicated,
-        factored=factored,
-        expanded=expanded,
-        equal=dedicated == factored == expanded,
+    mx, mxp = (_means(local) for local in model.alice.values())
+    my, myp = (_means(local) for local in model.bob.values())
+    alice = [a * b for a, b in zip(mx, mxp)]
+    bob = [a * b for a, b in zip(my, myp)]
+    return CounterfactualSet(
+        alice_pair=_bilinear(model, alice, [1] * model.source.cols),
+        bob_pair=_bilinear(model, [1] * model.source.rows, bob),
+        full_product=_bilinear(model, alice, bob),
     )

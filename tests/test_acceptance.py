@@ -48,7 +48,7 @@ def report(label: str, passed: bool, detail: str) -> None:
 
 def test_three_route_equivalence(campaign):
     start = time.perf_counter()
-    failures = sum(1 for model in campaign if not certify_model(model).equivalence.equal)
+    failures = sum(1 for model in campaign if not certify_model(model).routes_equal)
     elapsed = time.perf_counter() - start
     report(
         "three-route context equivalence",
@@ -87,7 +87,7 @@ def test_chsh_bound_holds(campaign):
 
 
 def test_uniform_reduction_preserves_correlations(campaign):
-    failures = sum(1 for model in campaign if not certify_model(model).reduction.equal)
+    failures = sum(1 for model in campaign if not certify_model(model).reduction_equal)
     report(
         "inverse-transform reduction",
         failures == 0,

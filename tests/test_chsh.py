@@ -19,8 +19,8 @@ from bell_lab.chsh import (
 )
 from bell_lab.exact import CorrelationSet, correlation_set
 from bell_lab.models import InvalidModelError, model_hash
-from bell_lab.reduction import reduction_report
-from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError, equivalence_report
+from bell_lab.reduction import reduced_route
+from bell_lab.unified import SizeExceededError, expanded_route, expectation_unified
 from tests_support import PRESETS, alter_local, counting
 
 
@@ -211,10 +211,11 @@ class TestCertifyModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_the_separate_checks(self, name):
         model = PRESETS[name]()
-        dedicated = correlation_set(model).as_tuple()
         expected = Certification(
-            equivalence=equivalence_report(model, dedicated, DEFAULT_CELL_LIMIT),
-            reduction=reduction_report(model, dedicated),
+            contexts=model.contexts(),
+            factored=expectation_unified(model),
+            expanded=expanded_route(model),
+            reduced=reduced_route(model),
             certificate=certify_lhv_bound(model),
         )
         assert certify_model(model) == expected
@@ -226,12 +227,13 @@ class TestCertifyModel:
             result = certify_model(model)
             contexts = model.contexts()
             quadruple = oracles.correlation_quadruple(model)
-            assert result.equivalence.dedicated == result.reduction.original == quadruple
-            assert result.equivalence.factored == quadruple
-            assert result.equivalence.expanded == tuple(
+            assert result.contexts == contexts
+            assert result.dedicated == quadruple
+            assert result.factored == quadruple
+            assert result.expanded == tuple(
                 oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
             )
-            assert result.reduction.reduced == tuple(
+            assert result.reduced == tuple(
                 oracles.reduced_context_mean(model, ctx.alice, ctx.bob) for ctx in contexts
             )
             assert result.certificate == certify_lhv_bound(model)

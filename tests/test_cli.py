@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from bell_lab import cli, simulate
 from bell_lab.cli import main
-from bell_lab.models import model_to_dict, save_model
+from bell_lab.models import model_from_dict, model_to_dict, save_model
 from tests_support import PRESETS
 
 
@@ -191,15 +193,22 @@ class TestSearch:
 
     @pytest.mark.parametrize("cardinalities, count", [
         ("3,2,3,2,2,3", "33554432"),
-        # 4 * 10^6 table bits, far past the 4300 digits str() renders.  No
-        # larger shape: assignment_count builds 1 << bits before the check.
+        # 4 * 10^6 table bits, far past the 4300 digits str() renders.
         ("1000,1000,1000,1000,1000,1000", "2^4000000"),
+        # 4 * 10^10 table bits: the guard checks the bit count, so 2^bits,
+        # 5 GB as an integer, is never built.
+        ("100000,100000,100000,100000,100000,100000", "2^40000000000"),
     ])
     def test_limit_guard_message(self, capsys, cardinalities, count):
         code, out, err = run(capsys, "search", "--cardinalities", cardinalities)
         assert code == 3
         assert out == ""
         assert err == f"error: {count} table assignments exceed the limit of 16777216\n"
+
+    @pytest.mark.parametrize("limit, code", [("255", 3), ("256", 0)])
+    def test_limit_guard_boundary(self, capsys, limit, code):
+        # 8 table bits: 2^8 = 256 assignments, refused only below 256.
+        assert run(capsys, "search", "--cardinalities", "2,2,1,1,1,1", "--limit", limit)[0] == code
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_limit_below_one_is_input_error(self, capsys, limit):
@@ -372,6 +381,29 @@ class TestSimulate:
         assert lines[0] == "alice_setting,bob_setting,a,b,count"
         total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
         assert total == 500
+
+    def test_histogram_quotes_labels(self, capsys, tmp_path, noisy):
+        # Labels that need quoting come out as ledger.csv writes them.
+        doc = model_to_dict(noisy)
+        doc["alice"] = dict(zip(("x,1", 'x"2'), doc["alice"].values()))
+        path = tmp_path / "labels.json"
+        save_model(model_from_dict(doc), path)
+        out_dir = tmp_path / "hist"
+        code, _, _ = run(
+            capsys, "simulate", "--model", str(path), "--n", "400", "--seed", "2",
+            "--out", str(out_dir), "--histogram",
+        )
+        assert code == 0
+        with open(out_dir / "histogram.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        with open(out_dir / "ledger.csv", newline="", encoding="utf-8") as fh:
+            trials = Counter(tuple(row[1:]) for row in list(csv.reader(fh))[1:])
+        assert header == ["alice_setting", "bob_setting", "a", "b", "count"]
+        assert all(len(row) == 5 for row in rows)
+        assert {row[0] for row in rows} == {"x,1", 'x"2'}
+        counts = {tuple(row[:4]): int(row[4]) for row in rows}
+        assert {cell: n for cell, n in counts.items() if n} == dict(trials)
+        assert sum(counts.values()) == 400
 
     @pytest.mark.parametrize("n", ("0", "-3"))
     def test_non_positive_n_is_input_error(self, capsys, tmp_path, model_file, n):

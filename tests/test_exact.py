@@ -1,12 +1,10 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 import oracles
-from bell_lab.exact import correlation_set
-from bell_lab.models import Context, UnknownSettingError
-from bell_lab.unified import DEFAULT_CELL_LIMIT, _expanded_route, expectation_unified
+from bell_lab.exact import correlation_set, outcome_distribution
+from bell_lab.models import UnknownSettingError
 from tests_support import alter_pmf
 
 HALF = Fraction(1, 2)
@@ -62,11 +60,9 @@ class TestProperties:
         assert correlation_set(padded) == correlation_set(permuted)
 
     def test_unknown_context_label(self, perfect):
-        # correlation_set only walks the model's own contexts; the routes
-        # that take a context reject a label the model does not declare.
-        expanded = _expanded_route(perfect, DEFAULT_CELL_LIMIT)
-        for route in (partial(expectation_unified, perfect), expanded):
-            with pytest.raises(UnknownSettingError, match="alice"):
-                route(Context("nope", "y"))
-            with pytest.raises(UnknownSettingError, match="bob"):
-                route(Context("x", "nope"))
+        # Every route walks the model's own contexts; the one function that
+        # still takes setting labels rejects a label the model does not declare.
+        with pytest.raises(UnknownSettingError, match="alice"):
+            outcome_distribution(perfect, "alice", "nope", "y")
+        with pytest.raises(UnknownSettingError, match="bob"):
+            outcome_distribution(perfect, "alice", "x", "nope")

@@ -6,8 +6,12 @@ on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
 The multi-modular expanded route also gets its choice of moduli, its
 re-centring and its block walk checked on their own.
-The dedicated and expanded routes are also checked to scale each of the
-five factors once per model rather than once per context.
+Every route returns its four correlations in context order, and each is
+checked to compute its per-model statistics once rather than once per
+context: the dedicated and expanded routes scale each of the five
+factors once, the reduced route scales the source and each side's widths
+once, and the factored route and the counterfactuals build each
+setting's mean vector once, with no scaling at all.
 """
 
 import itertools
@@ -22,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bell_lab import exact, unified
+from bell_lab import exact, models, reduction, unified
 from bell_lab.chsh import certify_model
 from bell_lab.exact import correlation_set, outcome_distribution
 from bell_lab.models import (
@@ -33,13 +37,14 @@ from bell_lab.models import (
     ResponseTable,
     _scaled_factors,
 )
-from bell_lab.reduction import _reduced_expectation, reduce_model
+from bell_lab.reduction import reduce_model, reduced_route
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.unified import (
-    DEFAULT_CELL_LIMIT,
     _blocks,
-    _expanded_route,
     _moduli,
+    counterfactuals,
+    expanded_route,
+    expectation_unified,
 )
 from tests_support import PRESETS, counting
 
@@ -49,14 +54,26 @@ SHAPES = ((1, 1, 1, 1, 1, 1), (3, 1, 5, 2, 1, 4), (4, 4, 3, 3, 2, 2))
 
 
 def assert_kernels_match_oracles(model: ContextualModel) -> None:
-    expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
+    """Each route's tuple against its oracle, context by context."""
+    contexts = model.contexts()
     reduced = reduce_model(model)
     assert correlation_set(model).as_tuple() == tuple(
-        oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()
+        oracles.dedicated_fraction_oracle(model, ctx) for ctx in contexts
     )
-    for ctx in model.contexts():
-        assert expanded(ctx) == oracles.expanded_scaled_oracle(model, ctx)
-        assert _reduced_expectation(reduced, ctx) == oracles.reduced_fraction_oracle(reduced, ctx)
+    assert expectation_unified(model) == oracles.correlation_quadruple(model)
+    assert expanded_route(model) == tuple(
+        oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
+    )
+    assert reduced_route(model) == tuple(
+        oracles.reduced_fraction_oracle(reduced, ctx) for ctx in contexts
+    )
+    a0, a1 = model.alice_labels
+    b0, b1 = model.bob_labels
+    assert counterfactuals(model).as_tuple() == (
+        oracles.product_mean(model, [("alice", a0), ("alice", a1)]),
+        oracles.product_mean(model, [("bob", b0), ("bob", b1)]),
+        oracles.product_mean(model, [("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)]),
+    )
     for side, labels, remote_labels in (
         ("alice", model.alice_labels, model.bob_labels),
         ("bob", model.bob_labels, model.alice_labels),
@@ -299,8 +316,7 @@ class TestMultiModularExpanded:
     """Cases where a fault in the residue arithmetic or the CRT would show."""
 
     def assert_matches_oracle(self, model):
-        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
-        values = [expanded(ctx) for ctx in model.contexts()]
+        values = list(expanded_route(model))
         assert values == [oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()]
         return values
 
@@ -331,15 +347,12 @@ CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
 
 @pytest.fixture(scope="module")
 def chunked_models():
-    """Skewed and bench-sized models with their unpatched expanded values
-    in contexts (x, y) and (x', y'), which read opposite local axes."""
+    """Skewed and bench-sized models with their unpatched expanded values."""
     cases = []
     for shape in CHUNKED_SHAPES:
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(3))
-        contexts = model.contexts()[::3]
-        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
-        cases.append((model, contexts, [expanded(c) for c in contexts]))
+        cases.append((model, expanded_route(model)))
     return cases
 
 
@@ -347,10 +360,9 @@ class TestBlocks:
     @pytest.mark.parametrize("budget", [1, 7, 4096])
     @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES)))
     def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
-        model, contexts, expected = chunked_models[case]
+        model, expected = chunked_models[case]
         monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
-        expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
-        assert [expanded(c) for c in contexts] == expected
+        assert expanded_route(model) == expected
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
     @pytest.mark.parametrize("inner", [1, 3, 16])
@@ -379,7 +391,7 @@ class TestBlocks:
 
 
 class TestScalingOncePerModel:
-    """Each route scales the five factors once per model, not once per context."""
+    """Each route computes its per-model statistics once, not once per context."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_dedicated_route(self, monkeypatch, name):
@@ -407,11 +419,46 @@ class TestScalingOncePerModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_expanded_route(self, monkeypatch, name):
         model = PRESETS[name]()
-        dedicated = correlation_set(model).as_tuple()
         scaled = counting(monkeypatch, unified, "_scaled_factors")
         moduli = counting(monkeypatch, unified, "_moduli")
-        report = unified.equivalence_report(model, dedicated, DEFAULT_CELL_LIMIT)
+        values = unified.expanded_route(model)
         assert (len(scaled), len(moduli)) == (5, 1)
-        assert report.expanded == tuple(
+        assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
+        )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_reduced_route(self, monkeypatch, name):
+        # The source, then Alice's and Bob's overlay widths.
+        model = PRESETS[name]()
+        scaled = counting(monkeypatch, reduction, "_scaled_factors")
+        values = reduction.reduced_route(model)
+        assert len(scaled) == 3
+        reduced = reduce_model(model)
+        assert values == tuple(
+            oracles.reduced_fraction_oracle(reduced, ctx) for ctx in model.contexts()
+        )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_factored_route(self, monkeypatch, name):
+        model = PRESETS[name]()
+        scaled = counting(monkeypatch, unified, "_scaled_factors")
+        scaled_models = counting(monkeypatch, models, "_scaled_factors")
+        means = counting(monkeypatch, unified, "_means")
+        values = unified.expectation_unified(model)
+        assert (len(means), len(scaled), len(scaled_models)) == (4, 0, 0)
+        assert values == oracles.correlation_quadruple(model)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_counterfactuals(self, monkeypatch, name):
+        model = PRESETS[name]()
+        scaled = counting(monkeypatch, unified, "_scaled_factors")
+        scaled_models = counting(monkeypatch, models, "_scaled_factors")
+        means = counting(monkeypatch, unified, "_means")
+        cf = unified.counterfactuals(model)
+        assert (len(means), len(scaled), len(scaled_models)) == (4, 0, 0)
+        a0, a1 = model.alice_labels
+        b0, b1 = model.bob_labels
+        assert cf.full_product == oracles.product_mean(
+            model, [("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)]
         )

@@ -165,24 +165,24 @@ class TestReduceModel:
 class TestVerifyReduction:
     def test_presets_equal(self, singleton, singleton_flip, perfect, noisy, random7):
         for model in (singleton, singleton_flip, perfect, noisy, random7):
-            report = certify_model(model).reduction
-            assert report.equal
-            assert report.original == report.reduced
+            result = certify_model(model)
+            assert result.reduction_equal
+            assert result.dedicated == result.reduced
 
     def test_campaign_equal(self, small_campaign):
         for model in small_campaign:
-            assert certify_model(model).reduction.equal
+            assert certify_model(model).reduction_equal
 
     def test_reduced_quadrature_matches_oracle(self, small_campaign):
         for model in small_campaign[:30]:
-            report = certify_model(model).reduction
+            reduced = certify_model(model).reduced
             a0, a1 = model.alice_labels
             b0, b1 = model.bob_labels
             expected = tuple(
                 oracles.reduced_context_mean(model, a, b)
                 for a, b in ((a0, b0), (a0, b1), (a1, b0), (a1, b1))
             )
-            assert report.reduced == expected
+            assert reduced == expected
 
 
 class TestExport:

@@ -112,7 +112,7 @@ class TestEnumeration:
         )
         with pytest.raises(SearchLimitError) as err:
             enumerate_deterministic(spec)
-        assert err.value.count == 256
+        assert (err.value.bits, err.value.limit) == (8, 100)  # 2^8 = 256 > 100
 
     def test_default_limit_sweep_completes(self):
         spec = SearchSpec(cardinalities=(3, 3, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)

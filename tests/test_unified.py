@@ -5,14 +5,12 @@ import pytest
 import oracles
 from bell_lab.chsh import certify_model
 from bell_lab.exact import correlation_set
-from bell_lab.models import Context, InvalidModelError
+from bell_lab.models import InvalidModelError
 from bell_lab.unified import (
-    DEFAULT_CELL_LIMIT,
     SizeExceededError,
     _cell_count,
-    _expanded_route,
     counterfactuals,
-    equivalence_report,
+    expanded_route,
     expectation_unified,
 )
 from tests_support import alter_local, alter_pmf
@@ -34,48 +32,44 @@ class TestConstruction:
                 for label, local in settings.items():
                     ones = ((1,) * local.table.cols,) * local.table.rows
                     model = alter_local(model, side, label, table=ones)
-            expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
-            for ctx in model.contexts():
-                assert expanded(ctx) == 1
+            assert expanded_route(model) == (1,) * 4
 
 
 class TestSizeGuard:
     def test_expanded_expectation_guarded(self, noisy):
         with pytest.raises(SizeExceededError) as err:
-            _expanded_route(noisy, 10)
+            expanded_route(noisy, 10)
         assert err.value.size == 64 and err.value.limit == 10
 
     def test_factored_route_unaffected(self, noisy):
         # The factored route takes no cell limit: it never expands.
-        assert expectation_unified(noisy, Context("x", "y")) == HALF
+        assert expectation_unified(noisy)[0] == HALF
 
     def test_verify_equivalence_propagates_guard(self, noisy):
-        dedicated = correlation_set(noisy).as_tuple()
-        with pytest.raises(SizeExceededError):
-            equivalence_report(noisy, dedicated, cell_limit=10)
+        # The certificate refuses rather than skip the expanded route.
+        with pytest.raises(SizeExceededError) as err:
+            certify_model(noisy, cell_limit=10)
+        assert err.value.size == 64 and err.value.limit == 10
 
 
 class TestExpectations:
     def test_noisy_first_context(self, noisy):
-        assert expectation_unified(noisy, Context("x", "y")) == HALF
-        assert _expanded_route(noisy, DEFAULT_CELL_LIMIT)(Context("x", "y")) == HALF
+        assert expectation_unified(noisy)[0] == HALF
+        assert expanded_route(noisy)[0] == HALF
 
     def test_perfect_all_contexts(self, perfect):
-        values = tuple(expectation_unified(perfect, ctx) for ctx in perfect.contexts())
-        assert values == (1, -1, 0, 0)
+        assert expectation_unified(perfect) == (1, -1, 0, 0)
 
     def test_both_routes_match_dedicated(self, small_campaign):
         for model in small_campaign[:60]:
-            expanded = _expanded_route(model, DEFAULT_CELL_LIMIT)
             dedicated = correlation_set(model).as_tuple()
-            assert tuple(expectation_unified(model, ctx) for ctx in model.contexts()) == dedicated
-            assert tuple(expanded(ctx) for ctx in model.contexts()) == dedicated
+            assert expectation_unified(model) == dedicated
+            assert expanded_route(model) == dedicated
 
     def test_remote_pmf_is_invisible(self, noisy):
         # The first context never reads Bob's second local space.
         reshaped = alter_pmf(noisy, "bob", "y'", (Fraction(1, 4), Fraction(3, 4)))
-        ctx = Context("x", "y")
-        assert expectation_unified(noisy, ctx) == expectation_unified(reshaped, ctx)
+        assert expectation_unified(noisy)[0] == expectation_unified(reshaped)[0]
 
 
 class TestCounterfactuals:
@@ -115,7 +109,7 @@ class TestCounterfactuals:
         # Counterfactuals never expand the product: they take no cell limit
         # and still run where the expanded route refuses one cell.
         with pytest.raises(SizeExceededError):
-            _expanded_route(noisy, 1)
+            expanded_route(noisy, 1)
         assert counterfactuals(noisy).as_tuple() == (0, -1, 0)
 
     def test_invalid_model_rejected(self, noisy):
@@ -127,10 +121,10 @@ class TestCounterfactuals:
 class TestEquivalence:
     def test_presets_equal(self, singleton, singleton_flip, perfect, noisy, random7):
         for model in (singleton, singleton_flip, perfect, noisy, random7):
-            report = certify_model(model).equivalence
-            assert report.equal
-            assert report.dedicated == report.factored == report.expanded
+            result = certify_model(model)
+            assert result.routes_equal
+            assert result.dedicated == result.factored == result.expanded
 
     def test_campaign_equal(self, small_campaign):
         for model in small_campaign:
-            assert certify_model(model).equivalence.equal
+            assert certify_model(model).routes_equal
