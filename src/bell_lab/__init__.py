@@ -16,7 +16,7 @@ from .chsh import (
     certify_model,
     chsh_from_correlations,
 )
-from .exact import CorrelationSet, correlation_set, verify_no_signalling
+from .exact import correlation_set, verify_no_signalling
 from .models import (
     Context,
     ContextualModel,
@@ -24,8 +24,6 @@ from .models import (
     JointPmf,
     LocalSetting,
     ModelFormatError,
-    Pmf,
-    ResponseTable,
     UnknownSettingError,
     load_model,
     model_from_dict,
@@ -76,7 +74,6 @@ __all__ = [
     "ChshReport",
     "Context",
     "ContextualModel",
-    "CorrelationSet",
     "CounterfactualSet",
     "EmpiricalChsh",
     "EmptyContextError",
@@ -87,9 +84,7 @@ __all__ = [
     "LocalSetting",
     "ModelFormatError",
     "NoSignallingReport",
-    "Pmf",
     "ReducedModel",
-    "ResponseTable",
     "SearchLimitError",
     "SearchMode",
     "SearchResult",

@@ -12,9 +12,12 @@ exact without per-term Fraction arithmetic.
 from; the certificates (`certify_lhv_bound`, `certify_model`) validate the
 model before computing them.
 
-`certify_model` runs the dedicated, factored, expanded and reduced routes;
-each returns the model's four correlations in context order, and each
+`certify_model` validates the model and checks the expanded route's cell
+count before any route runs, then runs the dedicated, factored, expanded
+and reduced routes.  Each returns the model's four correlations as a
+plain tuple in context order, (x,y), (x,y'), (x',y), (x',y'), and each
 check in `Certification` is one exact equality between those tuples.
+`CORRELATION_KEYS` names the four in the certificate's output.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CorrelationSet, correlation_set
+from .exact import correlation_set, dedicated_route
 from .models import (
     Context,
     ContextualModel,
@@ -30,6 +33,7 @@ from .models import (
     decimal_str,
     format_rational,
     model_hash,
+    require_valid,
 )
 from .reduction import reduced_route
 from .unified import DEFAULT_CELL_LIMIT, expanded_route, expectation_unified
@@ -48,6 +52,9 @@ CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
 
 LHV_BOUND = Fraction(2)
 
+# Output keys of the four correlations, in context order.
+CORRELATION_KEYS = ("e_xy", "e_xy'", "e_x'y", "e_x'y'")
+
 
 class BoundViolationError(AssertionError):
     """A valid model produced s_max > 2.
@@ -64,14 +71,14 @@ class ChshReport:
     bound_satisfied: bool
 
 
-def chsh_from_correlations(c: CorrelationSet) -> ChshReport:
+def chsh_from_correlations(values: tuple[Fraction, ...]) -> ChshReport:
     """Evaluate all eight signed sums exactly and take the maximum magnitude.
 
-    The four correlations are written as integer numerators over their
-    least common denominator d, so the range check and the eight sums are
-    integer arithmetic; each sum becomes one Fraction over d at the end.
+    `values` holds the four correlations in context order.  They are
+    written as integer numerators over their least common denominator d,
+    so the range check and the eight sums are integer arithmetic; each sum
+    becomes one Fraction over d at the end.
     """
-    values = c.as_tuple()
     nums, d = _scaled_factors(values)
     for v, n in zip(values, nums):
         if not -d <= n <= d:
@@ -88,19 +95,13 @@ def chsh_from_correlations(c: CorrelationSet) -> ChshReport:
 @dataclass(frozen=True)
 class LhvCertificate:
     model_sha256: str
-    correlations: CorrelationSet
+    correlations: tuple[Fraction, ...]
     report: ChshReport
 
     def to_dict(self) -> dict:
-        e = self.correlations
         return {
             "model_sha256": self.model_sha256,
-            "correlations": {
-                "e_xy": format_rational(e.e_xy),
-                "e_xy'": format_rational(e.e_xyp),
-                "e_x'y": format_rational(e.e_xpy),
-                "e_x'y'": format_rational(e.e_xpyp),
-            },
+            "correlations": dict(zip(CORRELATION_KEYS, _rationals(self.correlations))),
             "chsh_sums": [format_rational(s) for s in self.report.sums],
             "s_max": format_rational(self.report.s_max),
             "s_max_decimal": decimal_str(self.report.s_max),
@@ -108,7 +109,7 @@ class LhvCertificate:
         }
 
 
-def lhv_certificate(model: ContextualModel, correlations: CorrelationSet) -> LhvCertificate:
+def lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) -> LhvCertificate:
     """All eight sums and the verdict for a valid model's correlations,
     bound to the model hash.
 
@@ -147,7 +148,7 @@ class Certification:
 
     @property
     def dedicated(self) -> tuple[Fraction, ...]:
-        return self.certificate.correlations.as_tuple()
+        return self.certificate.correlations
 
     @property
     def routes_equal(self) -> bool:
@@ -189,17 +190,20 @@ class Certification:
 def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) -> Certification:
     """The whole verification stack on one model, in one pass.
 
-    Validates the model and computes its four dedicated correlations once;
-    the factored, expanded and reduced routes each compute their own four,
-    so the routes stay independent.  The expanded route raises
-    `SizeExceededError` past `cell_limit` cells rather than being skipped,
-    since a certificate that silently skipped it would be misleading.
+    Validates the model first, so an invalid model of any size raises
+    `InvalidModelError` with its violations.  The expanded route runs next:
+    its first step raises `SizeExceededError` past `cell_limit` cells, so
+    an oversized model is refused before any route sums a cell, and a
+    certificate never silently skips the route.  The dedicated, factored
+    and reduced routes then each compute their own four correlations, so
+    the routes stay independent.
     """
-    correlations = correlation_set(model)
+    require_valid(model)
+    expanded = expanded_route(model, cell_limit)
     return Certification(
         contexts=model.contexts(),
         factored=expectation_unified(model),
-        expanded=expanded_route(model, cell_limit),
+        expanded=expanded,
         reduced=reduced_route(model),
-        certificate=lhv_certificate(model, correlations),
+        certificate=lhv_certificate(model, dedicated_route(model)),
     )

@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
         ledger = simulate_trials(model, n=args.n, seed=args.seed)
         exact_by_context = {
             (ctx.alice, ctx.bob): e
-            for ctx, e in zip(model.contexts(), correlation_set(model).as_tuple())
+            for ctx, e in zip(model.contexts(), correlation_set(model))
         }
         extra = {
             "model_sha256": model_hash(model),

@@ -6,9 +6,11 @@ pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
 
-``correlation_set`` validates the model once, scales the five factors
-(the source and the four local pmfs) once, and runs one integer loop per
-context.
+``correlation_set`` validates the model once; ``dedicated_route`` then
+scales the five factors (the source and the four local pmfs) once and
+runs one integer loop per context.  Both return the four correlations as
+a plain tuple in context order, (x,y), (x,y'), (x',y), (x',y'), the shape
+every certify route returns.
 
 The exact no-signalling check runs on the same loop: one side's outcome
 law in a context is the context expectation with the remote table set to
@@ -24,23 +26,10 @@ from fractions import Fraction
 from .models import ContextualModel, _scaled_factors, require_valid
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
-    """The four context correlations, canonical order (x,y), (x,y'), (x',y), (x',y')."""
-
-    e_xy: Fraction
-    e_xyp: Fraction
-    e_xpy: Fraction
-    e_xpyp: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.e_xy, self.e_xyp, self.e_xpy, self.e_xpyp)
-
-
 def _scaled_local(local) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
     """One setting's pmf numerators, their denominator, and its response table."""
-    nums, den = _scaled_factors(local.pmf.weights)
-    return nums, den, local.table.values
+    nums, den = _scaled_factors(local.weights)
+    return nums, den, local.table
 
 
 def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction:
@@ -78,16 +67,22 @@ def _scaled_sides(model: ContextualModel) -> dict[str, dict]:
     }
 
 
-def correlation_set(model: ContextualModel) -> CorrelationSet:
-    """Validate `model` once, then compute its four correlations, each
-    factor scaled once."""
-    require_valid(model)
+def dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
+    """The four correlations of a valid model in context order, each factor
+    scaled once; `model` is not revalidated."""
     source = _scaled_factors(model.source.flattened())
     sides = _scaled_sides(model)
-    return CorrelationSet(*(
+    return tuple(
         _context_expectation(model, source, sides["alice"][ctx.alice], sides["bob"][ctx.bob])
         for ctx in model.contexts()
-    ))
+    )
+
+
+def correlation_set(model: ContextualModel) -> tuple[Fraction, ...]:
+    """Validate `model` once, then compute its four correlations in context
+    order through `dedicated_route`."""
+    require_valid(model)
+    return dedicated_route(model)
 
 
 def _outcome_distribution(model, source, side, own, remote) -> tuple[Fraction, Fraction]:

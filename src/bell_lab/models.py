@@ -1,11 +1,13 @@
 """Core data structures for contextual local-hidden-variable models.
 
-A :class:`ContextualModel` couples a shared source distribution over pairs
-of hidden values with, per side and per measurement setting, a local noise
-distribution and a deterministic +/-1 response table.  Alice's response for
-setting ``x`` reads the source value sent to her side plus her local value
-for ``x``; Bob's side is symmetric.  Each side declares exactly two
-settings; the first declared label plays the unprimed role everywhere.
+A :class:`ContextualModel` is plain data: the source distribution over
+pairs of hidden values as a :class:`JointPmf`, and per side a dict from
+setting label to :class:`LocalSetting`, a tuple of local weights and a
+tuple of +/-1 table rows.  Alice's response for setting ``x`` reads the
+source value sent to her side plus her local value for ``x``; Bob's side
+is symmetric.  Each side declares exactly two settings; the first
+declared label plays the unprimed role everywhere.  A setting is named
+only by its dict key, so diagnostics locate it by side and key.
 
 All probabilities are exact rationals (:class:`fractions.Fraction`).
 Floats are rejected at construction so that every downstream expectation
@@ -106,24 +108,14 @@ def _as_fraction(value, where: str) -> Fraction:
     raise TypeError(f"{where}: exact rational required, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Weights over a finite, index-identified support.
-
-    Weight values are stored as given; whether they form a probability
-    distribution (non-negative, summing to exactly one) is checked by
-    :func:`validate_model`, not at construction.
-    """
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coerced = tuple(_as_fraction(w, "pmf weight") for w in self.weights)
-        object.__setattr__(self, "weights", coerced)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
+def _outcome(value) -> int:
+    """A table entry as an int: numpy integers pass; bool, float and str do not."""
+    try:
+        if type(value) is not bool:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"integer outcome required, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,51 +138,29 @@ class JointPmf:
     def cols(self) -> int:
         return len(self.weights[0]) if self.weights else 0
 
-    def mass(self) -> Fraction:
-        return sum((w for row in self.weights for w in row), Fraction(0))
-
     def flattened(self) -> tuple[Fraction, ...]:
         """Row-major flattening; cell (i, j) lands at index i * cols + j."""
         return tuple(w for row in self.weights for w in row)
 
 
 @dataclass(frozen=True)
-class ResponseTable:
-    """Deterministic outcomes, indexed by (source share index, local index)."""
+class LocalSetting:
+    """One setting's measurement channel: local pmf plus response table.
 
-    side: str
-    setting: str
-    values: tuple[tuple[int, ...], ...]
+    ``weights[k]`` is the probability of local value k and ``table[l][k]``
+    the outcome at source share l and local value k.  Construction only
+    coerces: weights must be exact rationals and outcomes integers (numpy
+    integers become int); whether they form a valid setting is checked by
+    :func:`validate_model`.
+    """
+
+    weights: tuple[Fraction, ...]
+    table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        coerced = tuple(tuple(map(self._outcome, row)) for row in self.values)
-        object.__setattr__(self, "values", coerced)
-
-    def _outcome(self, value) -> int:
-        """An entry as an int: numpy integers pass; bool, float and str do not."""
-        try:
-            if type(value) is not bool:
-                return operator.index(value)
-        except TypeError:
-            pass
-        where = f"{self.side}[{self.setting!r}].table"
-        raise TypeError(f"{where}: integer outcome required, got {value!r}")
-
-    @property
-    def rows(self) -> int:
-        return len(self.values)
-
-    @property
-    def cols(self) -> int:
-        return len(self.values[0]) if self.values else 0
-
-
-@dataclass(frozen=True)
-class LocalSetting:
-    """One setting's measurement channel: local noise pmf plus response table."""
-
-    pmf: Pmf
-    table: ResponseTable
+        weights = tuple(_as_fraction(w, "pmf weight") for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "table", tuple(tuple(map(_outcome, row)) for row in self.table))
 
 
 @dataclass(frozen=True)
@@ -277,7 +247,7 @@ def validate_model(model: ContextualModel) -> list[str]:
                 if w < 0:
                     problems.append(f"source[{i}][{j}]: negative weight {format_rational(w)}")
         if not ragged:
-            total = src.mass()
+            total = sum(src.flattened(), Fraction(0))
             if total != 1:
                 problems.append(f"source: weights sum to {format_rational(total)}, expected 1")
 
@@ -289,24 +259,18 @@ def validate_model(model: ContextualModel) -> list[str]:
             problems.append(f"{side}: expected exactly 2 settings, found {len(settings)}")
         for label, local in settings.items():
             where = f"{side}[{label!r}]"
-            _check_pmf(local.pmf.weights, f"{where}.pmf", problems)
-            table = local.table
-            if table.side != side or table.setting != label:
+            _check_pmf(local.weights, f"{where}.pmf", problems)
+            if len(local.table) != source_dim:
                 problems.append(
-                    f"{where}.table: labeled {table.side}/{table.setting!r}, "
-                    f"expected {side}/{label!r}"
+                    f"{where}.table: {len(local.table)} rows, expected source support {source_dim}"
                 )
-            if table.rows != source_dim:
-                problems.append(
-                    f"{where}.table: {table.rows} rows, expected source support {source_dim}"
-                )
-            for i, row in enumerate(table.values):
-                if len(row) != local.pmf.size:
+            for i, row in enumerate(local.table):
+                if len(row) != len(local.weights):
                     problems.append(
                         f"{where}.table: row {i} has {len(row)} entries, "
-                        f"expected local support {local.pmf.size}"
+                        f"expected local support {len(local.weights)}"
                     )
-            for i, row in enumerate(table.values):
+            for i, row in enumerate(local.table):
                 for j, v in enumerate(row):
                     if v not in (-1, 1):
                         problems.append(f"{where}.table[{i}][{j}]: outcome {v} not in {{-1,+1}}")
@@ -342,8 +306,8 @@ def model_to_dict(model: ContextualModel) -> dict:
     def side_dict(settings: Mapping[str, LocalSetting]) -> dict:
         return {
             label: {
-                "pmf": [format_rational(w) for w in local.pmf.weights],
-                "table": [list(row) for row in local.table.values],
+                "pmf": [format_rational(w) for w in local.weights],
+                "table": [list(row) for row in local.table],
             }
             for label, local in settings.items()
         }
@@ -396,10 +360,9 @@ def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
         if not isinstance(table_doc, list) or not all(isinstance(r, list) for r in table_doc):
             raise ModelFormatError(f"{where}.table: expected an array of arrays")
         try:
-            table = ResponseTable(side=side, setting=label, values=table_doc)
-        except TypeError as exc:
-            raise ModelFormatError(str(exc)) from None
-        settings[label] = LocalSetting(pmf=Pmf(weights), table=table)
+            settings[label] = LocalSetting(weights, table_doc)
+        except TypeError as exc:  # the weights are parsed Fractions: a table entry
+            raise ModelFormatError(f"{where}.table: {exc}") from None
     return settings
 
 

@@ -21,13 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .models import (
-    ContextualModel,
-    Pmf,
-    _scaled_factors,
-    format_rational,
-    require_valid,
-)
+from .models import ContextualModel, _scaled_factors, format_rational, require_valid
 
 
 @dataclass(frozen=True)
@@ -63,12 +57,12 @@ class IntervalPartition:
         )
 
 
-def inverse_transform_partition(pmf: Pmf) -> IntervalPartition:
+def inverse_transform_partition(weights) -> IntervalPartition:
     """Cumulative-sum partition: interval widths equal the weights in order."""
     breakpoints = [Fraction(0)]
     labels = []
     cum = Fraction(0)
-    for index, w in enumerate(pmf.weights):
+    for index, w in enumerate(weights):
         if w == 0:
             continue
         cum += w
@@ -114,16 +108,12 @@ class ReducedModel:
 
 
 def reduce_model(model: ContextualModel) -> ReducedModel:
+    """Validate `model`, then overlay each side's two inverse-transform
+    partitions, first declared setting first."""
     require_valid(model)
-    a0, a1 = model.alice_labels
-    b0, b1 = model.bob_labels
-    alice_map = _overlay(
-        inverse_transform_partition(model.alice[a0].pmf),
-        inverse_transform_partition(model.alice[a1].pmf),
-    )
-    bob_map = _overlay(
-        inverse_transform_partition(model.bob[b0].pmf),
-        inverse_transform_partition(model.bob[b1].pmf),
+    alice_map, bob_map = (
+        _overlay(*(inverse_transform_partition(local.weights) for local in settings.values()))
+        for settings in (model.alice, model.bob)
     )
     return ReducedModel(base=model, alice_map=alice_map, bob_map=bob_map)
 
@@ -136,7 +126,7 @@ def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[dict, int
     means = {
         label: [
             sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
-            for row in local.table.values
+            for row in local.table
         ]
         for slot, (label, local) in enumerate(settings.items())
     }

@@ -48,8 +48,6 @@ from .models import (
     ContextualModel,
     JointPmf,
     LocalSetting,
-    Pmf,
-    ResponseTable,
     format_rational,
 )
 
@@ -148,10 +146,7 @@ def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
             for r in range(rows)
         )
         offset += rows * cols
-        sides[side][label] = LocalSetting(
-            pmf=Pmf(tuple(Fraction(1, cols) for _ in range(cols))),
-            table=ResponseTable(side=side, setting=label, values=values),
-        )
+        sides[side][label] = LocalSetting((Fraction(1, cols),) * cols, values)
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
@@ -225,10 +220,7 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
         values = tuple(
             tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
         )
-        sides[side][label] = LocalSetting(
-            pmf=Pmf(weights),
-            table=ResponseTable(side=side, setting=label, values=values),
-        )
+        sides[side][label] = LocalSetting(weights, values)
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
@@ -324,14 +316,14 @@ class _IntegerState:
         d = lcm(
             step.denominator,
             *(w.denominator for w in flat),
-            *(w.denominator for local in locals_ for w in local.pmf.weights),
+            *(w.denominator for local in locals_ for w in local.weights),
         )
 
         def scaled(weights):
             return tuple(w.numerator * (d // w.denominator) for w in weights)
 
-        pmfs = tuple(scaled(local.pmf.weights) for local in locals_)
-        tables = tuple(local.table.values for local in locals_)
+        pmfs = tuple(scaled(local.weights) for local in locals_)
+        tables = tuple(local.table for local in locals_)
         means = tuple(_means(p, t) for p, t in zip(pmfs, tables))
         return cls(settings, d, step.numerator * (d // step.denominator),
                    model.source.cols, scaled(flat), pmfs, tables, means)
@@ -344,10 +336,7 @@ class _IntegerState:
         ))
         sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
         for (side, label), pmf, table in zip(self.settings, self.pmfs, self.tables):
-            sides[side][label] = LocalSetting(
-                pmf=Pmf(tuple(Fraction(n, d) for n in pmf)),
-                table=ResponseTable(side=side, setting=label, values=table),
-            )
+            sides[side][label] = LocalSetting(tuple(Fraction(n, d) for n in pmf), table)
         return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
     def moves(self):

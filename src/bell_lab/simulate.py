@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import CHSH_PATTERNS
-from .models import ContextualModel, Pmf, atomic_writer
+from .models import ContextualModel, atomic_writer
 from .reduction import inverse_transform_partition, reduce_model
 
 U_BITS = 53
@@ -160,7 +160,7 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     """
     reduced = reduce_model(model)  # validates the model
 
-    source_map = inverse_transform_partition(Pmf(model.source.flattened()))
+    source_map = inverse_transform_partition(model.source.flattened())
     source_k = _thresholds(source_map.breakpoints)
     source_labels = np.array(source_map.labels, dtype=np.int64)
     alice_map_k = _thresholds(reduced.alice_map.breakpoints)
@@ -169,12 +169,11 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     bob_pairs = np.array(reduced.bob_map.labels, dtype=np.int64)
 
     def table_stack(settings, labels):
-        depth = max(s.pmf.size for s in settings.values())
-        rows = max(s.table.rows for s in settings.values())
+        depth = max(len(s.weights) for s in settings.values())
+        rows = max(len(s.table) for s in settings.values())
         stack = np.zeros((2, rows, depth), dtype=np.uint8)
         for t, label in enumerate(labels):
-            values = settings[label].table.values
-            for r, row in enumerate(values):
+            for r, row in enumerate(settings[label].table):
                 stack[t, r, : len(row)] = [v > 0 for v in row]
         return stack
 

@@ -46,14 +46,14 @@ def _cell_count(model: ContextualModel) -> int:
     """Cells of the expanded space: the source grid times the four local sizes."""
     n = model.source.rows * model.source.cols
     for local in itertools.chain(model.alice.values(), model.bob.values()):
-        n *= local.pmf.size
+        n *= len(local.weights)
     return n
 
 
 def _means(local: LocalSetting) -> list[Fraction]:
     """One setting's mean vector m(l) = sum_k p(k) * R(l, k), one entry per source index."""
-    weights = local.pmf.weights
-    return [sum((w * v for w, v in zip(weights, row)), Fraction(0)) for row in local.table.values]
+    weights = local.weights
+    return [sum((w * v for w, v in zip(weights, row)), Fraction(0)) for row in local.table]
 
 
 def _bilinear(model: ContextualModel, u, v) -> Fraction:
@@ -147,7 +147,7 @@ def _local_axes(settings, scaled, moduli, p: np.ndarray) -> list[tuple[np.ndarra
     axes = []
     for local, (nums, _) in zip(settings.values(), scaled):
         res = _residues(nums, moduli)[:, None, :]
-        table = np.array(local.table.values, dtype=np.int64)
+        table = np.array(local.table, dtype=np.int64)
         read = res * table % p[:, None, None]
         axes.append((np.broadcast_to(res, read.shape), read))
     return axes
@@ -186,7 +186,7 @@ def expanded_route(
         raise SizeExceededError(size, cell_limit)
     source, denom = _scaled_factors(model.source.flattened())
     scaled = {
-        side: [_scaled_factors(local.pmf.weights) for local in settings.values()]
+        side: [_scaled_factors(local.weights) for local in settings.values()]
         for side, settings in (("alice", model.alice), ("bob", model.bob))
     }
     for _, d in itertools.chain(*scaled.values()):

@@ -35,14 +35,12 @@ from math import lcm
 import numpy as np
 
 from bell_lab.chsh import CHSH_PATTERNS, LHV_BOUND, ChshReport, chsh_from_correlations
-from bell_lab.exact import CorrelationSet, correlation_set
+from bell_lab.exact import correlation_set
 from bell_lab.models import (
     Context,
     ContextualModel,
     JointPmf,
     LocalSetting,
-    Pmf,
-    ResponseTable,
     canonical_json,
     format_rational,
 )
@@ -68,8 +66,8 @@ def product_mean(model: ContextualModel, selected) -> Fraction:
     """
     alabels = tuple(model.alice)
     blabels = tuple(model.bob)
-    a_pmfs = [model.alice[t].pmf.weights for t in alabels]
-    b_pmfs = [model.bob[t].pmf.weights for t in blabels]
+    a_pmfs = [model.alice[t].weights for t in alabels]
+    b_pmfs = [model.bob[t].weights for t in blabels]
     total = Fraction(0)
     for i in range(model.source.rows):
         for j in range(model.source.cols):
@@ -85,10 +83,10 @@ def product_mean(model: ContextualModel, selected) -> Fraction:
                     for side, label in selected:
                         if side == "alice":
                             t = alabels.index(label)
-                            v *= model.alice[label].table.values[i][la[t]]
+                            v *= model.alice[label].table[i][la[t]]
                         else:
                             t = blabels.index(label)
-                            v *= model.bob[label].table.values[j][lb[t]]
+                            v *= model.bob[label].table[j][lb[t]]
                     total += w * v
     return total
 
@@ -120,9 +118,8 @@ def s_max(correlations) -> Fraction:
     return max(abs(s) for s in chsh_sums(correlations))
 
 
-def chsh_fraction_oracle(c: CorrelationSet) -> ChshReport:
+def chsh_fraction_oracle(values) -> ChshReport:
     """Evaluate all eight signed sums exactly and take the maximum magnitude."""
-    values = c.as_tuple()
     for v in values:
         if not -1 <= v <= 1:
             raise ValueError(f"correlation {format_rational(v)} outside [-1, 1]")
@@ -179,19 +176,19 @@ def reduced_context_mean(model: ContextualModel, alice_label: str, bob_label: st
     blabels = tuple(model.bob)
 
     def side_atoms(settings, labels):
-        d = atom_denominator(*[settings[t].pmf.weights for t in labels])
+        d = atom_denominator(*[settings[t].weights for t in labels])
         cums = {}
         for t in labels:
             cum = [0]
-            for w in settings[t].pmf.weights:
+            for w in settings[t].weights:
                 cum.append(cum[-1] + int(w * d))
             cums[t] = cum
         return d, cums
 
     da, acums = side_atoms(model.alice, alabels)
     db, bcums = side_atoms(model.bob, blabels)
-    atab = model.alice[alice_label].table.values
-    btab = model.bob[bob_label].table.values
+    atab = model.alice[alice_label].table
+    btab = model.bob[bob_label].table
     acum = acums[alice_label]
     bcum = bcums[bob_label]
 
@@ -219,10 +216,10 @@ def dedicated_fraction_oracle(model: ContextualModel, ctx: Context) -> Fraction:
     """
     a_local = model.local("alice", ctx.alice)
     b_local = model.local("bob", ctx.bob)
-    a_table = a_local.table.values
-    b_table = b_local.table.values
-    a_pmf = a_local.pmf.weights
-    b_pmf = b_local.pmf.weights
+    a_table = a_local.table
+    b_table = b_local.table
+    a_pmf = a_local.weights
+    b_pmf = b_local.weights
 
     total = Fraction(0)
     for l1, source_row in enumerate(model.source.weights):
@@ -254,18 +251,18 @@ def expanded_scaled_oracle(
     b0, b1 = model.bob_labels
     size = model.source.rows * model.source.cols
     for side, label in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)):
-        size *= len(model.local(side, label).pmf.weights)
+        size *= len(model.local(side, label).weights)
     if size > cell_limit:
         raise SizeExceededError(size, cell_limit)
     src_num, src_den = _oracle_scaled_factors(list(model.source.flattened()))
     local_scaled = {
-        (side, label): _oracle_scaled_factors(list(model.local(side, label).pmf.weights))
+        (side, label): _oracle_scaled_factors(list(model.local(side, label).weights))
         for side, label in (
             ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1),
         )
     }
-    a_table = model.local("alice", ctx.alice).table.values
-    b_table = model.local("bob", ctx.bob).table.values
+    a_table = model.local("alice", ctx.alice).table
+    b_table = model.local("bob", ctx.bob).table
     a_axis = model.alice_labels.index(ctx.alice)
     b_axis = model.bob_labels.index(ctx.bob)
 
@@ -297,8 +294,8 @@ def reduced_fraction_oracle(reduced: ReducedModel, ctx: Context) -> Fraction:
     model = reduced.base
     a_slot = model.alice_labels.index(ctx.alice)
     b_slot = model.bob_labels.index(ctx.bob)
-    a_table = model.alice[ctx.alice].table.values
-    b_table = model.bob[ctx.bob].table.values
+    a_table = model.alice[ctx.alice].table
+    b_table = model.bob[ctx.bob].table
 
     a_widths = reduced.alice_map.widths()
     b_widths = reduced.bob_map.widths()
@@ -341,11 +338,11 @@ def outcome_distribution_fraction_oracle(
     for l1, row in enumerate(model.source.weights):
         for l2, w_src in enumerate(row):
             own_index = l1 if side == "alice" else l2
-            for k, w_loc in enumerate(local.pmf.weights):
-                for _, w_rem in enumerate(remote_local.pmf.weights):
+            for k, w_loc in enumerate(local.weights):
+                for _, w_rem in enumerate(remote_local.weights):
                     w = w_src * w_loc * w_rem
                     total_mass += w
-                    if local.table.values[own_index][k] == 1:
+                    if local.table[own_index][k] == 1:
                         p_plus += w
     return (p_plus, total_mass - p_plus)
 
@@ -388,10 +385,9 @@ def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetti
 
 def _with_table_entry(model: ContextualModel, side: str, label: str, r: int, c: int):
     local = model.local(side, label)
-    values = [list(row) for row in local.table.values]
+    values = [list(row) for row in local.table]
     values[r][c] = -values[r][c]
-    table = ResponseTable(side=side, setting=label, values=tuple(map(tuple, values)))
-    return _with_local(model, side, label, LocalSetting(pmf=local.pmf, table=table))
+    return _with_local(model, side, label, LocalSetting(local.weights, values))
 
 
 def _mass_moves(weights, step: Fraction):
@@ -415,8 +411,8 @@ def neighbors_oracle(model: ContextualModel, step: Fraction):
     for side in ("alice", "bob"):
         settings = model.alice if side == "alice" else model.bob
         for label, local in settings.items():
-            for r in range(local.table.rows):
-                for c in range(local.table.cols):
+            for r, row in enumerate(local.table):
+                for c in range(len(row)):
                     yield _with_table_entry(model, side, label, r, c)
     rows, cols = model.source.rows, model.source.cols
     for moved in _mass_moves(model.source.flattened(), step):
@@ -425,8 +421,8 @@ def neighbors_oracle(model: ContextualModel, step: Fraction):
     for side in ("alice", "bob"):
         settings = model.alice if side == "alice" else model.bob
         for label, local in settings.items():
-            for moved in _mass_moves(local.pmf.weights, step):
-                moved_local = LocalSetting(pmf=Pmf(moved), table=local.table)
+            for moved in _mass_moves(local.weights, step):
+                moved_local = LocalSetting(moved, local.table)
                 yield _with_local(model, side, label, moved_local)
 
 
@@ -486,11 +482,11 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):
     reduced = reduce_model(model)
 
     def table_stack(settings, labels):
-        depth = max(s.pmf.size for s in settings.values())
-        rows = max(s.table.rows for s in settings.values())
+        depth = max(len(s.weights) for s in settings.values())
+        rows = max(len(s.table) for s in settings.values())
         stack = np.zeros((2, rows, depth), dtype=np.int8)
         for t, label in enumerate(labels):
-            for r, row in enumerate(settings[label].table.values):
+            for r, row in enumerate(settings[label].table):
                 stack[t, r, : len(row)] = row
         return stack
 

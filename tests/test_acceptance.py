@@ -112,7 +112,7 @@ def test_monte_carlo_agreement():
     ok = True
     for name in ("perfect_correlation", "noisy_readout"):
         model = PRESETS[name]()
-        exact = correlation_set(model).as_tuple()
+        exact = correlation_set(model)
         within, calm = 0, 0
         for seed in seeds:
             ledger = simulate_trials(model, n, seed=seed)

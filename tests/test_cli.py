@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bell_lab import cli, simulate
+from bell_lab import cli, exact, simulate
 from bell_lab.cli import main
 from bell_lab.models import model_from_dict, model_to_dict, save_model
-from tests_support import PRESETS
+from bell_lab.search import SearchMode, SearchSpec, random_model
+from tests_support import PRESETS, counting
 
 
 @pytest.fixture
@@ -133,6 +135,31 @@ class TestCertify:
         )
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("limit", [[], ["--limit", "1"]])
+    def test_oversized_model_refused_before_any_route(self, capsys, monkeypatch, tmp_path, limit):
+        # 64 values on every axis: 2^36 cells, and 64^4 terms per context in
+        # the dedicated loop, which must never start.
+        model = random_model(SearchSpec((64,) * 6, SearchMode.RANDOM), random.Random(1))
+        dedicated = counting(monkeypatch, exact, "_context_expectation")
+        path = tmp_path / "big.json"
+        save_model(model, path)
+        code, out, err = run(capsys, "certify", "--model", str(path), *limit)
+        cap = limit[1] if limit else "10000000"
+        assert (code, out) == (3, "")
+        assert err == f"error: unified space has 68719476736 cells, limit is {cap}\n"
+        # An invalid model of the same size still exits 1 with its violations.
+        doc = model_to_dict(model)
+        doc["alice"]["x"]["table"][3][5] = 2
+        doc["bob"]["y"]["pmf"] = ["1/2"] * 64
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--model", str(path), *limit)
+        assert (code, out) == (1, "")
+        assert err == (
+            "alice['x'].table[3][5]: outcome 2 not in {-1,+1}\n"
+            "bob['y'].pmf: weights sum to 32, expected 1\n"
+        )
+        assert dedicated == []
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_limit_below_one_is_input_error(self, capsys, model_file, limit):

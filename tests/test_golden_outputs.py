@@ -1,0 +1,94 @@
+"""CLI output bytes pinned across commits by digest.
+
+Each case runs ``bell_lab.cli.main`` in this process on a fixed argv and
+compares its exit code and the SHA-256 of its stdout, its stderr and every
+file it writes with ``golden_outputs.json``.  The digests were generated at
+commit 1118feb, before the model and correlation types became plain data,
+by running this module as a script from the repository root:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+which rewrites ``golden_outputs.json`` from the checked-out code.  A change
+that alters output bytes on purpose regenerates the file and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bell_lab.cli import main
+from tests_support import PRESET_DIR, PRESETS
+
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+OUT = "{out}"  # replaced by a fresh output directory per run
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in PRESETS:
+        model = str(PRESET_DIR / f"{name}.json")
+        for fmt in ("text", "json"):
+            cases[f"check-{name}-{fmt}"] = ["check", "--model", model, "--format", fmt]
+        for fmt in ("json", "text", "csv"):
+            cases[f"certify-{name}-{fmt}"] = ["certify", "--model", model, "--format", fmt]
+    noisy = str(PRESET_DIR / "noisy_readout.json")
+    cases["certify-noisy_readout-limit1"] = ["certify", "--model", noisy, "--limit", "1"]
+    cases["search-default"] = ["search"]
+    for mode in ("hill-climb", "random"):
+        cases[f"search-{mode}"] = [
+            "search", "--mode", mode, "--seed", "0", "--budget", "200",
+            "--cardinalities", "2,2,2,2,2,2",
+        ]
+    simulate = ["simulate", "--histogram", "--n", "5000", "--seed", "0", "--out", OUT]
+    for name in ("noisy_readout", "random_seed7"):
+        cases[f"simulate-{name}"] = [*simulate, "--model", str(PRESET_DIR / f"{name}.json")]
+    cases["simulate-quantum"] = [*simulate, "--quantum", "0,1.5708,0.7854,2.3562"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv: list[str], out_dir: Path) -> dict:
+    """Exit code and digests of stdout, stderr and each file under `out_dir`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(out_dir) if arg == OUT else arg for arg in argv])
+    return {
+        "exit": code,
+        "stdout": _sha(stdout.getvalue().encode("utf-8")),
+        "stderr": _sha(stderr.getvalue().encode("utf-8")),
+        "files": {
+            path.name: _sha(path.read_bytes()) for path in sorted(out_dir.iterdir())
+        },
+    }
+
+
+def test_golden_file_covers_exactly_the_cases():
+    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_the_golden_digests(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run_case(CASES[name], out_dir) == golden
+
+
+if __name__ == "__main__":
+    digests = {}
+    for case, argv in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[case] = run_case(argv, Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} cases to {GOLDEN}")

@@ -33,8 +33,6 @@ from bell_lab.models import (
     ContextualModel,
     JointPmf,
     LocalSetting,
-    Pmf,
-    ResponseTable,
     _scaled_factors,
 )
 from bell_lab.reduction import reduce_model, reduced_route
@@ -57,7 +55,7 @@ def assert_kernels_match_oracles(model: ContextualModel) -> None:
     """Each route's tuple against its oracle, context by context."""
     contexts = model.contexts()
     reduced = reduce_model(model)
-    assert correlation_set(model).as_tuple() == tuple(
+    assert correlation_set(model) == tuple(
         oracles.dedicated_fraction_oracle(model, ctx) for ctx in contexts
     )
     assert expectation_unified(model) == oracles.correlation_quadruple(model)
@@ -88,25 +86,18 @@ def assert_kernels_match_oracles(model: ContextualModel) -> None:
 def build_model(source_rows, alice_pmfs, bob_pmfs, rng: random.Random) -> ContextualModel:
     """A model from explicit weights, with coin-flip response tables."""
 
-    def side(name, labels, pmfs, rows):
+    def side(labels, pmfs, rows):
         return {
             label: LocalSetting(
-                pmf=Pmf(tuple(pmf)),
-                table=ResponseTable(
-                    side=name,
-                    setting=label,
-                    values=tuple(
-                        tuple(rng.choice((1, -1)) for _ in pmf) for _ in range(rows)
-                    ),
-                ),
+                pmf, [[rng.choice((1, -1)) for _ in pmf] for _ in range(rows)]
             )
             for label, pmf in zip(labels, pmfs)
         }
 
     return ContextualModel(
         source=JointPmf(tuple(tuple(row) for row in source_rows)),
-        alice=side("alice", ("x", "x'"), alice_pmfs, len(source_rows)),
-        bob=side("bob", ("y", "y'"), bob_pmfs, len(source_rows[0])),
+        alice=side(("x", "x'"), alice_pmfs, len(source_rows)),
+        bob=side(("y", "y'"), bob_pmfs, len(source_rows[0])),
     )
 
 
@@ -193,7 +184,7 @@ class TestKernelOracles:
         )
         big = [w.denominator > 2**64 for w in model.source.flattened()]
         for settings_ in (model.alice, model.bob):
-            big += [w.denominator > 2**64 for local in settings_.values() for w in local.pmf.weights]
+            big += [w.denominator > 2**64 for local in settings_.values() for w in local.weights]
         assert sum(big) >= 10
         assert_kernels_match_oracles(model)
 
@@ -220,7 +211,7 @@ def denominator_product(model: ContextualModel) -> int:
     """D: the product of the five factors' least common denominators."""
     d = math.lcm(*[w.denominator for w in model.source.flattened()])
     for local in itertools.chain(model.alice.values(), model.bob.values()):
-        d *= math.lcm(*[w.denominator for w in local.pmf.weights])
+        d *= math.lcm(*[w.denominator for w in local.weights])
     return d
 
 
@@ -245,12 +236,7 @@ def map_tables(model: ContextualModel, alice, bob) -> ContextualModel:
     def side(settings, f):
         return {
             label: LocalSetting(
-                pmf=local.pmf,
-                table=ResponseTable(
-                    side=local.table.side,
-                    setting=label,
-                    values=tuple(tuple(f(v) for v in row) for row in local.table.values),
-                ),
+                local.weights, [[f(v) for v in row] for row in local.table]
             )
             for label, local in settings.items()
         }
@@ -397,7 +383,7 @@ class TestScalingOncePerModel:
     def test_dedicated_route(self, monkeypatch, name):
         model = PRESETS[name]()
         scaled = counting(monkeypatch, exact, "_scaled_factors")
-        values = correlation_set(model).as_tuple()
+        values = correlation_set(model)
         assert len(scaled) == 5
         assert values == tuple(
             oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()

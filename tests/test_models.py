@@ -15,8 +15,6 @@ from bell_lab.models import (
     JointPmf,
     LocalSetting,
     ModelFormatError,
-    Pmf,
-    ResponseTable,
     UnknownSettingError,
     canonical_json,
     decimal_str,
@@ -83,14 +81,16 @@ class TestValidation:
         assert "table[0][0]" in problems[0] and "y'" in problems[0]
 
     def test_mislabelled_table_named(self, singleton):
-        # A model file cannot produce this: the loader labels each table
-        # with its own key.
+        # A setting carries no label of its own: a broken table is reported
+        # under the dict key it sits under, whichever setting it came from.
         alice = dict(singleton.alice)
-        alice["x"] = LocalSetting(
-            pmf=alice["x"].pmf, table=ResponseTable("bob", "y", ((1,),))
-        )
+        alice["x"] = LocalSetting(alice["x"].weights, ((2,),))
         assert validate_model(replace(singleton, alice=alice)) == [
-            "alice['x'].table: labeled bob/'y', expected alice/'x'"
+            "alice['x'].table[0][0]: outcome 2 not in {-1,+1}"
+        ]
+        bob = {"y'": singleton.bob["y"], "y": LocalSetting((Fraction(1),), ((1, -1),))}
+        assert validate_model(replace(singleton, bob=bob)) == [
+            "bob['y'].table: row 0 has 2 entries, expected local support 1"
         ]
 
     def test_negative_weight_flagged(self, perfect):
@@ -115,22 +115,12 @@ class TestValidation:
         model = ContextualModel(
             source=JointPmf(((Fraction(1),),)),
             alice={
-                "x": LocalSetting(
-                    pmf=Pmf((Fraction(2),)),
-                    table=ResponseTable("alice", "x", ((5,),)),
-                ),
-                "x'": LocalSetting(
-                    pmf=Pmf(()),
-                    table=ResponseTable("alice", "x'", ()),
-                ),
+                "x": LocalSetting((Fraction(2),), ((5,),)),
+                "x'": LocalSetting((), ()),
             },
             bob={
-                "y": LocalSetting(
-                    pmf=Pmf((Fraction(1),)), table=ResponseTable("bob", "y", ((1,),))
-                ),
-                "y'": LocalSetting(
-                    pmf=Pmf((Fraction(1),)), table=ResponseTable("bob", "y'", ((1,),))
-                ),
+                "y": LocalSetting((Fraction(1),), ((1,),)),
+                "y'": LocalSetting((Fraction(1),), ((1,),)),
             },
         )
         problems = validate_model(model)
@@ -149,22 +139,28 @@ class TestValidation:
 
 class TestEntryTypes:
     @pytest.mark.parametrize("value", [1.9, -1.5, True, "1"])
-    def test_non_integer_entry_named(self, value):
+    def test_non_integer_entry_named(self, value, noisy):
+        half = (Fraction(1, 2),) * 2
+        with pytest.raises(TypeError, match=re.escape(f"integer outcome required, got {value!r}")):
+            LocalSetting(half, ((1, -1), (value, 1)))
+        # The loader adds the locator: the side and the dict key.
+        doc = model_to_dict(noisy)
+        doc["alice"]["x"]["table"][1][0] = value
         expected = f"alice['x'].table: integer outcome required, got {value!r}"
-        with pytest.raises(TypeError, match=re.escape(expected)):
-            ResponseTable(side="alice", setting="x", values=((1, -1), (value, 1)))
+        with pytest.raises(ModelFormatError, match=re.escape(expected)):
+            model_from_dict(doc)
 
     @pytest.mark.parametrize("value", [0.5, True, "1/2"])
     def test_pmf_weights_must_be_exact(self, value):
         expected = f"pmf weight: exact rational required, got {value!r}"
         with pytest.raises(TypeError, match=re.escape(expected)):
-            Pmf((Fraction(1, 2), value))
+            LocalSetting((Fraction(1, 2), value), ((1, -1),))
 
     def test_numpy_integers_become_ints(self):
         values = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        table = ResponseTable(side="bob", setting="y", values=values)
-        assert table.values == ((1, -1), (-1, 1))
-        assert {type(v) for row in table.values for v in row} == {int}
+        local = LocalSetting((Fraction(1, 2),) * 2, values)
+        assert local.table == ((1, -1), (-1, 1))
+        assert {type(v) for row in local.table for v in row} == {int}
 
 
 class TestContexts:

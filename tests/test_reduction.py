@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bell_lab.models import ModelFormatError, Pmf, model_from_dict
 from bell_lab.chsh import certify_model
 from bell_lab.reduction import (
     IntervalPartition,
@@ -18,8 +17,8 @@ from bell_lab.reduction import (
 F = Fraction
 
 
-def overlay_coupling(p_a: Pmf, p_b: Pmf) -> dict:
-    """Joint law of two pmfs driven by one shared uniform: the overlay of
+def overlay_coupling(p_a, p_b) -> dict:
+    """Joint law of two weight tuples driven by one shared uniform: the overlay of
     their inverse-transform partitions, each refined interval's pair
     weighted by its width."""
     m = _overlay(inverse_transform_partition(p_a), inverse_transform_partition(p_b))
@@ -33,26 +32,26 @@ def pmfs(draw, max_size=5, denominator=24):
         draw(st.lists(st.integers(0, denominator), min_size=size - 1, max_size=size - 1))
     )
     bounds = [0, *cuts, denominator]
-    return Pmf(tuple(F(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:])))
+    return tuple(F(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:]))
 
 
 class TestInverseTransform:
     def test_single_point(self):
-        partition = inverse_transform_partition(Pmf((F(1),)))
+        partition = inverse_transform_partition((F(1),))
         assert partition.breakpoints == (0, 1)
         assert partition.labels == (0,)
 
     def test_three_quarters(self):
-        partition = inverse_transform_partition(Pmf((F(3, 4), F(1, 4))))
+        partition = inverse_transform_partition((F(3, 4), F(1, 4)))
         assert partition.breakpoints == (0, F(3, 4), 1)
         assert partition.labels == (0, 1)
 
     def test_thirds(self):
-        partition = inverse_transform_partition(Pmf((F(1, 3), F(1, 6), F(1, 2))))
+        partition = inverse_transform_partition((F(1, 3), F(1, 6), F(1, 2)))
         assert partition.breakpoints == (0, F(1, 3), F(1, 2), 1)
 
     def test_zero_weight_dropped(self):
-        partition = inverse_transform_partition(Pmf((F(1, 2), F(0), F(1, 2))))
+        partition = inverse_transform_partition((F(1, 2), F(0), F(1, 2)))
         assert partition.breakpoints == (0, F(1, 2), 1)
         assert partition.labels == (0, 2)
 
@@ -65,11 +64,11 @@ class TestInverseTransform:
                 partition.labels, partition.breakpoints, partition.breakpoints[1:]
             )
         }
-        for index, weight in enumerate(pmf.weights):
+        for index, weight in enumerate(pmf):
             assert widths.get(index, F(0)) == weight
 
     def test_breakpoints_strictly_increasing(self):
-        partition = inverse_transform_partition(Pmf((F(1, 4), F(0), F(3, 4))))
+        partition = inverse_transform_partition((F(1, 4), F(0), F(3, 4)))
         assert all(a < b for a, b in zip(partition.breakpoints, partition.breakpoints[1:]))
 
 
@@ -93,28 +92,28 @@ class TestLocate:
 
 class TestCoupling:
     def test_trivial(self):
-        assert overlay_coupling(Pmf((F(1),)), Pmf((F(1),))) == {(0, 0): F(1)}
+        assert overlay_coupling((F(1),), (F(1),)) == {(0, 0): F(1)}
 
     def test_identical_partitions_are_diagonal(self):
-        half = Pmf((F(1, 2), F(1, 2)))
+        half = (F(1, 2), F(1, 2))
         assert overlay_coupling(half, half) == {(0, 0): F(1, 2), (1, 1): F(1, 2)}
 
     def test_frozen_example(self):
-        joint = overlay_coupling(Pmf((F(3, 4), F(1, 4))), Pmf((F(1, 2), F(1, 2))))
+        joint = overlay_coupling((F(3, 4), F(1, 4)), (F(1, 2), F(1, 2)))
         assert joint == {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 1): F(1, 4)}
 
     @given(pmfs(), pmfs())
     def test_matches_atom_oracle(self, p, q):
-        assert overlay_coupling(p, q) == oracles.couple_by_atoms(p.weights, q.weights)
+        assert overlay_coupling(p, q) == oracles.couple_by_atoms(p, q)
 
     @given(pmfs(), pmfs())
     def test_marginals_recovered(self, p, q):
         joint = overlay_coupling(p, q)
-        for index, weight in enumerate(p.weights):
+        for index, weight in enumerate(p):
             assert sum(
                 (w for (i, _), w in joint.items() if i == index), F(0)
             ) == weight
-        for index, weight in enumerate(q.weights):
+        for index, weight in enumerate(q):
             assert sum(
                 (w for (_, j), w in joint.items() if j == index), F(0)
             ) == weight
@@ -146,7 +145,7 @@ class TestReduceModel:
             ):
                 widths = umap.widths()
                 for slot, label in enumerate(settings):
-                    weights = settings[label].pmf.weights
+                    weights = settings[label].weights
                     for index, weight in enumerate(weights):
                         mass = sum(
                             (

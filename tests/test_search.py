@@ -13,7 +13,7 @@ import bell_lab.search as search_module
 import oracles
 from bell_lab import cli
 from bell_lab.chsh import BoundViolationError, chsh_from_correlations
-from bell_lab.exact import CorrelationSet, correlation_set
+from bell_lab.exact import correlation_set
 from bell_lab.models import JointPmf, model_from_dict, validate_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
@@ -69,15 +69,15 @@ class TestDecode:
         assert validate_model(model) == []
         for side in (model.alice, model.bob):
             for local in side.values():
-                assert all(v == 1 for row in local.table.values for v in row)
+                assert all(v == 1 for row in local.table for v in row)
 
     def test_bits_map_to_flat_entries(self):
         model = decode_assignment(TINY, 0b0101)
         entries = [
-            model.alice["x"].table.values[0][0],
-            model.alice["x'"].table.values[0][0],
-            model.bob["y"].table.values[0][0],
-            model.bob["y'"].table.values[0][0],
+            model.alice["x"].table[0][0],
+            model.alice["x'"].table[0][0],
+            model.bob["y"].table[0][0],
+            model.bob["y'"].table[0][0],
         ]
         assert entries == [-1, 1, -1, 1]
 
@@ -133,7 +133,7 @@ def strategy(model):
     """The four outcomes (x, x', y, y') of a model with one entry per table."""
     assert shape(model) == TINY
     return tuple(
-        local.table.values[0][0] for side in (model.alice, model.bob) for local in side.values()
+        local.table[0][0] for side in (model.alice, model.bob) for local in side.values()
     )
 
 
@@ -247,7 +247,7 @@ class TestRandomModel:
             weights = list(model.source.flattened())
             for side in (model.alice, model.bob):
                 for local in side.values():
-                    weights.extend(local.pmf.weights)
+                    weights.extend(local.weights)
             assert all(w.denominator <= DEFAULT_MAX_DENOMINATOR for w in weights)
 
 
@@ -305,7 +305,7 @@ def pmfs(model):
     """Every pmf's weights: the flattened source, then each local pmf."""
     out = [model.source.flattened()]
     for settings_ in (model.alice, model.bob):
-        out.extend(local.pmf.weights for local in settings_.values())
+        out.extend(local.weights for local in settings_.values())
     return out
 
 
@@ -316,7 +316,7 @@ def shape(model):
 def expected_neighbour_count(model, step):
     flips = 0
     for settings_ in (model.alice, model.bob):
-        flips += sum(local.table.rows * local.table.cols for local in settings_.values())
+        flips += sum(len(row) for local in settings_.values() for row in local.table)
     moves = sum((len(w) - 1) * sum(x >= step for x in w) for w in pmfs(model))
     return flips + moves
 
@@ -479,7 +479,7 @@ class TestFourSumScore:
     @given(st.lists(st.integers(-D3, D3), min_size=4, max_size=4))
     def test_matches_eight_sums(self, e):
         report = oracles.chsh_fraction_oracle(
-            CorrelationSet(*(Fraction(n, self.D3) for n in e))
+            tuple(Fraction(n, self.D3) for n in e)
         )
         if report.s_max > 2:
             with pytest.raises(BoundViolationError):

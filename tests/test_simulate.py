@@ -135,7 +135,7 @@ class TestSimulateTrials:
         src = int(np.searchsorted(source_k, draws[0, 2], side="left"))
         l1 = src // 2
         label = noisy.alice_labels[a_set]
-        expected_a = noisy.alice[label].table.values[l1][pair[a_set]]
+        expected_a = noisy.alice[label].table[l1][pair[a_set]]
         assert got_a[0] == expected_a
 
     def test_perfect_pair_deterministic_given_source(self, perfect):
@@ -149,7 +149,7 @@ class TestSimulateTrials:
         ledger = simulate_trials(noisy, 10**6, seed=1)
         emp = empirical_chsh(ledger)
         exact = dict(
-            zip(emp.contexts, correlation_set(noisy).as_tuple())
+            zip(emp.contexts, correlation_set(noisy))
         )
         for ctx, n_ctx, e_hat in zip(
             emp.contexts, emp.n_per_context, emp.correlations

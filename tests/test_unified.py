@@ -30,7 +30,7 @@ class TestConstruction:
         for model in small_campaign[:20]:
             for side, settings in (("alice", model.alice), ("bob", model.bob)):
                 for label, local in settings.items():
-                    ones = ((1,) * local.table.cols,) * local.table.rows
+                    ones = [[1] * len(row) for row in local.table]
                     model = alter_local(model, side, label, table=ones)
             assert expanded_route(model) == (1,) * 4
 
@@ -62,7 +62,7 @@ class TestExpectations:
 
     def test_both_routes_match_dedicated(self, small_campaign):
         for model in small_campaign[:60]:
-            dedicated = correlation_set(model).as_tuple()
+            dedicated = correlation_set(model)
             assert expectation_unified(model) == dedicated
             assert expanded_route(model) == dedicated
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from bell_lab.models import LocalSetting, Pmf, ResponseTable, load_model
+from bell_lab.models import LocalSetting, load_model
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "presets"
 # Name -> loader of the committed file; the files are the only presets.
@@ -15,16 +15,11 @@ PRESETS = {
 
 
 def alter_local(model, side, label, pmf=None, table=None):
-    """Copy of `model` with one setting's pmf and/or table replaced."""
+    """Copy of `model` with one setting's pmf weights and/or table replaced."""
     settings = dict(model.alice if side == "alice" else model.bob)
     local = settings[label]
-    new_table = (
-        local.table
-        if table is None
-        else ResponseTable(side=side, setting=label, values=table)
-    )
     settings[label] = LocalSetting(
-        pmf=local.pmf if pmf is None else Pmf(tuple(pmf)), table=new_table
+        local.weights if pmf is None else pmf, local.table if table is None else table
     )
     if side == "alice":
         return replace(model, alice=settings)
