@@ -24,7 +24,6 @@ from .models import (
     JointPmf,
     LocalSetting,
     ModelFormatError,
-    UnknownSettingError,
     load_model,
     model_from_dict,
     model_hash,
@@ -43,10 +42,7 @@ from .search import (
     SearchMode,
     SearchResult,
     SearchSpec,
-    enumerate_deterministic,
-    hill_climb,
     random_model,
-    random_sampling,
     run_search,
 )
 from .simulate import (
@@ -63,7 +59,6 @@ from .unified import (
     CounterfactualSet,
     SizeExceededError,
     counterfactuals,
-    expectation_unified,
 )
 
 __version__ = "0.1.0"
@@ -91,16 +86,12 @@ __all__ = [
     "SearchSpec",
     "SizeExceededError",
     "TrialLedger",
-    "UnknownSettingError",
     "certify_lhv_bound",
     "certify_model",
     "chsh_from_correlations",
     "correlation_set",
     "counterfactuals",
     "empirical_chsh",
-    "enumerate_deterministic",
-    "expectation_unified",
-    "hill_climb",
     "inverse_transform_partition",
     "load_model",
     "model_from_dict",
@@ -109,7 +100,6 @@ __all__ = [
     "no_signalling_report",
     "quantum_reference",
     "random_model",
-    "random_sampling",
     "reduce_model",
     "run_search",
     "save_model",

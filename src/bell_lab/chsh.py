@@ -14,7 +14,8 @@ model before computing them.
 
 `certify_model` validates the model and checks the expanded route's cell
 count before any route runs, then runs the dedicated, factored, expanded
-and reduced routes.  Each returns the model's four correlations as a
+and reduced routes.  It is the one public way to run them: the routes are
+private to their modules and trust that the model is valid.  Each returns the model's four correlations as a
 plain tuple in context order, (x,y), (x,y'), (x',y), (x',y'), and each
 check in `Certification` is one exact equality between those tuples.
 `CORRELATION_KEYS` names the four in the certificate's output.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import correlation_set, dedicated_route
+from .exact import _dedicated_route, correlation_set
 from .models import (
     Context,
     ContextualModel,
@@ -35,8 +36,8 @@ from .models import (
     model_hash,
     require_valid,
 )
-from .reduction import reduced_route
-from .unified import DEFAULT_CELL_LIMIT, expanded_route, expectation_unified
+from .reduction import _reduced_route
+from .unified import DEFAULT_CELL_LIMIT, _expanded_route, _factored_route
 
 # Canonical order: one negated term sweeping left to right, then the negations.
 CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
@@ -109,7 +110,7 @@ class LhvCertificate:
         }
 
 
-def lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) -> LhvCertificate:
+def _lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) -> LhvCertificate:
     """All eight sums and the verdict for a valid model's correlations,
     bound to the model hash.
 
@@ -128,7 +129,7 @@ def lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) 
 
 def certify_lhv_bound(model: ContextualModel) -> LhvCertificate:
     """Validate, compute the correlations, and certify the bound."""
-    return lhv_certificate(model, correlation_set(model))
+    return _lhv_certificate(model, correlation_set(model))
 
 
 def _rationals(values) -> list[str]:
@@ -199,11 +200,11 @@ def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) 
     the routes stay independent.
     """
     require_valid(model)
-    expanded = expanded_route(model, cell_limit)
+    expanded = _expanded_route(model, cell_limit)
     return Certification(
         contexts=model.contexts(),
-        factored=expectation_unified(model),
+        factored=_factored_route(model),
         expanded=expanded,
-        reduced=reduced_route(model),
-        certificate=lhv_certificate(model, dedicated_route(model)),
+        reduced=_reduced_route(model),
+        certificate=_lhv_certificate(model, _dedicated_route(model)),
     )

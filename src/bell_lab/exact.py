@@ -6,11 +6,11 @@ pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
 
-``correlation_set`` validates the model once; ``dedicated_route`` then
-scales the five factors (the source and the four local pmfs) once and
-runs one integer loop per context.  Both return the four correlations as
-a plain tuple in context order, (x,y), (x,y'), (x',y), (x',y'), the shape
-every certify route returns.
+``correlation_set`` validates the model once; the private
+``_dedicated_route`` then scales the five factors (the source and the four
+local pmfs) once and runs one integer loop per context.  Both return the
+four correlations as a plain tuple in context order, (x,y), (x,y'),
+(x',y), (x',y'), the shape every certify route returns.
 
 The exact no-signalling check runs on the same loop: one side's outcome
 law in a context is the context expectation with the remote table set to
@@ -67,7 +67,7 @@ def _scaled_sides(model: ContextualModel) -> dict[str, dict]:
     }
 
 
-def dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
+def _dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
     """The four correlations of a valid model in context order, each factor
     scaled once; `model` is not revalidated."""
     source = _scaled_factors(model.source.flattened())
@@ -80,38 +80,24 @@ def dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
 
 def correlation_set(model: ContextualModel) -> tuple[Fraction, ...]:
     """Validate `model` once, then compute its four correlations in context
-    order through `dedicated_route`."""
+    order through `_dedicated_route`."""
     require_valid(model)
-    return dedicated_route(model)
+    return _dedicated_route(model)
 
 
 def _outcome_distribution(model, source, side, own, remote) -> tuple[Fraction, Fraction]:
-    """`outcome_distribution` from the pre-scaled source and the two
-    settings' ``_scaled_local`` triples."""
+    """Exact (P(+1), P(-1)) for one side's outcome in a full context, from
+    the pre-scaled source and the `own` and `remote` ``_scaled_local`` triples.
+
+    The remote setting enters with its own pmf and an all +1 table, so the
+    result could depend on it; `verify_no_signalling` checks that it never
+    does.  The expectation E gives P(+/-1) = (1 +/- E)/2.
+    """
     nums, den, table = remote
     ones = (nums, den, tuple((1,) * len(row) for row in table))
     pair = (own, ones) if side == "alice" else (ones, own)
     e = _context_expectation(model, source, *pair)
     return ((1 + e) / 2, (1 - e) / 2)
-
-
-def outcome_distribution(
-    model: ContextualModel, side: str, setting: str, remote: str
-) -> tuple[Fraction, Fraction]:
-    """Exact (P(+1), P(-1)) for one side's outcome in a full context.
-
-    The remote setting enters with its own pmf and an all +1 table, so the
-    result could in principle depend on it; the point of the check below
-    is that it never does.  The expectation E gives P(+/-1) = (1 +/- E)/2.
-    """
-    remote_side = "bob" if side == "alice" else "alice"
-    return _outcome_distribution(
-        model,
-        _scaled_factors(model.source.flattened()),
-        side,
-        _scaled_local(model.local(side, setting)),
-        _scaled_local(model.local(remote_side, remote)),
-    )
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,6 @@ class InvalidModelError(ValueError):
         super().__init__("invalid model: " + "; ".join(self.violations))
 
 
-class UnknownSettingError(ValueError):
-    """A context names a setting label the model does not declare."""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string like ``"-3"`` or ``"5/12"``."""
     if not isinstance(text, str) or RATIONAL_PATTERN.fullmatch(text) is None:
@@ -203,13 +199,6 @@ class ContextualModel:
             Context(a[1], b[0]),
             Context(a[1], b[1]),
         )
-
-    def local(self, side: str, label: str) -> LocalSetting:
-        settings = self.alice if side == "alice" else self.bob
-        try:
-            return settings[label]
-        except KeyError:
-            raise UnknownSettingError(f"{side} has no setting {label!r}") from None
 
 
 def _check_pmf(weights: tuple[Fraction, ...], where: str, problems: list[str]) -> None:

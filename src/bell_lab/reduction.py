@@ -8,16 +8,16 @@ inputs of the reduced form (source pair, U1, U2) carry no setting label;
 every setting dependence lives in the deterministic interval maps and the
 response tables.
 
-Everything here is exact interval algebra on rationals.  `reduced_route`
-gives the reduced form's four correlations in context order by quadrature:
-it sums integer numerators over each factor's common denominator and
-returns one Fraction per context.  Nothing is ever sampled in this module;
-the sampling path lives in the simulator.
+Everything here is exact interval algebra on rationals.  The private
+`_reduced_route`, run by `bell_lab.chsh.certify_model`, gives the reduced
+form's four correlations in context order by quadrature: it sums integer
+numerators over each factor's common denominator and returns one Fraction
+per context.  Nothing is ever sampled in this module; the sampling path
+lives in the simulator.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,13 +43,6 @@ class IntervalPartition:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.labels) + 1:
             raise ValueError("breakpoint/label count mismatch")
-
-    def locate(self, u: Fraction) -> int | tuple[int, int]:
-        """Label for a point of [0,1); boundaries go to the lower interval."""
-        if not 0 <= u < 1:
-            raise ValueError(f"point {format_rational(Fraction(u))} outside [0, 1)")
-        idx = bisect_left(self.breakpoints, u) - 1
-        return self.labels[max(idx, 0)]
 
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -100,22 +93,26 @@ def _overlay(first: IntervalPartition, second: IntervalPartition) -> IntervalPar
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Original source and tables; local randomness replaced by two uniforms."""
+    """Each side's local randomness as a map from one uniform to its pair of
+    local values; the source and tables stay the model's."""
 
-    base: ContextualModel
     alice_map: IntervalPartition
     bob_map: IntervalPartition
 
 
-def reduce_model(model: ContextualModel) -> ReducedModel:
-    """Validate `model`, then overlay each side's two inverse-transform
-    partitions, first declared setting first."""
-    require_valid(model)
-    alice_map, bob_map = (
+def _reduce(model: ContextualModel) -> ReducedModel:
+    """Overlay each side's two inverse-transform partitions, first declared
+    setting first; `model` is not validated."""
+    return ReducedModel(*(
         _overlay(*(inverse_transform_partition(local.weights) for local in settings.values()))
         for settings in (model.alice, model.bob)
-    )
-    return ReducedModel(base=model, alice_map=alice_map, bob_map=bob_map)
+    ))
+
+
+def reduce_model(model: ContextualModel) -> ReducedModel:
+    """Validate `model`, then reduce it."""
+    require_valid(model)
+    return _reduce(model)
 
 
 def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[dict, int]:
@@ -133,16 +130,16 @@ def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[dict, int
     return means, d
 
 
-def reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
+def _reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
     """The reduced form's correlations in context order, by exact quadrature.
 
-    Reduces (and so validates) `model`, then integrates over refined
+    Reduces `model` without revalidating it, then integrates over refined
     intervals times source pairs; each interval contributes its width
     times the response value its pair selects.  The source and each side's
     widths are scaled to integer numerators once, and each setting's
     per-source interval means are computed once.
     """
-    reduced = reduce_model(model)
+    reduced = _reduce(model)
     source, source_den = _scaled_factors(model.source.flattened())
     alice, a_den = _interval_means(reduced.alice_map, model.alice)
     bob, b_den = _interval_means(reduced.bob_map, model.bob)

@@ -122,10 +122,6 @@ def _table_bits(cardinalities) -> int:
     return sum(rows * cols for _, _, rows, cols in _table_shapes(cardinalities))
 
 
-def assignment_count(cardinalities) -> int:
-    return 1 << _table_bits(cardinalities)
-
-
 def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
     """Model for one enumeration index: uniform pmfs, tables from the bits.
 
@@ -150,7 +146,7 @@ def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
-def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
+def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     """Exact maximum of |S| over every table assignment, by the vertex argument.
 
     An assignment's correlations are a mixture of those of the 16
@@ -164,8 +160,6 @@ def enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     Raises `BoundViolationError` otherwise.  ``evaluated`` is the number of
     assignments covered.
     """
-    if spec.mode is not SearchMode.EXHAUSTIVE:
-        raise ValueError(f"mode {spec.mode.value} is not exhaustive")
     # 2^bits > limit exactly when bits >= limit.bit_length(); checked on the
     # bit count, so a huge shape never builds 2^bits.
     bits = _table_bits(spec.cardinalities)
@@ -311,7 +305,7 @@ class _IntegerState:
             for side, labels in (("alice", model.alice_labels), ("bob", model.bob_labels))
             for label in labels
         )
-        locals_ = [model.local(side, label) for side, label in settings]
+        locals_ = (*model.alice.values(), *model.bob.values())
         flat = model.source.flattened()
         d = lcm(
             step.denominator,
@@ -412,7 +406,7 @@ def _s_max(model: ContextualModel) -> Fraction:
     return Fraction(state.score(), state.d3)
 
 
-def hill_climb(spec: SearchSpec) -> SearchResult:
+def _hill_climb(spec: SearchSpec) -> SearchResult:
     """First-improvement local search with random restarts within budget.
 
     Moves: one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
@@ -427,8 +421,6 @@ def hill_climb(spec: SearchSpec) -> SearchResult:
     each pmf's sum and non-negativity and flips keep outcomes in {-1, +1},
     so nothing is validated.
     """
-    if spec.mode is not SearchMode.HILL_CLIMB:
-        raise ValueError(f"mode {spec.mode.value} is not hill-climb")
     rng = random.Random(spec.seed)
     best_model = random_model(spec, rng)
     state = _IntegerState.of(best_model)
@@ -468,12 +460,10 @@ def hill_climb(spec: SearchSpec) -> SearchResult:
     )
 
 
-def random_sampling(spec: SearchSpec) -> SearchResult:
+def _random_sampling(spec: SearchSpec) -> SearchResult:
     """Independent draws from the model generator; best score wins, first
     achiever kept on ties.  Each draw is scored once by `_IntegerState`,
     whose d is DEFAULT_MAX_DENOMINATOR for every draw."""
-    if spec.mode is not SearchMode.RANDOM:
-        raise ValueError(f"mode {spec.mode.value} is not random")
     rng = random.Random(spec.seed)
     best_model = None
     best = None
@@ -495,8 +485,9 @@ def random_sampling(spec: SearchSpec) -> SearchResult:
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
+    """The one entry point: run the private search function of `spec.mode`."""
     if spec.mode is SearchMode.EXHAUSTIVE:
-        return enumerate_deterministic(spec)
+        return _enumerate_deterministic(spec)
     if spec.mode is SearchMode.RANDOM:
-        return random_sampling(spec)
-    return hill_climb(spec)
+        return _random_sampling(spec)
+    return _hill_climb(spec)

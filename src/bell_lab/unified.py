@@ -5,11 +5,12 @@ fixed axis order: source pair first, then Alice's locals in declared
 setting order, then Bob's.  The pmf is the product of the source joint
 weight and the four local weights.  No object holds the space: every
 route reads the model's five factors directly and returns its four
-correlations in context order.  The factored route and the
-counterfactuals integrate the unread factors out in Fraction arithmetic,
+correlations in context order, and `bell_lab.chsh.certify_model` is the
+only public way to run them.  The factored route (`_factored_route`) and
+the counterfactuals integrate the unread factors out in Fraction arithmetic,
 one mean vector per setting and one bilinear form over the source per
 expectation, so they share no scaling code with the dedicated and
-expanded routes.  `expanded_route` sums one integer term per cell modulo
+expanded routes.  `_expanded_route` sums one integer term per cell modulo
 coprime moduli, behind a cell-count guard, and states why that is exact.
 
 Lifting is by projection: the response function for Alice's first setting
@@ -65,7 +66,7 @@ def _bilinear(model: ContextualModel, u, v) -> Fraction:
     )
 
 
-def expectation_unified(model: ContextualModel) -> tuple[Fraction, ...]:
+def _factored_route(model: ContextualModel) -> tuple[Fraction, ...]:
     """The factored route: E of the lifted product in each context, in context order.
 
     The four factors a context does not read integrate out to 1, so its
@@ -153,7 +154,7 @@ def _local_axes(settings, scaled, moduli, p: np.ndarray) -> list[tuple[np.ndarra
     return axes
 
 
-def expanded_route(
+def _expanded_route(
     model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> tuple[Fraction, ...]:
     """The guarded expanded route: the four correlations in context order.
@@ -234,9 +235,6 @@ class CounterfactualSet:
     alice_pair: Fraction
     bob_pair: Fraction
     full_product: Fraction
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.alice_pair, self.bob_pair, self.full_product)
 
 
 def counterfactuals(model: ContextualModel) -> CounterfactualSet:

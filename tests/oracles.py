@@ -20,6 +20,9 @@ package used before its eight sums moved to integers.
 candidates as moves on integer per-source means: every neighbour is built
 as a model and scored through `correlation_set` and the eight-sum report.
 The neighbour order is the specification of the package's move order.
+
+`locate` is the point lookup the sampler's threshold search must agree
+with: the label of the partition interval that holds a point of [0, 1).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -44,17 +47,32 @@ from bell_lab.models import (
     canonical_json,
     format_rational,
 )
-from bell_lab.reduction import ReducedModel, reduce_model
+from bell_lab.reduction import IntervalPartition, ReducedModel, reduce_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
     SearchResult,
-    assignment_count,
     decode_assignment,
     random_model,
 )
 from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError
 from bell_lab.simulate import U_SCALE, _quantum_grid, _thresholds
+
+
+def _local(model: ContextualModel, side: str, label: str) -> LocalSetting:
+    return (model.alice if side == "alice" else model.bob)[label]
+
+
+def assignment_count(cardinalities) -> int:
+    """Table assignments of a shape: two outcomes for every table entry."""
+    s1, s2, la0, la1, lb0, lb1 = cardinalities
+    return 2 ** (s1 * (la0 + la1) + s2 * (lb0 + lb1))
+
+
+def locate(partition: IntervalPartition, u: Fraction):
+    """Label for a point of [0,1); boundaries go to the lower interval."""
+    idx = bisect_left(partition.breakpoints, u) - 1
+    return partition.labels[max(idx, 0)]
 
 
 def product_mean(model: ContextualModel, selected) -> Fraction:
@@ -214,8 +232,8 @@ def dedicated_fraction_oracle(model: ContextualModel, ctx: Context) -> Fraction:
     Loop order fixed as (l1, l2, lx, ly) for reproducible traces; only
     zero-probability source pairs are skipped.
     """
-    a_local = model.local("alice", ctx.alice)
-    b_local = model.local("bob", ctx.bob)
+    a_local = _local(model, "alice", ctx.alice)
+    b_local = _local(model, "bob", ctx.bob)
     a_table = a_local.table
     b_table = b_local.table
     a_pmf = a_local.weights
@@ -251,18 +269,18 @@ def expanded_scaled_oracle(
     b0, b1 = model.bob_labels
     size = model.source.rows * model.source.cols
     for side, label in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)):
-        size *= len(model.local(side, label).weights)
+        size *= len(_local(model, side, label).weights)
     if size > cell_limit:
         raise SizeExceededError(size, cell_limit)
     src_num, src_den = _oracle_scaled_factors(list(model.source.flattened()))
     local_scaled = {
-        (side, label): _oracle_scaled_factors(list(model.local(side, label).weights))
+        (side, label): _oracle_scaled_factors(list(_local(model, side, label).weights))
         for side, label in (
             ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1),
         )
     }
-    a_table = model.local("alice", ctx.alice).table
-    b_table = model.local("bob", ctx.bob).table
+    a_table = _local(model, "alice", ctx.alice).table
+    b_table = _local(model, "bob", ctx.bob).table
     a_axis = model.alice_labels.index(ctx.alice)
     b_axis = model.bob_labels.index(ctx.bob)
 
@@ -285,13 +303,14 @@ def expanded_scaled_oracle(
     return Fraction(total, denom)
 
 
-def reduced_fraction_oracle(reduced: ReducedModel, ctx: Context) -> Fraction:
-    """Context correlation under the reduced form, by exact quadrature.
+def reduced_fraction_oracle(
+    model: ContextualModel, reduced: ReducedModel, ctx: Context
+) -> Fraction:
+    """Context correlation of `model` under its reduced form, by exact quadrature.
 
     Integrates over refined intervals times source pairs; each interval
     contributes its width times the response value its pair selects.
     """
-    model = reduced.base
     a_slot = model.alice_labels.index(ctx.alice)
     b_slot = model.bob_labels.index(ctx.bob)
     a_table = model.alice[ctx.alice].table
@@ -331,8 +350,8 @@ def outcome_distribution_fraction_oracle(
     marginalized away, so the result could in principle depend on the
     remote setting; the point of the check below is that it never does.
     """
-    local = model.local(side, setting)
-    remote_local = model.local("bob" if side == "alice" else "alice", remote)
+    local = _local(model, side, setting)
+    remote_local = _local(model, "bob" if side == "alice" else "alice", remote)
     p_plus = Fraction(0)
     total_mass = Fraction(0)
     for l1, row in enumerate(model.source.weights):
@@ -384,7 +403,7 @@ def _with_local(model: ContextualModel, side: str, label: str, local: LocalSetti
 
 
 def _with_table_entry(model: ContextualModel, side: str, label: str, r: int, c: int):
-    local = model.local(side, label)
+    local = _local(model, side, label)
     values = [list(row) for row in local.table]
     values[r][c] = -values[r][c]
     return _with_local(model, side, label, LocalSetting(local.weights, values))

@@ -21,7 +21,7 @@ from bell_lab.search import (
     SearchMode,
     SearchSpec,
     decode_assignment,
-    enumerate_deterministic,
+    run_search,
 )
 from bell_lab.simulate import (
     empirical_chsh,
@@ -72,7 +72,7 @@ def test_chsh_bound_holds(campaign):
         cardinalities=(2, 2, 2, 2, 2, 2),
         mode=SearchMode.EXHAUSTIVE,
     )
-    result = enumerate_deterministic(spec)
+    result = run_search(spec)
     elapsed = time.perf_counter() - start
     report(
         "CHSH bound on campaign and deterministic strategies",

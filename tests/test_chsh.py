@@ -19,8 +19,8 @@ from bell_lab.chsh import (
 )
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError, model_hash
-from bell_lab.reduction import reduced_route
-from bell_lab.unified import SizeExceededError, expanded_route, expectation_unified
+from bell_lab.reduction import _reduced_route
+from bell_lab.unified import SizeExceededError, _expanded_route, _factored_route
 from tests_support import PRESETS, alter_local, counting
 
 
@@ -205,9 +205,9 @@ class TestCertifyModel:
         model = PRESETS[name]()
         expected = Certification(
             contexts=model.contexts(),
-            factored=expectation_unified(model),
-            expanded=expanded_route(model),
-            reduced=reduced_route(model),
+            factored=_factored_route(model),
+            expanded=_expanded_route(model),
+            reduced=_reduced_route(model),
             certificate=certify_lhv_bound(model),
         )
         assert certify_model(model) == expected
@@ -236,7 +236,7 @@ class TestCertifyModel:
         validations = counting(monkeypatch, models_module, "validate_model")
         certify_model(random7)
         assert len(dedicated) == 4
-        assert 1 <= len(validations) <= 2
+        assert len(validations) == 1
 
     def test_invalid_model_rejected_before_any_route(self, monkeypatch, noisy):
         dedicated = counting(monkeypatch, exact_module, "_context_expectation")

@@ -1,10 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
 import oracles
-from bell_lab.exact import correlation_set, outcome_distribution
-from bell_lab.models import UnknownSettingError
+from bell_lab.exact import correlation_set
 from tests_support import alter_pmf
 
 HALF = Fraction(1, 2)
@@ -58,11 +55,3 @@ class TestProperties:
             table=((1, 1, -1), (-1, -1, 1)),
         )
         assert correlation_set(padded) == correlation_set(permuted)
-
-    def test_unknown_context_label(self, perfect):
-        # Every route walks the model's own contexts; the one function that
-        # still takes setting labels rejects a label the model does not declare.
-        with pytest.raises(UnknownSettingError, match="alice"):
-            outcome_distribution(perfect, "alice", "nope", "y")
-        with pytest.raises(UnknownSettingError, match="bob"):
-            outcome_distribution(perfect, "alice", "x", "nope")

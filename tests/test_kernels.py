@@ -16,6 +16,7 @@ setting's mean vector once, with no scaling at all.
 
 import itertools
 import math
+from dataclasses import astuple
 import random
 import tracemalloc
 from fractions import Fraction
@@ -28,21 +29,21 @@ from hypothesis import strategies as st
 import oracles
 from bell_lab import exact, models, reduction, unified
 from bell_lab.chsh import certify_model
-from bell_lab.exact import correlation_set, outcome_distribution
+from bell_lab.exact import correlation_set, verify_no_signalling
 from bell_lab.models import (
     ContextualModel,
     JointPmf,
     LocalSetting,
     _scaled_factors,
 )
-from bell_lab.reduction import reduce_model, reduced_route
+from bell_lab.reduction import _reduced_route, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.unified import (
     _blocks,
+    _expanded_route,
+    _factored_route,
     _moduli,
     counterfactuals,
-    expanded_route,
-    expectation_unified,
 )
 from tests_support import PRESETS, counting
 
@@ -58,29 +59,29 @@ def assert_kernels_match_oracles(model: ContextualModel) -> None:
     assert correlation_set(model) == tuple(
         oracles.dedicated_fraction_oracle(model, ctx) for ctx in contexts
     )
-    assert expectation_unified(model) == oracles.correlation_quadruple(model)
-    assert expanded_route(model) == tuple(
+    assert _factored_route(model) == oracles.correlation_quadruple(model)
+    assert _expanded_route(model) == tuple(
         oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
     )
-    assert reduced_route(model) == tuple(
-        oracles.reduced_fraction_oracle(reduced, ctx) for ctx in contexts
+    assert _reduced_route(model) == tuple(
+        oracles.reduced_fraction_oracle(model, reduced, ctx) for ctx in contexts
     )
     a0, a1 = model.alice_labels
     b0, b1 = model.bob_labels
-    assert counterfactuals(model).as_tuple() == (
+    assert astuple(counterfactuals(model)) == (
         oracles.product_mean(model, [("alice", a0), ("alice", a1)]),
         oracles.product_mean(model, [("bob", b0), ("bob", b1)]),
         oracles.product_mean(model, [("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)]),
     )
-    for side, labels, remote_labels in (
-        ("alice", model.alice_labels, model.bob_labels),
-        ("bob", model.bob_labels, model.alice_labels),
-    ):
-        for setting in labels:
-            for remote in remote_labels:
-                assert outcome_distribution(
-                    model, side, setting, remote
-                ) == oracles.outcome_distribution_fraction_oracle(model, side, setting, remote)
+    rows = verify_no_signalling(model).rows
+    assert [(row.side, row.setting) for row in rows] == [
+        ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)
+    ]
+    for row in rows:
+        assert row.distributions == tuple(
+            oracles.outcome_distribution_fraction_oracle(model, row.side, row.setting, remote)
+            for remote in row.remote_labels
+        )
 
 
 def build_model(source_rows, alice_pmfs, bob_pmfs, rng: random.Random) -> ContextualModel:
@@ -302,7 +303,7 @@ class TestMultiModularExpanded:
     """Cases where a fault in the residue arithmetic or the CRT would show."""
 
     def assert_matches_oracle(self, model):
-        values = list(expanded_route(model))
+        values = list(_expanded_route(model))
         assert values == [oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()]
         return values
 
@@ -338,7 +339,7 @@ def chunked_models():
     for shape in CHUNKED_SHAPES:
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(3))
-        cases.append((model, expanded_route(model)))
+        cases.append((model, _expanded_route(model)))
     return cases
 
 
@@ -348,7 +349,7 @@ class TestBlocks:
     def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
         model, expected = chunked_models[case]
         monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
-        assert expanded_route(model) == expected
+        assert _expanded_route(model) == expected
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
     @pytest.mark.parametrize("inner", [1, 3, 16])
@@ -407,7 +408,7 @@ class TestScalingOncePerModel:
         model = PRESETS[name]()
         scaled = counting(monkeypatch, unified, "_scaled_factors")
         moduli = counting(monkeypatch, unified, "_moduli")
-        values = unified.expanded_route(model)
+        values = unified._expanded_route(model)
         assert (len(scaled), len(moduli)) == (5, 1)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
@@ -418,11 +419,11 @@ class TestScalingOncePerModel:
         # The source, then Alice's and Bob's overlay widths.
         model = PRESETS[name]()
         scaled = counting(monkeypatch, reduction, "_scaled_factors")
-        values = reduction.reduced_route(model)
+        values = reduction._reduced_route(model)
         assert len(scaled) == 3
         reduced = reduce_model(model)
         assert values == tuple(
-            oracles.reduced_fraction_oracle(reduced, ctx) for ctx in model.contexts()
+            oracles.reduced_fraction_oracle(model, reduced, ctx) for ctx in model.contexts()
         )
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -431,7 +432,7 @@ class TestScalingOncePerModel:
         scaled = counting(monkeypatch, unified, "_scaled_factors")
         scaled_models = counting(monkeypatch, models, "_scaled_factors")
         means = counting(monkeypatch, unified, "_means")
-        values = unified.expectation_unified(model)
+        values = unified._factored_route(model)
         assert (len(means), len(scaled), len(scaled_models)) == (4, 0, 0)
         assert values == oracles.correlation_quadruple(model)
 

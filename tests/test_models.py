@@ -15,7 +15,6 @@ from bell_lab.models import (
     JointPmf,
     LocalSetting,
     ModelFormatError,
-    UnknownSettingError,
     canonical_json,
     decimal_str,
     format_rational,
@@ -169,10 +168,6 @@ class TestContexts:
         assert [(c.alice, c.bob) for c in contexts] == [
             ("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"),
         ]
-
-    def test_unknown_setting(self, noisy):
-        with pytest.raises(UnknownSettingError):
-            noisy.local("alice", "z")
 
 
 class TestDocuments:

@@ -1,14 +1,13 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from bell_lab.chsh import certify_model
 from bell_lab.reduction import (
-    IntervalPartition,
     _overlay,
     inverse_transform_partition,
     reduce_model,
@@ -70,24 +69,6 @@ class TestInverseTransform:
     def test_breakpoints_strictly_increasing(self):
         partition = inverse_transform_partition((F(1, 4), F(0), F(3, 4)))
         assert all(a < b for a, b in zip(partition.breakpoints, partition.breakpoints[1:]))
-
-
-class TestLocate:
-    partition = IntervalPartition(breakpoints=(F(0), F(1, 2), F(1)), labels=(0, 1))
-
-    def test_interior(self):
-        assert self.partition.locate(F(1, 4)) == 0
-        assert self.partition.locate(F(3, 4)) == 1
-
-    def test_boundary_goes_to_lower_interval(self):
-        assert self.partition.locate(F(0)) == 0
-        assert self.partition.locate(F(1, 2)) == 0
-
-    def test_domain_checked(self):
-        with pytest.raises(ValueError):
-            self.partition.locate(F(1))
-        with pytest.raises(ValueError):
-            self.partition.locate(F(-1, 2))
 
 
 class TestCoupling:
@@ -158,7 +139,9 @@ class TestReduceModel:
                         assert mass == weight
 
     def test_base_shared_not_copied(self, noisy):
-        assert reduce_model(noisy).base is noisy
+        # The reduced form holds the two uniform maps only; the source and
+        # the tables are read from the model itself, never copied.
+        assert [f.name for f in fields(reduce_model(noisy))] == ["alice_map", "bob_map"]
 
 
 class TestVerifyReduction:
@@ -187,11 +170,9 @@ class TestVerifyReduction:
 class TestExport:
     def test_random_parts_carry_no_setting_labels(self, noisy):
         # Setting dependence lives only in the deterministic maps: the
-        # side maps key their label pairs positionally and the shared source
-        # is the untouched label-free joint pmf.
+        # side maps key their label pairs positionally.
         reduced = reduce_model(noisy)
         for umap in (reduced.alice_map, reduced.bob_map):
             assert all(
                 isinstance(i, int) and isinstance(j, int) for i, j in umap.labels
             )
-        assert reduced.base.source is noisy.source

@@ -21,12 +21,8 @@ from bell_lab.search import (
     SearchLimitError,
     SearchMode,
     SearchSpec,
-    assignment_count,
     decode_assignment,
-    enumerate_deterministic,
-    hill_climb,
     random_model,
-    random_sampling,
     run_search,
 )
 from tests_support import alter_local, counting
@@ -50,19 +46,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             SearchSpec(cardinalities=TINY, mode=SearchMode.RANDOM, budget=0)
 
-    def test_mode_mismatch_rejected(self):
-        spec = SearchSpec(cardinalities=TINY, mode=SearchMode.RANDOM)
-        with pytest.raises(ValueError):
-            enumerate_deterministic(spec)
-        with pytest.raises(ValueError):
-            hill_climb(spec)
-
 
 class TestDecode:
     def test_counts(self):
-        assert assignment_count(TINY) == 16
-        assert assignment_count(SMALL) == 256
-        assert assignment_count((2, 2, 2, 2, 2, 2)) == 2**16
+        # An exhaustive search covers one assignment per bit pattern.
+        for cards, count in ((TINY, 16), (SMALL, 256), ((2, 2, 2, 2, 2, 2), 2**16)):
+            assert oracles.assignment_count(cards) == count
+            spec = SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
+            assert run_search(spec).evaluated == count
 
     def test_zero_is_all_plus_one(self):
         model = decode_assignment(TINY, 0)
@@ -91,7 +82,7 @@ class TestDecode:
 
 class TestEnumeration:
     def test_tiny_full_sweep(self):
-        result = enumerate_deterministic(
+        result = run_search(
             SearchSpec(cardinalities=TINY, mode=SearchMode.EXHAUSTIVE)
         )
         assert result.evaluated == 16
@@ -100,7 +91,7 @@ class TestEnumeration:
         assert exact_s_max(result.best_model) == 2
 
     def test_small_full_sweep(self):
-        result = enumerate_deterministic(
+        result = run_search(
             SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
         )
         assert result.evaluated == 256
@@ -111,18 +102,18 @@ class TestEnumeration:
             cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE, assignment_limit=100
         )
         with pytest.raises(SearchLimitError) as err:
-            enumerate_deterministic(spec)
+            run_search(spec)
         assert (err.value.bits, err.value.limit) == (8, 100)  # 2^8 = 256 > 100
 
     def test_default_limit_sweep_completes(self):
         spec = SearchSpec(cardinalities=(3, 3, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
-        assert assignment_count(spec.cardinalities) == spec.assignment_limit == 2**24
-        result = enumerate_deterministic(spec)
+        assert oracles.assignment_count(spec.cardinalities) == spec.assignment_limit == 2**24
+        result = run_search(spec)
         assert result.best_s_max == 2
         assert result.evaluated == 2**24
 
     def test_improvements_strictly_increase(self):
-        result = enumerate_deterministic(
+        result = run_search(
             SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
         )
         scores = [s for _, s in result.improvements]
@@ -158,14 +149,14 @@ class TestVertexCertification:
     def test_certifies_each_strategy_and_scores_two_assignments(self, monkeypatch, cards):
         certified = counting(monkeypatch, search_module, "certify_lhv_bound")
         scored = counting(monkeypatch, search_module, "_s_max")
-        result = enumerate_deterministic(
+        result = run_search(
             SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
         )
         assert len(certified) == 16
         assert {strategy(model) for (model,) in certified} == set(
             itertools.product((1, -1), repeat=4)
         )
-        total = assignment_count(cards)
+        total = oracles.assignment_count(cards)
         assert scored == [(decode_assignment(cards, 0),), (decode_assignment(cards, total - 1),)]
         assert result.best_s_max == 2
         assert result.evaluated == total
@@ -174,7 +165,7 @@ class TestVertexCertification:
     def test_vertex_above_two_raises(self, monkeypatch, index):
         inflate_vertex(monkeypatch, index)
         with pytest.raises(BoundViolationError):
-            enumerate_deterministic(
+            run_search(
                 SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
             )
 
@@ -188,7 +179,7 @@ class TestVertexCertification:
 
 
 def assert_matches_oracle(cards):
-    result = enumerate_deterministic(
+    result = run_search(
         SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
     )
     best_model, best_s_max, improvements, evaluated = oracles.exhaustive_oracle(cards)
@@ -218,7 +209,7 @@ class TestExhaustiveOracle:
     @settings(max_examples=20, deadline=None)
     @given(
         st.tuples(*(st.integers(1, 3) for _ in range(6))).filter(
-            lambda cards: assignment_count(cards) <= 2**10
+            lambda cards: oracles.assignment_count(cards) <= 2**10
         )
     )
     def test_matches_full_scan_on_small_shapes(self, cards):
@@ -255,7 +246,7 @@ class TestHillClimb:
     def test_budget_one_returns_start_evaluation(self):
         spec = SearchSpec(cardinalities=SMALL, mode=SearchMode.HILL_CLIMB, seed=7)
         start = random_model(spec, random.Random(7))
-        result = hill_climb(spec)
+        result = run_search(spec)
         assert result.evaluated == 1
         assert result.best_model == start
         assert result.best_s_max == exact_s_max(start)
@@ -270,7 +261,7 @@ class TestHillClimb:
             seed=7,
             budget=200,
         )
-        result = hill_climb(spec)
+        result = run_search(spec)
         assert result.best_s_max == 2
         assert result.evaluated == 200
 
@@ -281,8 +272,8 @@ class TestHillClimb:
             seed=21,
             budget=400,
         )
-        first = hill_climb(spec)
-        second = hill_climb(spec)
+        first = run_search(spec)
+        second = run_search(spec)
         assert first == second
 
     def test_respects_budget_and_bound(self):
@@ -292,7 +283,7 @@ class TestHillClimb:
             seed=3,
             budget=150,
         )
-        result = hill_climb(spec)
+        result = run_search(spec)
         assert result.evaluated == 150
         assert result.best_s_max <= 2
 
@@ -413,7 +404,7 @@ class TestScoresMatchOracle:
     def test_every_hill_climb_candidate(self, monkeypatch, cards, seed):
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=seed, budget=120)
         calls = recorded_scores(monkeypatch)
-        result = hill_climb(spec)
+        result = run_search(spec)
         assert len(calls) == result.evaluated
         scanned = {}
         for state, move, score in calls:
@@ -439,7 +430,7 @@ class TestScoresMatchOracle:
     def test_every_random_candidate(self, monkeypatch, cards, seed):
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.RANDOM, seed=seed, budget=40)
         calls = recorded_scores(monkeypatch)
-        result = random_sampling(spec)
+        result = run_search(spec)
         rng = random.Random(seed)
         assert len(calls) == 40
         for state, move, score in calls:
@@ -453,19 +444,19 @@ class TestScoresMatchOracle:
     @pytest.mark.parametrize("budget", [1, 2, 50, 400])
     def test_results_match_oracle_search(self, cards, budget):
         for seed in (1, 99):
-            for mode, search, oracle in (
-                (SearchMode.HILL_CLIMB, hill_climb, oracles.hill_climb_oracle),
-                (SearchMode.RANDOM, random_sampling, oracles.random_sampling_oracle),
+            for mode, oracle in (
+                (SearchMode.HILL_CLIMB, oracles.hill_climb_oracle),
+                (SearchMode.RANDOM, oracles.random_sampling_oracle),
             ):
                 spec = SearchSpec(cardinalities=cards, mode=mode, seed=seed, budget=budget)
-                assert search(spec) == oracle(spec)
+                assert run_search(spec) == oracle(spec)
 
     def test_models_built_only_for_a_new_best(self, monkeypatch):
         built = counting(monkeypatch, search_module._IntegerState, "model")
         spec = SearchSpec(
             cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=2000
         )
-        result = hill_climb(spec)
+        result = run_search(spec)
         # The start is a record without a build; so is every improving restart.
         assert 0 < len(built) < len(result.improvements)
 
@@ -508,7 +499,7 @@ class TestValidationCount:
         spec = SearchSpec(
             cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=300
         )
-        result = hill_climb(spec)
+        result = run_search(spec)
         assert result.evaluated == 300
         assert calls == []
 
@@ -529,8 +520,8 @@ class TestRandomSampling:
             seed=13,
             budget=120,
         )
-        first = random_sampling(spec)
-        second = random_sampling(spec)
+        first = run_search(spec)
+        second = run_search(spec)
         assert first == second
         assert first.evaluated == 120
         assert first.best_s_max <= 2
@@ -543,7 +534,7 @@ class TestRandomSampling:
             seed=13,
             budget=120,
         )
-        scores = [s for _, s in random_sampling(spec).improvements]
+        scores = [s for _, s in run_search(spec).improvements]
         assert scores == sorted(set(scores))
 
 

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import bell_lab.models as models_module
 from bell_lab import simulate
-from bell_lab.exact import correlation_set, outcome_distribution, verify_no_signalling
+from bell_lab.exact import correlation_set, verify_no_signalling
 from bell_lab.models import (
     InvalidModelError,
     JointPmf,
@@ -128,7 +128,7 @@ class TestSimulateTrials:
 
         reduced = reduce_model(noisy)
         u1 = F(int(draws[0, 3]), U_SCALE)
-        pair = reduced.alice_map.locate(u1)
+        pair = oracles.locate(reduced.alice_map, u1)
         source_k = _thresholds(
             (F(0), F(1, 2), F(1, 2), F(1, 2), F(1))
         )
@@ -323,18 +323,14 @@ class TestNoSignallingEmpirical:
 class TestNoSignallingExact:
     def test_outcome_distribution_matches_oracle(self, small_campaign):
         for model in small_campaign[:25]:
-            for side, labels, remotes in (
-                ("alice", model.alice_labels, model.bob_labels),
-                ("bob", model.bob_labels, model.alice_labels),
-            ):
-                for setting in labels:
-                    for remote in remotes:
-                        p_plus, p_minus = outcome_distribution(
-                            model, side, setting, remote
-                        )
-                        assert p_plus + p_minus == 1
-                        mean = oracles.product_mean(model, [(side, setting)])
-                        assert p_plus - p_minus == mean
+            rows = verify_no_signalling(model).rows
+            assert len(rows) == 4
+            for row in rows:
+                mean = oracles.product_mean(model, [(row.side, row.setting)])
+                assert len(row.distributions) == 2
+                for p_plus, p_minus in row.distributions:
+                    assert p_plus + p_minus == 1
+                    assert p_plus - p_minus == mean
 
     def test_presets_exactly_no_signalling(
         self, singleton, singleton_flip, perfect, noisy, random7

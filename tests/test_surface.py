@@ -3,9 +3,92 @@
 import ast
 import inspect
 import types
+from fractions import Fraction
+
+import pytest
 
 import bell_lab
 from bell_lab import reduction, unified
+from tests_support import PRESETS, alter_local
+
+PUBLIC_NAMES = [
+    "BoundViolationError",
+    "Certification",
+    "ChshReport",
+    "Context",
+    "ContextualModel",
+    "CounterfactualSet",
+    "EmpiricalChsh",
+    "EmptyContextError",
+    "IntervalPartition",
+    "InvalidModelError",
+    "JointPmf",
+    "LhvCertificate",
+    "LocalSetting",
+    "ModelFormatError",
+    "NoSignallingReport",
+    "ReducedModel",
+    "SearchLimitError",
+    "SearchMode",
+    "SearchResult",
+    "SearchSpec",
+    "SizeExceededError",
+    "TrialLedger",
+    "certify_lhv_bound",
+    "certify_model",
+    "chsh_from_correlations",
+    "correlation_set",
+    "counterfactuals",
+    "empirical_chsh",
+    "inverse_transform_partition",
+    "load_model",
+    "model_from_dict",
+    "model_hash",
+    "model_to_dict",
+    "no_signalling_report",
+    "quantum_reference",
+    "random_model",
+    "reduce_model",
+    "run_search",
+    "save_model",
+    "simulate_trials",
+    "validate_model",
+    "verify_no_signalling",
+]
+
+# Every exported function that takes a model is in exactly one group.
+VALIDATING = {
+    "certify_lhv_bound",
+    "certify_model",
+    "correlation_set",
+    "counterfactuals",
+    "reduce_model",
+    "simulate_trials",
+    "verify_no_signalling",
+}
+# The validator itself, and the serializers, which write any model as it is.
+UNVALIDATED = {"validate_model", "model_hash", "model_to_dict", "save_model"}
+# Arguments besides the model that a validating function needs to be called.
+EXTRA_ARGS = {"simulate_trials": {"n": 10}}
+
+
+def model_functions() -> list[str]:
+    """Every exported function with a ``model`` parameter."""
+    return sorted(
+        name
+        for name in bell_lab.__all__
+        if inspect.isfunction(getattr(bell_lab, name))
+        and "model" in inspect.signature(getattr(bell_lab, name)).parameters
+    )
+
+
+def invalid_models() -> dict:
+    """A pmf that sums to 3/2, and a table with a source row missing."""
+    noisy = PRESETS["noisy_readout"]()
+    return {
+        "pmf_sums_to_3_halves": alter_local(noisy, "alice", "x", pmf=(Fraction(3, 4),) * 2),
+        "table_row_missing": alter_local(noisy, "alice", "x", table=noisy.alice["x"].table[:1]),
+    }
 
 
 def imported_modules(module) -> set[str]:
@@ -48,3 +131,22 @@ def test_product_space_and_reduction_do_not_import_the_dedicated_route():
         imports = imported_modules(module)
         assert "bell_lab.models" in imports  # the walk sees relative imports
         assert "bell_lab.exact" not in imports, module.__name__
+
+
+def test_all_is_pinned():
+    assert sorted(bell_lab.__all__) == PUBLIC_NAMES
+
+
+def test_every_model_function_is_classified():
+    assert set(model_functions()) == VALIDATING | UNVALIDATED
+    assert not VALIDATING & UNVALIDATED
+
+
+@pytest.mark.parametrize("case", sorted(invalid_models()))
+@pytest.mark.parametrize("name", sorted(set(model_functions()) - UNVALIDATED))
+def test_every_exported_model_function_validates(name, case):
+    # Every exported model function outside the exempt group, classified or not.
+    model = invalid_models()[case]
+    assert bell_lab.validate_model(model)
+    with pytest.raises(bell_lab.InvalidModelError):
+        getattr(bell_lab, name)(model, **EXTRA_ARGS.get(name, {}))

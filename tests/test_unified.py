@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,9 @@ from bell_lab.models import InvalidModelError
 from bell_lab.unified import (
     SizeExceededError,
     _cell_count,
+    _expanded_route,
+    _factored_route,
     counterfactuals,
-    expanded_route,
-    expectation_unified,
 )
 from tests_support import alter_local, alter_pmf
 
@@ -32,18 +33,18 @@ class TestConstruction:
                 for label, local in settings.items():
                     ones = [[1] * len(row) for row in local.table]
                     model = alter_local(model, side, label, table=ones)
-            assert expanded_route(model) == (1,) * 4
+            assert _expanded_route(model) == (1,) * 4
 
 
 class TestSizeGuard:
     def test_expanded_expectation_guarded(self, noisy):
         with pytest.raises(SizeExceededError) as err:
-            expanded_route(noisy, 10)
+            _expanded_route(noisy, 10)
         assert err.value.size == 64 and err.value.limit == 10
 
     def test_factored_route_unaffected(self, noisy):
         # The factored route takes no cell limit: it never expands.
-        assert expectation_unified(noisy)[0] == HALF
+        assert _factored_route(noisy)[0] == HALF
 
     def test_verify_equivalence_propagates_guard(self, noisy):
         # The certificate refuses rather than skip the expanded route.
@@ -54,27 +55,27 @@ class TestSizeGuard:
 
 class TestExpectations:
     def test_noisy_first_context(self, noisy):
-        assert expectation_unified(noisy)[0] == HALF
-        assert expanded_route(noisy)[0] == HALF
+        assert _factored_route(noisy)[0] == HALF
+        assert _expanded_route(noisy)[0] == HALF
 
     def test_perfect_all_contexts(self, perfect):
-        assert expectation_unified(perfect) == (1, -1, 0, 0)
+        assert _factored_route(perfect) == (1, -1, 0, 0)
 
     def test_both_routes_match_dedicated(self, small_campaign):
         for model in small_campaign[:60]:
             dedicated = correlation_set(model)
-            assert expectation_unified(model) == dedicated
-            assert expanded_route(model) == dedicated
+            assert _factored_route(model) == dedicated
+            assert _expanded_route(model) == dedicated
 
     def test_remote_pmf_is_invisible(self, noisy):
         # The first context never reads Bob's second local space.
         reshaped = alter_pmf(noisy, "bob", "y'", (Fraction(1, 4), Fraction(3, 4)))
-        assert expectation_unified(noisy)[0] == expectation_unified(reshaped)[0]
+        assert _factored_route(noisy)[0] == _factored_route(reshaped)[0]
 
 
 class TestCounterfactuals:
     def test_singleton(self, singleton):
-        assert counterfactuals(singleton).as_tuple() == (1, 1, 1)
+        assert astuple(counterfactuals(singleton)) == (1, 1, 1)
 
     def test_flip(self, singleton_flip):
         cf = counterfactuals(singleton_flip)
@@ -82,7 +83,7 @@ class TestCounterfactuals:
 
     def test_perfect(self, perfect):
         cf = counterfactuals(perfect)
-        assert cf.as_tuple() == (0, -1, 0)
+        assert astuple(cf) == (0, -1, 0)
 
     def test_matches_full_product_oracle(self, small_campaign):
         for model in small_campaign[:40]:
@@ -102,15 +103,15 @@ class TestCounterfactuals:
 
     def test_bounds(self, small_campaign):
         for model in small_campaign[:40]:
-            for value in counterfactuals(model).as_tuple():
+            for value in astuple(counterfactuals(model)):
                 assert -1 <= value <= 1
 
     def test_no_guard_in_factor_aware_route(self, noisy):
         # Counterfactuals never expand the product: they take no cell limit
         # and still run where the expanded route refuses one cell.
         with pytest.raises(SizeExceededError):
-            expanded_route(noisy, 1)
-        assert counterfactuals(noisy).as_tuple() == (0, -1, 0)
+            _expanded_route(noisy, 1)
+        assert astuple(counterfactuals(noisy)) == (0, -1, 0)
 
     def test_invalid_model_rejected(self, noisy):
         broken = alter_local(noisy, "alice", "x", table=((1, 1),))
