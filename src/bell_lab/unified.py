@@ -10,8 +10,10 @@ only public way to run them.  The factored route (`_factored_route`) and
 the counterfactuals integrate the unread factors out in Fraction arithmetic,
 one mean vector per setting and one bilinear form over the source per
 expectation, so they share no scaling code with the dedicated and
-expanded routes.  `_expanded_route` sums one integer term per cell modulo
-coprime moduli, behind a cell-count guard, and states why that is exact.
+expanded routes.  `_expanded_route` sums one integer term per cell, behind a
+cell-count guard: in one int64 word when D, the product of the five factor
+denominators, is below 2^63 (every preset and every `random_model` output),
+and modulo coprime moduli otherwise; it states why each is exact.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -82,9 +84,15 @@ def _factored_route(model: ContextualModel) -> tuple[Fraction, ...]:
 
 # Largest number of int64 terms one block of the expanded sum holds, moduli
 # included.  Bob's two local axes are never split, so a block holds at least
-# k * |y| * |y'| terms.  Terms are below 2^31, so a block's per-modulus sum
-# fits in int64 while the block has fewer than 2^32 cells.
+# k * |y| * |y'| terms.  On the multi-modular path terms are below 2^31, so a
+# block's per-modulus sum fits in int64 while the block has fewer than 2^32
+# cells; on the one-word path no partial sum exceeds D.
 _BLOCK_ELEMENTS = 1 << 14
+
+# The expanded sum runs in one int64 word when D is below this: every partial
+# product of a cell term is at most D, and the absolute terms of a context
+# sum to exactly D, so no product or running sum can overflow.
+_ONE_WORD = 1 << 63
 
 
 def _moduli(bound: int) -> tuple[list[int], int]:
@@ -126,30 +134,38 @@ def _blocks(shape, inner: int, cap: int):
 
 
 def _residues(nums, moduli) -> np.ndarray:
-    """Integer numerators modulo each modulus: shape (k, len(nums)), int64."""
+    """Integer numerators modulo each modulus: shape (k, len(nums)), int64.
+
+    With `moduli` None (the one-word path) the numerators themselves are
+    the one row.
+    """
+    if moduli is None:
+        return np.array([nums], dtype=np.int64)
     return np.array([[n % q for n in nums] for q in moduli], dtype=np.int64)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b mod p elementwise, for entries in [0, p); axis 0 runs over the moduli p."""
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """a * b elementwise, reduced mod p unless p is None; axis 0 runs over the moduli p."""
     out = a * b
-    out %= p.reshape(-1, *(1,) * (out.ndim - 1))
+    if p is not None:
+        out %= p.reshape(-1, *(1,) * (out.ndim - 1))
     return out
 
 
-def _local_axes(settings, scaled, moduli, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _local_axes(
+    settings, scaled, moduli, p: np.ndarray | None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each setting's local factor at every source index, shape (k, n_src, n),
     as the pair (unread, read), in declared setting order.
 
     `scaled` holds each setting's `_scaled_factors` pair and `p` the
-    moduli; the read factor also carries the response value, so a cell's
-    product picks it up once.
+    moduli (None on the one-word path); the read factor also carries the
+    response value, so a cell's product picks it up once.
     """
     axes = []
     for local, (nums, _) in zip(settings.values(), scaled):
         res = _residues(nums, moduli)[:, None, :]
-        table = np.array(local.table, dtype=np.int64)
-        read = res * table % p[:, None, None]
+        read = _mulmod(res, np.array(local.table, dtype=np.int64), p)
         axes.append((np.broadcast_to(res, read.shape), read))
     return axes
 
@@ -160,27 +176,34 @@ def _expanded_route(
     """The guarded expanded route: the four correlations in context order.
 
     Raises `SizeExceededError` when the space has more than `cell_limit`
-    cells.  Otherwise scales the five factors, picks the moduli, takes the
-    residues and builds each setting's read and unread axes once, then
-    sums each context's cells.  Every cell (l1, l2, lx, lx', ly, ly') gets
-    its own integer term w_src * w_x * w_x' * w_y * w_y' * A * B, with each
-    pmf written as integer numerators over its common denominator; nothing
-    is summed out before the tables multiply in.  The sum is exact by
-    multi-modular arithmetic:
+    cells.  Otherwise scales the five factors, builds each setting's read
+    and unread axes once, then sums each context's cells.  Every cell
+    (l1, l2, lx, lx', ly, ly') gets its own integer term
+    w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf written as
+    integer numerators over its common denominator; nothing is summed out
+    before the tables multiply in.  The absolute terms sum to exactly D,
+    the product of the five factor denominators (each factor's numerators
+    sum to its denominator and A, B are +-1), so |total| <= D, and the
+    total is returned as Fraction(total, D).  The sum is exact on either
+    of two paths, which share one block walk:
 
-    - The absolute terms sum to exactly D, the product of the five factor
-      denominators (each factor's numerators sum to its denominator and
-      A, B are +-1), so |total| <= D.
-    - The terms are summed modulo k pairwise coprime odd numbers below
+    - One word, when D < 2^63 (every preset and every `random_model`
+      output).  Each factor's numerators are at most its denominator, so
+      every partial product of a term is at most D, and every partial sum
+      is at most the sum of the absolute terms, D.  Plain int64 products
+      and sums then cannot overflow, and the sum is the total itself.
+    - Multi-modular, when D >= 2^63 (weights with large denominators).
+      The terms are summed modulo k pairwise coprime odd numbers below
       2^31, taken greedily from 2^31 - 1 down until their product m
-      exceeds 2D (`_moduli`), all k moduli on the leading axis of one int64
-      array, reducing after every product so two residues never overflow.
-    - The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
-      (one Bob (ly, ly') grid per modulus when that alone is larger), so
-      memory does not grow with the number of cells.
-    - The Chinese remainder theorem rebuilds the total modulo m in Python
-      integers; re-centred to (-m/2, m/2] it is the exact total, returned
-      as Fraction(total, D).
+      exceeds 2D (`_moduli`), all k moduli on the leading axis of one
+      int64 array, reducing after every product so two residues never
+      overflow.  The Chinese remainder theorem rebuilds the total modulo
+      m in Python integers; re-centred to (-m/2, m/2] it is the exact
+      total.
+
+    The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
+    (one Bob (ly, ly') grid per modulus when that alone is larger), so
+    memory does not grow with the number of cells.
     """
     size = _cell_count(model)
     if size > cell_limit:
@@ -192,14 +215,17 @@ def _expanded_route(
     }
     for _, d in itertools.chain(*scaled.values()):
         denom *= d
-    moduli, m = _moduli(denom)
-    p = np.array(moduli, dtype=np.int64)
-    k = len(moduli)
+    if denom < _ONE_WORD:
+        moduli, p, k = None, None, 1
+    else:
+        moduli, m = _moduli(denom)
+        p = np.array(moduli, dtype=np.int64)
+        k = len(moduli)
+        crt = [m // q * pow(m // q, -1, q) for q in moduli]
     rows, cols = model.source.rows, model.source.cols
     src = _residues(source, moduli).reshape(k, rows, cols)
     alice = _local_axes(model.alice, scaled["alice"], moduli, p)
     bob = _local_axes(model.bob, scaled["bob"], moduli, p)
-    crt = [m // q * pow(m // q, -1, q) for q in moduli]
 
     values = []
     for ctx in model.contexts():
@@ -210,7 +236,7 @@ def _expanded_route(
         # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
         shape = (rows, x.shape[2], xp.shape[2], cols)
         inner = y.shape[2] * yp.shape[2]
-        sums = np.zeros(k, dtype=np.int64)
+        sums = np.zeros(k, dtype=np.int64)  # an array, so numpy never warns on a scalar
         bob_cols = None
         for r, ix, ixp, c in _blocks(shape, inner, max(1, _BLOCK_ELEMENTS // k)):
             if c != bob_cols:  # consecutive blocks mostly share Bob's columns
@@ -219,11 +245,16 @@ def _expanded_route(
             alice_terms = _mulmod(x[:, r, ix, None], xp[:, r, None, ixp], p)
             terms = _mulmod(alice_terms[..., None], src[:, r, None, None, c], p)
             terms = _mulmod(terms[..., None, None], bob_terms[:, None, None, None], p)
-            sums = (sums + terms.reshape(k, -1).sum(axis=1)) % p
+            sums += terms.reshape(k, -1).sum(axis=1)
+            if p is not None:
+                sums %= p
 
-        total = sum(residue * coef for residue, coef in zip(sums.tolist(), crt)) % m
-        if total > m // 2:
-            total -= m
+        if p is None:
+            total = int(sums[0])
+        else:
+            total = sum(residue * coef for residue, coef in zip(sums.tolist(), crt)) % m
+            if total > m // 2:
+                total -= m
         values.append(Fraction(total, denom))
     return tuple(values)
 

@@ -4,8 +4,11 @@ Every kernel that sums integer numerators over a common denominator is
 compared, for exact rational equality, with its old loop in `oracles.py`
 on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
-The multi-modular expanded route also gets its choice of moduli, its
-re-centring and its block walk checked on their own.
+The expanded route's one-word path (D < 2^63) is compared with its
+multi-modular path, forced through the private threshold, on every one of
+those models; models with D just below and at 2^63 pin which path runs.
+The multi-modular path also gets its choice of moduli, its re-centring and
+its block walk checked on their own.
 Every route returns its four correlations in context order, and each is
 checked to compute its per-model statistics once rather than once per
 context: the dedicated and expanded routes scale each of the five
@@ -50,6 +53,22 @@ from tests_support import PRESETS, counting
 BIG = 2**64 + 13
 
 SHAPES = ((1, 1, 1, 1, 1, 1), (3, 1, 5, 2, 1, 4), (4, 4, 3, 3, 2, 2))
+CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
+
+
+def multi_modular(model: ContextualModel) -> tuple[Fraction, ...]:
+    """`_expanded_route` with the one-word path switched off: no D is below 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unified, "_ONE_WORD", 1)
+        return _expanded_route(model)
+
+
+def assert_expanded_matches_oracle(model: ContextualModel) -> tuple[Fraction, ...]:
+    """The expanded route against its oracle and against its multi-modular path."""
+    values = _expanded_route(model)
+    assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
+    assert values == multi_modular(model)
+    return values
 
 
 def assert_kernels_match_oracles(model: ContextualModel) -> None:
@@ -60,9 +79,7 @@ def assert_kernels_match_oracles(model: ContextualModel) -> None:
         oracles.dedicated_fraction_oracle(model, ctx) for ctx in contexts
     )
     assert _factored_route(model) == oracles.correlation_quadruple(model)
-    assert _expanded_route(model) == tuple(
-        oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
-    )
+    assert_expanded_matches_oracle(model)
     assert _reduced_route(model) == tuple(
         oracles.reduced_fraction_oracle(model, reduced, ctx) for ctx in contexts
     )
@@ -299,6 +316,48 @@ class TestModuli:
                 assert any(math.gcd(n, q) > 1 for q in moduli if q > n), n
 
 
+def constant_model(source_d: int, local_d: int, readout: int) -> ContextualModel:
+    """Pmfs (1/d, (d-1)/d), so D = source_d * local_d^4, with Alice's tables
+    all `readout` and Bob's all +1: |total| = D and each correlation is `readout`."""
+
+    def pmf(d):
+        return [Fraction(1, d), Fraction(d - 1, d)]
+
+    model = build_model([pmf(source_d)], [pmf(local_d)] * 2, [pmf(local_d)] * 2, random.Random(0))
+    return map_tables(model, lambda v: readout, lambda v: 1)
+
+
+class TestOneWordExpanded:
+    """Which path the expanded route takes, and its exactness at the switch."""
+
+    @pytest.mark.parametrize(
+        "source_d, local_d, moduli_calls",
+        [
+            pytest.param(2**15 - 1, 2**12, 0, id="D=2^63-2^48"),
+            pytest.param(2**63 - 25, 1, 0, id="D=2^63-25"),  # the largest prime below 2^63
+            pytest.param(2**15, 2**12, 1, id="D=2^63"),
+        ],
+    )
+    @pytest.mark.parametrize("readout", [1, -1])
+    def test_totals_at_the_switch(self, monkeypatch, source_d, local_d, moduli_calls, readout):
+        # A total of +2^63 does not fit in int64, so a one-word sum at D = 2^63 wraps.
+        model = constant_model(source_d, local_d, readout)
+        assert denominator_product(model) == source_d * local_d**4
+        moduli = counting(monkeypatch, unified, "_moduli")
+        values = _expanded_route(model)
+        assert values == (readout,) * 4
+        assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
+        assert len(moduli) == moduli_calls
+
+    @pytest.mark.parametrize("shape", SHAPES + CHUNKED_SHAPES)
+    def test_random_models_take_one_word(self, monkeypatch, shape):
+        spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
+        model = random_model(spec, random.Random(0))
+        moduli = counting(monkeypatch, unified, "_moduli")
+        _expanded_route(model)
+        assert moduli == []
+
+
 class TestMultiModularExpanded:
     """Cases where a fault in the residue arithmetic or the CRT would show."""
 
@@ -329,27 +388,33 @@ class TestMultiModularExpanded:
         self.assert_matches_oracle(model)
 
 
-CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
-
-
 @pytest.fixture(scope="module")
 def chunked_models():
-    """Skewed and bench-sized models with their unpatched expanded values."""
+    """Skewed and bench-sized models, which take the one-word path, and a
+    big-weight model, which takes the multi-modular one, with their
+    unpatched expanded values."""
     cases = []
     for shape in CHUNKED_SHAPES:
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
-        model = random_model(spec, random.Random(3))
-        cases.append((model, _expanded_route(model)))
-    return cases
+        cases.append(random_model(spec, random.Random(3)))
+    cases.append(big_weight_model(0, shape=(4, 4, 8, 8, 4, 4)))
+    return [(model, _expanded_route(model)) for model in cases]
 
 
 class TestBlocks:
     @pytest.mark.parametrize("budget", [1, 7, 4096])
-    @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES)))
+    @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES) + 1))
     def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
         model, expected = chunked_models[case]
         monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
         assert _expanded_route(model) == expected
+
+    def test_chunked_models_match_oracle(self, chunked_models):
+        assert [denominator_product(model) < 2**63 for model, _ in chunked_models] == [
+            True, True, False
+        ]
+        for model, expected in chunked_models:
+            assert assert_expanded_matches_oracle(model) == expected
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
     @pytest.mark.parametrize("inner", [1, 3, 16])
@@ -403,13 +468,15 @@ class TestScalingOncePerModel:
                 for remote in row.remote_labels
             )
 
-    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), "big_weight_model"])
     def test_expanded_route(self, monkeypatch, name):
-        model = PRESETS[name]()
+        # Every preset sums in one word; weights near 2^70 pick their moduli once.
+        big = name == "big_weight_model"
+        model = big_weight_model(0) if big else PRESETS[name]()
         scaled = counting(monkeypatch, unified, "_scaled_factors")
         moduli = counting(monkeypatch, unified, "_moduli")
         values = unified._expanded_route(model)
-        assert (len(scaled), len(moduli)) == (5, 1)
+        assert (len(scaled), len(moduli)) == (5, 1 if big else 0)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
         )
