@@ -18,7 +18,6 @@ from .chsh import (
 )
 from .exact import correlation_set, verify_no_signalling
 from .models import (
-    Context,
     ContextualModel,
     InvalidModelError,
     JointPmf,
@@ -67,7 +66,6 @@ __all__ = [
     "BoundViolationError",
     "Certification",
     "ChshReport",
-    "Context",
     "ContextualModel",
     "CounterfactualSet",
     "EmpiricalChsh",

@@ -15,9 +15,10 @@ model before computing them.
 `certify_model` validates the model and checks the expanded route's cell
 count before any route runs, then runs the dedicated, factored, expanded
 and reduced routes.  It is the one public way to run them: the routes are
-private to their modules and trust that the model is valid.  Each returns the model's four correlations as a
-plain tuple in context order, (x,y), (x,y'), (x',y), (x',y'), and each
-check in `Certification` is one exact equality between those tuples.
+private to their modules and trust that the model is valid.  Each returns
+the model's four correlations as a plain tuple in context order, (x,y),
+(x,y'), (x',y), (x',y'): a context is its position, never a label lookup.
+Each check in `Certification` is one exact equality between those tuples.
 `CORRELATION_KEYS` names the four in the certificate's output.
 """
 
@@ -28,7 +29,6 @@ from fractions import Fraction
 
 from .exact import _dedicated_route, correlation_set
 from .models import (
-    Context,
     ContextualModel,
     _scaled_factors,
     decimal_str,
@@ -139,9 +139,10 @@ def _rationals(values) -> list[str]:
 @dataclass(frozen=True)
 class Certification:
     """Each route's four correlations, in context order, and the CHSH
-    certificate of one model; the dedicated values are the certificate's."""
+    certificate of one model; the dedicated values are the certificate's.
+    `contexts` holds the matching (alice_label, bob_label) pairs."""
 
-    contexts: tuple[Context, ...]
+    contexts: tuple[tuple[str, str], ...]
     factored: tuple[Fraction, ...]
     expanded: tuple[Fraction, ...]
     reduced: tuple[Fraction, ...]
@@ -172,7 +173,7 @@ class Certification:
         return {
             "model_sha256": self.certificate.model_sha256,
             "equivalence": {
-                "contexts": [[c.alice, c.bob] for c in self.contexts],
+                "contexts": [list(c) for c in self.contexts],
                 "dedicated": dedicated,
                 "factored": _rationals(self.factored),
                 "expanded": _rationals(self.expanded),

@@ -177,26 +177,22 @@ def _parse_angles(raw: str):
     return angles
 
 
-def _context_section(ledger, exact_by_context):
+def _context_section(ledger, exact):
+    """Per-context entries; `exact` is the model's four correlations, or None."""
     empirical = empirical_chsh(ledger)
-    contexts = []
-    for ctx, n_ctx, e_hat, se in zip(
-        empirical.contexts,
-        empirical.n_per_context,
-        empirical.correlations,
-        empirical.standard_errors,
-    ):
-        entry = {
-            "alice": ctx[0],
-            "bob": ctx[1],
-            "n": n_ctx,
-            "e_hat": e_hat,
-            "standard_error": se,
-        }
-        if exact_by_context is not None:
-            entry["e_exact"] = format_rational(exact_by_context[ctx])
-            entry["e_exact_decimal"] = decimal_str(exact_by_context[ctx])
-        contexts.append(entry)
+    contexts = [
+        {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se}
+        for (alice, bob), n_ctx, e_hat, se in zip(
+            empirical.contexts,
+            empirical.n_per_context,
+            empirical.correlations,
+            empirical.standard_errors,
+        )
+    ]
+    if exact is not None:
+        for entry, e in zip(contexts, exact):
+            entry["e_exact"] = format_rational(e)
+            entry["e_exact_decimal"] = decimal_str(e)
     return empirical, contexts
 
 
@@ -211,22 +207,19 @@ def cmd_simulate(args) -> int:
     if args.quantum is not None:
         angles = _parse_angles(args.quantum)
         ledger = quantum_reference(angles, n=args.n, seed=args.seed)
-        exact_by_context = None
+        exact = None
         extra = {"quantum_angles": list(angles)}
     else:
         model = load_model(args.model)
         ledger = simulate_trials(model, n=args.n, seed=args.seed)
-        exact_by_context = {
-            (ctx.alice, ctx.bob): e
-            for ctx, e in zip(model.contexts(), correlation_set(model))
-        }
+        exact = correlation_set(model)
         extra = {
             "model_sha256": model_hash(model),
             "exact_no_signalling_equal": verify_no_signalling(model).equal,
         }
 
     try:
-        empirical, contexts = _context_section(ledger, exact_by_context)
+        empirical, contexts = _context_section(ledger, exact)
         signalling = no_signalling_report(ledger)
     except EmptyContextError as exc:
         raise ModelFormatError(f"{exc}: --n {args.n} is too small") from None
@@ -272,13 +265,15 @@ def cmd_simulate(args) -> int:
 
 def _histogram_text(ledger) -> str:
     """Per-context outcome counts; labels are quoted as in ledger.csv."""
+    counts = ledger.context_counts().tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alice_setting", "bob_setting", "a", "b", "count"])
     writer.writerows(
-        [alice_label, bob_label, f"{va:+d}", f"{vb:+d}", count]
-        for (alice_label, bob_label), cells in ledger.context_counts().items()
-        for (va, vb), count in cells.items()
+        [alice_label, bob_label, f"{va:+d}", f"{vb:+d}", counts[i][j][va > 0][vb > 0]]
+        for i, alice_label in enumerate(ledger.alice_labels)
+        for j, bob_label in enumerate(ledger.bob_labels)
+        for va in (1, -1) for vb in (1, -1)
     )
     return buf.getvalue()
 

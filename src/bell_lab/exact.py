@@ -59,23 +59,20 @@ def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction
     return Fraction(total, source_den * a_den * b_den)
 
 
-def _scaled_sides(model: ContextualModel) -> dict[str, dict]:
-    """Every setting's ``_scaled_local`` triple, by side and label."""
-    return {
-        side: {label: _scaled_local(local) for label, local in settings.items()}
-        for side, settings in (("alice", model.alice), ("bob", model.bob))
-    }
+def _scaled_sides(model: ContextualModel) -> tuple[list, list]:
+    """Every setting's ``_scaled_local`` triple, per side in declared order."""
+    return tuple(
+        [_scaled_local(local) for local in settings.values()]
+        for settings in (model.alice, model.bob)
+    )
 
 
 def _dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
     """The four correlations of a valid model in context order, each factor
     scaled once; `model` is not revalidated."""
     source = _scaled_factors(model.source.flattened())
-    sides = _scaled_sides(model)
-    return tuple(
-        _context_expectation(model, source, sides["alice"][ctx.alice], sides["bob"][ctx.bob])
-        for ctx in model.contexts()
-    )
+    alice, bob = _scaled_sides(model)
+    return tuple(_context_expectation(model, source, a, b) for a in alice for b in bob)
 
 
 def correlation_set(model: ContextualModel) -> tuple[Fraction, ...]:
@@ -120,20 +117,21 @@ def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
     setting, as rationals, for all four side/setting combinations."""
     require_valid(model)
     source = _scaled_factors(model.source.flattened())
-    sides = _scaled_sides(model)
+    alice, bob = _scaled_sides(model)
     rows = []
-    for side, remote_side in (("alice", "bob"), ("bob", "alice")):
-        remotes = sides[remote_side]
-        for setting, own in sides[side].items():
+    for side, owns, remotes, labels, remote_labels in (
+        ("alice", alice, bob, model.alice_labels, model.bob_labels),
+        ("bob", bob, alice, model.bob_labels, model.alice_labels),
+    ):
+        for setting, own in zip(labels, owns):
             dists = tuple(
-                _outcome_distribution(model, source, side, own, remote)
-                for remote in remotes.values()
+                _outcome_distribution(model, source, side, own, remote) for remote in remotes
             )
             rows.append(
                 ExactMarginalRow(
                     side=side,
                     setting=setting,
-                    remote_labels=tuple(remotes),
+                    remote_labels=remote_labels,
                     distributions=dists,
                     equal=dists[0] == dists[1],
                 )

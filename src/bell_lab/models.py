@@ -9,6 +9,10 @@ is symmetric.  Each side declares exactly two settings; the first
 declared label plays the unprimed role everywhere.  A setting is named
 only by its dict key, so diagnostics locate it by side and key.
 
+A context is named by its position in the context order, each side's
+settings in declared order with Alice's the outer loop: (x,y), (x,y'),
+(x',y), (x',y').  `ContextualModel.contexts` gives the label pairs.
+
 All probabilities are exact rationals (:class:`fractions.Fraction`).
 Floats are rejected at construction so that every downstream expectation
 is computed without rounding; floats only ever appear in Monte Carlo
@@ -160,14 +164,6 @@ class LocalSetting:
 
 
 @dataclass(frozen=True)
-class Context:
-    """One run configuration: one setting label per side."""
-
-    alice: str
-    bob: str
-
-
-@dataclass(frozen=True)
 class ContextualModel:
     source: JointPmf
     alice: dict[str, LocalSetting]
@@ -186,19 +182,15 @@ class ContextualModel:
     def bob_labels(self) -> tuple[str, ...]:
         return tuple(self.bob)
 
-    def contexts(self) -> tuple[Context, Context, Context, Context]:
-        """The four contexts in canonical order: (x,y), (x,y'), (x',y), (x',y')."""
+    def contexts(self) -> tuple[tuple[str, str], ...]:
+        """The four contexts as (alice_label, bob_label) pairs in context
+        order: (x,y), (x,y'), (x',y), (x',y')."""
         a, b = self.alice_labels, self.bob_labels
         if len(a) != 2 or len(b) != 2:
             raise InvalidModelError(
                 [f"expected exactly 2 settings per side, found {len(a)} alice / {len(b)} bob"]
             )
-        return (
-            Context(a[0], b[0]),
-            Context(a[0], b[1]),
-            Context(a[1], b[0]),
-            Context(a[1], b[1]),
-        )
+        return tuple((x, y) for x in a for y in b)
 
 
 def _check_pmf(weights: tuple[Fraction, ...], where: str, problems: list[str]) -> None:

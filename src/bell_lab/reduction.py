@@ -115,18 +115,18 @@ def reduce_model(model: ContextualModel) -> ReducedModel:
     return _reduce(model)
 
 
-def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[dict, int]:
-    """Per setting and source index, the width-weighted response over the
-    refined intervals, as integer numerators over the widths' common
-    denominator; the i-th declared setting reads slot i of each label pair."""
+def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[list, int]:
+    """Per setting in declared order and per source index, the width-weighted
+    response over the refined intervals, as integer numerators over the
+    widths' common denominator; setting i reads slot i of each label pair."""
     widths, d = _scaled_factors(uniform_map.widths())
-    means = {
-        label: [
+    means = [
+        [
             sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
             for row in local.table
         ]
-        for slot, (label, local) in enumerate(settings.items())
-    }
+        for slot, local in enumerate(settings.values())
+    ]
     return means, d
 
 
@@ -148,8 +148,8 @@ def _reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
     den = source_den * a_den * b_den
     return tuple(
         Fraction(sum(
-            a_mean * sum(w * b_mean for w, b_mean in zip(row, bob[ctx.bob]) if w)
-            for row, a_mean in zip(rows, alice[ctx.alice])
+            a_mean * sum(w * b_mean for w, b_mean in zip(row, b_means) if w)
+            for row, a_mean in zip(rows, a_means)
         ), den)
-        for ctx in model.contexts()
+        for a_means in alice for b_means in bob
     )

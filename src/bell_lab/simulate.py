@@ -3,12 +3,14 @@
 Trials are driven through the two-uniform reduced form, so the sampling
 path itself exercises the partition maps: per trial the stream provides
 five 53-bit dyadic uniforms, consumed in the fixed column order (Alice
-setting, Bob setting, source pair, U1, U2).  A dyadic draw k/2^53 is
-compared against integer thresholds floor(c * 2^53) of the exact rational
-cumulative breakpoints c; a draw landing exactly on a threshold goes to
-the lower interval.  Thresholds beyond 53-bit resolution would collapse;
-each interval is then under-weighted by at most 2^-53, which is far below
-anything the statistics here can resolve.
+setting, Bob setting, source pair, U1, U2).  Each setting is the top bit
+of its draw, so both settings are exactly uniform in both samplers.  Any
+other dyadic draw k/2^53 is compared against integer thresholds
+floor(c * 2^53) of the exact rational cumulative breakpoints c; a draw
+landing exactly on a threshold goes to the lower interval.  Thresholds
+beyond 53-bit resolution would collapse; each interval is then
+under-weighted by at most 2^-53, which is far below anything the
+statistics here can resolve.
 
 Draws are taken in row chunks of CHUNK trials, each chunk's cell codes
 written into one preallocated byte array, so memory is about 1 B per
@@ -76,7 +78,7 @@ class TrialLedger:
 
     Each trial is one uint8 cell code in 0..15:
     alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
-    being indices into the label tuples and a, b the +/-1 outcomes.
+    being positions in the label tuples and a, b the +/-1 outcomes.
     Counts are derived from the codes on demand, so they cannot drift
     out of step with the records.
     """
@@ -90,20 +92,14 @@ class TrialLedger:
     def n(self) -> int:
         return len(self.codes)
 
-    def context_counts(self) -> dict:
-        """counts[(alice_label, bob_label)][(a, b)] over the four contexts."""
+    def context_counts(self) -> np.ndarray:
+        """Trial counts, int64 of shape (2, 2, 2, 2), indexed
+        [alice setting, bob setting, a > 0, b > 0]: the bits of the cell code."""
         # bincount casts its input to intp; binning per chunk bounds that copy.
         bins = np.zeros(16, dtype=np.int64)
         for start, stop in _chunks(self.n):
             bins += np.bincount(self.codes[start:stop], minlength=16)
-        return {
-            (alice_label, bob_label): {
-                (a, b): int(bins[i * 8 + j * 4 + (a > 0) * 2 + (b > 0)])
-                for a in (1, -1) for b in (1, -1)
-            }
-            for i, alice_label in enumerate(self.alice_labels)
-            for j, bob_label in enumerate(self.bob_labels)
-        }
+        return bins.reshape(2, 2, 2, 2)
 
     def _row_suffixes(self) -> tuple[str, ...]:
         """The 16 possible `,alice,bob,a,b` row endings, indexed by code.
@@ -147,6 +143,12 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
     return TrialLedger(seed=seed, alice_labels=alice_labels, bob_labels=bob_labels, codes=codes)
 
 
+def _settings(draws) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's setting indices: the top bits of draw columns 0
+    and 1, so each setting has probability exactly 1/2."""
+    return draws[:, 0] >> (U_BITS - 1), draws[:, 1] >> (U_BITS - 1)
+
+
 def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedger:
     """Run n trials of the four-context protocol; reproducible from seed.
 
@@ -154,9 +156,8 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     uniforms, then reads the outcomes off the response tables through the
     reduced form's interval maps.  The source pair is read through its own
     inverse-transform partition, so a pair of weight zero is never drawn.
-    Settings are uniform; a setting draw of exactly 2^52 goes to the first
-    setting, like every other threshold tie (`quantum_reference` sends it
-    to the second).
+    Settings are exactly uniform: each is the top bit of its draw, as in
+    `quantum_reference`.
     """
     reduced = reduce_model(model)  # validates the model
 
@@ -168,22 +169,20 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     alice_pairs = np.array(reduced.alice_map.labels, dtype=np.int64)
     bob_pairs = np.array(reduced.bob_map.labels, dtype=np.int64)
 
-    def table_stack(settings, labels):
+    def table_stack(settings):
         depth = max(len(s.weights) for s in settings.values())
         rows = max(len(s.table) for s in settings.values())
         stack = np.zeros((2, rows, depth), dtype=np.uint8)
-        for t, label in enumerate(labels):
-            for r, row in enumerate(settings[label].table):
+        for t, local in enumerate(settings.values()):
+            for r, row in enumerate(local.table):
                 stack[t, r, : len(row)] = [v > 0 for v in row]
         return stack
 
-    alice_tables = table_stack(model.alice, model.alice_labels)
-    bob_tables = table_stack(model.bob, model.bob_labels)
+    alice_tables = table_stack(model.alice)
+    bob_tables = table_stack(model.bob)
 
     def sample(draws):
-        # Integer indices: a boolean array would act as a mask below.
-        a_set = (draws[:, 0] > U_SCALE // 2).astype(np.intp)
-        b_set = (draws[:, 1] > U_SCALE // 2).astype(np.intp)
+        a_set, b_set = _settings(draws)
         src = source_labels[np.searchsorted(source_k, draws[:, 2], side="left")]
         l1 = src // model.source.cols
         l2 = src % model.source.cols
@@ -224,21 +223,17 @@ def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
     """Singlet-statistics trial generator: the positive control.
 
     Outcomes follow P(a, b | alpha, beta) = (1 - a*b*cos(alpha - beta))/4
-    with uniform random settings.  No model in this package can produce
-    these statistics; the empirical pipeline must be able to say so.  A
-    setting draw of exactly 2^52 goes to the second setting, unlike in
-    `simulate_trials`; the seeded outputs of both depend on that tie.
+    with exactly uniform random settings, drawn as in `simulate_trials`.
+    No model in this package can produce these statistics; the empirical
+    pipeline must be able to say so.
     """
     grid = _quantum_grid(angles)
 
     def sample(draws):
-        a_set = draws[:, 0] >= U_SCALE // 2
-        b_set = draws[:, 1] >= U_SCALE // 2
+        a_set, b_set = _settings(draws)
         context = a_set * 2 + b_set
-        grid_index = np.empty(len(draws), dtype=np.int64)
-        for ctx in range(4):
-            mask = context == ctx
-            grid_index[mask] = np.searchsorted(grid[ctx], draws[mask, 2], side="left")
+        # Thresholds below the draw: searchsorted(side="left") on each sorted row.
+        grid_index = (draws[:, 2, None] > grid[context]).sum(axis=1)
         # Grid index 0 is (+1,+1), outcome bits 3; index 3 is (-1,-1), bits 0.
         return context * 4 + 3 - grid_index
 
@@ -258,6 +253,22 @@ class EmpiricalChsh:
     s_max: float
 
 
+def _context_sizes(ledger: TrialLedger, counts: np.ndarray) -> np.ndarray:
+    """Trials per context, shape (2, 2), from `ledger.context_counts()`.
+
+    Raises `EmptyContextError` naming the first empty context in context
+    order, since no statistic of an empty context is defined.
+    """
+    sizes = counts.sum(axis=(2, 3))
+    empty = np.argwhere(sizes == 0)
+    if len(empty):
+        i, j = empty[0]
+        raise EmptyContextError(
+            f"context {(ledger.alice_labels[i], ledger.bob_labels[j])} has no trials"
+        )
+    return sizes
+
+
 def empirical_chsh(ledger: TrialLedger) -> EmpiricalChsh:
     """Per-context empirical correlations and the eight signed sums.
 
@@ -265,29 +276,21 @@ def empirical_chsh(ledger: TrialLedger) -> EmpiricalChsh:
     sums share one error, the four context errors combined in quadrature.
     """
     counts = ledger.context_counts()
-    contexts = tuple(
-        (a, b) for a in ledger.alice_labels for b in ledger.bob_labels
+    ns = tuple(_context_sizes(ledger, counts).ravel().tolist())
+    # Each context's cell counts as ((a-, b-), (a-, b+)), ((a+, b-), (a+, b+)).
+    correlations = tuple(
+        (pp + mm - pm - mp) / n_ctx
+        for n_ctx, ((mm, mp), (pm, pp)) in zip(ns, counts.reshape(4, 2, 2).tolist())
     )
-    ns = []
-    correlations = []
-    errors = []
-    for ctx in contexts:
-        cell = counts[ctx]
-        n_ctx = sum(cell.values())
-        if n_ctx == 0:
-            raise EmptyContextError(f"context {ctx} has no trials")
-        e = (cell[(1, 1)] + cell[(-1, -1)] - cell[(1, -1)] - cell[(-1, 1)]) / n_ctx
-        ns.append(n_ctx)
-        correlations.append(e)
-        errors.append(math.sqrt(max(1 - e * e, 0.0) / n_ctx))
+    errors = tuple(math.sqrt(max(1 - e * e, 0.0) / n_ctx) for n_ctx, e in zip(ns, correlations))
     sums = tuple(
         sum(s * e for s, e in zip(pattern, correlations)) for pattern in CHSH_PATTERNS
     )
     return EmpiricalChsh(
-        contexts=contexts,
-        n_per_context=tuple(ns),
-        correlations=tuple(correlations),
-        standard_errors=tuple(errors),
+        contexts=tuple((a, b) for a in ledger.alice_labels for b in ledger.bob_labels),
+        n_per_context=ns,
+        correlations=correlations,
+        standard_errors=errors,
         sums=sums,
         sum_standard_error=math.sqrt(sum(se * se for se in errors)),
         s_max=max(abs(s) for s in sums),
@@ -322,33 +325,22 @@ def no_signalling_report(ledger: TrialLedger) -> NoSignallingReport:
     reported as infinite.
     """
     counts = ledger.context_counts()
+    sizes = _context_sizes(ledger, counts)
     rows = []
-    for side, labels, remote_labels in (
-        ("alice", ledger.alice_labels, ledger.bob_labels),
-        ("bob", ledger.bob_labels, ledger.alice_labels),
+    # Per side: outcome counts [own setting][remote setting][outcome > 0]
+    # and context sizes [own setting][remote setting].
+    for side, labels, remote_labels, outcomes, totals in (
+        ("alice", ledger.alice_labels, ledger.bob_labels, counts.sum(axis=3), sizes),
+        ("bob", ledger.bob_labels, ledger.alice_labels,
+         counts.sum(axis=2).transpose(1, 0, 2), sizes.T),
     ):
-        for setting in labels:
+        for setting, own, (n1, n2) in zip(labels, outcomes.tolist(), totals.tolist()):
             for outcome in (1, -1):
-                hits = []
-                totals = []
-                for remote in remote_labels:
-                    key = (setting, remote) if side == "alice" else (remote, setting)
-                    cell = counts[key]
-                    if side == "alice":
-                        x = cell[(outcome, 1)] + cell[(outcome, -1)]
-                    else:
-                        x = cell[(1, outcome)] + cell[(-1, outcome)]
-                    n_ctx = sum(cell.values())
-                    if n_ctx == 0:
-                        raise EmptyContextError(f"context {key} has no trials")
-                    hits.append(x)
-                    totals.append(n_ctx)
-                f1, f2 = hits[0] / totals[0], hits[1] / totals[1]
+                h1, h2 = (by_outcome[outcome > 0] for by_outcome in own)
+                f1, f2 = h1 / n1, h2 / n2
                 diff = f1 - f2
-                pooled = (hits[0] + hits[1]) / (totals[0] + totals[1])
-                se = math.sqrt(
-                    pooled * (1 - pooled) * (1 / totals[0] + 1 / totals[1])
-                )
+                pooled = (h1 + h2) / (n1 + n2)
+                se = math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
                 if se == 0:
                     z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
                 else:

@@ -77,9 +77,9 @@ def _factored_route(model: ContextualModel) -> tuple[Fraction, ...]:
     from the dedicated-space four-fold sum; exact agreement between the two
     is the point.
     """
-    alice = {label: _means(local) for label, local in model.alice.items()}
-    bob = {label: _means(local) for label, local in model.bob.items()}
-    return tuple(_bilinear(model, alice[c.alice], bob[c.bob]) for c in model.contexts())
+    alice = [_means(local) for local in model.alice.values()]
+    bob = [_means(local) for local in model.bob.values()]
+    return tuple(_bilinear(model, a, b) for a in alice for b in bob)
 
 
 # Largest number of int64 terms one block of the expanded sum holds, moduli
@@ -209,11 +209,11 @@ def _expanded_route(
     if size > cell_limit:
         raise SizeExceededError(size, cell_limit)
     source, denom = _scaled_factors(model.source.flattened())
-    scaled = {
-        side: [_scaled_factors(local.weights) for local in settings.values()]
-        for side, settings in (("alice", model.alice), ("bob", model.bob))
-    }
-    for _, d in itertools.chain(*scaled.values()):
+    alice_scaled, bob_scaled = (
+        [_scaled_factors(local.weights) for local in settings.values()]
+        for settings in (model.alice, model.bob)
+    )
+    for _, d in alice_scaled + bob_scaled:
         denom *= d
     if denom < _ONE_WORD:
         moduli, p, k = None, None, 1
@@ -224,12 +224,11 @@ def _expanded_route(
         crt = [m // q * pow(m // q, -1, q) for q in moduli]
     rows, cols = model.source.rows, model.source.cols
     src = _residues(source, moduli).reshape(k, rows, cols)
-    alice = _local_axes(model.alice, scaled["alice"], moduli, p)
-    bob = _local_axes(model.bob, scaled["bob"], moduli, p)
+    alice = _local_axes(model.alice, alice_scaled, moduli, p)
+    bob = _local_axes(model.bob, bob_scaled, moduli, p)
 
     values = []
-    for ctx in model.contexts():
-        i, j = model.alice_labels.index(ctx.alice), model.bob_labels.index(ctx.bob)
+    for i, j in itertools.product(range(len(alice)), range(len(bob))):
         x, xp = (read if s == i else unread for s, (unread, read) in enumerate(alice))
         y, yp = (read if s == j else unread for s, (unread, read) in enumerate(bob))
 

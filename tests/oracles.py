@@ -23,6 +23,10 @@ The neighbour order is the specification of the package's move order.
 
 `locate` is the point lookup the sampler's threshold search must agree
 with: the label of the partition interval that holds a point of [0, 1).
+
+The per-context oracles take a context as its (alice_label, bob_label)
+pair and look each setting up by label, where the package goes by
+position.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import numpy as np
 from bell_lab.chsh import CHSH_PATTERNS, LHV_BOUND, ChshReport, chsh_from_correlations
 from bell_lab.exact import correlation_set
 from bell_lab.models import (
-    Context,
     ContextualModel,
     JointPmf,
     LocalSetting,
@@ -226,14 +229,15 @@ def reduced_context_mean(model: ContextualModel, alice_label: str, bob_label: st
     return total
 
 
-def dedicated_fraction_oracle(model: ContextualModel, ctx: Context) -> Fraction:
+def dedicated_fraction_oracle(model: ContextualModel, ctx: tuple[str, str]) -> Fraction:
     """E over one context: sum A(l1,lx) * B(l2,ly) * p_x(lx) * p_y(ly) * p(l1,l2).
 
     Loop order fixed as (l1, l2, lx, ly) for reproducible traces; only
     zero-probability source pairs are skipped.
     """
-    a_local = _local(model, "alice", ctx.alice)
-    b_local = _local(model, "bob", ctx.bob)
+    alice_label, bob_label = ctx
+    a_local = _local(model, "alice", alice_label)
+    b_local = _local(model, "bob", bob_label)
     a_table = a_local.table
     b_table = b_local.table
     a_pmf = a_local.weights
@@ -257,7 +261,7 @@ def _oracle_scaled_factors(weights):
 
 
 def expanded_scaled_oracle(
-    model: ContextualModel, ctx: Context, cell_limit: int = DEFAULT_CELL_LIMIT
+    model: ContextualModel, ctx: tuple[str, str], cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> Fraction:
     """Same expectation by brute-force sum over every expanded cell; guarded.
 
@@ -279,10 +283,11 @@ def expanded_scaled_oracle(
             ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1),
         )
     }
-    a_table = _local(model, "alice", ctx.alice).table
-    b_table = _local(model, "bob", ctx.bob).table
-    a_axis = model.alice_labels.index(ctx.alice)
-    b_axis = model.bob_labels.index(ctx.bob)
+    alice_label, bob_label = ctx
+    a_table = _local(model, "alice", alice_label).table
+    b_table = _local(model, "bob", bob_label).table
+    a_axis = model.alice_labels.index(alice_label)
+    b_axis = model.bob_labels.index(bob_label)
 
     cols = model.source.cols
     nums = [local_scaled[k][0] for k in (("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1))]
@@ -304,17 +309,18 @@ def expanded_scaled_oracle(
 
 
 def reduced_fraction_oracle(
-    model: ContextualModel, reduced: ReducedModel, ctx: Context
+    model: ContextualModel, reduced: ReducedModel, ctx: tuple[str, str]
 ) -> Fraction:
     """Context correlation of `model` under its reduced form, by exact quadrature.
 
     Integrates over refined intervals times source pairs; each interval
     contributes its width times the response value its pair selects.
     """
-    a_slot = model.alice_labels.index(ctx.alice)
-    b_slot = model.bob_labels.index(ctx.bob)
-    a_table = model.alice[ctx.alice].table
-    b_table = model.bob[ctx.bob].table
+    alice_label, bob_label = ctx
+    a_slot = model.alice_labels.index(alice_label)
+    b_slot = model.bob_labels.index(bob_label)
+    a_table = model.alice[alice_label].table
+    b_table = model.bob[bob_label].table
 
     a_widths = reduced.alice_map.widths()
     b_widths = reduced.bob_map.widths()
@@ -510,9 +516,10 @@ def unchunked_trials_oracle(model: ContextualModel, n: int, seed: int = 0):
         return stack
 
     draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(n, 5), dtype=np.int64)
+    # A setting draw at the threshold 1/2 goes to the second setting: U >= 1/2.
     setting_k = _thresholds((Fraction(0), Fraction(1, 2), Fraction(1)))
-    a_set = np.searchsorted(setting_k, draws[:, 0], side="left")
-    b_set = np.searchsorted(setting_k, draws[:, 1], side="left")
+    a_set = np.searchsorted(setting_k, draws[:, 0], side="right")
+    b_set = np.searchsorted(setting_k, draws[:, 1], side="right")
     # Every flat source cell gets a threshold; a draw that lands on a
     # zero-weight cell (only a draw of 0 can) moves forward to the next cell.
     source = model.source.flattened()

@@ -226,7 +226,7 @@ class TestCertifyModel:
                 oracles.expanded_scaled_oracle(model, ctx) for ctx in contexts
             )
             assert result.reduced == tuple(
-                oracles.reduced_context_mean(model, ctx.alice, ctx.bob) for ctx in contexts
+                oracles.reduced_context_mean(model, *ctx) for ctx in contexts
             )
             assert result.certificate == certify_lhv_bound(model)
 

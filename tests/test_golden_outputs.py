@@ -3,8 +3,10 @@
 Each case runs ``bell_lab.cli.main`` in this process on a fixed argv and
 compares its exit code and the SHA-256 of its stdout, its stderr and every
 file it writes with ``golden_outputs.json``.  The digests were generated at
-commit 1118feb, before the model and correlation types became plain data,
-by running this module as a script from the repository root:
+commit 1118feb, before the model and correlation types became plain data;
+the two ``--format text`` simulate cases and ``simulate-n1`` were added at
+commit 67e2cf2, before contexts became positions.  Both times the file was
+written by running this module as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -48,6 +50,10 @@ def _cases() -> dict[str, list[str]]:
     for name in ("noisy_readout", "random_seed7"):
         cases[f"simulate-{name}"] = [*simulate, "--model", str(PRESET_DIR / f"{name}.json")]
     cases["simulate-quantum"] = [*simulate, "--quantum", "0,1.5708,0.7854,2.3562"]
+    text = ["simulate", "--n", "5000", "--seed", "3", "--format", "text", "--out", OUT]
+    cases["simulate-noisy_readout-text"] = [*text, "--model", noisy]
+    cases["simulate-quantum-text"] = [*text, "--quantum", "0,0.7854,0.3927,1.1781"]
+    cases["simulate-n1"] = ["simulate", "--n", "1", "--out", OUT, "--model", noisy]
     return cases
 
 

@@ -164,10 +164,12 @@ class TestEntryTypes:
 
 class TestContexts:
     def test_canonical_order(self, noisy):
-        contexts = noisy.contexts()
-        assert [(c.alice, c.bob) for c in contexts] == [
-            ("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"),
-        ]
+        assert noisy.contexts() == (("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"))
+
+    def test_two_settings_per_side_required(self, noisy):
+        three = replace(noisy, alice={**noisy.alice, "x''": noisy.alice["x"]})
+        with pytest.raises(InvalidModelError, match="3 alice / 2 bob"):
+            three.contexts()
 
 
 class TestDocuments:

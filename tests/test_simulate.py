@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from bell_lab.reduction import reduce_model
 from bell_lab.simulate import (
     CHUNK,
     U_SCALE,
+    EmptyContextError,
     TrialLedger,
+    _quantum_grid,
     _thresholds,
     empirical_chsh,
     no_signalling_report,
@@ -86,25 +89,23 @@ class TestSimulateTrials:
     def test_counts_consistent_with_records(self, noisy):
         ledger = simulate_trials(noisy, 500, seed=9)
         counts = ledger.context_counts()
-        assert sum(sum(c.values()) for c in counts.values()) == 500
-        first = counts[("x", "y")]
+        assert counts.sum() == 500
         a_set, b_set, a, b = ledger_arrays(ledger)
         mask = (a_set == 0) & (b_set == 0)
-        assert sum(first.values()) == int(mask.sum())
-        assert first[(1, 1)] == int(((a == 1) & (b == 1) & mask).sum())
+        assert counts[0, 0].sum() == int(mask.sum())
+        assert counts[0, 0, 1, 1] == int(((a == 1) & (b == 1) & mask).sum())
 
-    def test_counts_match_whole_array_bincount(self, noisy):
+    def test_counts_match_whole_array_bincount(self, monkeypatch, noisy):
+        # 3 * CHUNK + 7 trials, binned across chunk boundaries of three sizes.
         ledger = simulate_trials(noisy, 3 * CHUNK + 7, seed=4)
-        bins = np.bincount(ledger.codes, minlength=16)
-        counts = ledger.context_counts()
-        for ctx, (alice_label, bob_label) in enumerate(
-            (a, b) for a in noisy.alice_labels for b in noisy.bob_labels
-        ):
-            cell = counts[(alice_label, bob_label)]
-            assert [cell[(-1, -1)], cell[(-1, 1)], cell[(1, -1)], cell[(1, 1)]] == [
-                int(bins[ctx * 4 + k]) for k in range(4)
-            ]
-        assert sum(sum(c.values()) for c in counts.values()) == 3 * CHUNK + 7
+        bins = np.bincount(ledger.codes, minlength=16).reshape(2, 2, 2, 2)
+        for chunk in (CHUNK, 4096, 77):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            counts = ledger.context_counts()
+            assert counts.shape == (2, 2, 2, 2)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, bins)
+        assert counts.sum() == 3 * CHUNK + 7
 
     def test_reproducible(self, noisy):
         first = simulate_trials(noisy, 1000, seed=5)
@@ -120,8 +121,8 @@ class TestSimulateTrials:
         seed = 77
         ledger = simulate_trials(noisy, 1, seed=seed)
         draws = np.random.default_rng(seed).integers(0, U_SCALE, size=(1, 5), dtype=np.int64)
-        a_set = int(draws[0, 0] > U_SCALE // 2)
-        b_set = int(draws[0, 1] > U_SCALE // 2)
+        a_set = int(draws[0, 0] >= U_SCALE // 2)
+        b_set = int(draws[0, 1] >= U_SCALE // 2)
         got_a_set, got_b_set, got_a, _ = ledger_arrays(ledger)
         assert got_a_set[0] == a_set
         assert got_b_set[0] == b_set
@@ -161,31 +162,55 @@ class TestSimulateTrials:
             simulate_trials(singleton, 0, seed=1)
 
 
+def patch_draws(monkeypatch, rewrite):
+    """Every generator, the oracles' included, passes its draw block through
+    `rewrite` before returning it."""
+    generator = np.random.Generator
+
+    class RewrittenGenerator:
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
+
+        def integers(self, *args, **kwargs):
+            draws = self._rng.integers(*args, **kwargs)
+            rewrite(draws)
+            return draws
+
+    monkeypatch.setattr(np.random, "Generator", RewrittenGenerator)
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: RewrittenGenerator(np.random.PCG64(seed))
+    )
+
+
 class TestSettingTie:
+    """A setting draw of exactly 2^52 has its top bit set: second setting."""
+
     @pytest.fixture
     def tied_draws(self, monkeypatch):
-        """Both setting columns draw exactly 2^52 in row 0 and 2^52 + 1 in
-        row 1; every other column keeps its seeded draw."""
-        generator = np.random.Generator
+        """Both setting columns draw 2^52 - 1, 2^52 and 2^52 + 1 in rows 0 to
+        2; every other column keeps its seeded draw."""
 
-        class TiedGenerator:
-            def __init__(self, bit_generator):
-                self._rng = generator(bit_generator)
+        def tie(draws):
+            draws[:3, :2] = [[U_SCALE // 2 - 1], [U_SCALE // 2], [U_SCALE // 2 + 1]]
 
-            def integers(self, *args, **kwargs):
-                draws = self._rng.integers(*args, **kwargs)
-                draws[:2, :2] = [[U_SCALE // 2], [U_SCALE // 2 + 1]]
-                return draws
+        patch_draws(monkeypatch, tie)
 
-        monkeypatch.setattr(np.random, "Generator", TiedGenerator)
-
-    def test_simulate_sends_tie_to_first_setting(self, tied_draws, noisy):
-        a_set, b_set, _, _ = ledger_arrays(simulate_trials(noisy, 2, seed=0))
-        assert a_set.tolist() == b_set.tolist() == [0, 1]
+    def test_simulate_sends_tie_to_second_setting(self, tied_draws, noisy):
+        a_set, b_set, _, _ = ledger_arrays(simulate_trials(noisy, 3, seed=0))
+        assert a_set.tolist() == b_set.tolist() == [0, 1, 1]
 
     def test_quantum_sends_tie_to_second_setting(self, tied_draws):
-        a_set, b_set, _, _ = ledger_arrays(quantum_reference(OPTIMAL_ANGLES, 2, seed=0))
-        assert a_set.tolist() == b_set.tolist() == [1, 1]
+        a_set, b_set, _, _ = ledger_arrays(quantum_reference(OPTIMAL_ANGLES, 3, seed=0))
+        assert a_set.tolist() == b_set.tolist() == [0, 1, 1]
+
+    def test_oracles_agree_at_the_tie(self, tied_draws, noisy):
+        for ledger, expected in (
+            (simulate_trials(noisy, 3, seed=0), oracles.unchunked_trials_oracle(noisy, 3, seed=0)),
+            (quantum_reference(OPTIMAL_ANGLES, 3, seed=0),
+             oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, 3, seed=0)),
+        ):
+            for got, want in zip(ledger_arrays(ledger), expected):
+                assert np.array_equal(got, want)
 
 
 class TestZeroSourceDraw:
@@ -194,17 +219,7 @@ class TestZeroSourceDraw:
     @pytest.fixture
     def zero_draws(self, monkeypatch):
         """Every generator, the oracle's included, draws 0 in every column."""
-        generator = np.random.Generator
-
-        class ZeroGenerator:
-            def __init__(self, bit_generator):
-                self._rng = generator(bit_generator)
-
-            def integers(self, *args, **kwargs):
-                return np.zeros_like(self._rng.integers(*args, **kwargs))
-
-        monkeypatch.setattr(np.random, "Generator", ZeroGenerator)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroGenerator(np.random.PCG64(seed)))
+        patch_draws(monkeypatch, lambda draws: draws.fill(0))
 
     def test_zero_weight_first_pair_never_drawn(self, zero_draws, noisy):
         # Source pair (0, 0) has weight 0; the first real pair is (0, 1),
@@ -247,10 +262,11 @@ class TestEmpiricalChsh:
         ledger = simulate_trials(noisy, 5000, seed=4)
         emp = empirical_chsh(ledger)
         counts = ledger.context_counts()
-        for ctx, e_hat, n_ctx in zip(emp.contexts, emp.correlations, emp.n_per_context):
-            cell = counts[ctx]
-            agree = cell[(1, 1)] + cell[(-1, -1)]
-            disagree = cell[(1, -1)] + cell[(-1, 1)]
+        assert emp.contexts == noisy.contexts()
+        for (i, j), e_hat, n_ctx in zip(np.ndindex(2, 2), emp.correlations, emp.n_per_context):
+            cell = counts[i, j]
+            agree = int(cell[1, 1] + cell[0, 0])
+            disagree = int(cell[1, 0] + cell[0, 1])
             assert n_ctx == agree + disagree
             assert e_hat == (agree - disagree) / n_ctx
 
@@ -288,6 +304,23 @@ class TestQuantumReference:
         with pytest.raises(ValueError, match="no trials"):
             empirical_chsh(ledger)
 
+    def test_draw_on_a_threshold_goes_to_the_lower_cell(self, monkeypatch):
+        # Context (a0, b0); rows 0-2 land on its three inner thresholds, rows
+        # 3-5 one past them.  Grid cells (+1,+1), (+1,-1), (-1,+1), (-1,-1)
+        # carry codes 3, 2, 1, 0.
+        inner = _quantum_grid(OPTIMAL_ANGLES)[0, :3]
+
+        def on_thresholds(draws):
+            draws[:6, :2] = 0
+            draws[:6, 2] = [*inner, *(inner + 1)]
+
+        patch_draws(monkeypatch, on_thresholds)
+        ledger = quantum_reference(OPTIMAL_ANGLES, 6, seed=0)
+        assert ledger.codes.tolist() == [3, 2, 1, 2, 1, 0]
+        expected = oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, 6, seed=0)
+        for got, want in zip(ledger_arrays(ledger), expected):
+            assert np.array_equal(got, want)
+
 
 class TestNoSignallingEmpirical:
     def test_singleton_all_zero(self, singleton):
@@ -318,6 +351,52 @@ class TestNoSignallingEmpirical:
         report = no_signalling_report(ledger)
         alice_rows = [r for r in report.rows if r.side == "alice"]
         assert max(abs(r.z) for r in alice_rows) > 10
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_rows_match_records(self, name):
+        # Each row's frequencies, recounted from the decoded records.
+        ledger = simulate_trials(ORACLE_MODELS[name](), 3000, seed=2)
+        a_set, b_set, a, b = ledger_arrays(ledger)
+        expected = []
+        for side, labels, remote_labels, own, remote, out in (
+            ("alice", ledger.alice_labels, ledger.bob_labels, a_set, b_set, a),
+            ("bob", ledger.bob_labels, ledger.alice_labels, b_set, a_set, b),
+        ):
+            for s, setting in enumerate(labels):
+                for outcome in (1, -1):
+                    frequencies = tuple(
+                        int(((own == s) & (remote == r) & (out == outcome)).sum())
+                        / int(((own == s) & (remote == r)).sum())
+                        for r in (0, 1)
+                    )
+                    expected.append((side, setting, outcome, remote_labels, frequencies))
+        report = no_signalling_report(ledger)
+        assert [
+            (r.side, r.setting, r.outcome, r.remote_labels, r.frequencies) for r in report.rows
+        ] == expected
+
+
+class TestEmptyContext:
+    @staticmethod
+    def ledger(codes):
+        return TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"),
+                           codes=np.array(codes, dtype=np.uint8))
+
+    @pytest.mark.parametrize("statistic", (empirical_chsh, no_signalling_report))
+    def test_names_the_empty_context(self, statistic):
+        # Two trials in each of (x,y), (x,y'), (x',y); none in (x',y').
+        ledger = self.ledger([0, 3, 4, 7, 8, 11])
+        assert ledger.context_counts().sum(axis=(2, 3)).tolist() == [[2, 2], [2, 0]]
+        message = re.escape("""context ("x'", "y'") has no trials""")
+        with pytest.raises(EmptyContextError, match=message):
+            statistic(ledger)
+
+    @pytest.mark.parametrize("statistic", (empirical_chsh, no_signalling_report))
+    def test_first_empty_context_in_context_order(self, statistic):
+        # Only (x',y) holds trials: (x,y) is the first empty context.
+        ledger = self.ledger([8, 11])
+        with pytest.raises(EmptyContextError, match=re.escape("context ('x', 'y') has no trials")):
+            statistic(ledger)
 
 
 class TestNoSignallingExact:
@@ -370,17 +449,12 @@ class TestLedgerViews:
 
         oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
         assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        assert counts[0] == counts[1] == counts[2]
+        assert all(np.array_equal(c, counts[0]) for c in counts[1:])
         a_set, b_set, a_out, b_out = ledger_arrays(ledger)
-        cells = 0
-        for (alice_label, bob_label), cell in counts[0].items():
-            mask = (a_set == ledger.alice_labels.index(alice_label)) & (
-                b_set == ledger.bob_labels.index(bob_label)
-            )
-            for (a, b), count in cell.items():
-                assert count == int(((a_out == a) & (b_out == b) & mask).sum())
-                cells += 1
-        assert cells == 16
+        for i, j, a, b in np.ndindex(2, 2, 2, 2):
+            mask = (a_set == i) & (b_set == j) & (a_out == 2 * a - 1) & (b_out == 2 * b - 1)
+            assert counts[0][i, j, a, b] == int(mask.sum())
+        assert counts[0].sum() == ledger.n
 
 
 class TestChunkedOracles:

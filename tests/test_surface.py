@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "BoundViolationError",
     "Certification",
     "ChshReport",
-    "Context",
     "ContextualModel",
     "CounterfactualSet",
     "EmpiricalChsh",
