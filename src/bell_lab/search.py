@@ -1,8 +1,10 @@
 """Strategy-space search: exhaustive, random sampling, and hill climbing.
 
-Random sampling and hill climbing score every candidate exactly, so large
-campaigns double as adversarial tests of the bound: a correlation outside
-[-1, 1] or a score above 2 would be an engine bug, and either raises.
+Random sampling and hill climbing are one walk (`_walk`); random sampling
+is the walk without moves, so every step restarts from a fresh draw.  Both
+score every candidate exactly, so large campaigns double as adversarial
+tests of the bound: a correlation outside [-1, 1] or a score above 2 would
+be an engine bug, and either raises.
 
 Scores come from `_IntegerState`, not from the certification routes.  All
 pmfs become integer numerators over one denominator d, and each setting's
@@ -11,15 +13,15 @@ kept as an integer over d.  A context's correlation is then
 E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2) over d^3, S the source pmf.
 With T the sum of the four correlations, the eight CHSH pattern sums are
 exactly +/-(T - 2 E_k), so s_max is max_k |T - 2 E_k|, compared as an
-integer.  A hill-climb candidate is a move (a table flip or a mass step)
-scored from the few products it changes; it is applied to the state only
-when accepted, and a model is built only for a new best.  Candidates are
-never validated: `random_model` and the moves yield valid models by
-construction, and the tests compare each move's model and score with a
-neighbour built as a model and scored through the dedicated route.  The
-CLI certifies the winner through `certify_lhv_bound`, which validates it,
-and refuses a winner whose certified s_max differs from the search's
-score.
+integer.  Draws are made straight into integer states.  A hill-climb
+candidate is a move (a table flip or a mass step) scored from the few
+products it changes; it is applied to the state only when accepted, and
+in either mode a model is built only for a new best.  Candidates are
+never validated: draws and moves yield valid models by construction,
+and the tests compare each move's model and score with a neighbour built
+as a model and scored through the dedicated route.  The CLI certifies
+the winner through `certify_lhv_bound`, which validates it, and refuses
+a winner whose certified s_max differs from the search's score.
 
 Exhaustive search answers its question without a sweep.  The correlations
 of a contextual LHV model are a mixture of those of the 16 deterministic
@@ -188,34 +190,22 @@ def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     )
 
 
-def _random_pmf(size: int, denominator: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """Uniformly cut [0, D] at size-1 integer points; widths are the weights.
+def _random_pmf(size: int, denominator: int, rng: random.Random) -> tuple[int, ...]:
+    """Uniformly cut [0, D] at size-1 integer points; the widths are the
+    weights' numerators over D.
 
     Zero weights are possible and legal (zero-width support points).
     """
     cuts = sorted(rng.randint(0, denominator) for _ in range(size - 1))
     bounds = [0, *cuts, denominator]
-    return tuple(Fraction(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:]))
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
-    """Draw a valid model: cut-point pmfs with bounded denominators, coin tables.
-
-    Draw order is part of the reproducibility contract: source weights
-    first, then per Alice setting its pmf then its table entries
-    row-major, then Bob the same way.
-    """
-    s1, s2 = spec.cardinalities[0], spec.cardinalities[1]
-    flat = _random_pmf(s1 * s2, DEFAULT_MAX_DENOMINATOR, rng)
-    source = JointPmf(tuple(flat[r * s2:(r + 1) * s2] for r in range(s1)))
-    sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
-    for side, label, rows, cols in _table_shapes(spec.cardinalities):
-        weights = _random_pmf(cols, DEFAULT_MAX_DENOMINATOR, rng)
-        values = tuple(
-            tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
-        )
-        sides[side][label] = LocalSetting(weights, values)
-    return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
+    """Draw a valid model: cut-point pmfs over DEFAULT_MAX_DENOMINATOR, coin
+    tables.  Draw order is part of the reproducibility contract; see
+    `_IntegerState.draw`."""
+    return _IntegerState.draw(spec, rng).model()
 
 
 # A move is data, (kind, factor, i, j): a flip negates entry (i, j) of
@@ -223,11 +213,6 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
 # index j of factor f's pmf, a source move the same in the flattened source.
 _FLIP, _MASS, _SOURCE = range(3)
 _STEP = Fraction(1, DEFAULT_MAX_DENOMINATOR)
-
-
-def _means(pmf, table) -> tuple[int, ...]:
-    """m(l) = sum_k p(k) R(l, k) for every source share l, R the table."""
-    return tuple(sum(p * t for p, t in zip(pmf, row)) for row in table)
 
 
 def _shifted(weights, i: int, j: int, step: int) -> tuple[int, ...]:
@@ -260,12 +245,13 @@ def _s_num(e, d3: int) -> int:
 class _IntegerState:
     """One model as integers, so its neighbours are scored without building them.
 
-    Every weight is a numerator over one denominator ``d``, the lcm of the
+    Every weight is a numerator over one denominator ``d``:
+    DEFAULT_MAX_DENOMINATOR for a `draw`, and for `of` the lcm of the
     model's weight denominators and the step's.  Factors 0..3 are Alice's
-    settings then Bob's, each side in declared order, and ``means[f][l]`` is
-    sum_k p_f(k) R_f(l, k), setting f's mean outcome at source share l, over
-    d.  Context (a, b) reads factors a and 2 + b; its correlation numerator
-    over ``d3`` = d^3 is
+    settings then Bob's, each side in declared order.  Only the
+    constructor derives ``means[f][l]`` = sum_k p_f(k) R_f(l, k), setting
+    f's mean outcome at source share l, over d.  Context (a, b) reads
+    factors a and 2 + b; its correlation numerator over ``d3`` = d^3 is
     ``e[2a + b]`` = sum_{l1, l2} S(l1, l2) m_a(l1) m_{2+b}(l2).
     ``reads[f]`` pairs each context reading factor f with the vector that a
     change of m_f multiplies, so a move changes ``e`` by a few products.
@@ -274,10 +260,12 @@ class _IntegerState:
     __slots__ = ("settings", "d", "d3", "step", "cols", "source", "pmfs", "tables",
                  "means", "e", "reads")
 
-    def __init__(self, settings, d, step, cols, source, pmfs, tables, means):
+    def __init__(self, settings, d, step, cols, source, pmfs, tables):
         self.settings, self.d, self.d3, self.step = settings, d, d**3, step
-        self.cols, self.source, self.pmfs, self.tables, self.means = (
-            cols, source, pmfs, tables, means
+        self.cols, self.source, self.pmfs, self.tables = cols, source, pmfs, tables
+        self.means = means = tuple(
+            tuple(sum(p * t for p, t in zip(pmf, row)) for row in table)
+            for pmf, table in zip(pmfs, tables)
         )
         grid = [source[r:r + cols] for r in range(0, len(source), cols)]
         # by_row[b][l1] = sum_l2 S(l1, l2) m_{2+b}(l2); by_col[a][l2] likewise.
@@ -299,6 +287,26 @@ class _IntegerState:
         )
 
     @classmethod
+    def draw(cls, spec: SearchSpec, rng: random.Random) -> _IntegerState:
+        """A random state of `spec`'s shape, d = DEFAULT_MAX_DENOMINATOR, step 1.
+
+        Draw order is part of the reproducibility contract: source weights
+        first, then per Alice setting its pmf then its table entries
+        row-major, then Bob the same way.
+        """
+        d = DEFAULT_MAX_DENOMINATOR
+        shapes = _table_shapes(spec.cardinalities)
+        source = _random_pmf(spec.cardinalities[0] * spec.cardinalities[1], d, rng)
+        pmfs, tables = [], []
+        for _, _, rows, cols in shapes:
+            pmfs.append(_random_pmf(cols, d, rng))
+            tables.append(tuple(
+                tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
+            ))
+        return cls(tuple((side, label) for side, label, _, _ in shapes), d, 1,
+                   spec.cardinalities[1], source, tuple(pmfs), tuple(tables))
+
+    @classmethod
     def of(cls, model: ContextualModel, step: Fraction = _STEP) -> _IntegerState:
         settings = tuple(
             (side, label)
@@ -316,11 +324,9 @@ class _IntegerState:
         def scaled(weights):
             return tuple(w.numerator * (d // w.denominator) for w in weights)
 
-        pmfs = tuple(scaled(local.weights) for local in locals_)
-        tables = tuple(local.table for local in locals_)
-        means = tuple(_means(p, t) for p, t in zip(pmfs, tables))
-        return cls(settings, d, step.numerator * (d // step.denominator),
-                   model.source.cols, scaled(flat), pmfs, tables, means)
+        return cls(settings, d, step.numerator * (d // step.denominator), model.source.cols,
+                   scaled(flat), tuple(scaled(local.weights) for local in locals_),
+                   tuple(local.table for local in locals_))
 
     def model(self) -> ContextualModel:
         d = self.d
@@ -350,10 +356,6 @@ class _IntegerState:
                         if j != i:
                             yield (kind, f, i, j)
 
-    def _flip_delta(self, f: int, r: int, c: int) -> int:
-        """Change of m_f(r) when entry (r, c) of factor f's table flips."""
-        return -2 * self.pmfs[f][c] * self.tables[f][r][c]
-
     def score(self, move=None) -> int:
         """s_max numerator over ``d3`` of this model, or of its neighbour by `move`."""
         if move is None:
@@ -368,7 +370,8 @@ class _IntegerState:
                         m[a][j1] * m[2 + b][j2] - m[a][i1] * m[2 + b][i2]
                     )
         elif kind == _FLIP:
-            delta = self._flip_delta(f, i, j)
+            # m_f(i) changes by -2 p_f(j) R_f(i, j).
+            delta = -2 * self.pmfs[f][j] * self.tables[f][i][j]
             for k, weights in self.reads[f]:
                 e[k] += delta * weights[i]
         else:
@@ -379,25 +382,19 @@ class _IntegerState:
         return _s_num(e, self.d3)
 
     def apply(self, move) -> _IntegerState:
-        """The neighbour by `move`: a flip changes one mean entry, a mass move
-        re-derives one setting's means, a source move two source weights."""
+        """The neighbour by `move`: one weight step shifted or one entry flipped."""
         kind, f, i, j = move
-        source = self.source
-        pmfs, tables, means = list(self.pmfs), list(self.tables), list(self.means)
+        source, pmfs, tables = self.source, list(self.pmfs), list(self.tables)
         if kind == _SOURCE:
             source = _shifted(source, i, j, self.step)
         elif kind == _MASS:
             pmfs[f] = _shifted(pmfs[f], i, j, self.step)
-            means[f] = _means(pmfs[f], tables[f])
         else:
-            mean = list(means[f])
-            mean[i] += self._flip_delta(f, i, j)
-            means[f] = tuple(mean)
             rows = [list(row) for row in tables[f]]
             rows[i][j] = -rows[i][j]
             tables[f] = tuple(map(tuple, rows))
         return _IntegerState(self.settings, self.d, self.step, self.cols, source,
-                             tuple(pmfs), tuple(tables), tuple(means))
+                             tuple(pmfs), tuple(tables))
 
 
 def _s_max(model: ContextualModel) -> Fraction:
@@ -406,88 +403,52 @@ def _s_max(model: ContextualModel) -> Fraction:
     return Fraction(state.score(), state.d3)
 
 
-def _hill_climb(spec: SearchSpec) -> SearchResult:
-    """First-improvement local search with random restarts within budget.
+def _walk(spec: SearchSpec) -> SearchResult:
+    """Random sampling and hill climbing: one first-improvement walk with
+    random restarts, within budget.
 
-    Moves: one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
-    between two pmf weights.  Only strict score increases are accepted;
-    at a local maximum the walk restarts from a fresh random model.  The
-    budget counts score evaluations, including starts and restarts.
+    The walk starts from a drawn state.  Hill climbing scans its moves
+    (one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
+    between two pmf weights) and takes the first strict increase; random
+    sampling has no moves.  When no move improves, the walk restarts from
+    a fresh draw.  The budget counts score evaluations, starts and
+    restarts included; the first achiever of the best score is kept.
 
-    Each candidate is a move scored on the current `_IntegerState`; a move
-    becomes a state only when accepted, and a model only for a new best.
-    Every `random_model` weight lies on the step's grid, so every state has
-    d = DEFAULT_MAX_DENOMINATOR and scores compare as integers.  Moves keep
-    each pmf's sum and non-negativity and flips keep outcomes in {-1, +1},
-    so nothing is validated.
+    Every state is drawn with d = DEFAULT_MAX_DENOMINATOR and step 1, so
+    scores compare as integers and stay numerators until the result is
+    built; a model is built only for a new best.  Moves keep each pmf's
+    sum and non-negativity and flips keep outcomes in {-1, +1}, so nothing
+    is validated.
     """
     rng = random.Random(spec.seed)
-    best_model = random_model(spec, rng)
-    state = _IntegerState.of(best_model)
-    d3 = state.d3
+    moves = _IntegerState.moves if spec.mode is SearchMode.HILL_CLIMB else lambda state: ()
+    state = _IntegerState.draw(spec, rng)
     current = best = state.score()
-    evaluated = 1
-    improvements = [(1, Fraction(best, d3))]
-
+    best_model, evaluated, improvements = state.model(), 1, [(1, best)]
     while evaluated < spec.budget:
-        advanced = False
-        for move in state.moves():
+        for move in moves(state):
             score = state.score(move)
             evaluated += 1
             if score > current:
                 state, current = state.apply(move), score
-                if score > best:
-                    best, best_model = score, state.model()
-                    improvements.append((evaluated, Fraction(score, d3)))
-                advanced = True
                 break
             if evaluated >= spec.budget:
                 break
-        if not advanced and evaluated < spec.budget:
-            model = random_model(spec, rng)
-            state = _IntegerState.of(model)
+        else:
+            state = _IntegerState.draw(spec, rng)
             current = state.score()
             evaluated += 1
-            if current > best:
-                best, best_model = current, model
-                improvements.append((evaluated, Fraction(current, d3)))
-    return SearchResult(
-        best_model=best_model,
-        best_s_max=Fraction(best, d3),
-        evaluated=evaluated,
-        improvements=tuple(improvements),
-        rng_algorithm=RNG_ALGORITHM,
-    )
-
-
-def _random_sampling(spec: SearchSpec) -> SearchResult:
-    """Independent draws from the model generator; best score wins, first
-    achiever kept on ties.  Each draw is scored once by `_IntegerState`,
-    whose d is DEFAULT_MAX_DENOMINATOR for every draw."""
-    rng = random.Random(spec.seed)
-    best_model = None
-    best = None
-    improvements = []
-    for k in range(1, spec.budget + 1):
-        model = random_model(spec, rng)
-        state = _IntegerState.of(model)
-        score = state.score()
-        if best is None or score > best:
-            best_model, best = model, score
-            improvements.append((k, Fraction(score, state.d3)))
-    return SearchResult(
-        best_model=best_model,
-        best_s_max=improvements[-1][1],
-        evaluated=spec.budget,
-        improvements=tuple(improvements),
-        rng_algorithm=RNG_ALGORITHM,
-    )
+        if current > best:
+            best, best_model = current, state.model()
+            improvements.append((evaluated, best))
+    d3 = state.d3
+    return SearchResult(best_model, Fraction(best, d3), evaluated,
+                        tuple((k, Fraction(s, d3)) for k, s in improvements), RNG_ALGORITHM)
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
-    """The one entry point: run the private search function of `spec.mode`."""
+    """The one entry point: the vertex argument for exhaustive mode, else
+    the walk, which random sampling takes without moves."""
     if spec.mode is SearchMode.EXHAUSTIVE:
         return _enumerate_deterministic(spec)
-    if spec.mode is SearchMode.RANDOM:
-        return _random_sampling(spec)
-    return _hill_climb(spec)
+    return _walk(spec)

@@ -80,13 +80,23 @@ class TrialLedger:
     alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
     being positions in the label tuples and a, b the +/-1 outcomes.
     Counts are derived from the codes on demand, so they cannot drift
-    out of step with the records.
+    out of step with the records.  A code outside 0..15 is refused, and
+    the codes array is marked read-only.
     """
 
     seed: int
     alice_labels: tuple[str, str]
     bob_labels: tuple[str, str]
     codes: np.ndarray
+
+    def __post_init__(self):
+        codes = self.codes
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"cell codes must be integers, got dtype {codes.dtype}")
+        if codes.size and not 0 <= codes.min() <= codes.max() <= 15:
+            trial = int(np.flatnonzero((codes < 0) | (codes > 15))[0])
+            raise ValueError(f"trial {trial} has cell code {codes[trial]}, outside 0..15")
+        codes.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -5,7 +5,10 @@ compares its exit code and the SHA-256 of its stdout, its stderr and every
 file it writes with ``golden_outputs.json``.  The digests were generated at
 commit 1118feb, before the model and correlation types became plain data;
 the two ``--format text`` simulate cases and ``simulate-n1`` were added at
-commit 67e2cf2, before contexts became positions.  Both times the file was
+commit 67e2cf2, before contexts became positions; the three
+``search-random-budget1``, ``search-hill-climb-csv`` and
+``search-random-text`` cases were added at commit 0f12edd, before random
+sampling and hill climbing became one walk.  Each time the file was
 written by running this module as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -46,6 +49,18 @@ def _cases() -> dict[str, list[str]]:
             "search", "--mode", mode, "--seed", "0", "--budget", "200",
             "--cardinalities", "2,2,2,2,2,2",
         ]
+    cases["search-random-budget1"] = [
+        "search", "--mode", "random", "--budget", "1", "--seed", "5",
+        "--cardinalities", "2,2,2,2,2,2",
+    ]
+    cases["search-hill-climb-csv"] = [
+        "search", "--mode", "hill-climb", "--budget", "500", "--seed", "7",
+        "--cardinalities", "3,2,3,2,2,3", "--format", "csv",
+    ]
+    cases["search-random-text"] = [
+        "search", "--mode", "random", "--budget", "300", "--seed", "11",
+        "--cardinalities", "2,2,1,1,1,1", "--format", "text",
+    ]
     simulate = ["simulate", "--histogram", "--n", "5000", "--seed", "0", "--out", OUT]
     for name in ("noisy_readout", "random_seed7"):
         cases[f"simulate-{name}"] = [*simulate, "--model", str(PRESET_DIR / f"{name}.json")]

@@ -453,12 +453,16 @@ class TestScoresMatchOracle:
 
     def test_models_built_only_for_a_new_best(self, monkeypatch):
         built = counting(monkeypatch, search_module._IntegerState, "model")
-        spec = SearchSpec(
-            cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB, seed=3, budget=2000
-        )
-        result = run_search(spec)
-        # The start is a record without a build; so is every improving restart.
-        assert 0 < len(built) < len(result.improvements)
+        drawn = counting(monkeypatch, search_module, "random_model")
+        converted = counting(monkeypatch, search_module._IntegerState, "of")
+        for mode in (SearchMode.HILL_CLIMB, SearchMode.RANDOM):
+            spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=mode, seed=3, budget=2000)
+            built.clear()
+            result = run_search(spec)
+            # One build per record, the start included; restarts are drawn as states.
+            assert len(result.improvements) > 1
+            assert len(built) == len(result.improvements)
+        assert drawn == converted == []
 
 
 class TestFourSumScore:

@@ -376,6 +376,38 @@ class TestNoSignallingEmpirical:
         ] == expected
 
 
+class TestLedgerCodes:
+    @staticmethod
+    def ledger(codes, dtype=np.uint8):
+        return TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"),
+                           codes=np.array(codes, dtype=dtype))
+
+    @pytest.mark.parametrize(("codes", "dtype", "message"), [
+        ([0, 16, 200], np.uint8, "trial 1 has cell code 16, outside 0..15"),
+        ([3, 15, -1], np.int64, "trial 2 has cell code -1, outside 0..15"),
+        ([255], np.uint8, "trial 0 has cell code 255, outside 0..15"),
+    ])
+    def test_rejects_codes_outside_the_cells(self, codes, dtype, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.ledger(codes, dtype)
+
+    def test_rejects_non_integer_codes(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            self.ledger([0.0, 3.0], np.float64)
+
+    def test_codes_are_read_only(self):
+        codes = np.array([0, 5, 15], dtype=np.uint8)
+        ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"), codes=codes)
+        with pytest.raises(ValueError, match="read-only"):
+            ledger.codes[0] = 1
+        assert ledger.codes.tolist() == [0, 5, 15]
+        assert ledger.context_counts().sum() == 3
+
+    def test_simulated_codes_are_read_only(self, noisy):
+        ledger = simulate_trials(noisy, 10, seed=0)
+        assert not ledger.codes.flags.writeable
+
+
 class TestEmptyContext:
     @staticmethod
     def ledger(codes):
@@ -485,14 +517,18 @@ class TestChunkedOracles:
 
 class TestAtomicLedger:
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch, noisy):
-        # A code past the 16 cells fails on the last chunk, after earlier
-        # chunks were already written to the temporary file.
+        # The write fails after its first chunk was written to the temporary file.
         monkeypatch.setattr(simulate, "CHUNK", 4)
         ledger = simulate_trials(noisy, 20, seed=1)
-        ledger.codes[-1] = 16
+
+        def chunks(n):
+            yield 0, 4
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(simulate, "_chunks", chunks)
         target = tmp_path / "ledger.csv"
         target.write_text("previous\n", encoding="utf-8")
-        with pytest.raises(IndexError):
+        with pytest.raises(RuntimeError, match="interrupted"):
             ledger.to_csv(target)
         assert target.read_text(encoding="utf-8") == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
