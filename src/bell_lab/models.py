@@ -381,12 +381,15 @@ def atomic_writer(path, newline=None):
     """Text handle on a file beside `path`, renamed over it on success.
 
     On any exception the temporary file is removed and `path` is left as
-    it was, so a reader never sees a partial file.
+    it was, so a reader never sees a partial file.  The temporary name
+    carries random bytes as well as the pid, so a file left by a killed
+    writer with the same pid blocks nothing and is never removed here.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -6,15 +6,16 @@ score every candidate exactly, so large campaigns double as adversarial
 tests of the bound: a correlation outside [-1, 1] or a score above 2 would
 be an engine bug, and either raises.
 
-Scores come from `_IntegerState`, not from the certification routes.  All
-pmfs become integer numerators over one denominator d, and each setting's
-per-source local mean m(l) = sum_k p(k) R(l, k), R its response table, is
-kept as an integer over d.  A context's correlation is then
-E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2) over d^3, S the source pmf.
+Walk scores come from `_IntegerState`, not from the certification routes.
+Every weight is drawn as an integer numerator over d =
+DEFAULT_MAX_DENOMINATOR, and each setting's per-source local mean
+m(l) = sum_k p(k) R(l, k), R its response table, is kept as an integer over
+d.  A context's correlation is then E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2)
+over d^3, S the source pmf.
 With T the sum of the four correlations, the eight CHSH pattern sums are
 exactly +/-(T - 2 E_k), so s_max is max_k |T - 2 E_k|, compared as an
 integer.  Draws are made straight into integer states.  A hill-climb
-candidate is a move (a table flip or a mass step) scored from the few
+candidate is a move (a table flip or a 1/d mass step) scored from the few
 products it changes; it is applied to the state only when accepted, and
 in either mode a model is built only for a new best.  Candidates are
 never validated: draws and moves yield valid models by construction,
@@ -28,11 +29,11 @@ of a contextual LHV model are a mixture of those of the 16 deterministic
 strategies, one fixed outcome per setting (Fine, PRL 48, 291, 1982).
 These are the vertices of the local polytope, and |S| is convex in the
 correlations, so its maximum over every table assignment of any shape is
-the maximum over the 16 vertices.  The mode certifies each vertex through
-`certify_lhv_bound` and scores the first and last assignment of the
-requested shape with the same integer scorer; each must reach the vertex
-maximum.  ``evaluated`` counts the assignments this argument covers, so
-the assignment limit still bounds the shapes the mode accepts.
+the maximum over the 16 vertices.  The mode scores the 16 vertices and the
+first and last assignment of the requested shape through `_s_max`, the
+validated dedicated route; each assignment must reach the vertex maximum.
+``evaluated`` counts the assignments this argument covers, so the
+assignment limit still bounds the shapes the mode accepts.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .chsh import BoundViolationError, certify_lhv_bound
+from .chsh import BoundViolationError, chsh_from_correlations
+from .exact import correlation_set
 from .models import (
     DEFAULT_ALICE_LABELS,
     DEFAULT_BOB_LABELS,
@@ -57,6 +58,8 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 DEFAULT_ASSIGNMENT_LIMIT = 2**24
 DEFAULT_MAX_DENOMINATOR = 64
+# Every walk state's correlation numerators are over d^3.
+_D3 = DEFAULT_MAX_DENOMINATOR**3
 
 
 class SearchLimitError(RuntimeError):
@@ -148,19 +151,30 @@ def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
     return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
 
 
+def _s_max(model: ContextualModel) -> Fraction:
+    """s_max of `model` through the validated dedicated route.  A score
+    above 2 raises `BoundViolationError`, as `certify_lhv_bound` does."""
+    report = chsh_from_correlations(correlation_set(model))
+    if not report.bound_satisfied:
+        raise BoundViolationError(
+            f"valid model reached s_max = {format_rational(report.s_max)} > 2"
+        )
+    return report.s_max
+
+
 def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     """Exact maximum of |S| over every table assignment, by the vertex argument.
 
     An assignment's correlations are a mixture of those of the 16
     deterministic strategies, which ``decode_assignment`` gives at shape
     ``(1, 1, 1, 1, 1, 1)`` for indices 0..15.  The CHSH sums are linear in
-    the correlations, so no assignment exceeds the strategies' maximum; each
-    strategy is certified through `certify_lhv_bound`.  Index 0 (all +1)
-    and index ``total - 1`` (all -1) are scored by `_IntegerState`
-    and must reach that maximum, so index 0 is the only strict improvement
-    in index order, and all -1, the smallest canonical serialization, wins.
-    Raises `BoundViolationError` otherwise.  ``evaluated`` is the number of
-    assignments covered.
+    the correlations, so no assignment exceeds the strategies' maximum.
+    Index 0 (all +1) and index ``total - 1`` (all -1) must reach that
+    maximum, so index 0 is the only strict improvement in index order, and
+    all -1, the smallest canonical serialization, wins.  All 18 models are
+    scored by `_s_max`.  Raises `BoundViolationError` if an assignment
+    misses the maximum or any score exceeds 2.  ``evaluated`` is the number
+    of assignments covered.
     """
     # 2^bits > limit exactly when bits >= limit.bit_length(); checked on the
     # bit count, so a huge shape never builds 2^bits.
@@ -169,10 +183,7 @@ def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
         raise SearchLimitError(bits, spec.assignment_limit)
     total = 1 << bits
 
-    vertex_max = max(
-        certify_lhv_bound(decode_assignment((1, 1, 1, 1, 1, 1), m)).report.s_max
-        for m in range(16)
-    )
+    vertex_max = max(_s_max(decode_assignment((1, 1, 1, 1, 1, 1), m)) for m in range(16))
     first = _s_max(decode_assignment(spec.cardinalities, 0))
     best_model = decode_assignment(spec.cardinalities, total - 1)
     for index, s in ((0, first), (total - 1, _s_max(best_model))):
@@ -190,14 +201,15 @@ def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     )
 
 
-def _random_pmf(size: int, denominator: int, rng: random.Random) -> tuple[int, ...]:
-    """Uniformly cut [0, D] at size-1 integer points; the widths are the
-    weights' numerators over D.
+def _random_pmf(size: int, rng: random.Random) -> tuple[int, ...]:
+    """Uniformly cut [0, D] at size-1 integer points, D =
+    DEFAULT_MAX_DENOMINATOR; the widths are the weights' numerators over D.
 
     Zero weights are possible and legal (zero-width support points).
     """
-    cuts = sorted(rng.randint(0, denominator) for _ in range(size - 1))
-    bounds = [0, *cuts, denominator]
+    d = DEFAULT_MAX_DENOMINATOR
+    cuts = sorted(rng.randint(0, d) for _ in range(size - 1))
+    bounds = [0, *cuts, d]
     return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
@@ -209,16 +221,15 @@ def random_model(spec: SearchSpec, rng: random.Random) -> ContextualModel:
 
 
 # A move is data, (kind, factor, i, j): a flip negates entry (i, j) of
-# factor f's table; a mass move shifts one step of weight from index i to
-# index j of factor f's pmf, a source move the same in the flattened source.
+# factor f's table; a mass move shifts one unit of weight (1/d) from index i
+# to index j of factor f's pmf, a source move the same in the flattened source.
 _FLIP, _MASS, _SOURCE = range(3)
-_STEP = Fraction(1, DEFAULT_MAX_DENOMINATOR)
 
 
-def _shifted(weights, i: int, j: int, step: int) -> tuple[int, ...]:
+def _shifted(weights, i: int, j: int) -> tuple[int, ...]:
     out = list(weights)
-    out[i] -= step
-    out[j] += step
+    out[i] -= 1
+    out[j] += 1
     return tuple(out)
 
 
@@ -245,23 +256,20 @@ def _s_num(e, d3: int) -> int:
 class _IntegerState:
     """One model as integers, so its neighbours are scored without building them.
 
-    Every weight is a numerator over one denominator ``d``:
-    DEFAULT_MAX_DENOMINATOR for a `draw`, and for `of` the lcm of the
-    model's weight denominators and the step's.  Factors 0..3 are Alice's
-    settings then Bob's, each side in declared order.  Only the
-    constructor derives ``means[f][l]`` = sum_k p_f(k) R_f(l, k), setting
-    f's mean outcome at source share l, over d.  Context (a, b) reads
-    factors a and 2 + b; its correlation numerator over ``d3`` = d^3 is
-    ``e[2a + b]`` = sum_{l1, l2} S(l1, l2) m_a(l1) m_{2+b}(l2).
+    Every weight is a numerator over d = DEFAULT_MAX_DENOMINATOR.  Factors
+    0..3 are Alice's settings then Bob's, labelled DEFAULT_ALICE_LABELS and
+    DEFAULT_BOB_LABELS.  Only the constructor derives ``means[f][l]`` =
+    sum_k p_f(k) R_f(l, k), setting f's mean outcome at source share l,
+    over d.  Context (a, b) reads factors a and 2 + b; its correlation
+    numerator over d^3 is ``e[2a + b]`` =
+    sum_{l1, l2} S(l1, l2) m_a(l1) m_{2+b}(l2).
     ``reads[f]`` pairs each context reading factor f with the vector that a
     change of m_f multiplies, so a move changes ``e`` by a few products.
     """
 
-    __slots__ = ("settings", "d", "d3", "step", "cols", "source", "pmfs", "tables",
-                 "means", "e", "reads")
+    __slots__ = ("cols", "source", "pmfs", "tables", "means", "e", "reads")
 
-    def __init__(self, settings, d, step, cols, source, pmfs, tables):
-        self.settings, self.d, self.d3, self.step = settings, d, d**3, step
+    def __init__(self, cols, source, pmfs, tables):
         self.cols, self.source, self.pmfs, self.tables = cols, source, pmfs, tables
         self.means = means = tuple(
             tuple(sum(p * t for p, t in zip(pmf, row)) for row in table)
@@ -288,62 +296,39 @@ class _IntegerState:
 
     @classmethod
     def draw(cls, spec: SearchSpec, rng: random.Random) -> _IntegerState:
-        """A random state of `spec`'s shape, d = DEFAULT_MAX_DENOMINATOR, step 1.
+        """A random state of `spec`'s shape.
 
         Draw order is part of the reproducibility contract: source weights
         first, then per Alice setting its pmf then its table entries
         row-major, then Bob the same way.
         """
-        d = DEFAULT_MAX_DENOMINATOR
-        shapes = _table_shapes(spec.cardinalities)
-        source = _random_pmf(spec.cardinalities[0] * spec.cardinalities[1], d, rng)
+        source = _random_pmf(spec.cardinalities[0] * spec.cardinalities[1], rng)
         pmfs, tables = [], []
-        for _, _, rows, cols in shapes:
-            pmfs.append(_random_pmf(cols, d, rng))
+        for _, _, rows, cols in _table_shapes(spec.cardinalities):
+            pmfs.append(_random_pmf(cols, rng))
             tables.append(tuple(
                 tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
             ))
-        return cls(tuple((side, label) for side, label, _, _ in shapes), d, 1,
-                   spec.cardinalities[1], source, tuple(pmfs), tuple(tables))
-
-    @classmethod
-    def of(cls, model: ContextualModel, step: Fraction = _STEP) -> _IntegerState:
-        settings = tuple(
-            (side, label)
-            for side, labels in (("alice", model.alice_labels), ("bob", model.bob_labels))
-            for label in labels
-        )
-        locals_ = (*model.alice.values(), *model.bob.values())
-        flat = model.source.flattened()
-        d = lcm(
-            step.denominator,
-            *(w.denominator for w in flat),
-            *(w.denominator for local in locals_ for w in local.weights),
-        )
-
-        def scaled(weights):
-            return tuple(w.numerator * (d // w.denominator) for w in weights)
-
-        return cls(settings, d, step.numerator * (d // step.denominator), model.source.cols,
-                   scaled(flat), tuple(scaled(local.weights) for local in locals_),
-                   tuple(local.table for local in locals_))
+        return cls(spec.cardinalities[1], source, tuple(pmfs), tuple(tables))
 
     def model(self) -> ContextualModel:
-        d = self.d
+        d = DEFAULT_MAX_DENOMINATOR
         source = JointPmf(tuple(
             tuple(Fraction(n, d) for n in self.source[r:r + self.cols])
             for r in range(0, len(self.source), self.cols)
         ))
-        sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
-        for (side, label), pmf, table in zip(self.settings, self.pmfs, self.tables):
-            sides[side][label] = LocalSetting(tuple(Fraction(n, d) for n in pmf), table)
-        return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
+        locals_ = [
+            LocalSetting(tuple(Fraction(n, d) for n in pmf), table)
+            for pmf, table in zip(self.pmfs, self.tables)
+        ]
+        return ContextualModel(source=source, alice=dict(zip(DEFAULT_ALICE_LABELS, locals_[:2])),
+                               bob=dict(zip(DEFAULT_BOB_LABELS, locals_[2:])))
 
     def moves(self):
         """Every neighbour's move in the fixed scan order: single table flips
         (Alice's settings in declared order then Bob's, row-major), then
-        single-step mass moves (source flat, then each local pmf, ordered
-        index pairs (i, j), i != j, where weight i holds at least a step)."""
+        1/d mass moves (source flat, then each local pmf, ordered index
+        pairs (i, j), i != j, where weight i is not zero)."""
         for f, table in enumerate(self.tables):
             for r, row in enumerate(table):
                 for c in range(len(row)):
@@ -351,56 +336,46 @@ class _IntegerState:
         pmfs = ((_SOURCE, None, self.source), *((_MASS, f, p) for f, p in enumerate(self.pmfs)))
         for kind, f, weights in pmfs:
             for i, w in enumerate(weights):
-                if w >= self.step:
+                if w:
                     for j in range(len(weights)):
                         if j != i:
                             yield (kind, f, i, j)
 
     def score(self, move=None) -> int:
-        """s_max numerator over ``d3`` of this model, or of its neighbour by `move`."""
+        """s_max numerator over d^3 of this model, or of its neighbour by `move`."""
         if move is None:
-            return _s_num(self.e, self.d3)
+            return _s_num(self.e, _D3)
         kind, f, i, j = move
         e = list(self.e)
         if kind == _SOURCE:
             (i1, i2), (j1, j2), m = divmod(i, self.cols), divmod(j, self.cols), self.means
             for a in (0, 1):
                 for b in (0, 1):
-                    e[2 * a + b] += self.step * (
-                        m[a][j1] * m[2 + b][j2] - m[a][i1] * m[2 + b][i2]
-                    )
+                    e[2 * a + b] += m[a][j1] * m[2 + b][j2] - m[a][i1] * m[2 + b][i2]
         elif kind == _FLIP:
             # m_f(i) changes by -2 p_f(j) R_f(i, j).
             delta = -2 * self.pmfs[f][j] * self.tables[f][i][j]
             for k, weights in self.reads[f]:
                 e[k] += delta * weights[i]
         else:
-            step = self.step
-            changes = [step * (row[j] - row[i]) for row in self.tables[f]]
+            changes = [row[j] - row[i] for row in self.tables[f]]
             for k, weights in self.reads[f]:
                 e[k] += sum(dm * w for dm, w in zip(changes, weights))
-        return _s_num(e, self.d3)
+        return _s_num(e, _D3)
 
     def apply(self, move) -> _IntegerState:
-        """The neighbour by `move`: one weight step shifted or one entry flipped."""
+        """The neighbour by `move`: one weight unit shifted or one entry flipped."""
         kind, f, i, j = move
         source, pmfs, tables = self.source, list(self.pmfs), list(self.tables)
         if kind == _SOURCE:
-            source = _shifted(source, i, j, self.step)
+            source = _shifted(source, i, j)
         elif kind == _MASS:
-            pmfs[f] = _shifted(pmfs[f], i, j, self.step)
+            pmfs[f] = _shifted(pmfs[f], i, j)
         else:
             rows = [list(row) for row in tables[f]]
             rows[i][j] = -rows[i][j]
             tables[f] = tuple(map(tuple, rows))
-        return _IntegerState(self.settings, self.d, self.step, self.cols, source,
-                             tuple(pmfs), tuple(tables))
-
-
-def _s_max(model: ContextualModel) -> Fraction:
-    """s_max of a model that is valid by construction; not revalidated."""
-    state = _IntegerState.of(model)
-    return Fraction(state.score(), state.d3)
+        return _IntegerState(self.cols, source, tuple(pmfs), tuple(tables))
 
 
 def _walk(spec: SearchSpec) -> SearchResult:
@@ -412,38 +387,36 @@ def _walk(spec: SearchSpec) -> SearchResult:
     between two pmf weights) and takes the first strict increase; random
     sampling has no moves.  When no move improves, the walk restarts from
     a fresh draw.  The budget counts score evaluations, starts and
-    restarts included; the first achiever of the best score is kept.
+    restarts included, and each pass of the loop is one evaluation, so the
+    walk ends after exactly `spec.budget` of them; the first achiever of
+    the best score is kept.
 
-    Every state is drawn with d = DEFAULT_MAX_DENOMINATOR and step 1, so
-    scores compare as integers and stay numerators until the result is
-    built; a model is built only for a new best.  Moves keep each pmf's
-    sum and non-negativity and flips keep outcomes in {-1, +1}, so nothing
-    is validated.
+    Scores compare as integers over d^3 and stay numerators until the
+    result is built; a model is built only for a new best.  Moves keep each
+    pmf's sum and non-negativity and flips keep outcomes in {-1, +1}, so
+    nothing is validated.
     """
     rng = random.Random(spec.seed)
-    moves = _IntegerState.moves if spec.mode is SearchMode.HILL_CLIMB else lambda state: ()
+    moves = _IntegerState.moves if spec.mode is SearchMode.HILL_CLIMB else lambda state: iter(())
     state = _IntegerState.draw(spec, rng)
     current = best = state.score()
-    best_model, evaluated, improvements = state.model(), 1, [(1, best)]
-    while evaluated < spec.budget:
-        for move in moves(state):
-            score = state.score(move)
-            evaluated += 1
-            if score > current:
-                state, current = state.apply(move), score
-                break
-            if evaluated >= spec.budget:
-                break
-        else:
+    best_model, improvements, scan = state.model(), [(1, best)], moves(state)
+    for evaluated in range(2, spec.budget + 1):
+        move = next(scan, None)
+        if move is None:
             state = _IntegerState.draw(spec, rng)
             current = state.score()
-            evaluated += 1
+        else:
+            score = state.score(move)
+            if score <= current:
+                continue
+            state, current = state.apply(move), score
+        scan = moves(state)
         if current > best:
             best, best_model = current, state.model()
             improvements.append((evaluated, best))
-    d3 = state.d3
-    return SearchResult(best_model, Fraction(best, d3), evaluated,
-                        tuple((k, Fraction(s, d3)) for k, s in improvements), RNG_ALGORITHM)
+    return SearchResult(best_model, Fraction(best, _D3), spec.budget,
+                        tuple((k, Fraction(s, _D3)) for k, s in improvements), RNG_ALGORITHM)
 
 
 def run_search(spec: SearchSpec) -> SearchResult:

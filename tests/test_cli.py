@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import stat
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -123,6 +125,22 @@ class TestCertify:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["all_passed"] is True
+
+    def test_out_file_beside_stale_temporary(self, capsys, tmp_path, model_file):
+        # A writer killed with this pid left its temporary file behind.
+        stale = tmp_path / f".certificate.json.{os.getpid()}.tmp"
+        stale.write_text("stale\n", encoding="utf-8")
+        target = tmp_path / "certificate.json"
+        code, out, err = run(
+            capsys, "certify", "--model", str(model_file), "--out", str(target)
+        )
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(target.read_text(encoding="utf-8"))["all_passed"] is True
+        assert stale.read_text(encoding="utf-8") == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            stale.name, "certificate.json", "model.json"
+        ]
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(model_file.stat().st_mode)
 
     def test_rerun_byte_identical(self, capsys, model_file):
         _, first, _ = run(capsys, "certify", "--model", str(model_file))

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ import oracles
 from bell_lab import cli
 from bell_lab.chsh import BoundViolationError, chsh_from_correlations
 from bell_lab.exact import correlation_set
-from bell_lab.models import JointPmf, model_from_dict, validate_model
+from bell_lab.models import model_from_dict, validate_model
 from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
@@ -25,7 +24,7 @@ from bell_lab.search import (
     random_model,
     run_search,
 )
-from tests_support import alter_local, counting
+from tests_support import counting
 
 TINY = (1, 1, 1, 1, 1, 1)
 SMALL = (2, 2, 1, 1, 1, 1)
@@ -128,49 +127,59 @@ def strategy(model):
     )
 
 
-def inflate_vertex(monkeypatch, index):
-    """Make the search's `index`-th strategy certificate report s_max 5/2."""
-    real = search_module.certify_lhv_bound
+PR_BOX = (Fraction(1), Fraction(1), Fraction(1), Fraction(-1))
+
+
+def inflate_vertex(monkeypatch, indices):
+    """Make the search's correlation calls numbered in `indices` return the
+    PR-box correlations, whose s_max is 4."""
+    real = search_module.correlation_set
     calls = []
 
     def inflated(model):
-        certificate = real(model)
+        correlations = real(model)
         calls.append(model)
-        if len(calls) - 1 != index:
-            return certificate
-        report = replace(certificate.report, s_max=Fraction(5, 2), bound_satisfied=False)
-        return replace(certificate, report=report)
+        return PR_BOX if len(calls) - 1 in indices else correlations
 
-    monkeypatch.setattr(search_module, "certify_lhv_bound", inflated)
+    monkeypatch.setattr(search_module, "correlation_set", inflated)
 
 
 class TestVertexCertification:
     @pytest.mark.parametrize("cards", [(2, 2, 2, 2, 2, 2), (3, 3, 2, 2, 2, 2)])
     def test_certifies_each_strategy_and_scores_two_assignments(self, monkeypatch, cards):
-        certified = counting(monkeypatch, search_module, "certify_lhv_bound")
         scored = counting(monkeypatch, search_module, "_s_max")
         result = run_search(
             SearchSpec(cardinalities=cards, mode=SearchMode.EXHAUSTIVE)
         )
-        assert len(certified) == 16
-        assert {strategy(model) for (model,) in certified} == set(
+        assert len(scored) == 18
+        assert {strategy(model) for (model,) in scored[:16]} == set(
             itertools.product((1, -1), repeat=4)
         )
         total = oracles.assignment_count(cards)
-        assert scored == [(decode_assignment(cards, 0),), (decode_assignment(cards, total - 1),)]
+        assert scored[16:] == [
+            (decode_assignment(cards, 0),), (decode_assignment(cards, total - 1),)
+        ]
         assert result.best_s_max == 2
         assert result.evaluated == total
 
     @pytest.mark.parametrize("index", [0, 15])
     def test_vertex_above_two_raises(self, monkeypatch, index):
-        inflate_vertex(monkeypatch, index)
+        inflate_vertex(monkeypatch, {index})
         with pytest.raises(BoundViolationError):
             run_search(
                 SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
             )
 
+    def test_every_score_above_two_raises_from_s_max(self, monkeypatch):
+        # All 18 scores equal, so only `_s_max`'s own bound check can raise.
+        inflate_vertex(monkeypatch, range(18))
+        with pytest.raises(BoundViolationError, match=r"^valid model reached s_max = 4 > 2$"):
+            run_search(
+                SearchSpec(cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE)
+            )
+
     def test_vertex_above_two_exits_one(self, monkeypatch, capsys):
-        inflate_vertex(monkeypatch, 5)
+        inflate_vertex(monkeypatch, {5})
         assert cli.main(["search", "--cardinalities", "2,2,2,2,2,1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -289,7 +298,8 @@ class TestHillClimb:
 
 
 NEIGHBOUR_SHAPES = ((1, 1, 1, 1, 1, 1), (2, 2, 2, 2, 2, 2), (3, 2, 3, 2, 2, 3))
-NEIGHBOUR_STEPS = (Fraction(1, 64), Fraction(1, 8), Fraction(1, 2))
+STEP = Fraction(1, DEFAULT_MAX_DENOMINATOR)
+D3 = DEFAULT_MAX_DENOMINATOR**3
 
 
 def pmfs(model):
@@ -304,11 +314,11 @@ def shape(model):
     return (model.source.rows, model.source.cols, *(len(w) for w in pmfs(model)[1:]))
 
 
-def expected_neighbour_count(model, step):
+def expected_neighbour_count(model):
     flips = 0
     for settings_ in (model.alice, model.bob):
         flips += sum(len(row) for local in settings_.values() for row in local.table)
-    moves = sum((len(w) - 1) * sum(x >= step for x in w) for w in pmfs(model))
+    moves = sum((len(w) - 1) * sum(x >= STEP for x in w) for w in pmfs(model))
     return flips + moves
 
 
@@ -327,33 +337,32 @@ class TestMovesStayValid:
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB)
         zero_models = 0
         for _ in range(200):
-            model = random_model(spec, rng)
+            state = search_module._IntegerState.draw(spec, rng)
+            model = state.model()
             assert validate_model(model) == []
-            for step in NEIGHBOUR_STEPS:
-                neighbours = materialised(search_module._IntegerState.of(model, step))
-                assert len(neighbours) == expected_neighbour_count(model, step)
-                for neighbour in neighbours:
-                    assert validate_model(neighbour) == []
-                    assert shape(neighbour) == shape(model)
-                    assert neighbour != model
-                    zero_models += any(0 in w for w in pmfs(neighbour))
+            neighbours = materialised(state)
+            assert len(neighbours) == expected_neighbour_count(model)
+            for neighbour in neighbours:
+                assert validate_model(neighbour) == []
+                assert shape(neighbour) == shape(model)
+                assert neighbour != model
+                zero_models += any(0 in w for w in pmfs(neighbour))
         if cards != (1, 1, 1, 1, 1, 1):
             assert zero_models > 0
 
     def test_moves_from_zero_weights(self):
-        zero, half = Fraction(0), Fraction(1, 2)
-        spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB)
-        model = random_model(spec, random.Random(0))
-        source = ((zero, half), (half, zero))
-        model = replace(model, source=JointPmf(source))
-        for label in model.alice_labels:
-            model = alter_local(model, "alice", label, pmf=(Fraction(1), zero))
+        d = DEFAULT_MAX_DENOMINATOR
+        table = ((1, -1), (-1, 1))
+        state = search_module._IntegerState(
+            2, (0, d // 2, d // 2, 0), ((d, 0), (d, 0), (d // 4, 3 * d // 4), (0, d)),
+            (table,) * 4,
+        )
+        model = state.model()
         assert validate_model(model) == []
-        for step in NEIGHBOUR_STEPS:
-            state = search_module._IntegerState.of(model, step)
-            assert state.model() == model
-            for neighbour in materialised(state):
-                assert validate_model(neighbour) == []
+        neighbours = materialised(state)
+        assert neighbours == list(oracles.neighbors_oracle(model, STEP))
+        for neighbour in neighbours:
+            assert validate_model(neighbour) == []
 
 
 ORACLE_SHAPES = (
@@ -389,15 +398,13 @@ class TestScoresMatchOracle:
         rng = random.Random(sum(cards))
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB)
         for _ in range(10):
-            model = random_model(spec, rng)
-            for step in NEIGHBOUR_STEPS:
-                state = search_module._IntegerState.of(model, step)
-                assert state.model() == model
-                neighbours = list(oracles.neighbors_oracle(model, step))
-                assert materialised(state) == neighbours
-                assert [Fraction(state.score(move), state.d3) for move in state.moves()] == [
-                    oracles.score_oracle(n) for n in neighbours
-                ]
+            state = search_module._IntegerState.draw(spec, rng)
+            assert Fraction(state.score(), D3) == oracles.score_oracle(state.model())
+            neighbours = list(oracles.neighbors_oracle(state.model(), STEP))
+            assert materialised(state) == neighbours
+            assert [Fraction(state.score(move), D3) for move in state.moves()] == [
+                oracles.score_oracle(n) for n in neighbours
+            ]
 
     @pytest.mark.parametrize("cards", ORACLE_SHAPES)
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
@@ -408,21 +415,20 @@ class TestScoresMatchOracle:
         assert len(calls) == result.evaluated
         scanned = {}
         for state, move, score in calls:
-            assert state.d == DEFAULT_MAX_DENOMINATOR
             model = state.model()
             if move is None:
-                assert Fraction(score, state.d3) == oracles.score_oracle(model)
+                assert Fraction(score, D3) == oracles.score_oracle(model)
                 continue
             if id(state) not in scanned:
                 scanned[id(state)] = (
                     list(state.moves()),
-                    list(oracles.neighbors_oracle(model, search_module._STEP)),
+                    list(oracles.neighbors_oracle(model, STEP)),
                 )
             moves, neighbours = scanned[id(state)]
             assert len(moves) == len(neighbours)
             neighbour = neighbours[moves.index(move)]
             assert state.apply(move).model() == neighbour
-            assert Fraction(score, state.d3) == oracles.score_oracle(neighbour)
+            assert Fraction(score, D3) == oracles.score_oracle(neighbour)
         assert result == oracles.hill_climb_oracle(spec)
 
     @pytest.mark.parametrize("cards", ORACLE_SHAPES)
@@ -437,7 +443,7 @@ class TestScoresMatchOracle:
             model = random_model(spec, rng)
             assert move is None
             assert state.model() == model
-            assert Fraction(score, state.d3) == oracles.score_oracle(model)
+            assert Fraction(score, D3) == oracles.score_oracle(model)
         assert result == oracles.random_sampling_oracle(spec)
 
     @pytest.mark.parametrize("cards", ORACLE_SHAPES)
@@ -454,7 +460,6 @@ class TestScoresMatchOracle:
     def test_models_built_only_for_a_new_best(self, monkeypatch):
         built = counting(monkeypatch, search_module._IntegerState, "model")
         drawn = counting(monkeypatch, search_module, "random_model")
-        converted = counting(monkeypatch, search_module._IntegerState, "of")
         for mode in (SearchMode.HILL_CLIMB, SearchMode.RANDOM):
             spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=mode, seed=3, budget=2000)
             built.clear()
@@ -462,7 +467,7 @@ class TestScoresMatchOracle:
             # One build per record, the start included; restarts are drawn as states.
             assert len(result.improvements) > 1
             assert len(built) == len(result.improvements)
-        assert drawn == converted == []
+        assert drawn == []
 
 
 class TestFourSumScore:
