@@ -57,7 +57,9 @@ def _render(doc: dict, fmt: str) -> str:
     if fmt == "text":
         return "".join(f"{line}\n" for line in _text_lines(doc))
     if fmt == "csv":
-        return "".join(f"{key},{value}\n" for key, value in _flat_items(doc, ()))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_flat_items(doc, ()))
+        return buf.getvalue()
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -93,7 +95,7 @@ def _flat_items(doc, path):
         if isinstance(value, dict):
             yield from _flat_items(value, (*path, str(key)))
         else:
-            yield joined, json.dumps(value) if isinstance(value, (list, str)) else value
+            yield joined, json.dumps(value) if isinstance(value, (list, str)) else str(value)
 
 
 def cmd_check(args) -> int:

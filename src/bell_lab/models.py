@@ -72,9 +72,11 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction canonically: ``"a/b"``, or ``"a"`` when b == 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)
+    except ValueError:  # past the int-to-str digit limit; Decimal prints every digit
+        parts = (value.numerator,) if value.denominator == 1 else value.as_integer_ratio()
+        return "/".join(str(Decimal(n)) for n in parts)
 
 
 def decimal_str(value: Fraction) -> str:

@@ -8,18 +8,20 @@ inputs of the reduced form (source pair, U1, U2) carry no setting label;
 every setting dependence lives in the deterministic interval maps and the
 response tables.
 
-Everything here is exact interval algebra on rationals.  The private
-`_reduced_route`, run by `bell_lab.chsh.certify_model`, gives the reduced
-form's four correlations in context order by quadrature: it sums integer
-numerators over each factor's common denominator and returns one Fraction
-per context.  Nothing is ever sampled in this module; the sampling path
-lives in the simulator.
+Everything here is exact interval algebra on rationals, and `_readout` is
+the one place that reads a refined interval's label pair.  The private
+`_reduced_route`, run by `bell_lab.chsh.certify_model`, integrates that
+readout: it sums integer numerators over each factor's common denominator
+and returns one Fraction per context.  `bell_lab.simulate.simulate_trials`
+samples the same readout; nothing is sampled in this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .models import ContextualModel, _scaled_factors, format_rational, require_valid
 
@@ -51,44 +53,30 @@ class IntervalPartition:
 
 
 def inverse_transform_partition(weights) -> IntervalPartition:
-    """Cumulative-sum partition: interval widths equal the weights in order."""
-    breakpoints = [Fraction(0)]
-    labels = []
-    cum = Fraction(0)
-    for index, w in enumerate(weights):
-        if w == 0:
-            continue
-        cum += w
-        breakpoints.append(cum)
-        labels.append(index)
-    if cum != 1:
-        raise ValueError(f"weights sum to {format_rational(cum)}, expected 1")
-    return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
+    """Cumulative-sum partition: widths are the nonzero weights, labels their indices."""
+    nonzero = [(index, w) for index, w in enumerate(weights) if w != 0]
+    breakpoints = tuple(accumulate((w for _, w in nonzero), initial=Fraction(0)))
+    if breakpoints[-1] != 1:
+        raise ValueError(f"weights sum to {format_rational(breakpoints[-1])}, expected 1")
+    return IntervalPartition(breakpoints=breakpoints, labels=tuple(index for index, _ in nonzero))
 
 
 def _overlay(first: IntervalPartition, second: IntervalPartition) -> IntervalPartition:
     """Common refinement of two partitions; each interval's label is the pair
     (first label, second label).
 
-    An interval's width is the weight of its label pair when one shared
-    uniform drives both partitions, so the widths recover each partition's
-    weights as marginals.
+    The breakpoints are the union of both sets, so no interval has zero
+    width; interval (lo, hi] takes, in each partition, the label of the
+    interval that holds hi.  An interval's width is the weight of its label
+    pair when one shared uniform drives both partitions, so the widths
+    recover each partition's weights as marginals.
     """
-    breakpoints = [Fraction(0)]
-    labels = []
-    ia = ib = 0
-    lo = Fraction(0)
-    while ia < len(first.labels) and ib < len(second.labels):
-        hi = min(first.breakpoints[ia + 1], second.breakpoints[ib + 1])
-        if hi > lo:
-            breakpoints.append(hi)
-            labels.append((first.labels[ia], second.labels[ib]))
-        if first.breakpoints[ia + 1] == hi:
-            ia += 1
-        if second.breakpoints[ib + 1] == hi:
-            ib += 1
-        lo = hi
-    return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
+    breakpoints = tuple(sorted(set(first.breakpoints) | set(second.breakpoints)))
+    labels = tuple(
+        tuple(p.labels[bisect_left(p.breakpoints, hi) - 1] for p in (first, second))
+        for hi in breakpoints[1:]
+    )
+    return IntervalPartition(breakpoints=breakpoints, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -115,17 +103,24 @@ def reduce_model(model: ContextualModel) -> ReducedModel:
     return _reduce(model)
 
 
+def _readout(uniform_map: IntervalPartition, settings) -> list[list[list[int]]]:
+    """Per setting in declared order, per source index and per refined
+    interval, the setting's response on that interval: setting i reads slot
+    i of the interval's label pair, then that entry of its table row."""
+    return [
+        [[row[pair[slot]] for pair in uniform_map.labels] for row in local.table]
+        for slot, local in enumerate(settings.values())
+    ]
+
+
 def _interval_means(uniform_map: IntervalPartition, settings) -> tuple[list, int]:
     """Per setting in declared order and per source index, the width-weighted
     response over the refined intervals, as integer numerators over the
-    widths' common denominator; setting i reads slot i of each label pair."""
+    widths' common denominator."""
     widths, d = _scaled_factors(uniform_map.widths())
     means = [
-        [
-            sum(w * row[pair[slot]] for w, pair in zip(widths, uniform_map.labels))
-            for row in local.table
-        ]
-        for slot, local in enumerate(settings.values())
+        [sum(w * value for w, value in zip(widths, responses)) for responses in per_source]
+        for per_source in _readout(uniform_map, settings)
     ]
     return means, d
 

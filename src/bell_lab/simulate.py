@@ -3,14 +3,15 @@
 Trials are driven through the two-uniform reduced form, so the sampling
 path itself exercises the partition maps: per trial the stream provides
 five 53-bit dyadic uniforms, consumed in the fixed column order (Alice
-setting, Bob setting, source pair, U1, U2).  Each setting is the top bit
-of its draw, so both settings are exactly uniform in both samplers.  Any
-other dyadic draw k/2^53 is compared against integer thresholds
-floor(c * 2^53) of the exact rational cumulative breakpoints c; a draw
-landing exactly on a threshold goes to the lower interval.  Thresholds
-beyond 53-bit resolution would collapse; each interval is then
-under-weighted by at most 2^-53, which is far below anything the
-statistics here can resolve.
+setting, Bob setting, source pair, U1, U2).  Per side a trial does one
+threshold lookup and one gather from `reduction._readout`'s outcomes.
+Each setting is the top bit of its draw, so both settings are exactly
+uniform in both samplers.  Any other dyadic draw k/2^53 is compared
+against integer thresholds floor(c * 2^53) of the exact rational
+cumulative breakpoints c; a draw landing exactly on a threshold goes to
+the lower interval.  Thresholds beyond 53-bit resolution would collapse;
+each interval is then under-weighted by at most 2^-53, which is far below
+anything the statistics here can resolve.
 
 Draws are taken in row chunks of CHUNK trials, each chunk's cell codes
 written into one preallocated byte array, so memory is about 1 B per
@@ -33,7 +34,7 @@ import numpy as np
 
 from .chsh import CHSH_PATTERNS
 from .models import ContextualModel, atomic_writer
-from .reduction import inverse_transform_partition, reduce_model
+from .reduction import _readout, inverse_transform_partition, reduce_model
 
 U_BITS = 53
 U_SCALE = 1 << U_BITS
@@ -163,9 +164,9 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     """Run n trials of the four-context protocol; reproducible from seed.
 
     Each trial draws both settings, one source pair, and the two shared
-    uniforms, then reads the outcomes off the response tables through the
-    reduced form's interval maps.  The source pair is read through its own
-    inverse-transform partition, so a pair of weight zero is never drawn.
+    uniforms, then gathers each side's outcome from its readout at (setting,
+    source index, refined interval holding its uniform).  The source pair is
+    read through its own partition, so a pair of weight zero is never drawn.
     Settings are exactly uniform: each is the top bit of its draw, as in
     `quantum_reference`.
     """
@@ -174,32 +175,18 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     source_map = inverse_transform_partition(model.source.flattened())
     source_k = _thresholds(source_map.breakpoints)
     source_labels = np.array(source_map.labels, dtype=np.int64)
-    alice_map_k = _thresholds(reduced.alice_map.breakpoints)
-    bob_map_k = _thresholds(reduced.bob_map.breakpoints)
-    alice_pairs = np.array(reduced.alice_map.labels, dtype=np.int64)
-    bob_pairs = np.array(reduced.bob_map.labels, dtype=np.int64)
-
-    def table_stack(settings):
-        depth = max(len(s.weights) for s in settings.values())
-        rows = max(len(s.table) for s in settings.values())
-        stack = np.zeros((2, rows, depth), dtype=np.uint8)
-        for t, local in enumerate(settings.values()):
-            for r, row in enumerate(local.table):
-                stack[t, r, : len(row)] = [v > 0 for v in row]
-        return stack
-
-    alice_tables = table_stack(model.alice)
-    bob_tables = table_stack(model.bob)
+    cols = model.source.cols
+    alice_k = _thresholds(reduced.alice_map.breakpoints)
+    bob_k = _thresholds(reduced.bob_map.breakpoints)
+    # [setting, source index, refined interval] -> outcome > 0.
+    alice_out = (np.array(_readout(reduced.alice_map, model.alice)) > 0).astype(np.uint8)
+    bob_out = (np.array(_readout(reduced.bob_map, model.bob)) > 0).astype(np.uint8)
 
     def sample(draws):
         a_set, b_set = _settings(draws)
         src = source_labels[np.searchsorted(source_k, draws[:, 2], side="left")]
-        l1 = src // model.source.cols
-        l2 = src % model.source.cols
-        local_a = alice_pairs[np.searchsorted(alice_map_k, draws[:, 3], side="left"), a_set]
-        local_b = bob_pairs[np.searchsorted(bob_map_k, draws[:, 4], side="left"), b_set]
-        a = alice_tables[a_set, l1, local_a]
-        b = bob_tables[b_set, l2, local_b]
+        a = alice_out[a_set, src // cols, np.searchsorted(alice_k, draws[:, 3], side="left")]
+        b = bob_out[b_set, src % cols, np.searchsorted(bob_k, draws[:, 4], side="left")]
         return a_set * 8 + b_set * 4 + a * 2 + b
 
     return _sample_ledger(seed, n, 5, sample, model.alice_labels, model.bob_labels)

@@ -24,6 +24,11 @@ The neighbour order is the specification of the package's move order.
 `locate` is the point lookup the sampler's threshold search must agree
 with: the label of the partition interval that holds a point of [0, 1).
 
+`inverse_transform_loop_oracle` and `overlay_merge_oracle` are the
+partition builders the package ran before it built partitions by their
+definitions (accumulated nonzero weights; the union of two breakpoint
+sets), kept verbatim: a running-sum loop and a two-pointer merge.
+
 The per-context oracles take a context as its (alice_label, bob_label)
 pair and look each setting up by label, where the package goes by
 position.
@@ -182,6 +187,47 @@ def couple_by_atoms(p_weights, q_weights) -> dict:
         key = (i, j)
         out[key] = out.get(key, Fraction(0)) + Fraction(1, d)
     return out
+
+
+def inverse_transform_loop_oracle(weights) -> IntervalPartition:
+    """Cumulative-sum partition: interval widths equal the weights in order."""
+    breakpoints = [Fraction(0)]
+    labels = []
+    cum = Fraction(0)
+    for index, w in enumerate(weights):
+        if w == 0:
+            continue
+        cum += w
+        breakpoints.append(cum)
+        labels.append(index)
+    if cum != 1:
+        raise ValueError(f"weights sum to {format_rational(cum)}, expected 1")
+    return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
+
+
+def overlay_merge_oracle(first: IntervalPartition, second: IntervalPartition) -> IntervalPartition:
+    """Common refinement of two partitions; each interval's label is the pair
+    (first label, second label).
+
+    An interval's width is the weight of its label pair when one shared
+    uniform drives both partitions, so the widths recover each partition's
+    weights as marginals.
+    """
+    breakpoints = [Fraction(0)]
+    labels = []
+    ia = ib = 0
+    lo = Fraction(0)
+    while ia < len(first.labels) and ib < len(second.labels):
+        hi = min(first.breakpoints[ia + 1], second.breakpoints[ib + 1])
+        if hi > lo:
+            breakpoints.append(hi)
+            labels.append((first.labels[ia], second.labels[ib]))
+        if first.breakpoints[ia + 1] == hi:
+            ia += 1
+        if second.breakpoints[ib + 1] == hi:
+            ib += 1
+        lo = hi
+    return IntervalPartition(breakpoints=tuple(breakpoints), labels=tuple(labels))
 
 
 def reduced_context_mean(model: ContextualModel, alice_label: str, bob_label: str) -> Fraction:

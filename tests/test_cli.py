@@ -8,6 +8,7 @@ import random
 import stat
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from bell_lab import cli, exact, simulate
 from bell_lab.cli import main
-from bell_lab.models import model_from_dict, model_to_dict, save_model
+from bell_lab.chsh import certify_model
+from bell_lab.models import load_model, model_from_dict, model_to_dict, save_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from tests_support import PRESETS, counting
 
@@ -523,6 +525,63 @@ class TestSimulate:
             assert doc == json.loads(out)
             names = sorted(p.name for p in out_dir.iterdir())
             assert names == ["histogram.csv", "ledger.csv", "summary.json"]
+
+
+def _long_rational_model(path, bits: int, seed: int):
+    """Write a valid model whose five pmfs have odd denominators of `bits`
+    bits, and return it loaded.  Every table varies with its local value
+    and Bob's also with the source, so all five denominators reach the
+    correlations and the CHSH sums."""
+    rng = random.Random(seed)
+
+    def pmf():
+        q = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        p = Fraction(rng.randrange(1, q), q)
+        return [f"{w.numerator}/{w.denominator}" for w in (p, 1 - p)]
+
+    source = pmf()
+    doc = {
+        "source": [source],
+        "alice": {label: {"pmf": pmf(), "table": [[1, -1]]} for label in ("x", "x'")},
+        "bob": {label: {"pmf": pmf(), "table": [[1, -1], [-1, 1]]} for label in ("y", "y'")},
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_model(path)
+
+
+def _full_digits(value: Fraction) -> str:
+    """Every digit of `value` as ``"a/b"``, past the int-to-str digit limit."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+class TestLongRationals:
+    """Exact outputs longer than the interpreter's int-to-str digit limit
+    print in full instead of crashing."""
+
+    def test_certify_prints_every_digit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        model = _long_rational_model(path, bits=2900, seed=1)
+        code, out, err = run(capsys, "certify", "--model", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        expected = _full_digits(certify_model(model).certificate.report.s_max)
+        assert len(expected) > 2 * 4300
+        assert doc["chsh"]["s_max"] == expected
+        assert doc["all_passed"] is True
+
+    def test_simulate_prints_every_digit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        model = _long_rational_model(path, bits=5000, seed=2)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(path), "--n", "200", "--out", str(out_dir)
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc == json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        exact_values = [entry["e_exact"] for entry in doc["contexts"]]
+        assert exact_values == [_full_digits(e) for e in exact.correlation_set(model)]
+        assert max(map(len, exact_values)) > 4300
 
 
 def _unreadable_models() -> dict[str, str]:

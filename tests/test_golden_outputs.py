@@ -8,16 +8,21 @@ the two ``--format text`` simulate cases and ``simulate-n1`` were added at
 commit 67e2cf2, before contexts became positions; the three
 ``search-random-budget1``, ``search-hill-climb-csv`` and
 ``search-random-text`` cases were added at commit 0f12edd, before random
-sampling and hill climbing became one walk.  Each time the file was
-written by running this module as a script from the repository root:
+sampling and hill climbing became one walk; the six ``--format csv``
+cases were regenerated after commit 91c5ed8, when their rows started to
+go through ``csv.writer``.  Each time the file was written by running this
+module as a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-which rewrites ``golden_outputs.json`` from the checked-out code.  A change
-that alters output bytes on purpose regenerates the file and says why.
+which rewrites ``golden_outputs.json`` from the checked-out code and
+prints each case whose digests changed, were added or were removed.  A
+change that alters output bytes on purpose regenerates the file and says
+which cases changed and why.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -106,10 +111,56 @@ def test_output_bytes_match_the_golden_digests(name, tmp_path):
     assert run_case(CASES[name], out_dir) == golden
 
 
+CSV_CASES = sorted(name for name, argv in CASES.items() if argv[-2:] == ["--format", "csv"])
+
+
+def _stdout(argv: list[str]) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    return stdout.getvalue()
+
+
+def _dotted(doc: dict, path=()):
+    """(dotted key, value) for every non-dict value of a nested document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _dotted(value, (*path, key))
+        else:
+            yield ".".join((*path, key)), value
+
+
+def test_csv_cases_cover_every_csv_format_case():
+    assert len(CSV_CASES) == 6
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_rows_parse_to_the_json_document(name):
+    argv = CASES[name]
+    rows = list(csv.reader(io.StringIO(_stdout(argv), newline="")))
+    assert rows and all(len(row) == 2 for row in rows)
+    expected = dict(_dotted(json.loads(_stdout([*argv[:-1], "json"]))))
+    assert len(rows) == len(expected)
+    for key, field in rows:
+        value = expected[key]
+        if isinstance(value, (list, str)):
+            assert json.loads(field) == value, key
+        else:
+            assert field == str(value), key
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     digests = {}
     for case, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = run_case(argv, Path(tmp))
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for case in sorted(old.keys() | digests.keys()):
+        if case not in digests:
+            print(f"removed: {case}")
+        elif case not in old:
+            print(f"added: {case}")
+        elif old[case] != digests[case]:
+            print(f"changed: {case}")
     print(f"wrote {len(digests)} cases to {GOLDEN}")

@@ -2,13 +2,16 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from tests_support import PRESETS
 from bell_lab.chsh import certify_model
 from bell_lab.reduction import (
     _overlay,
+    _readout,
     inverse_transform_partition,
     reduce_model,
 )
@@ -32,6 +35,80 @@ def pmfs(draw, max_size=5, denominator=24):
     )
     bounds = [0, *cuts, denominator]
     return tuple(F(hi - lo, denominator) for lo, hi in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def pmf_pairs(draw):
+    """Two pmfs over different denominators, zero weights allowed; the
+    second denominator is often a multiple of the first, so breakpoints
+    coincide."""
+    d1 = draw(st.integers(1, 30))
+    d2 = draw(st.one_of(st.integers(1, 30), st.integers(1, 6).map(lambda k: k * d1)))
+    return draw(pmfs(max_size=6, denominator=d1)), draw(pmfs(max_size=6, denominator=d2))
+
+
+class TestBuildersMatchOracles:
+    """The partitions built by their definitions equal the loop and the
+    two-pointer merge they replaced."""
+
+    @given(pmf_pairs())
+    def test_inverse_transform_equals_loop(self, pair):
+        for pmf in pair:
+            built = inverse_transform_partition(pmf)
+            loop = oracles.inverse_transform_loop_oracle(pmf)
+            assert (built.breakpoints, built.labels) == (loop.breakpoints, loop.labels)
+
+    @given(pmf_pairs())
+    def test_overlay_equals_merge(self, pair):
+        first, second = (inverse_transform_partition(pmf) for pmf in pair)
+        built = _overlay(first, second)
+        merged = oracles.overlay_merge_oracle(
+            *(oracles.inverse_transform_loop_oracle(pmf) for pmf in pair)
+        )
+        assert (built.breakpoints, built.labels) == (merged.breakpoints, merged.labels)
+
+    def test_shared_breakpoints_and_zeros(self):
+        first = inverse_transform_partition((F(1, 2), F(0), F(1, 4), F(1, 4)))
+        second = inverse_transform_partition((F(0), F(1, 4), F(1, 4), F(1, 2)))
+        built = _overlay(first, second)
+        assert built.breakpoints == (0, F(1, 4), F(1, 2), F(3, 4), 1)
+        assert built.labels == ((0, 1), (0, 2), (2, 3), (3, 3))
+
+    def test_weights_not_summing_to_one(self):
+        for weights, total in (((F(1, 2), F(1, 4)), "3/4"), ((F(0), F(0)), "0")):
+            with pytest.raises(ValueError, match=f"weights sum to {total}, expected 1"):
+                inverse_transform_partition(weights)
+
+
+def assert_readout_reads_own_interval(model):
+    """Each `_readout` entry is table[l][k], with k the label of the
+    setting's own inverse-transform interval that holds the refined
+    interval's right endpoint."""
+    reduced = reduce_model(model)
+    for uniform_map, settings in ((reduced.alice_map, model.alice), (reduced.bob_map, model.bob)):
+        readout = _readout(uniform_map, settings)
+        assert len(readout) == len(settings)
+        for local, per_source in zip(settings.values(), readout):
+            own = oracles.inverse_transform_loop_oracle(local.weights)
+            ks = [oracles.locate(own, hi) for hi in uniform_map.breakpoints[1:]]
+            assert per_source == [[row[k] for k in ks] for row in local.table]
+
+
+class TestReadout:
+    def test_presets(self):
+        for load in PRESETS.values():
+            assert_readout_reads_own_interval(load())
+
+    def test_campaign(self, small_campaign):
+        for model in small_campaign:
+            assert_readout_reads_own_interval(model)
+
+    def test_noisy_alice(self, noisy):
+        # Alice's refined intervals carry (0, 0), (0, 1), (1, 1); x reads
+        # slot 0 and x' slot 1 of each pair.
+        x, x_prime = _readout(reduce_model(noisy).alice_map, noisy.alice)
+        assert x == [[1, 1, -1], [-1, -1, 1]]
+        assert x_prime == [[1, 1, 1], [1, 1, 1]]
 
 
 class TestInverseTransform:
