@@ -5,6 +5,11 @@ by explicit construction that every model of this class respects the CHSH
 bound on one product sample space, reduces per-setting local randomness
 to two shared uniforms, and backs it all with strategy search and seeded
 Monte Carlo with no-signalling checks.
+
+Only the expanded route of `certify_model` and the `simulate` module
+compute with numpy, and both are imported when first used: the names
+exported from `simulate` resolve through the module `__getattr__` below,
+so `import bell_lab` loads no numpy.
 """
 
 from .chsh import (
@@ -44,16 +49,6 @@ from .search import (
     random_model,
     run_search,
 )
-from .simulate import (
-    EmpiricalChsh,
-    EmptyContextError,
-    NoSignallingReport,
-    TrialLedger,
-    empirical_chsh,
-    no_signalling_report,
-    quantum_reference,
-    simulate_trials,
-)
 from .unified import (
     CounterfactualSet,
     SizeExceededError,
@@ -61,6 +56,31 @@ from .unified import (
 )
 
 __version__ = "0.1.0"
+
+# Exported from `simulate`, which imports numpy; resolved on first access.
+_SIMULATE_NAMES = frozenset({
+    "EmpiricalChsh",
+    "EmptyContextError",
+    "NoSignallingReport",
+    "TrialLedger",
+    "empirical_chsh",
+    "no_signalling_report",
+    "quantum_reference",
+    "simulate_trials",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATE_NAMES})
+
 
 __all__ = [
     "BoundViolationError",

@@ -15,9 +15,12 @@ model before computing them.
 `certify_model` validates the model and checks the expanded route's cell
 count before any route runs, then runs the dedicated, factored, expanded
 and reduced routes.  It is the one public way to run them: the routes are
-private to their modules and trust that the model is valid.  Each returns
-the model's four correlations as a plain tuple in context order, (x,y),
-(x,y'), (x',y), (x',y'): a context is its position, never a label lookup.
+private to their modules and trust that the model is valid.  The expanded
+route (`bell_lab.expanded`) is the only one that computes with numpy, and
+`certify_model` imports it when it runs, so importing this module, as
+`search` does, loads no numpy.  Each route returns the model's four
+correlations as a plain tuple in context order, (x,y), (x,y'), (x',y),
+(x',y'): a context is its position, never a label lookup.
 Each check in `Certification` is one exact equality between those tuples.
 `CORRELATION_KEYS` names the four in the certificate's output.
 """
@@ -37,7 +40,7 @@ from .models import (
     require_valid,
 )
 from .reduction import _reduced_route
-from .unified import DEFAULT_CELL_LIMIT, _expanded_route, _factored_route
+from .unified import DEFAULT_CELL_LIMIT, _factored_route
 
 # Canonical order: one negated term sweeping left to right, then the negations.
 CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
@@ -200,6 +203,9 @@ def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) 
     and reduced routes then each compute their own four correlations, so
     the routes stay independent.
     """
+    # Imported here: `search` imports this module and must not load numpy.
+    from .expanded import _expanded_route
+
     require_valid(model)
     expanded = _expanded_route(model, cell_limit)
     return Certification(

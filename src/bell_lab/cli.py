@@ -4,7 +4,8 @@ Subcommands: check, certify, search, simulate.  Exit codes: 0 all passed,
 1 verdict failure or invariant violation, 2 input or I/O error, 3
 resource guard tripped or memory exhausted.  All JSON output is printed
 with sorted keys and fixed indentation so identical inputs produce
-byte-identical bytes.
+byte-identical bytes.  Only `certify` and `simulate` load numpy, when
+they run; `check` and `search` start and finish without it.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ from .search import (
     SearchMode,
     SearchSpec,
     run_search,
-)
-from .simulate import (
-    RNG_ALGORITHM,
-    EmptyContextError,
-    empirical_chsh,
-    no_signalling_report,
-    quantum_reference,
-    simulate_trials,
 )
 from .unified import DEFAULT_CELL_LIMIT, SizeExceededError
 
@@ -181,6 +174,8 @@ def _parse_angles(raw: str):
 
 def _context_section(ledger, exact):
     """Per-context entries; `exact` is the model's four correlations, or None."""
+    from .simulate import empirical_chsh
+
     empirical = empirical_chsh(ledger)
     contexts = [
         {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se}
@@ -199,6 +194,15 @@ def _context_section(ledger, exact):
 
 
 def cmd_simulate(args) -> int:
+    # Imported here, so that the other subcommands start without numpy.
+    from .simulate import (
+        RNG_ALGORITHM,
+        EmptyContextError,
+        no_signalling_report,
+        quantum_reference,
+        simulate_trials,
+    )
+
     if (args.model is None) == (args.quantum is None):
         raise ModelFormatError("simulate needs exactly one of --model or --quantum")
     if args.n < 1:

@@ -20,7 +20,8 @@ from bell_lab.chsh import (
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.reduction import _reduced_route
-from bell_lab.unified import SizeExceededError, _expanded_route, _factored_route
+from bell_lab.expanded import _expanded_route
+from bell_lab.unified import SizeExceededError, _factored_route
 from tests_support import PRESETS, alter_local, counting
 
 

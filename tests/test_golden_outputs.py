@@ -19,6 +19,11 @@ which rewrites ``golden_outputs.json`` from the checked-out code and
 prints each case whose digests changed, were added or were removed.  A
 change that alters output bytes on purpose regenerates the file and says
 which cases changed and why.
+
+Two tests run cases in a fresh interpreter instead: every ``check`` and
+``search`` case with numpy blocked, which must give the same digests, and
+one case of each subcommand in turn, which shows numpy first loaded by
+``certify``.
 """
 
 import contextlib
@@ -26,6 +31,8 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -109,6 +116,58 @@ def test_output_bytes_match_the_golden_digests(name, tmp_path):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert run_case(CASES[name], out_dir) == golden
+
+
+# Runs the named cases in a fresh interpreter, numpy blocked when argv[3] is
+# "block", and prints each case's digests and whether numpy was then loaded.
+FRESH_PROCESS = """
+import json, sys, tempfile
+from pathlib import Path
+if sys.argv[3] == "block":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.path[:0] = sys.argv[1:3]
+import bell_lab
+from test_golden_outputs import CASES, run_case
+results = {}
+for name in sys.argv[4:]:
+    with tempfile.TemporaryDirectory() as tmp:
+        results[name] = [run_case(CASES[name], Path(tmp)), sys.modules.get("numpy") is not None]
+print(json.dumps(results))
+"""
+
+
+def run_fresh(names: list[str], block_numpy: bool) -> dict:
+    tests = Path(__file__).resolve().parent
+    argv = [str(tests.parent / "src"), str(tests), "block" if block_numpy else "allow", *names]
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, *argv], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+NUMPY_FREE_CASES = sorted(name for name in CASES if name.startswith(("check-", "search-")))
+
+
+def test_check_and_search_run_with_numpy_blocked():
+    assert len(NUMPY_FREE_CASES) == 16
+    assert {"search-default", "search-random", "search-hill-climb"} <= set(NUMPY_FREE_CASES)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    results = run_fresh(NUMPY_FREE_CASES, block_numpy=True)
+    assert {name: digests for name, (digests, _) in results.items()} == {
+        name: golden[name] for name in NUMPY_FREE_CASES
+    }
+
+
+def test_numpy_loads_only_for_certify_and_simulate():
+    # In order, in one interpreter: numpy is first imported by the certify case.
+    names = ["check-noisy_readout-json", "search-hill-climb",
+             "certify-noisy_readout-json", "simulate-noisy_readout"]
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    results = run_fresh(names, block_numpy=False)
+    assert [results[name] for name in names] == [
+        [golden[name], loaded] for name, loaded in zip(names, [False, False, True, True])
+    ]
 
 
 CSV_CASES = sorted(name for name, argv in CASES.items() if argv[-2:] == ["--format", "csv"])

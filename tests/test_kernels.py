@@ -14,7 +14,8 @@ checked to compute its per-model statistics once rather than once per
 context: the dedicated and expanded routes scale each of the five
 factors once, the reduced route scales the source and each side's widths
 once, and the factored route and the counterfactuals build each
-setting's mean vector once, with no scaling at all.
+setting's mean vector once and apply the source to two vectors, with no
+scaling at all.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bell_lab import exact, models, reduction, unified
+from bell_lab import exact, expanded, models, reduction, unified
 from bell_lab.chsh import certify_model
 from bell_lab.exact import correlation_set, verify_no_signalling
 from bell_lab.models import (
@@ -41,13 +42,8 @@ from bell_lab.models import (
 )
 from bell_lab.reduction import _reduced_route, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
-from bell_lab.unified import (
-    _blocks,
-    _expanded_route,
-    _factored_route,
-    _moduli,
-    counterfactuals,
-)
+from bell_lab.expanded import _blocks, _expanded_route, _moduli
+from bell_lab.unified import _factored_route, counterfactuals
 from tests_support import PRESETS, counting
 
 BIG = 2**64 + 13
@@ -59,7 +55,7 @@ CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
 def multi_modular(model: ContextualModel) -> tuple[Fraction, ...]:
     """`_expanded_route` with the one-word path switched off: no D is below 1."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(unified, "_ONE_WORD", 1)
+        patch.setattr(expanded, "_ONE_WORD", 1)
         return _expanded_route(model)
 
 
@@ -343,7 +339,7 @@ class TestOneWordExpanded:
         # A total of +2^63 does not fit in int64, so a one-word sum at D = 2^63 wraps.
         model = constant_model(source_d, local_d, readout)
         assert denominator_product(model) == source_d * local_d**4
-        moduli = counting(monkeypatch, unified, "_moduli")
+        moduli = counting(monkeypatch, expanded, "_moduli")
         values = _expanded_route(model)
         assert values == (readout,) * 4
         assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
@@ -353,7 +349,7 @@ class TestOneWordExpanded:
     def test_random_models_take_one_word(self, monkeypatch, shape):
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(0))
-        moduli = counting(monkeypatch, unified, "_moduli")
+        moduli = counting(monkeypatch, expanded, "_moduli")
         _expanded_route(model)
         assert moduli == []
 
@@ -406,7 +402,7 @@ class TestBlocks:
     @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES) + 1))
     def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
         model, expected = chunked_models[case]
-        monkeypatch.setattr(unified, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(expanded, "_BLOCK_ELEMENTS", budget)
         assert _expanded_route(model) == expected
 
     def test_chunked_models_match_oracle(self, chunked_models):
@@ -473,9 +469,9 @@ class TestScalingOncePerModel:
         # Every preset sums in one word; weights near 2^70 pick their moduli once.
         big = name == "big_weight_model"
         model = big_weight_model(0) if big else PRESETS[name]()
-        scaled = counting(monkeypatch, unified, "_scaled_factors")
-        moduli = counting(monkeypatch, unified, "_moduli")
-        values = unified._expanded_route(model)
+        scaled = counting(monkeypatch, expanded, "_scaled_factors")
+        moduli = counting(monkeypatch, expanded, "_moduli")
+        values = expanded._expanded_route(model)
         assert (len(scaled), len(moduli)) == (5, 1 if big else 0)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
@@ -495,22 +491,26 @@ class TestScalingOncePerModel:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_factored_route(self, monkeypatch, name):
+        # The source is applied once per Bob setting, not once per context.
         model = PRESETS[name]()
-        scaled = counting(monkeypatch, unified, "_scaled_factors")
+        assert "_scaled_factors" not in vars(unified)
         scaled_models = counting(monkeypatch, models, "_scaled_factors")
         means = counting(monkeypatch, unified, "_means")
+        source_times = counting(monkeypatch, unified, "_source_times")
         values = unified._factored_route(model)
-        assert (len(means), len(scaled), len(scaled_models)) == (4, 0, 0)
+        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 0)
         assert values == oracles.correlation_quadruple(model)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_counterfactuals(self, monkeypatch, name):
+        # The source is applied to Bob's product of means and to all ones.
         model = PRESETS[name]()
-        scaled = counting(monkeypatch, unified, "_scaled_factors")
+        assert "_scaled_factors" not in vars(unified)
         scaled_models = counting(monkeypatch, models, "_scaled_factors")
         means = counting(monkeypatch, unified, "_means")
+        source_times = counting(monkeypatch, unified, "_source_times")
         cf = unified.counterfactuals(model)
-        assert (len(means), len(scaled), len(scaled_models)) == (4, 0, 0)
+        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 0)
         a0, a1 = model.alice_labels
         b0, b1 = model.bob_labels
         assert cf.full_product == oracles.product_mean(

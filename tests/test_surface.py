@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import bell_lab
-from bell_lab import reduction, unified
+import bell_lab.cli
+from bell_lab import chsh, exact, expanded, models, reduction, search, unified
 from tests_support import PRESETS, alter_local
 
 PUBLIC_NAMES = [
@@ -116,20 +117,51 @@ def test_every_exported_name_resolves():
 
 
 def test_all_is_exactly_the_bound_public_names():
+    # dir() lists the bound names and those the module resolves on access.
     public = {
         name
-        for name, value in vars(bell_lab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(bell_lab)
+        if not name.startswith("_") and not isinstance(getattr(bell_lab, name), types.ModuleType)
     }
     assert sorted(bell_lab.__all__) == sorted(public)
     assert len(bell_lab.__all__) == len(set(bell_lab.__all__))
 
 
+def test_simulate_names_resolve_on_access():
+    lazy = sorted(set(bell_lab.__all__) - set(vars(bell_lab)))
+    assert lazy == [
+        "EmpiricalChsh",
+        "EmptyContextError",
+        "NoSignallingReport",
+        "TrialLedger",
+        "empirical_chsh",
+        "no_signalling_report",
+        "quantum_reference",
+        "simulate_trials",
+    ]
+    assert bell_lab.simulate_trials is bell_lab.simulate.simulate_trials
+    for name in lazy:
+        assert getattr(bell_lab, name) is getattr(bell_lab.simulate, name), name
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'simulate_trial'"):
+        bell_lab.simulate_trial
+    assert not hasattr(bell_lab, "RNG_ALGORITHM")  # in `simulate`, not exported
+
+
 def test_product_space_and_reduction_do_not_import_the_dedicated_route():
-    for module in (unified, reduction):
+    for module in (unified, expanded, reduction):
         imports = imported_modules(module)
         assert "bell_lab.models" in imports  # the walk sees relative imports
         assert "bell_lab.exact" not in imports, module.__name__
+
+
+def test_exact_modules_and_cli_import_no_numpy():
+    # Top-level imports and imports inside functions alike.
+    for module in (chsh, exact, models, reduction, search, unified, bell_lab.cli):
+        assert "numpy" not in imported_modules(module), module.__name__
+    assert "numpy" in imported_modules(expanded)
 
 
 def test_all_is_pinned():

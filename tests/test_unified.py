@@ -7,10 +7,10 @@ import oracles
 from bell_lab.chsh import certify_model
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError
+from bell_lab.expanded import _expanded_route
 from bell_lab.unified import (
     SizeExceededError,
     _cell_count,
-    _expanded_route,
     _factored_route,
     counterfactuals,
 )
