@@ -14,13 +14,16 @@ d.  A context's correlation is then E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2)
 over d^3, S the source pmf.
 With T the sum of the four correlations, the eight CHSH pattern sums are
 exactly +/-(T - 2 E_k), so s_max is max_k |T - 2 E_k|, compared as an
-integer.  Draws are made straight into integer states.  A hill-climb
-candidate is a move (a table flip or a 1/d mass step) scored from the few
-products it changes; it is applied to the state only when accepted, and
-in either mode a model is built only for a new best.  Candidates are
-never validated: draws and moves yield valid models by construction,
-and the tests compare each move's model and score with a neighbour built
-as a model and scored through the dedicated route.  The CLI certifies
+integer.  Draws are made straight into integer states, the only states
+whose sums are derived from scratch.  A hill-climb candidate is a move (a
+table flip or a 1/d mass step); one pass over a state scores its moves in
+scan order, each from the few products it changes.  An accepted move
+updates only the kept sums it changes, and in either mode a model is
+built only for a new best.  Candidates are never validated: draws and
+moves yield valid models by construction, and the tests compare each
+move's model and score with a neighbour built as a model and scored
+through the dedicated route, and each updated state with one built from
+scratch.  The CLI certifies
 the winner through `certify_lhv_bound`, which validates it, and refuses
 a winner whose certified s_max differs from the search's score.
 
@@ -233,6 +236,18 @@ def _shifted(weights, i: int, j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _replaced(items: tuple, index: int, item) -> tuple:
+    return (*items[:index], item, *items[index + 1:])
+
+
+def _reads(f: int, by_row, by_col):
+    """The two contexts that read factor f, each with the vector that a
+    change of m_f multiplies there: (k, u, h, v)."""
+    if f < 2:
+        return 2 * f, by_row[0], 2 * f + 1, by_row[1]
+    return f - 2, by_col[0], f, by_col[1]
+
+
 def _s_num(e, d3: int) -> int:
     """max |CHSH sum| over the eight patterns, as a numerator over `d3`.
 
@@ -258,41 +273,32 @@ class _IntegerState:
 
     Every weight is a numerator over d = DEFAULT_MAX_DENOMINATOR.  Factors
     0..3 are Alice's settings then Bob's, labelled DEFAULT_ALICE_LABELS and
-    DEFAULT_BOB_LABELS.  Only the constructor derives ``means[f][l]`` =
-    sum_k p_f(k) R_f(l, k), setting f's mean outcome at source share l,
-    over d.  Context (a, b) reads factors a and 2 + b; its correlation
-    numerator over d^3 is ``e[2a + b]`` =
-    sum_{l1, l2} S(l1, l2) m_a(l1) m_{2+b}(l2).
-    ``reads[f]`` pairs each context reading factor f with the vector that a
-    change of m_f multiplies, so a move changes ``e`` by a few products.
+    DEFAULT_BOB_LABELS.  The state keeps three kinds of derived sums:
+    ``means[f][l]`` = sum_k p_f(k) R_f(l, k), setting f's mean outcome at
+    source share l, over d; the read vectors ``by_row[b][l1]`` =
+    sum_l2 S(l1, l2) m_{2+b}(l2) and ``by_col[a][l2]`` =
+    sum_l1 S(l1, l2) m_a(l1), over d^2; and ``e[2a + b]`` =
+    sum_l1 m_a(l1) by_row[b][l1], the correlation numerator over d^3 of
+    context (a, b), which reads factors a and 2 + b.  A move changes ``e``
+    by a few products of these sums.  The constructor derives them from
+    scratch and runs only for a draw; `apply` updates only the sums its
+    move changes and shares every other tuple.
     """
 
-    __slots__ = ("cols", "source", "pmfs", "tables", "means", "e", "reads")
+    __slots__ = ("cols", "source", "pmfs", "tables", "means", "by_row", "by_col", "e")
 
     def __init__(self, cols, source, pmfs, tables):
-        self.cols, self.source, self.pmfs, self.tables = cols, source, pmfs, tables
-        self.means = means = tuple(
-            tuple(sum(p * t for p, t in zip(pmf, row)) for row in table)
-            for pmf, table in zip(pmfs, tables)
-        )
+        mul = int.__mul__
+        means = tuple([
+            tuple([sum(map(mul, pmf, row)) for row in table]) for pmf, table in zip(pmfs, tables)
+        ])
         grid = [source[r:r + cols] for r in range(0, len(source), cols)]
-        # by_row[b][l1] = sum_l2 S(l1, l2) m_{2+b}(l2); by_col[a][l2] likewise.
-        by_row = [
-            tuple(sum(s * m for s, m in zip(row, means[f])) for row in grid) for f in (2, 3)
-        ]
-        by_col = [
-            tuple(sum(row[c] * m for row, m in zip(grid, means[f])) for c in range(cols))
-            for f in (0, 1)
-        ]
-        self.reads = (
-            ((0, by_row[0]), (1, by_row[1])),
-            ((2, by_row[0]), (3, by_row[1])),
-            ((0, by_col[0]), (2, by_col[1])),
-            ((1, by_col[0]), (3, by_col[1])),
-        )
-        self.e = tuple(
-            sum(m * w for m, w in zip(means[a], by_row[b])) for a in (0, 1) for b in (0, 1)
-        )
+        columns = list(zip(*grid))
+        by_row = tuple([tuple([sum(map(mul, row, m)) for row in grid]) for m in means[2:]])
+        by_col = tuple([tuple([sum(map(mul, column, m)) for column in columns]) for m in means[:2]])
+        e = tuple([sum(map(mul, m, w)) for m in means[:2] for w in by_row])
+        self.cols, self.source, self.pmfs, self.tables = cols, source, pmfs, tables
+        self.means, self.by_row, self.by_col, self.e = means, by_row, by_col, e
 
     @classmethod
     def draw(cls, spec: SearchSpec, rng: random.Random) -> _IntegerState:
@@ -303,12 +309,12 @@ class _IntegerState:
         row-major, then Bob the same way.
         """
         source = _random_pmf(spec.cardinalities[0] * spec.cardinalities[1], rng)
-        pmfs, tables = [], []
+        bit, pmfs, tables = rng.getrandbits, [], []
         for _, _, rows, cols in _table_shapes(spec.cardinalities):
             pmfs.append(_random_pmf(cols, rng))
-            tables.append(tuple(
-                tuple(1 - 2 * rng.getrandbits(1) for _ in range(cols)) for _ in range(rows)
-            ))
+            tables.append(
+                tuple([tuple([1 - 2 * bit(1) for _ in range(cols)]) for _ in range(rows)])
+            )
         return cls(spec.cardinalities[1], source, tuple(pmfs), tuple(tables))
 
     def model(self) -> ContextualModel:
@@ -324,72 +330,148 @@ class _IntegerState:
         return ContextualModel(source=source, alice=dict(zip(DEFAULT_ALICE_LABELS, locals_[:2])),
                                bob=dict(zip(DEFAULT_BOB_LABELS, locals_[2:])))
 
-    def moves(self):
-        """Every neighbour's move in the fixed scan order: single table flips
-        (Alice's settings in declared order then Bob's, row-major), then
-        1/d mass moves (source flat, then each local pmf, ordered index
-        pairs (i, j), i != j, where weight i is not zero)."""
-        for f, table in enumerate(self.tables):
-            for r, row in enumerate(table):
-                for c in range(len(row)):
-                    yield (_FLIP, f, r, c)
-        pmfs = ((_SOURCE, None, self.source), *((_MASS, f, p) for f, p in enumerate(self.pmfs)))
-        for kind, f, weights in pmfs:
-            for i, w in enumerate(weights):
-                if w:
-                    for j in range(len(weights)):
-                        if j != i:
-                            yield (kind, f, i, j)
+    def score(self) -> int:
+        """s_max numerator over d^3 of this model."""
+        return _s_num(self.e, _D3)
 
-    def score(self, move=None) -> int:
-        """s_max numerator over d^3 of this model, or of its neighbour by `move`."""
-        if move is None:
-            return _s_num(self.e, _D3)
-        kind, f, i, j = move
-        e = list(self.e)
-        if kind == _SOURCE:
-            (i1, i2), (j1, j2), m = divmod(i, self.cols), divmod(j, self.cols), self.means
-            for a in (0, 1):
-                for b in (0, 1):
-                    e[2 * a + b] += m[a][j1] * m[2 + b][j2] - m[a][i1] * m[2 + b][i2]
-        elif kind == _FLIP:
-            # m_f(i) changes by -2 p_f(j) R_f(i, j).
-            delta = -2 * self.pmfs[f][j] * self.tables[f][i][j]
-            for k, weights in self.reads[f]:
-                e[k] += delta * weights[i]
-        else:
-            changes = [row[j] - row[i] for row in self.tables[f]]
-            for k, weights in self.reads[f]:
-                e[k] += sum(dm * w for dm, w in zip(changes, weights))
-        return _s_num(e, _D3)
+    def scored_moves(self):
+        """(move, s_max numerator over d^3 of the neighbour by move) for every
+        neighbour, in the fixed scan order: single table flips (Alice's
+        settings in declared order then Bob's, row-major), then 1/d mass
+        moves (source flat, then each local pmf, ordered index pairs (i, j),
+        i != j, where weight i is not zero).
+
+        Each score is checked as `_s_num` checks it; a neighbour that fails
+        is passed to `_s_num`, which raises.
+        """
+        d3, bound = _D3, 2 * _D3
+        for move, (x0, x1, x2, x3) in self._neighbour_sums():
+            t = x0 + x1 + x2 + x3
+            s = max(abs(t - 2 * x0), abs(t - 2 * x1), abs(t - 2 * x2), abs(t - 2 * x3))
+            if s > bound or not (
+                -d3 <= x0 <= d3 and -d3 <= x1 <= d3 and -d3 <= x2 <= d3 and -d3 <= x3 <= d3
+            ):
+                s = _s_num((x0, x1, x2, x3), d3)
+            yield move, s
+
+    def _neighbour_sums(self):
+        """(move, the neighbour's four correlation numerators) in scan order."""
+        e0, e1, e2, e3 = e = self.e
+        cols, source, pmfs, tables = self.cols, self.source, self.pmfs, self.tables
+        means, by_row, by_col, mul = self.means, self.by_row, self.by_col, int.__mul__
+        for f, (pmf, table) in enumerate(zip(pmfs, tables)):
+            k, u, h, v = _reads(f, by_row, by_col)
+            for i, row in enumerate(table):
+                ui, vi = u[i], v[i]
+                for j, r in enumerate(row):
+                    # m_f(i) changes by -2 p_f(j) R_f(i, j).
+                    dm = -2 * pmf[j] * r
+                    x = list(e)
+                    x[k] += dm * ui
+                    x[h] += dm * vi
+                    yield (_FLIP, f, i, j), x
+        # A source step i -> j trades context (a, b)'s term m_a(i1) m_{2+b}(i2)
+        # for m_a(j1) m_{2+b}(j2).
+        m0, m1, n0, n1 = means
+        terms = []
+        for q in range(len(source)):
+            q1, q2 = divmod(q, cols)
+            terms.append((m0[q1] * n0[q2], m0[q1] * n1[q2], m1[q1] * n0[q2], m1[q1] * n1[q2]))
+        for i, w in enumerate(source):
+            if w:
+                t0, t1, t2, t3 = terms[i]
+                for j, (s0, s1, s2, s3) in enumerate(terms):
+                    if j != i:
+                        yield (_SOURCE, None, i, j), (e0 + s0 - t0, e1 + s1 - t1,
+                                                      e2 + s2 - t2, e3 + s3 - t3)
+        for f, (pmf, table) in enumerate(zip(pmfs, tables)):
+            # A step i -> j changes m_f(l) by R_f(l, j) - R_f(l, i), so context
+            # k by cu[j] - cu[i], cu[c] the table's column c dotted with u.
+            k, u, h, v = _reads(f, by_row, by_col)
+            columns = list(zip(*table))
+            cu = [sum(map(mul, column, u)) for column in columns]
+            cv = [sum(map(mul, column, v)) for column in columns]
+            for i, w in enumerate(pmf):
+                if w:
+                    for j in range(len(pmf)):
+                        if j != i:
+                            x = list(e)
+                            x[k] += cu[j] - cu[i]
+                            x[h] += cv[j] - cv[i]
+                            yield (_MASS, f, i, j), x
 
     def apply(self, move) -> _IntegerState:
-        """The neighbour by `move`: one weight unit shifted or one entry flipped."""
+        """The neighbour by `move`: one weight unit shifted or one entry flipped.
+
+        Only the sums the move changes are updated, each by its few
+        products; every other tuple is shared with this state.
+        """
         kind, f, i, j = move
-        source, pmfs, tables = self.source, list(self.pmfs), list(self.tables)
+        cols, source, pmfs, tables = self.cols, self.source, self.pmfs, self.tables
+        means, by_row, by_col, e = self.means, self.by_row, self.by_col, list(self.e)
         if kind == _SOURCE:
+            # S(i1, i2) loses one unit and S(j1, j2) gains it.
+            (i1, i2), (j1, j2) = divmod(i, cols), divmod(j, cols)
             source = _shifted(source, i, j)
-        elif kind == _MASS:
-            pmfs[f] = _shifted(pmfs[f], i, j)
+            for a in (0, 1):
+                for b in (0, 1):
+                    m, n = means[a], means[2 + b]
+                    e[2 * a + b] += m[j1] * n[j2] - m[i1] * n[i2]
+            rows, columns = [list(w) for w in by_row], [list(w) for w in by_col]
+            for w, m in zip(rows, means[2:]):
+                w[i1] -= m[i2]
+                w[j1] += m[j2]
+            for w, m in zip(columns, means[:2]):
+                w[i2] -= m[i1]
+                w[j2] += m[j1]
+            by_row, by_col = tuple(map(tuple, rows)), tuple(map(tuple, columns))
         else:
-            rows = [list(row) for row in tables[f]]
-            rows[i][j] = -rows[i][j]
-            tables[f] = tuple(map(tuple, rows))
-        return _IntegerState(self.cols, source, tuple(pmfs), tuple(tables))
+            if kind == _FLIP:
+                r = tables[f][i][j]
+                changes = ((i, -2 * pmfs[f][j] * r),)
+                row = _replaced(tables[f][i], j, -r)
+                tables = _replaced(tables, f, _replaced(tables[f], i, row))
+            else:
+                changes = [
+                    (l, row[j] - row[i]) for l, row in enumerate(tables[f]) if row[j] != row[i]
+                ]
+                pmfs = _replaced(pmfs, f, _shifted(pmfs[f], i, j))
+            k, u, h, v = _reads(f, by_row, by_col)
+            m = list(means[f])
+            fed = by_col[f] if f < 2 else by_row[f - 2]
+            for l, dm in changes:
+                m[l] += dm
+                e[k] += dm * u[l]
+                e[h] += dm * v[l]
+                # Alice's m_f(l) feeds by_col through source row l, Bob's feeds
+                # by_row through source column l.
+                line = source[l * cols:(l + 1) * cols] if f < 2 else source[l::cols]
+                fed = [x + s * dm for x, s in zip(fed, line)]
+            means = _replaced(means, f, tuple(m))
+            if f < 2:
+                by_col = _replaced(by_col, f, tuple(fed))
+            else:
+                by_row = _replaced(by_row, f - 2, tuple(fed))
+        new = _IntegerState.__new__(_IntegerState)
+        new.cols, new.source, new.pmfs, new.tables = cols, source, pmfs, tables
+        new.means, new.by_row, new.by_col, new.e = means, by_row, by_col, tuple(e)
+        return new
 
 
 def _walk(spec: SearchSpec) -> SearchResult:
     """Random sampling and hill climbing: one first-improvement walk with
     random restarts, within budget.
 
-    The walk starts from a drawn state.  Hill climbing scans its moves
-    (one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step
-    between two pmf weights) and takes the first strict increase; random
-    sampling has no moves.  When no move improves, the walk restarts from
-    a fresh draw.  The budget counts score evaluations, starts and
-    restarts included, and each pass of the loop is one evaluation, so the
-    walk ends after exactly `spec.budget` of them; the first achiever of
-    the best score is kept.
+    The walk starts from a drawn state.  Hill climbing scans its scored
+    moves (one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass
+    step between two pmf weights) lazily and takes the first strict
+    increase, which updates the state's kept sums in place of a rebuild;
+    random sampling has no moves.  When no move improves, the walk
+    restarts from a fresh draw, the only state built from scratch.  The
+    budget counts score evaluations, starts and restarts included, and
+    each pass of the loop is one evaluation, so the walk ends after
+    exactly `spec.budget` of them; the first achiever of the best score is
+    kept.
 
     Scores compare as integers over d^3 and stay numerators until the
     result is built; a model is built only for a new best.  Moves keep each
@@ -397,17 +479,18 @@ def _walk(spec: SearchSpec) -> SearchResult:
     nothing is validated.
     """
     rng = random.Random(spec.seed)
-    moves = _IntegerState.moves if spec.mode is SearchMode.HILL_CLIMB else lambda state: iter(())
+    moves = (_IntegerState.scored_moves if spec.mode is SearchMode.HILL_CLIMB
+             else lambda state: iter(()))
     state = _IntegerState.draw(spec, rng)
     current = best = state.score()
     best_model, improvements, scan = state.model(), [(1, best)], moves(state)
     for evaluated in range(2, spec.budget + 1):
-        move = next(scan, None)
-        if move is None:
+        candidate = next(scan, None)
+        if candidate is None:
             state = _IntegerState.draw(spec, rng)
             current = state.score()
         else:
-            score = state.score(move)
+            move, score = candidate
             if score <= current:
                 continue
             state, current = state.apply(move), score

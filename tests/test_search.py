@@ -324,7 +324,7 @@ def expected_neighbour_count(model):
 
 def materialised(state):
     """Every neighbour of `state` as a model, in move order."""
-    return [state.apply(move).model() for move in state.moves()]
+    return [state.apply(move).model() for move, _ in state.scored_moves()]
 
 
 class TestMovesStayValid:
@@ -376,16 +376,24 @@ ORACLE_SEEDS = (0, 7, 12345)
 
 
 def recorded_scores(monkeypatch):
-    """Record every (state, move, score) the search scores."""
+    """Record every (state, move, score) the search scores: a draw's own
+    score with move None, then each neighbour's as the walk consumes it."""
     calls = []
-    original = search_module._IntegerState.score
+    state_class = search_module._IntegerState
+    score, scored_moves = state_class.score, state_class.scored_moves
 
-    def recording(self, move=None):
-        score = original(self, move)
-        calls.append((self, move, score))
-        return score
+    def recording_score(self):
+        s = score(self)
+        calls.append((self, None, s))
+        return s
 
-    monkeypatch.setattr(search_module._IntegerState, "score", recording)
+    def recording_moves(self):
+        for move, s in scored_moves(self):
+            calls.append((self, move, s))
+            yield move, s
+
+    monkeypatch.setattr(state_class, "score", recording_score)
+    monkeypatch.setattr(state_class, "scored_moves", recording_moves)
     return calls
 
 
@@ -402,7 +410,7 @@ class TestScoresMatchOracle:
             assert Fraction(state.score(), D3) == oracles.score_oracle(state.model())
             neighbours = list(oracles.neighbors_oracle(state.model(), STEP))
             assert materialised(state) == neighbours
-            assert [Fraction(state.score(move), D3) for move in state.moves()] == [
+            assert [Fraction(score, D3) for _, score in state.scored_moves()] == [
                 oracles.score_oracle(n) for n in neighbours
             ]
 
@@ -412,6 +420,7 @@ class TestScoresMatchOracle:
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=seed, budget=120)
         calls = recorded_scores(monkeypatch)
         result = run_search(spec)
+        monkeypatch.undo()  # the scans below must not record
         assert len(calls) == result.evaluated
         scanned = {}
         for state, move, score in calls:
@@ -421,7 +430,7 @@ class TestScoresMatchOracle:
                 continue
             if id(state) not in scanned:
                 scanned[id(state)] = (
-                    list(state.moves()),
+                    [m for m, _ in state.scored_moves()],
                     list(oracles.neighbors_oracle(model, STEP)),
                 )
             moves, neighbours = scanned[id(state)]
@@ -468,6 +477,92 @@ class TestScoresMatchOracle:
             assert len(result.improvements) > 1
             assert len(built) == len(result.improvements)
         assert drawn == []
+
+    def test_constructor_runs_once_per_draw(self, monkeypatch):
+        built = counting(monkeypatch, search_module._IntegerState, "__init__")
+        drawn = counting(monkeypatch, search_module._IntegerState, "draw")
+        applied = counting(monkeypatch, search_module._IntegerState, "apply")
+        for mode in (SearchMode.HILL_CLIMB, SearchMode.RANDOM):
+            spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=mode, seed=3, budget=2000)
+            for calls in (built, drawn, applied):
+                calls.clear()
+            run_search(spec)
+            # The start and each restart are drawn and built from scratch; an
+            # accepted move updates the kept sums and builds nothing.
+            assert len(built) == len(drawn)
+            if mode is SearchMode.HILL_CLIMB:
+                assert 1 < len(drawn) < len(applied)
+            else:
+                assert (len(drawn), len(applied)) == (2000, 0)
+
+
+def fresh(state):
+    return search_module._IntegerState(state.cols, state.source, state.pmfs, state.tables)
+
+
+def kept_sums(state):
+    return state.means, state.by_row, state.by_col, state.e
+
+
+class TestIncrementalApply:
+    """`apply` updates the kept sums of the state it leaves; the constructor,
+    the slow path it replaced, derives them from scratch."""
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    def test_chains_match_a_fresh_constructor(self, cards):
+        rng = random.Random(sum(cards))
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB)
+        kinds = set()
+        for _ in range(2):
+            state = search_module._IntegerState.draw(spec, rng)
+            for _ in range(250):
+                move = rng.choice([m for m, _ in state.scored_moves()])
+                kinds.add((move[0], move[1]))
+                state = state.apply(move)
+                assert kept_sums(state) == kept_sums(fresh(state))
+        # Flips of all four tables and the source's mass moves at least;
+        # a one-entry pmf has no mass move.
+        assert {(search_module._FLIP, f) for f in range(4)} <= kinds
+        assert (search_module._SOURCE, None) in kinds or cards[0] * cards[1] == 1
+        for f, size in enumerate(cards[2:]):
+            assert ((search_module._MASS, f) in kinds) == (size > 1)
+
+    def test_unchanged_sums_are_shared(self):
+        spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB)
+        state = search_module._IntegerState.draw(spec, random.Random(4))
+        flipped = state.apply((search_module._FLIP, 0, 1, 0))  # Alice's first setting
+        assert flipped.means[1:] == state.means[1:]
+        assert all(a is b for a, b in zip(flipped.means[1:], state.means[1:]))
+        assert flipped.by_row is state.by_row and flipped.by_col[1] is state.by_col[1]
+        assert flipped.source is state.source and flipped.pmfs is state.pmfs
+
+
+class TestScanChecks:
+    """Every neighbour's score passes the checks of `_s_num`, with its messages."""
+
+    D = DEFAULT_MAX_DENOMINATOR
+
+    def test_correlation_outside_range_raises(self):
+        # Alice's first setting carries weight 2, so flipping its one entry
+        # gives E_xy = -2 with every CHSH sum at most 2 in magnitude.
+        d = self.D
+        half = (d // 2, d // 2)
+        state = search_module._IntegerState(
+            1, (d,), ((2 * d,), half, (d,), half), (((1,),), ((1, -1),), ((1,),), ((1, -1),))
+        )
+        with pytest.raises(ValueError, match=r"^correlation -2 outside \[-1, 1\]$"):
+            next(state.scored_moves())
+
+    def test_score_above_two_raises(self):
+        # A signed source mixes the deterministic strategies into the PR box;
+        # the first move, flipping Alice's first entry back, reaches it.
+        d = self.D
+        state = search_module._IntegerState(
+            2, (d // 2, d // 2, d // 2, -d // 2), ((d,),) * 4,
+            (((-1,), (1,)), ((1,), (-1,)), ((1,), (1,)), ((1,), (-1,))),
+        )
+        with pytest.raises(BoundViolationError, match=r"^search candidate scored s_max = 4 > 2$"):
+            next(state.scored_moves())
 
 
 class TestFourSumScore:
