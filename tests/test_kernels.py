@@ -4,11 +4,11 @@ Every kernel that sums integer numerators over a common denominator is
 compared, for exact rational equality, with its old loop in `oracles.py`
 on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
-The expanded route's one-word path (D < 2^63) is compared with its
-multi-modular path, forced through the private threshold, on every one of
-those models; models with D just below and at 2^63 pin which path runs.
-The multi-modular path also gets its choice of moduli, its re-centring and
-its block walk checked on their own.
+The expanded route's int64 path (D < 2^63) is compared with its
+Python-integer path, forced through the private threshold, on every one of
+those models; models with D just below and at 2^63 pin which dtype runs.
+The Python-integer path also gets negative totals, totals at +-D, its
+block walk and its memory checked on their own.
 Every route returns its four correlations in context order, and each is
 checked to compute its per-model statistics once rather than once per
 context: the dedicated and expanded routes scale each of the five
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -42,7 +42,7 @@ from bell_lab.models import (
 )
 from bell_lab.reduction import _reduced_route, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
-from bell_lab.expanded import _blocks, _expanded_route, _moduli
+from bell_lab.expanded import _blocks, _expanded_route
 from bell_lab.unified import _factored_route, counterfactuals
 from tests_support import PRESETS, counting
 
@@ -52,18 +52,21 @@ SHAPES = ((1, 1, 1, 1, 1, 1), (3, 1, 5, 2, 1, 4), (4, 4, 3, 3, 2, 2))
 CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
 
 
-def multi_modular(model: ContextualModel) -> tuple[Fraction, ...]:
-    """`_expanded_route` with the one-word path switched off: no D is below 1."""
+INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
+
+
+def python_integers(model: ContextualModel) -> tuple[Fraction, ...]:
+    """`_expanded_route` with the int64 path switched off: no D is below 1."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expanded, "_ONE_WORD", 1)
         return _expanded_route(model)
 
 
 def assert_expanded_matches_oracle(model: ContextualModel) -> tuple[Fraction, ...]:
-    """The expanded route against its oracle and against its multi-modular path."""
+    """The expanded route against its oracle and against its Python-integer path."""
     values = _expanded_route(model)
     assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
-    assert values == multi_modular(model)
+    assert values == python_integers(model)
     return values
 
 
@@ -260,58 +263,6 @@ def map_tables(model: ContextualModel, alice, bob) -> ContextualModel:
     )
 
 
-MODULUS_CEILING = 2**31
-
-
-def largest_primes(count: int) -> list[int]:
-    """The `count` largest primes below 2^31, by trial division."""
-    def is_prime(n):
-        return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
-
-    candidates = range(MODULUS_CEILING - 1, 2, -2)
-    return list(itertools.islice(filter(is_prime, candidates), count))
-
-
-class TestPrimeSupply:
-    """The coprime walk against the supply it replaced: the largest primes below 2^31."""
-
-    @pytest.mark.parametrize(
-        "bound", [1, 2, 2**30, 2**31, 2**62, 2**62 + 1, 3**400, 2**1351 - 1]
-    )
-    def test_moduli_are_the_fewest_largest_primes(self, bound):
-        # Every prime above 2^31 / 3 is kept by the walk, so its i-th modulus
-        # is at least the i-th prime, and it needs exactly as many moduli as
-        # the fewest largest primes whose product exceeds 2 * bound.
-        moduli, m = _moduli(bound)
-        primes = largest_primes(len(moduli))
-        assert all(q >= p for q, p in zip(moduli, primes, strict=True))
-        assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
-        assert m == math.prod(moduli) > 2 * bound >= math.prod(moduli[:-1])
-
-
-class TestModuli:
-    @given(st.integers(1, 2**1351 - 1))
-    @example(1)
-    @example(2)
-    @example(2**30)
-    @example(2**31)
-    @example(2**62)
-    @example(2**62 + 1)
-    @example(3**400)
-    @example(2**1351 - 1)
-    def test_greedy_coprime_walk(self, bound):
-        moduli, m = _moduli(bound)
-        assert moduli[0] == MODULUS_CEILING - 1
-        assert all(q % 2 == 1 and q < MODULUS_CEILING for q in moduli)
-        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
-        assert m == math.prod(moduli) > 2 * bound
-        assert math.prod(moduli[:-1]) <= 2 * bound
-        kept = set(moduli)
-        for n in range(moduli[0], moduli[-1], -2):
-            if n not in kept:
-                assert any(math.gcd(n, q) > 1 for q in moduli if q > n), n
-
-
 def constant_model(source_d: int, local_d: int, readout: int) -> ContextualModel:
     """Pmfs (1/d, (d-1)/d), so D = source_d * local_d^4, with Alice's tables
     all `readout` and Bob's all +1: |total| = D and each correlation is `readout`."""
@@ -323,71 +274,99 @@ def constant_model(source_d: int, local_d: int, readout: int) -> ContextualModel
     return map_tables(model, lambda v: readout, lambda v: 1)
 
 
+def axis_dtypes(monkeypatch) -> list[np.dtype]:
+    """Record the dtype of every axis `_local_axes` returns: two per setting."""
+    dtypes = []
+    build = expanded._local_axes
+
+    def recorded(*args):
+        axes = build(*args)
+        dtypes.extend(axis.dtype for pair in axes for axis in pair)
+        return axes
+
+    monkeypatch.setattr(expanded, "_local_axes", recorded)
+    return dtypes
+
+
 class TestOneWordExpanded:
-    """Which path the expanded route takes, and its exactness at the switch."""
+    """Which dtype the expanded route sums in, and its exactness at the switch."""
 
     @pytest.mark.parametrize(
-        "source_d, local_d, moduli_calls",
+        "source_d, local_d, dtype",
         [
-            pytest.param(2**15 - 1, 2**12, 0, id="D=2^63-2^48"),
-            pytest.param(2**63 - 25, 1, 0, id="D=2^63-25"),  # the largest prime below 2^63
-            pytest.param(2**15, 2**12, 1, id="D=2^63"),
+            pytest.param(2**15 - 1, 2**12, INT64, id="D=2^63-2^48"),
+            pytest.param(2**63 - 25, 1, INT64, id="D=2^63-25"),  # the largest prime below 2^63
+            pytest.param(2**15, 2**12, OBJECT, id="D=2^63"),
         ],
     )
     @pytest.mark.parametrize("readout", [1, -1])
-    def test_totals_at_the_switch(self, monkeypatch, source_d, local_d, moduli_calls, readout):
-        # A total of +2^63 does not fit in int64, so a one-word sum at D = 2^63 wraps.
+    def test_totals_at_the_switch(self, monkeypatch, source_d, local_d, dtype, readout):
+        # A total of +2^63 does not fit in int64, so an int64 sum at D = 2^63 wraps.
         model = constant_model(source_d, local_d, readout)
         assert denominator_product(model) == source_d * local_d**4
-        moduli = counting(monkeypatch, expanded, "_moduli")
+        dtypes = axis_dtypes(monkeypatch)
         values = _expanded_route(model)
         assert values == (readout,) * 4
         assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
-        assert len(moduli) == moduli_calls
+        assert dtypes == [dtype] * 8
 
     @pytest.mark.parametrize("shape", SHAPES + CHUNKED_SHAPES)
     def test_random_models_take_one_word(self, monkeypatch, shape):
         spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(0))
-        moduli = counting(monkeypatch, expanded, "_moduli")
+        dtypes = axis_dtypes(monkeypatch)
         _expanded_route(model)
-        assert moduli == []
+        assert dtypes == [INT64] * 8
 
 
-class TestMultiModularExpanded:
-    """Cases where a fault in the residue arithmetic or the CRT would show."""
+class TestPythonIntegerExpanded:
+    """Cases where a fault in the big-integer sum or its block walk would show.
 
-    def assert_matches_oracle(self, model):
-        values = list(_expanded_route(model))
-        assert values == [oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()]
-        return values
+    Each model is also summed on the forced Python-integer path, so the
+    small-D case at bits=1 checks it too.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_negative_totals_are_recentred(self, seed):
+    def test_negative_totals(self, seed):
         model = big_weight_model(seed)
-        values = self.assert_matches_oracle(model)
+        values = assert_expanded_matches_oracle(model)
         mirror = map_tables(model, lambda v: -v, lambda v: v)
-        assert self.assert_matches_oracle(mirror) == [-v for v in values]
+        assert assert_expanded_matches_oracle(mirror) == tuple(-v for v in values)
         assert any(v != 0 for v in values)  # so one of the two has a negative total
 
     @pytest.mark.parametrize("bits", [1, 70, 300])
     def test_totals_at_the_bound(self, bits):
-        # Constant tables put |total| at exactly D, where one prime too few
-        # or a wrong re-centring gives a different residue class.
+        # Constant tables put |total| at exactly D, the largest a sum reaches.
         model = big_weight_model(bits, bits=bits)
-        assert self.assert_matches_oracle(map_tables(model, lambda v: 1, lambda v: 1)) == [1] * 4
-        assert self.assert_matches_oracle(map_tables(model, lambda v: -1, lambda v: 1)) == [-1] * 4
+        assert assert_expanded_matches_oracle(map_tables(model, lambda v: 1, lambda v: 1)) == (1,) * 4
+        assert assert_expanded_matches_oracle(map_tables(model, lambda v: -1, lambda v: 1)) == (-1,) * 4
 
-    def test_more_than_40_primes(self):
+    def test_300_bit_weights(self):
         model = big_weight_model(7, bits=300)
-        assert len(_moduli(denominator_product(model))[0]) > 40
-        self.assert_matches_oracle(model)
+        assert denominator_product(model).bit_length() > 1200
+        assert_expanded_matches_oracle(model)
+
+    def test_memory_does_not_grow_with_cells(self):
+        # A block holds 2^14 Python integers, each below D (about 2^360): about
+        # 1.5 MB whether the model has 2^14 cells (one block per context) or
+        # 2^18 (sixteen).  Holding a context's terms at once would take 16x.
+        peaks = []
+        for shape in ((4, 4, 8, 8, 4, 4), (16, 16, 8, 8, 4, 4)):
+            model = big_weight_model(0, shape=shape)
+            tracemalloc.start()
+            try:
+                _expanded_route(model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2**20
+        assert peaks[1] - peaks[0] < 2**19
 
 
 @pytest.fixture(scope="module")
 def chunked_models():
-    """Skewed and bench-sized models, which take the one-word path, and a
-    big-weight model, which takes the multi-modular one, with their
+    """Skewed and bench-sized models, which take the int64 path, and a
+    big-weight model, which takes the Python-integer one, with their
     unpatched expanded values."""
     cases = []
     for shape in CHUNKED_SHAPES:
@@ -466,13 +445,14 @@ class TestScalingOncePerModel:
 
     @pytest.mark.parametrize("name", [*sorted(PRESETS), "big_weight_model"])
     def test_expanded_route(self, monkeypatch, name):
-        # Every preset sums in one word; weights near 2^70 pick their moduli once.
+        # Every preset sums in int64, weights near 2^70 in Python integers;
+        # either way each side's axes are built once, two per setting.
         big = name == "big_weight_model"
         model = big_weight_model(0) if big else PRESETS[name]()
         scaled = counting(monkeypatch, expanded, "_scaled_factors")
-        moduli = counting(monkeypatch, expanded, "_moduli")
+        dtypes = axis_dtypes(monkeypatch)
         values = expanded._expanded_route(model)
-        assert (len(scaled), len(moduli)) == (5, 1 if big else 0)
+        assert (len(scaled), dtypes) == (5, [OBJECT if big else INT64] * 8)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
         )
