@@ -78,11 +78,12 @@ class ChshReport:
 def chsh_from_correlations(values: tuple[Fraction, ...]) -> ChshReport:
     """Evaluate all eight signed sums exactly and take the maximum magnitude.
 
-    `values` holds the four correlations in context order.  They are
-    written as integer numerators over their least common denominator d,
-    so the range check and the eight sums are integer arithmetic; each sum
-    becomes one Fraction over d at the end.
+    `values` holds the four correlations in context order; another count
+    raises ValueError.  They are written as integer numerators over their
+    least common denominator d, so the range check and the sums are exact.
     """
+    if len(values) != 4:
+        raise ValueError(f"expected 4 correlations, got {len(values)}")
     nums, d = _scaled_factors(values)
     for v, n in zip(values, nums):
         if not -d <= n <= d:
@@ -113,21 +114,20 @@ class LhvCertificate:
         }
 
 
-def _lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) -> LhvCertificate:
-    """All eight sums and the verdict for a valid model's correlations,
-    bound to the model hash.
-
-    For every valid model the verdict must be satisfied; a violation is a
-    bug in this engine, not a property of the model, and raises.
-    """
+def _bounded_report(correlations: tuple[Fraction, ...]) -> ChshReport:
+    """The report for a valid model's correlations.  A score above 2 is a
+    bug in this engine, not a property of the model, and raises."""
     report = chsh_from_correlations(correlations)
     if not report.bound_satisfied:
         raise BoundViolationError(
             f"valid model reached s_max = {format_rational(report.s_max)} > 2"
         )
-    return LhvCertificate(
-        model_sha256=model_hash(model), correlations=correlations, report=report
-    )
+    return report
+
+
+def _lhv_certificate(model: ContextualModel, correlations: tuple[Fraction, ...]) -> LhvCertificate:
+    """A valid model's certificate: its correlations' report, bound to its hash."""
+    return LhvCertificate(model_hash(model), correlations, _bounded_report(correlations))
 
 
 def certify_lhv_bound(model: ContextualModel) -> LhvCertificate:

@@ -31,13 +31,7 @@ from .models import (
     model_to_dict,
     validate_model,
 )
-from .search import (
-    DEFAULT_ASSIGNMENT_LIMIT,
-    SearchLimitError,
-    SearchMode,
-    SearchSpec,
-    run_search,
-)
+from .search import SearchLimitError, SearchMode, SearchSpec, run_search
 from .unified import DEFAULT_CELL_LIMIT, SizeExceededError
 
 EXIT_OK = 0
@@ -127,10 +121,9 @@ def cmd_search(args) -> int:
     try:
         spec = SearchSpec(
             cardinalities=cardinalities,
-            mode=SearchMode(args.mode),
+            mode=args.mode,
             seed=args.seed,
             budget=args.budget,
-            assignment_limit=args.limit,
         )
     except ValueError as exc:  # out-of-range flags are input errors
         raise ModelFormatError(str(exc)) from None
@@ -324,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--budget", type=int, default=1000)
-    search.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_ASSIGNMENT_LIMIT,
-        help="assignment-count limit for exhaustive mode",
-    )
     search.add_argument("--out", help="write the result here instead of stdout")
     search.add_argument("--format", choices=("json", "text", "csv"), default="json")
     search.set_defaults(func=cmd_search)

@@ -35,18 +35,20 @@ correlations, so its maximum over every table assignment of any shape is
 the maximum over the 16 vertices.  The mode scores the 16 vertices and the
 first and last assignment of the requested shape through `_s_max`, the
 validated dedicated route; each assignment must reach the vertex maximum.
-``evaluated`` counts the assignments this argument covers, so the
-assignment limit still bounds the shapes the mode accepts.
+``evaluated`` counts the 2^bits assignments this argument covers, one bit
+per table entry, and a shape with more than 2^24 of them is refused with
+`SearchLimitError`.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chsh import BoundViolationError, chsh_from_correlations
+from .chsh import BoundViolationError, _bounded_report
 from .exact import correlation_set
 from .models import (
     DEFAULT_ALICE_LABELS,
@@ -59,7 +61,7 @@ from .models import (
 
 RNG_ALGORITHM = "python-random-mt19937"
 
-DEFAULT_ASSIGNMENT_LIMIT = 2**24
+_ASSIGNMENT_LIMIT = 2**24
 DEFAULT_MAX_DENOMINATOR = 64
 # Every walk state's correlation numerators are over d^3.
 _D3 = DEFAULT_MAX_DENOMINATOR**3
@@ -92,15 +94,15 @@ class SearchSpec:
     mode: SearchMode
     seed: int = 0
     budget: int = 1
-    assignment_limit: int = DEFAULT_ASSIGNMENT_LIMIT
 
     def __post_init__(self):
+        # A mode given by its value string runs that mode; an unknown one
+        # raises ValueError.
+        object.__setattr__(self, "mode", SearchMode(self.mode))
         if len(self.cardinalities) != 6 or any(c < 1 for c in self.cardinalities):
             raise ValueError(f"cardinalities must be six counts >= 1, got {self.cardinalities}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.assignment_limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.assignment_limit}")
         # random.Random seeds with abs(seed), so -3 would silently run seed 3.
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -115,80 +117,60 @@ class SearchResult:
     rng_algorithm: str | None
 
 
-def _table_shapes(cardinalities) -> tuple[tuple[str, str, int, int], ...]:
+def _table_shapes(cardinalities) -> tuple[tuple[int, int], ...]:
+    """(rows, cols) of each setting's table, Alice's two then Bob's two."""
     s1, s2, la0, la1, lb0, lb1 = cardinalities
-    return (
-        ("alice", DEFAULT_ALICE_LABELS[0], s1, la0),
-        ("alice", DEFAULT_ALICE_LABELS[1], s1, la1),
-        ("bob", DEFAULT_BOB_LABELS[0], s2, lb0),
-        ("bob", DEFAULT_BOB_LABELS[1], s2, lb1),
-    )
+    return (s1, la0), (s1, la1), (s2, lb0), (s2, lb1)
 
 
-def _table_bits(cardinalities) -> int:
-    """Table entries of a shape: one bit each in an assignment index."""
-    return sum(rows * cols for _, _, rows, cols in _table_shapes(cardinalities))
-
-
-def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
-    """Model for one enumeration index: uniform pmfs, tables from the bits.
-
-    Bit k (ascending) drives flat entry k, in table order Alice first
-    setting, Alice second, Bob first, Bob second, each row-major; a set
-    bit means -1.
-    """
+def _strategy(cardinalities, outcomes) -> ContextualModel:
+    """Uniform pmfs, and every entry of setting k's table is ``outcomes[k]``
+    (Alice's two settings, then Bob's)."""
     s1, s2 = cardinalities[0], cardinalities[1]
     source = JointPmf(tuple(tuple(Fraction(1, s1 * s2) for _ in range(s2)) for _ in range(s1)))
-    sides: dict[str, dict[str, LocalSetting]] = {"alice": {}, "bob": {}}
-    offset = 0
-    for side, label, rows, cols in _table_shapes(cardinalities):
-        values = tuple(
-            tuple(
-                -1 if assignment >> (offset + r * cols + c) & 1 else 1
-                for c in range(cols)
-            )
-            for r in range(rows)
-        )
-        offset += rows * cols
-        sides[side][label] = LocalSetting((Fraction(1, cols),) * cols, values)
-    return ContextualModel(source=source, alice=sides["alice"], bob=sides["bob"])
+    locals_ = [
+        LocalSetting((Fraction(1, cols),) * cols, ((outcome,) * cols,) * rows)
+        for (rows, cols), outcome in zip(_table_shapes(cardinalities), outcomes)
+    ]
+    return ContextualModel(source=source, alice=dict(zip(DEFAULT_ALICE_LABELS, locals_[:2])),
+                           bob=dict(zip(DEFAULT_BOB_LABELS, locals_[2:])))
 
 
 def _s_max(model: ContextualModel) -> Fraction:
     """s_max of `model` through the validated dedicated route.  A score
     above 2 raises `BoundViolationError`, as `certify_lhv_bound` does."""
-    report = chsh_from_correlations(correlation_set(model))
-    if not report.bound_satisfied:
-        raise BoundViolationError(
-            f"valid model reached s_max = {format_rational(report.s_max)} > 2"
-        )
-    return report.s_max
+    return _bounded_report(correlation_set(model)).s_max
 
 
 def _enumerate_deterministic(spec: SearchSpec) -> SearchResult:
     """Exact maximum of |S| over every table assignment, by the vertex argument.
 
     An assignment's correlations are a mixture of those of the 16
-    deterministic strategies, which ``decode_assignment`` gives at shape
-    ``(1, 1, 1, 1, 1, 1)`` for indices 0..15.  The CHSH sums are linear in
-    the correlations, so no assignment exceeds the strategies' maximum.
-    Index 0 (all +1) and index ``total - 1`` (all -1) must reach that
-    maximum, so index 0 is the only strict improvement in index order, and
-    all -1, the smallest canonical serialization, wins.  All 18 models are
-    scored by `_s_max`.  Raises `BoundViolationError` if an assignment
-    misses the maximum or any score exceeds 2.  ``evaluated`` is the number
+    deterministic strategies, the models of shape ``(1, 1, 1, 1, 1, 1)``
+    with one fixed outcome per setting.  The CHSH sums are linear in the
+    correlations, so no assignment exceeds the strategies' maximum.  In
+    enumeration order, with bit k of an index setting flat table entry k to
+    -1, index 0 is the all +1 assignment and index ``total - 1`` the all -1
+    one.  Both must reach that maximum, so index 0 is the only strict
+    improvement, and all -1, the smallest canonical serialization, wins.
+    All 18 models are scored by `_s_max`.  Raises `BoundViolationError` if
+    an assignment misses the maximum or any score exceeds 2, and
+    `SearchLimitError` past 2^24 assignments.  ``evaluated`` is the number
     of assignments covered.
     """
     # 2^bits > limit exactly when bits >= limit.bit_length(); checked on the
     # bit count, so a huge shape never builds 2^bits.
-    bits = _table_bits(spec.cardinalities)
-    if bits >= spec.assignment_limit.bit_length():
-        raise SearchLimitError(bits, spec.assignment_limit)
+    bits = sum(rows * cols for rows, cols in _table_shapes(spec.cardinalities))
+    if bits >= _ASSIGNMENT_LIMIT.bit_length():
+        raise SearchLimitError(bits, _ASSIGNMENT_LIMIT)
     total = 1 << bits
 
-    vertex_max = max(_s_max(decode_assignment((1, 1, 1, 1, 1, 1), m)) for m in range(16))
-    first = _s_max(decode_assignment(spec.cardinalities, 0))
-    best_model = decode_assignment(spec.cardinalities, total - 1)
+    vertex_max = max(
+        _s_max(_strategy((1,) * 6, outcomes))
+        for outcomes in itertools.product((1, -1), repeat=4)
+    )
+    first = _s_max(_strategy(spec.cardinalities, (1,) * 4))
+    best_model = _strategy(spec.cardinalities, (-1,) * 4)
     for index, s in ((0, first), (total - 1, _s_max(best_model))):
         if s != vertex_max:
             raise BoundViolationError(
@@ -310,7 +292,7 @@ class _IntegerState:
         """
         source = _random_pmf(spec.cardinalities[0] * spec.cardinalities[1], rng)
         bit, pmfs, tables = rng.getrandbits, [], []
-        for _, _, rows, cols in _table_shapes(spec.cardinalities):
+        for rows, cols in _table_shapes(spec.cardinalities):
             pmfs.append(_random_pmf(cols, rng))
             tables.append(
                 tuple([tuple([1 - 2 * bit(1) for _ in range(cols)]) for _ in range(rows)])

@@ -3,10 +3,11 @@
 Everything here is deliberately naive: full product-space enumeration with
 no factorization, no skipping, no shared code with the package beyond the
 model data structures.  The exceptions are `exhaustive_oracle`, which
-reuses the package's assignment decoding and exact pipeline but none of
-its search shortcuts, and the simulation oracles at the bottom, which
-reuse the sampler's thresholds but draw and write without chunking or
-precomputed rows.  Slow is fine; these run on small campaigns.
+decodes every assignment with `decode_assignment` and scores it through
+the package's exact pipeline but none of its search shortcuts, and the
+simulation oracles at the bottom, which reuse the sampler's thresholds
+but draw and write without chunking or precomputed rows.  Slow is fine;
+these run on small campaigns.
 
 The `*_fraction_oracle` and `expanded_scaled_oracle` functions are the
 per-cell loops the package ran before its exact kernels moved to integer
@@ -60,7 +61,6 @@ from bell_lab.search import (
     DEFAULT_MAX_DENOMINATOR,
     RNG_ALGORITHM,
     SearchResult,
-    decode_assignment,
     random_model,
 )
 from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError
@@ -75,6 +75,30 @@ def assignment_count(cardinalities) -> int:
     """Table assignments of a shape: two outcomes for every table entry."""
     s1, s2, la0, la1, lb0, lb1 = cardinalities
     return 2 ** (s1 * (la0 + la1) + s2 * (lb0 + lb1))
+
+
+def decode_assignment(cardinalities, assignment: int) -> ContextualModel:
+    """Model for one enumeration index: uniform pmfs, tables from the bits.
+
+    Bit k (ascending) drives flat entry k, in table order Alice first
+    setting, Alice second, Bob first, Bob second, each row-major; a set
+    bit means -1.
+    """
+    s1, s2, la0, la1, lb0, lb1 = cardinalities
+    source = JointPmf(tuple(tuple(Fraction(1, s1 * s2) for _ in range(s2)) for _ in range(s1)))
+    bits = (-1 if assignment >> k & 1 else 1 for k in itertools.count())
+    settings = [
+        LocalSetting(
+            (Fraction(1, cols),) * cols,
+            tuple(tuple(next(bits) for _ in range(cols)) for _ in range(rows)),
+        )
+        for rows, cols in ((s1, la0), (s1, la1), (s2, lb0), (s2, lb1))
+    ]
+    return ContextualModel(
+        source=source,
+        alice={"x": settings[0], "x'": settings[1]},
+        bob={"y": settings[2], "y'": settings[3]},
+    )
 
 
 def locate(partition: IntervalPartition, u: Fraction):

@@ -17,12 +17,7 @@ from conftest import campaign_models
 from bell_lab.chsh import certify_lhv_bound, certify_model
 from bell_lab.cli import main
 from bell_lab.models import save_model
-from bell_lab.search import (
-    SearchMode,
-    SearchSpec,
-    decode_assignment,
-    run_search,
-)
+from bell_lab.search import SearchMode, SearchSpec, run_search
 from bell_lab.simulate import (
     empirical_chsh,
     no_signalling_report,
@@ -30,6 +25,7 @@ from bell_lab.simulate import (
     simulate_trials,
 )
 from bell_lab.exact import correlation_set, verify_no_signalling
+from oracles import decode_assignment
 from tests_support import PRESETS
 
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)

@@ -82,6 +82,11 @@ class TestReport:
         with pytest.raises(ValueError, match="outside"):
             chsh_from_correlations((bad, Fraction(0), Fraction(0), Fraction(0)))
 
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_other_than_four_values_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^expected 4 correlations, got {count}$"):
+            chsh_from_correlations((Fraction(1),) * count)
+
     @given(rational_in_unit, rational_in_unit, rational_in_unit, rational_in_unit)
     def test_sums_match_oracle(self, c1, c2, c3, c4):
         report = chsh_from_correlations((c1, c2, c3, c4))

@@ -229,12 +229,8 @@ class TestSearch:
         assert doc["certificate"]["bound_satisfied"] is True
 
     def test_assignment_limit_guard(self, capsys):
-        code, _, err = run(
-            capsys,
-            "search",
-            "--cardinalities", "2,2,2,2,2,2",
-            "--limit", "1000",
-        )
+        # 25 table bits: 2^25 assignments, one past the fixed 2^24 guard.
+        code, _, err = run(capsys, "search", "--cardinalities", "5,5,2,1,1,1")
         assert code == 3
         assert "error:" in err
 
@@ -252,18 +248,16 @@ class TestSearch:
         assert out == ""
         assert err == f"error: {count} table assignments exceed the limit of 16777216\n"
 
-    @pytest.mark.parametrize("limit, code", [("255", 3), ("256", 0)])
-    def test_limit_guard_boundary(self, capsys, limit, code):
-        # 8 table bits: 2^8 = 256 assignments, refused only below 256.
-        assert run(capsys, "search", "--cardinalities", "2,2,1,1,1,1", "--limit", limit)[0] == code
-
-    @pytest.mark.parametrize("limit", ["0", "-3"])
-    def test_limit_below_one_is_input_error(self, capsys, limit):
-        code, out, err = run(capsys, "search", "--limit", limit)
-        assert code == 2
-        assert out == ""
-        assert_input_error(err)
-        assert "limit" in err
+    @pytest.mark.parametrize("cardinalities, code", [("3,3,2,2,2,2", 0), ("5,5,2,1,1,1", 3)])
+    def test_limit_guard_boundary(self, capsys, cardinalities, code):
+        # 24 table bits give 2^24 assignments, the most the guard accepts;
+        # 25 bits give one more bit than it allows.
+        exit_code, out, err = run(capsys, "search", "--cardinalities", cardinalities)
+        assert exit_code == code
+        if code == 0:
+            assert json.loads(out)["evaluated"] == 2**24
+        else:
+            assert err == "error: 33554432 table assignments exceed the limit of 16777216\n"
 
     def test_rerun_byte_identical(self, capsys):
         args = ("search", "--mode", "random", "--budget", "40", "--seed", "11")
@@ -675,7 +669,6 @@ def argvs(draw, root):
         argv = [command, *draw(_flag("--mode", MODES))]
         argv += draw(_flag("--cardinalities", CARDINALITIES)) + draw(seed)
         argv += ["--budget", str(draw(st.integers(-1, 50)))]
-        argv += draw(_flag("--limit", st.integers(-1, 2**16)))
         argv += draw(_flag("--format", FORMATS)) + draw(_flag("--out", st.just(root / name)))
     else:
         quantum = ["--quantum", draw(ANGLES)]

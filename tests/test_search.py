@@ -20,10 +20,10 @@ from bell_lab.search import (
     SearchLimitError,
     SearchMode,
     SearchSpec,
-    decode_assignment,
     random_model,
     run_search,
 )
+from oracles import decode_assignment
 from tests_support import counting
 
 TINY = (1, 1, 1, 1, 1, 1)
@@ -44,6 +44,16 @@ class TestSpec:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             SearchSpec(cardinalities=TINY, mode=SearchMode.RANDOM, budget=0)
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_mode_value_runs_that_mode(self, mode):
+        by_value = SearchSpec((2,) * 6, mode.value, seed=0, budget=200)
+        assert by_value.mode is mode
+        assert run_search(by_value) == run_search(SearchSpec((2,) * 6, mode, seed=0, budget=200))
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            SearchSpec(cardinalities=TINY, mode="annealing")
 
 
 class TestDecode:
@@ -97,16 +107,15 @@ class TestEnumeration:
         assert result.best_s_max == 2
 
     def test_limit_guard(self):
-        spec = SearchSpec(
-            cardinalities=SMALL, mode=SearchMode.EXHAUSTIVE, assignment_limit=100
-        )
+        spec = SearchSpec(cardinalities=(5, 5, 2, 1, 1, 1), mode=SearchMode.EXHAUSTIVE)
         with pytest.raises(SearchLimitError) as err:
             run_search(spec)
-        assert (err.value.bits, err.value.limit) == (8, 100)  # 2^8 = 256 > 100
+        assert (err.value.bits, err.value.limit) == (25, 2**24)  # 2^25 > 2^24
 
     def test_default_limit_sweep_completes(self):
+        # The largest shape the fixed guard accepts: exactly 2^24 assignments.
         spec = SearchSpec(cardinalities=(3, 3, 2, 2, 2, 2), mode=SearchMode.EXHAUSTIVE)
-        assert oracles.assignment_count(spec.cardinalities) == spec.assignment_limit == 2**24
+        assert oracles.assignment_count(spec.cardinalities) == 2**24
         result = run_search(spec)
         assert result.best_s_max == 2
         assert result.evaluated == 2**24

@@ -1,5 +1,6 @@
 """The package's public surface and the independence of its routes."""
 
+import argparse
 import ast
 import inspect
 import types
@@ -55,6 +56,15 @@ PUBLIC_NAMES = [
     "validate_model",
     "verify_no_signalling",
 ]
+
+# Each subcommand's options, without the leading dashes; adding or removing
+# an option of the CLI means editing this literal.
+CLI_OPTIONS = {
+    "check": ["format", "model"],
+    "certify": ["format", "limit", "model", "out"],
+    "search": ["budget", "cardinalities", "format", "mode", "out", "seed"],
+    "simulate": ["format", "histogram", "model", "n", "out", "quantum", "seed"],
+}
 
 # Every exported function that takes a model is in exactly one group.
 VALIDATING = {
@@ -166,6 +176,24 @@ def test_exact_modules_and_cli_import_no_numpy():
 
 def test_all_is_pinned():
     assert sorted(bell_lab.__all__) == PUBLIC_NAMES
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [
+        action.choices
+        for action in bell_lab.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        command: sorted(
+            option[2:]
+            for action in sub._actions
+            for option in action.option_strings
+            if option != "--help" and option.startswith("--")
+        )
+        for command, sub in commands.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def test_every_model_function_is_classified():
