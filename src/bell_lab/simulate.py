@@ -13,11 +13,23 @@ the lower interval.  Thresholds beyond 53-bit resolution would collapse;
 each interval is then under-weighted by at most 2^-53, which is far below
 anything the statistics here can resolve.
 
-Draws are taken in row chunks of CHUNK trials, each chunk's cell codes
-written into one preallocated byte array, so memory is about 1 B per
-trial.  numpy's PCG64 `integers` fills rows in stream order, so the
-chunked stream is identical to one whole-run block draw and the ledger
-bytes do not depend on the chunk size.
+A run is split into contiguous trial ranges, one per usable core and
+none shorter than CHUNK trials.  Each range is sampled, and later
+rendered into the ledger, by its own process: the first by this process,
+each other by an `os.fork()`ed child.  A child leaves only through
+`os._exit`, so it never runs the parent's cleanup (an `atomic_writer`
+unlink, atexit handlers, buffered flushes); a failing child hands its
+exception back through a pipe.  The parent reaps every child before it
+returns or raises, and raises if any range failed.
+
+Every 53-bit draw `integers(0, 2^53)` takes exactly one 64-bit word of
+the PCG64 stream, and rows are filled in stream order, so a range
+starting at trial lo advances a fresh PCG64(seed) by lo * columns words
+and draws what one whole-run block draw holds in rows lo onwards.  It
+draws in row chunks of CHUNK trials into one shared byte array of cell
+codes, so memory is about 1 B per trial.  Each range writes its rows at
+the byte offset that the codes before it fix.  So neither the chunk size
+nor the number of ranges changes a byte of the ledger.
 
 Floats appear in this module's estimates and z-scores only; the exact
 no-signalling check lives in `exact`.
@@ -26,9 +38,14 @@ no-signalling check lives in `exact`.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import math
+import mmap
+import os
+import pickle
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +60,7 @@ U_SCALE = 1 << U_BITS
 RNG_ALGORITHM = "PCG64"
 
 # Trials per draw, sample and ledger-write chunk; bounds the temporaries.
+# Also the shortest trial range worth a process of its own.
 CHUNK = 1 << 16
 
 QUANTUM_ALICE_LABELS = ("a0", "a1")
@@ -67,6 +85,123 @@ def _chunks(n: int):
         yield start, min(start + CHUNK, n)
 
 
+def _code_bins(codes) -> np.ndarray:
+    """Trials per cell code, int64 of length 16."""
+    # bincount casts its input to intp; binning per chunk bounds that copy.
+    bins = np.zeros(16, dtype=np.int64)
+    for start in range(0, len(codes), CHUNK):
+        bins += np.bincount(codes[start:start + CHUNK], minlength=16)
+    return bins
+
+
+def _digits_below(t: int) -> int:
+    """Decimal digits in the trial numbers 0 .. t-1 together."""
+    total, width, low = 0, 1, 0
+    while low < t:
+        high = 10**width
+        total += width * (min(t, high) - low)
+        low, width = high, width + 1
+    return total
+
+
+def _cores() -> int:
+    """Cores this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _ranges(n: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) trial ranges covering range(n): at most one per
+    usable core, and none shorter than CHUNK unless it is the only one."""
+    count = max(1, min(_cores(), n // CHUNK))
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """`exc` pickled, or a RuntimeError naming it if it does not load back."""
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+    except Exception:  # noqa: BLE001 - any exception may fail to round-trip
+        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return payload
+
+
+def _reap(pid: int, read_end: int) -> BaseException | None:
+    """Wait for one child; the exception it failed with, or None."""
+    with os.fdopen(read_end, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if payload:
+        return pickle.loads(payload)  # written by the child, from `_pickled`
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        return ChildProcessError(f"a trial-range process ended with status {code}")
+    return None
+
+
+def _in_parallel(items, task) -> None:
+    """Run task(*item) for every item at once: the first item in this
+    process, each other in a forked child (see the module docstring).
+
+    Every child is reaped before this returns or raises.  This process's
+    own exception wins; otherwise the first failed child's is raised.
+    """
+    children = []
+    try:
+        for item in items[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    task(*item)
+                    status = 0
+                except BaseException as exc:
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(_pickled(exc))
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        task(*items[0])
+    finally:
+        failures = [_reap(pid, read_end) for pid, read_end in children]
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def _shared_codes(n: int) -> np.ndarray:
+    """n zero cell codes in an anonymous shared mapping, which forked
+    children write into.  A size the host cannot map is a MemoryError."""
+    try:
+        buffer = mmap.mmap(-1, n)
+    except OverflowError:
+        raise MemoryError(f"cannot map {n} trial codes") from None
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {n} trial codes: {exc.strerror}") from None
+    return np.frombuffer(buffer, dtype=np.uint8)
+
+
+def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    """Write all of `data` at `offset`; one pwrite may stop short."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
 def _csv_line(fields) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
@@ -80,9 +215,9 @@ class TrialLedger:
     Each trial is one uint8 cell code in 0..15:
     alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
     being positions in the label tuples and a, b the +/-1 outcomes.
-    Counts are derived from the codes on demand, so they cannot drift
-    out of step with the records.  A code outside 0..15 is refused, and
-    the codes array is marked read-only.
+    A code outside 0..15 is refused, and the codes array is marked
+    read-only, so the counts, taken from the codes once, cannot drift
+    out of step with the records.
     """
 
     seed: int
@@ -105,12 +240,15 @@ class TrialLedger:
 
     def context_counts(self) -> np.ndarray:
         """Trial counts, int64 of shape (2, 2, 2, 2), indexed
-        [alice setting, bob setting, a > 0, b > 0]: the bits of the cell code."""
-        # bincount casts its input to intp; binning per chunk bounds that copy.
-        bins = np.zeros(16, dtype=np.int64)
-        for start, stop in _chunks(self.n):
-            bins += np.bincount(self.codes[start:stop], minlength=16)
-        return bins.reshape(2, 2, 2, 2)
+        [alice setting, bob setting, a > 0, b > 0]: the bits of the cell code.
+        Counted on the first call; every call returns the same read-only array."""
+        return self._counts
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        counts = _code_bins(self.codes).reshape(2, 2, 2, 2)
+        counts.flags.writeable = False
+        return counts
 
     def _row_suffixes(self) -> tuple[str, ...]:
         """The 16 possible `,alice,bob,a,b` row endings, indexed by code.
@@ -127,30 +265,59 @@ class TrialLedger:
         )
 
     def to_csv(self, path) -> None:
-        """Write one row per trial to `path`, atomically."""
+        """Write one row per trial to `path`, atomically.
+
+        Each trial range renders its rows and writes them at its own byte
+        offset: the header, the digits of the trial numbers before it, and
+        the row endings of the codes before it.
+        """
         suffixes = self._row_suffixes()
+        suffix_bytes = np.array([len(s.encode()) for s in suffixes], dtype=np.int64)
+        header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
+        ranges = _ranges(self.n)
+        offsets = [len(header.encode())]
+        for lo, hi in ranges[:-1]:
+            rows = int(_code_bins(self.codes[lo:hi]) @ suffix_bytes)
+            offsets.append(offsets[-1] + rows + _digits_below(hi) - _digits_below(lo))
+
         with atomic_writer(path, newline="") as fh:
-            fh.write(_csv_line(["trial", "alice_setting", "bob_setting", "a", "b"]))
-            for start, stop in _chunks(self.n):
-                fh.write("".join([
-                    f"{t}{suffixes[code]}"
-                    for t, code in zip(range(start, stop), self.codes[start:stop].tolist())
-                ]))
+            fh.write(header)
+            fh.flush()
+
+            def write(lo, hi, offset):
+                for start, stop in _chunks(hi - lo):
+                    start, stop = lo + start, lo + stop
+                    rows = "".join([
+                        f"{t}{suffixes[code]}"
+                        for t, code in zip(range(start, stop), self.codes[start:stop].tolist())
+                    ]).encode()
+                    _pwrite_all(fh.fileno(), rows, offset)
+                    offset += len(rows)
+
+            _in_parallel([(lo, hi, offset) for (lo, hi), offset in zip(ranges, offsets)], write)
 
 
 def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_labels) -> TrialLedger:
-    """Draw n rows of `cols` 53-bit integers, CHUNK rows at a time.
+    """Draw n rows of `cols` 53-bit integers, by trial range, CHUNK rows
+    at a time.
 
     `sample` maps one chunk's (rows, cols) draw block to the chunk's
     cell codes (see `TrialLedger`).
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
-    codes = np.empty(n, dtype=np.uint8)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for start, stop in _chunks(n):
-        draws = rng.integers(0, U_SCALE, size=(stop - start, cols), dtype=np.int64)
-        codes[start:stop] = sample(draws)
+    codes = _shared_codes(n)
+
+    def draw(lo, hi):
+        bit_generator = np.random.PCG64(seed)
+        # One 64-bit word per 53-bit value: skip the rows before lo.
+        bit_generator.advance(lo * cols)
+        rng = np.random.Generator(bit_generator)
+        for start, stop in _chunks(hi - lo):
+            draws = rng.integers(0, U_SCALE, size=(stop - start, cols), dtype=np.int64)
+            codes[lo + start:lo + stop] = sample(draws)
+
+    _in_parallel(_ranges(n), draw)
     return TrialLedger(seed=seed, alice_labels=alice_labels, bob_labels=bob_labels, codes=codes)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -494,7 +495,7 @@ class TestSimulate:
     @pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
     def test_memory_exhaustion_is_guard_error(self, capsys, monkeypatch, tmp_path, model_file, message):
         def exhausted(*args, **kwargs):
-            raise MemoryError(message)  # what np.empty raises for an impossible --n
+            raise MemoryError(message)  # what any allocation while sampling may raise
 
         monkeypatch.setattr(simulate, "_sample_ledger", exhausted)
         out_dir = tmp_path / "run"
@@ -506,6 +507,56 @@ class TestSimulate:
         assert out == ""
         assert_input_error(err)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n", [10**12, 10**30])
+    def test_unmappable_n_is_guard_error(self, capsys, monkeypatch, tmp_path, model_file, n):
+        # 10^30 does not fit ssize_t, so no mapping is attempted.  10^12 is
+        # never mapped for real (under overcommit it would succeed): the
+        # host's refusal is patched in.
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        if n == 10**12:
+            monkeypatch.setattr(simulate.mmap, "mmap", refused)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", str(n), "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert_input_error(err)
+        assert not out_dir.exists()
+
+    def test_failed_range_exits_as_one_range_would(self, capsys, monkeypatch, tmp_path, model_file):
+        # A MemoryError in a forked range's sampling still exits 3.
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "_cores", lambda: 2)
+        parent, settings = os.getpid(), simulate._settings
+
+        def exhausted(draws):
+            if os.getpid() != parent:
+                raise MemoryError("no room for the draws")
+            return settings(draws)
+
+        monkeypatch.setattr(simulate, "_settings", exhausted)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "200", "--out", str(out_dir),
+        )
+        assert code == 3
+        assert out == ""
+        assert_input_error(err)
+        assert "no room for the draws" in err
+        assert not out_dir.exists()
+
+    def test_cells_counted_once_per_ledger(self, capsys, monkeypatch, tmp_path, model_file):
+        calls = counting(monkeypatch, simulate, "_code_bins")
+        code, _, _ = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "200",
+            "--out", str(tmp_path / "run"), "--histogram",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_rng_algorithm_in_summary(self, capsys, tmp_path, model_file):
         for source in (["--model", str(model_file)], ["--quantum", "0,0,0,0"]):

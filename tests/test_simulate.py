@@ -1,5 +1,8 @@
+import errno
 import math
+import os
 import re
+import signal
 from dataclasses import replace
 from fractions import Fraction
 
@@ -45,7 +48,16 @@ def quoted_label_model():
     return model_from_dict(doc)
 
 
-ORACLE_MODELS = {**PRESETS, "quoted_labels": quoted_label_model}
+def wide_label_model():
+    """The noisy preset with labels of several UTF-8 bytes per character,
+    so that row lengths in bytes and in characters differ."""
+    doc = model_to_dict(PRESETS["noisy_readout"]())
+    doc["alice"] = dict(zip(("α", "x→'"), doc["alice"].values()))
+    doc["bob"] = dict(zip(("β,γ", "y"), doc["bob"].values()))
+    return model_from_dict(doc)
+
+
+ORACLE_MODELS = {**PRESETS, "quoted_labels": quoted_label_model, "wide_labels": wide_label_model}
 
 
 def ledger_arrays(ledger):
@@ -101,7 +113,8 @@ class TestSimulateTrials:
         bins = np.bincount(ledger.codes, minlength=16).reshape(2, 2, 2, 2)
         for chunk in (CHUNK, 4096, 77):
             monkeypatch.setattr(simulate, "CHUNK", chunk)
-            counts = ledger.context_counts()
+            # A fresh ledger each time: a ledger counts its cells once.
+            counts = replace(ledger).context_counts()
             assert counts.shape == (2, 2, 2, 2)
             assert counts.dtype == np.int64
             assert np.array_equal(counts, bins)
@@ -482,6 +495,7 @@ class TestLedgerViews:
         oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
         assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert all(np.array_equal(c, counts[0]) for c in counts[1:])
+        assert not counts[0].flags.writeable
         a_set, b_set, a_out, b_out = ledger_arrays(ledger)
         for i, j, a, b in np.ndindex(2, 2, 2, 2):
             mask = (a_set == i) & (b_set == j) & (a_out == 2 * a - 1) & (b_out == 2 * b - 1)
@@ -540,3 +554,138 @@ class TestAtomicLedger:
                 fh.write("partial")
                 raise RuntimeError("interrupted")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTrialRanges:
+    """The number of trial ranges changes no cell code and no ledger byte."""
+
+    @pytest.mark.parametrize("n", CHUNK_SIZES)
+    def test_range_count_changes_no_byte(self, monkeypatch, tmp_path, n):
+        # Ranges of n // cores trials fall mid-chunk of 1000.
+        monkeypatch.setattr(simulate, "CHUNK", 1000)
+        model = wide_label_model()
+        for run, expected in (
+            (lambda: simulate_trials(model, n, seed=n),
+             oracles.unchunked_trials_oracle(model, n, seed=n)),
+            (lambda: quantum_reference(OPTIMAL_ANGLES, n, seed=n),
+             oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=n)),
+        ):
+            want = None
+            for cores in (1, 2, 3, 5):
+                monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
+                assert len(simulate._ranges(n)) == min(cores, max(1, n // 1000))
+                ledger = run()
+                for got, codes in zip(ledger_arrays(ledger), expected):
+                    assert np.array_equal(got, codes)
+                if want is None:
+                    oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
+                    want = (tmp_path / "oracle.csv").read_bytes()
+                ledger.to_csv(tmp_path / "ledger.csv")
+                assert (tmp_path / "ledger.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("cores", (1, 2, 3, 5))
+    @pytest.mark.parametrize("n", (1, 999, 1000, 1999, 2000, 4999, 5001))
+    def test_ranges_tile_the_run(self, monkeypatch, n, cores):
+        monkeypatch.setattr(simulate, "CHUNK", 1000)
+        monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
+        ranges = simulate._ranges(n)
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n
+        assert 1 <= len(ranges) <= cores
+        assert len(ranges) == 1 or all(hi - lo >= 1000 for lo, hi in ranges)
+
+    def test_one_range_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert simulate._cores() == 1
+        assert simulate._ranges(10 * CHUNK) == [(0, 10 * CHUNK)]
+
+    @pytest.mark.parametrize("cols", (3, 5))
+    @pytest.mark.parametrize("lo", (0, 1, 65536, 123457))
+    def test_advanced_stream_is_the_whole_run_from_row_lo(self, lo, cols):
+        # The split rests on this: integers(0, 2^53) takes one 64-bit word
+        # per value, so advancing lo * cols words skips exactly lo rows.
+        rows = 300
+        whole = np.random.Generator(np.random.PCG64(11)).integers(
+            0, U_SCALE, size=(lo + rows, cols), dtype=np.int64)
+        bit_generator = np.random.PCG64(11)
+        bit_generator.advance(lo * cols)
+        part = np.random.Generator(bit_generator).integers(
+            0, U_SCALE, size=(rows, cols), dtype=np.int64)
+        assert np.array_equal(part, whole[lo:])
+
+
+class TestRangeFailure:
+    """A range that fails in a child fails the run and leaves nothing behind."""
+
+    @pytest.fixture
+    def parent(self, monkeypatch):
+        """Two ranges of 10 trials at n = 20; this process's pid."""
+        monkeypatch.setattr(simulate, "CHUNK", 4)
+        monkeypatch.setattr(simulate, "_cores", lambda: 2)
+        return os.getpid()
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_write_failure_leaves_target_untouched(self, tmp_path, monkeypatch, noisy, parent):
+        ledger = simulate_trials(noisy, 20, seed=1)
+        write = simulate._pwrite_all
+
+        def full_disk(fd, data, offset):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(fd, data, offset)
+
+        monkeypatch.setattr(simulate, "_pwrite_all", full_disk)
+        target = tmp_path / "ledger.csv"
+        target.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(OSError) as failure:
+            ledger.to_csv(target)
+        assert failure.value.errno == errno.ENOSPC
+        assert target.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
+        self.assert_no_child_left()
+
+    def test_child_sample_failure_fails_the_run(self, monkeypatch, noisy, parent):
+        settings = simulate._settings
+
+        def exhausted(draws):
+            if os.getpid() != parent:
+                raise MemoryError("no room for the draws")
+            return settings(draws)
+
+        monkeypatch.setattr(simulate, "_settings", exhausted)
+        with pytest.raises(MemoryError, match="no room for the draws"):
+            simulate_trials(noisy, 20, seed=1)
+        self.assert_no_child_left()
+
+    def test_exception_that_cannot_be_sent_is_named(self, monkeypatch, noisy, parent):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        settings = simulate._settings
+
+        def failing(draws):
+            if os.getpid() != parent:
+                raise Local("in the child")
+            return settings(draws)
+
+        monkeypatch.setattr(simulate, "_settings", failing)
+        with pytest.raises(RuntimeError, match="Local: in the child"):
+            simulate_trials(noisy, 20, seed=1)
+        self.assert_no_child_left()
+
+    def test_killed_child_fails_the_run(self, monkeypatch, noisy, parent):
+        settings = simulate._settings
+
+        def killed(draws):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return settings(draws)
+
+        monkeypatch.setattr(simulate, "_settings", killed)
+        with pytest.raises(ChildProcessError, match="status -9"):
+            simulate_trials(noisy, 20, seed=1)
+        self.assert_no_child_left()
