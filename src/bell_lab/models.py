@@ -332,6 +332,10 @@ def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
     for label, entry in doc.items():
         if not isinstance(label, str):
             raise ModelFormatError(f"{side}: setting labels must be strings")
+        try:
+            label.encode()
+        except UnicodeEncodeError:  # a lone surrogate, which JSON escapes can spell
+            raise ModelFormatError(f"{side}: setting label {label!r} is not UTF-8 text") from None
         where = f"{side}[{label!r}]"
         _expect_mapping(entry, where)
         _expect_keys(entry, ("pmf", "table"), where)

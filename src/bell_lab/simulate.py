@@ -31,6 +31,14 @@ codes, so memory is about 1 B per trial.  Each range writes its rows at
 the byte offset that the codes before it fix.  So neither the chunk size
 nor the number of ranges changes a byte of the ledger.
 
+Ledger rows are rendered a chunk at a time with numpy, no Python object
+per row (`_render_rows`).  The 16 possible row endings are rendered once
+by csv.writer and padded into fixed-width records; each trial costs one
+record gather of its ending and one of the ending's keep-mask, by cell
+code.  The trial numbers' low four digits are slices of a table of the
+strings 0000 .. 9999, and their higher digits are constant over each run
+of 10^4 trials.  The kept bytes are exactly one csv.writer row per trial.
+
 Floats appear in this module's estimates and z-scores only; the exact
 no-signalling check lives in `exact`.
 """
@@ -45,7 +53,7 @@ import mmap
 import os
 import pickle
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -62,6 +70,14 @@ RNG_ALGORITHM = "PCG64"
 # Trials per draw, sample and ledger-write chunk; bounds the temporaries.
 # Also the shortest trial range worth a process of its own.
 CHUNK = 1 << 16
+
+# A block of rendered ledger rows pads to at most CHUNK * _ROW_BYTES bytes:
+# one block per chunk for rows up to 32 bytes wide, as short labels give.
+_ROW_BYTES = 32
+
+# Trial numbers' low digits come from a table of every _LOW_DIGITS-digit string.
+_LOW_DIGITS = 4
+_LOW_BLOCK = 10**_LOW_DIGITS
 
 QUANTUM_ALICE_LABELS = ("a0", "a1")
 QUANTUM_BOB_LABELS = ("b0", "b1")
@@ -194,12 +210,67 @@ def _shared_codes(n: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.uint8)
 
 
-def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
-    """Write all of `data` at `offset`; one pwrite may stop short."""
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of the bytes-like `data` at `offset`; one pwrite may stop short."""
     view = memoryview(data)
     while view:
         written = os.pwrite(fd, view, offset)
         view, offset = view[written:], offset + written
+
+
+@cache
+def _digit_records() -> np.ndarray:
+    """The 4-digit strings 0000 .. 9999 as read-only V4 records."""
+    text = "".join(f"{i:0{_LOW_DIGITS}d}" for i in range(_LOW_BLOCK))
+    return np.frombuffer(text.encode(), dtype=f"V{_LOW_DIGITS}")
+
+
+def _records(rows, width: int) -> np.ndarray:
+    """Byte strings zero-padded to `width`, as V{width} records."""
+    return np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=f"V{width}")
+
+
+def _render_rows(first: int, codes, endings):
+    """Yield the ledger rows of trials first, first + 1, ... with cell
+    codes `codes` and row endings `endings` (indexed by code), as uint8
+    arrays whose bytes, in order, are the rows.
+
+    Each block of rows shares one trial-number width w.  Its rows are a
+    matrix of W = max(w, 4) digit bytes then L bytes, L the longest
+    ending, and a bool keep-matrix marks the bytes that are kept.  Both
+    are one gather of V{W + L} records by code: the ending behind zeroed
+    digits, and its keep-mask.  Within each run of trials sharing a block
+    of 10^4, the low 4 digits are a slice of `_digit_records()` and the
+    higher ones a constant record.  A block pads to at most CHUNK *
+    _ROW_BYTES bytes, so long labels make shorter blocks rather than
+    larger matrices.
+    """
+    digits = _digit_records()
+    longest = max(len(e) for e in endings)
+    stop = first + len(codes)
+    lo = first
+    while lo < stop:
+        w = len(str(lo))
+        high = max(w - _LOW_DIGITS, 0)
+        number_width = high + _LOW_DIGITS
+        width = number_width + longest
+        hi = min(stop, 10**w, lo + max(1, CHUNK * _ROW_BYTES // width))
+        block = codes[lo - first:hi - first]
+        rows = _records([bytes(number_width) + e for e in endings], width)[block]
+        # Below 1000 the 4-digit record's leading zeros are not kept.
+        keep = _records([bytes(number_width - w) + b"\1" * (w + len(e)) for e in endings], width)
+        rows = rows.view(np.uint8).reshape(-1, width)
+        keep = keep[block].view(np.bool_).reshape(-1, width)
+        low = rows[:, high:number_width].view(f"V{_LOW_DIGITS}")[:, 0]
+        runs = [lo, *range((lo // _LOW_BLOCK + 1) * _LOW_BLOCK, hi, _LOW_BLOCK), hi]
+        for run, end in zip(runs, runs[1:]):
+            offset = run % _LOW_BLOCK
+            low[run - lo:end - lo] = digits[offset:offset + end - run]
+            if high:
+                top = str(run // _LOW_BLOCK).encode()
+                rows[run - lo:end - lo, :high].view(f"V{high}")[:, 0] = np.void(top)
+        yield rows[keep]
+        lo = hi
 
 
 def _csv_line(fields) -> str:
@@ -250,8 +321,9 @@ class TrialLedger:
         counts.flags.writeable = False
         return counts
 
-    def _row_suffixes(self) -> tuple[str, ...]:
-        """The 16 possible `,alice,bob,a,b` row endings, indexed by code.
+    def _row_endings(self) -> tuple[bytes, ...]:
+        """The 16 possible `,alice,bob,a,b` row endings in UTF-8, indexed
+        by code.
 
         Each is rendered through csv.writer behind a one-digit trial
         number, so labels that need quoting are quoted exactly as a
@@ -260,7 +332,7 @@ class TrialLedger:
         signs = ("-1", "+1")
         return tuple(
             _csv_line([0, self.alice_labels[code >> 3], self.bob_labels[(code >> 2) & 1],
-                       signs[(code >> 1) & 1], signs[code & 1]])[1:]
+                       signs[(code >> 1) & 1], signs[code & 1]])[1:].encode()
             for code in range(16)
         )
 
@@ -271,13 +343,13 @@ class TrialLedger:
         offset: the header, the digits of the trial numbers before it, and
         the row endings of the codes before it.
         """
-        suffixes = self._row_suffixes()
-        suffix_bytes = np.array([len(s.encode()) for s in suffixes], dtype=np.int64)
+        endings = self._row_endings()
+        ending_bytes = np.array([len(e) for e in endings], dtype=np.int64)
         header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
         ranges = _ranges(self.n)
         offsets = [len(header.encode())]
         for lo, hi in ranges[:-1]:
-            rows = int(_code_bins(self.codes[lo:hi]) @ suffix_bytes)
+            rows = int(_code_bins(self.codes[lo:hi]) @ ending_bytes)
             offsets.append(offsets[-1] + rows + _digits_below(hi) - _digits_below(lo))
 
         with atomic_writer(path, newline="") as fh:
@@ -286,13 +358,9 @@ class TrialLedger:
 
             def write(lo, hi, offset):
                 for start, stop in _chunks(hi - lo):
-                    start, stop = lo + start, lo + stop
-                    rows = "".join([
-                        f"{t}{suffixes[code]}"
-                        for t, code in zip(range(start, stop), self.codes[start:stop].tolist())
-                    ]).encode()
-                    _pwrite_all(fh.fileno(), rows, offset)
-                    offset += len(rows)
+                    for rows in _render_rows(lo + start, self.codes[lo + start:lo + stop], endings):
+                        _pwrite_all(fh.fileno(), rows, offset)
+                        offset += len(rows)
 
             _in_parallel([(lo, hi, offset) for (lo, hi), offset in zip(ranges, offsets)], write)
 

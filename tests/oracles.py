@@ -38,6 +38,7 @@ position.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -625,19 +626,26 @@ def unchunked_quantum_oracle(angles, n: int, seed: int = 0):
     return a_set.astype(np.int8), b_set.astype(np.int8), a, b
 
 
+def ledger_rows_oracle(alice_labels, bob_labels, codes, first_trial: int = 0) -> str:
+    """Ledger rows as one csv.writer row per trial, numbered from
+    `first_trial`, each decoded from its cell code
+    alice*8 + bob*4 + (a > 0)*2 + (b > 0)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    signs = {0: "-1", 1: "+1"}
+    for t, code in enumerate(np.asarray(codes).tolist(), first_trial):
+        writer.writerow([
+            t,
+            alice_labels[code // 8],
+            bob_labels[code // 4 % 2],
+            signs[code // 2 % 2],
+            signs[code % 2],
+        ])
+    return buf.getvalue()
+
+
 def ledger_csv_oracle(ledger, path) -> None:
-    """`TrialLedger.to_csv` as one csv.writer row per trial, each decoded
-    from its cell code alice*8 + bob*4 + (a > 0)*2 + (b > 0)."""
+    """`TrialLedger.to_csv` as a csv.writer header and `ledger_rows_oracle`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "alice_setting", "bob_setting", "a", "b"])
-        signs = {0: "-1", 1: "+1"}
-        for t in range(ledger.n):
-            code = int(ledger.codes[t])
-            writer.writerow([
-                t,
-                ledger.alice_labels[code // 8],
-                ledger.bob_labels[code // 4 % 2],
-                signs[code // 2 % 2],
-                signs[code % 2],
-            ])
+        csv.writer(fh).writerow(["trial", "alice_setting", "bob_setting", "a", "b"])
+        fh.write(ledger_rows_oracle(ledger.alice_labels, ledger.bob_labels, ledger.codes))

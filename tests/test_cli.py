@@ -631,8 +631,10 @@ class TestLongRationals:
 
 def _unreadable_models() -> dict[str, str]:
     """Model files that `json.load` or `Fraction` cannot read: nesting past
-    the recursion limit, and numbers past the integer-digit limit."""
+    the recursion limit, and numbers past the integer-digit limit; and a
+    setting label, a lone surrogate, that no output can encode."""
     doc = model_to_dict(PRESETS["noisy_readout"]())
+    surrogate = json.dumps({**doc, "bob": dict(zip(("y", "y\ud800"), doc["bob"].values()))})
     doc["alice"]["x"]["table"][0][0] = "LONG"
     long_integer = json.dumps(doc).replace('"LONG"', "1" * 4301)
     doc["alice"]["x"]["pmf"][0] = "1" * 4301
@@ -640,6 +642,7 @@ def _unreadable_models() -> dict[str, str]:
         "nested.json": "[" * 100_000 + "]" * 100_000,
         "long_integer.json": long_integer,
         "long_rational.json": json.dumps(doc),
+        "surrogate_label.json": surrogate,
     }
 
 

@@ -3,6 +3,8 @@ import math
 import os
 import re
 import signal
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -54,6 +56,15 @@ def wide_label_model():
     doc = model_to_dict(PRESETS["noisy_readout"]())
     doc["alice"] = dict(zip(("α", "x→'"), doc["alice"].values()))
     doc["bob"] = dict(zip(("β,γ", "y"), doc["bob"].values()))
+    return model_from_dict(doc)
+
+
+def long_label_model():
+    """The noisy preset with labels of 150-200 characters of 2, 3 and 4
+    UTF-8 bytes each, so that rows are long and pad to the longest."""
+    doc = model_to_dict(PRESETS["noisy_readout"]())
+    doc["alice"] = dict(zip(("α" * 200, "ж" * 150 + ","), doc["alice"].values()))
+    doc["bob"] = dict(zip(("→" * 200, "\U0001F600" * 190), doc["bob"].values()))
     return model_from_dict(doc)
 
 
@@ -501,6 +512,129 @@ class TestLedgerViews:
             mask = (a_set == i) & (b_set == j) & (a_out == 2 * a - 1) & (b_out == 2 * b - 1)
             assert counts[0][i, j, a, b] == int(mask.sum())
         assert counts[0].sum() == ledger.n
+
+
+def _render_cases():
+    """(first trial, cell codes): all 16 codes, then random ones."""
+    rng = np.random.default_rng(27)
+
+    def codes(n):
+        return np.concatenate([np.arange(16), rng.integers(0, 16, size=n - 16)]).astype(np.uint8)
+
+    # Ranges across each power of ten up to 10^7 (0 .. 115 crosses 10 and 100).
+    straddles = [(0, codes(116))] + [(10**k - 40, codes(80)) for k in range(3, 8)]
+    # Ranges across several blocks of 10^4 at 5 and at 7 digits.
+    runs = [(12_345, codes(30_000)), (1_234_567, codes(35_000))]
+    return straddles, runs
+
+
+STRADDLES, RUNS = _render_cases()
+RENDER_LABELS = ("noisy_readout", "quoted_labels", "wide_labels", "quantum")
+
+
+def render_labels(name):
+    """(Alice's labels, Bob's labels) of an oracle model, or of the quantum sampler."""
+    if name == "quantum":
+        return simulate.QUANTUM_ALICE_LABELS, simulate.QUANTUM_BOB_LABELS
+    model = ORACLE_MODELS[name]()
+    return model.alice_labels, model.bob_labels
+
+
+class TestRenderRows:
+    """`_render_rows` against one csv.writer row per trial, with no simulation."""
+
+    @staticmethod
+    def assert_rows(alice, bob, cases):
+        endings = TrialLedger(0, alice, bob, np.zeros(1, dtype=np.uint8))._row_endings()
+        for first, codes in cases:
+            got = b"".join(rows.tobytes() for rows in simulate._render_rows(first, codes, endings))
+            assert got == oracles.ledger_rows_oracle(alice, bob, codes, first).encode()
+
+    @pytest.mark.parametrize("labels", RENDER_LABELS)
+    def test_matches_per_row_writer(self, labels):
+        self.assert_rows(*render_labels(labels), STRADDLES + RUNS)
+
+    @pytest.mark.parametrize("labels", RENDER_LABELS)
+    def test_blocks_of_a_few_rows_match(self, monkeypatch, labels):
+        # CHUNK * _ROW_BYTES = 64 padded bytes: blocks of 1 to 3 rows.
+        monkeypatch.setattr(simulate, "CHUNK", 2)
+        self.assert_rows(*render_labels(labels), STRADDLES)
+
+    def test_memory_is_bounded_for_long_labels(self, monkeypatch, tmp_path):
+        # One range, so tracemalloc sees every block; chunks of 4096 rows
+        # keep the ledger near 9 MB.
+        monkeypatch.setattr(simulate, "CHUNK", 4096)
+        monkeypatch.setattr(simulate, "_cores", lambda: 1)
+        ledger = simulate_trials(long_label_model(), 3 * simulate.CHUNK, seed=4)
+        path = tmp_path / "ledger.csv"
+        tracemalloc.start()
+        try:
+            ledger.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = path.read_bytes().split(b"\r\n")[1:-1]
+        chunks = [b"".join(row + b"\r\n" for row in rows[start:start + simulate.CHUNK])
+                  for start in range(0, len(rows), simulate.CHUNK)]
+        assert len(chunks) == 3
+        chunk_bytes = min(len(chunk) for chunk in chunks)
+        # A per-row string join holds a chunk's text as one str and as its
+        # UTF-8 bytes at once, and more besides.
+        join_floor = min(sys.getsizeof(chunk.decode()) + len(chunk) for chunk in chunks)
+        assert peak <= chunk_bytes // 4
+        assert peak <= join_floor
+
+
+class TestStreamPins:
+    """The PCG64 words and 53-bit draws behind every ledger, as literals, so
+    that a numpy change fails here rather than shifting ledger bytes."""
+
+    RAW_WORDS = [11749869230777074271, 4976686463289251617, 755828109848996024, 304881062738325533]
+    DRAWS = [5737240835340368, 2430022687152954, 369056694262205, 148867706415198,
+             7325287092427722, 8221371355416579, 5464089307389366, 6570720880431187]
+
+    def test_raw_words(self):
+        assert np.random.PCG64(0).random_raw(4).tolist() == self.RAW_WORDS
+
+    def test_53_bit_draws(self):
+        draws = np.random.Generator(np.random.PCG64(0)).integers(0, U_SCALE, size=8, dtype=np.int64)
+        assert draws.tolist() == self.DRAWS
+        # Each draw is one word's top 53 bits.
+        assert [word >> 11 for word in self.RAW_WORDS] == self.DRAWS[:4]
+
+
+class TestNegatedSetting:
+    """Negating one setting's table flips exactly that setting's outcome
+    bit, trial by trial, and in the ledger only that sign field."""
+
+    @pytest.mark.parametrize("name", ("noisy_readout", "quoted_labels"))
+    def test_only_that_settings_outcomes_flip(self, tmp_path, name):
+        model = ORACLE_MODELS[name]()
+        n = 50_000
+        base = simulate_trials(model, n, seed=13)
+        base.to_csv(tmp_path / "base.csv")
+        base_lines = (tmp_path / "base.csv").read_bytes().split(b"\r\n")
+        for side, labels, bit in (("alice", model.alice_labels, 2), ("bob", model.bob_labels, 1)):
+            for index, label in enumerate(labels):
+                doc = model_to_dict(model)
+                doc[side][label]["table"] = [[-v for v in row] for row in doc[side][label]["table"]]
+                ledger = simulate_trials(model_from_dict(doc), n, seed=13)
+                setting = base.codes >> 3 if side == "alice" else (base.codes >> 2) & 1
+                flipped = setting == index
+                assert 0 < flipped.sum() < n
+                assert np.array_equal(ledger.codes, np.where(flipped, base.codes ^ bit, base.codes))
+
+                ledger.to_csv(tmp_path / "negated.csv")
+                lines = (tmp_path / "negated.csv").read_bytes().split(b"\r\n")
+                assert len(lines) == len(base_lines)
+                field = -2 if side == "alice" else -1
+                for t in np.flatnonzero(flipped).tolist():
+                    got, want = lines[t + 1].rsplit(b",", 2), base_lines[t + 1].rsplit(b",", 2)
+                    want[field] = {b"+1": b"-1", b"-1": b"+1"}[want[field]]
+                    assert got == want
+                kept = np.flatnonzero(~flipped) + 1
+                assert [lines[0], *(lines[t] for t in kept.tolist())] == \
+                    [base_lines[0], *(base_lines[t] for t in kept.tolist())]
 
 
 class TestChunkedOracles:
