@@ -3,15 +3,26 @@
 Trials are driven through the two-uniform reduced form, so the sampling
 path itself exercises the partition maps: per trial the stream provides
 five 53-bit dyadic uniforms, consumed in the fixed column order (Alice
-setting, Bob setting, source pair, U1, U2).  Per side a trial does one
-threshold lookup and one gather from `reduction._readout`'s outcomes.
-Each setting is the top bit of its draw, so both settings are exactly
-uniform in both samplers.  Any other dyadic draw k/2^53 is compared
-against integer thresholds floor(c * 2^53) of the exact rational
-cumulative breakpoints c; a draw landing exactly on a threshold goes to
-the lower interval.  Thresholds beyond 53-bit resolution would collapse;
-each interval is then under-weighted by at most 2^-53, which is far below
-anything the statistics here can resolve.
+setting, Bob setting, source pair, U1, U2).  Each is the top 53 bits of
+one raw PCG64 word, the stream that NumPy's RNG policy (NEP 19) pins;
+they are the very draws `Generator.integers(0, 2^53)` makes, so the
+bytes are those of every earlier version (`_draw_block`).  Each setting
+is the top bit of its draw, so both settings are exactly uniform in both
+samplers.  Any other dyadic draw k/2^53 is compared against integer
+thresholds floor(c * 2^53) of the exact rational cumulative breakpoints
+c; a draw landing exactly on a threshold goes to the lower interval.
+Thresholds beyond 53-bit resolution would collapse; each interval is
+then under-weighted by at most 2^-53, which is far below anything the
+statistics here can resolve.
+
+A chunk's draws are transposed once, so each column is contiguous.  The
+model sampler finds each column's interval by a guide-table lookup
+(`_lookup`): a table by the draw's top bits, then a branchless binary
+search inside the bucket, one pass in practice.  Per side, one uint8
+table holds that side's code bits by setting, source row and refined
+interval (from `reduction._readout`), so a trial's cell code is one
+gather per side and one add.  The quantum sampler compares its draw with
+its context's three inner thresholds.
 
 A run is split into contiguous trial ranges, one per usable core and
 none shorter than CHUNK trials.  Each range is sampled, and later
@@ -22,8 +33,8 @@ unlink, atexit handlers, buffered flushes); a failing child hands its
 exception back through a pipe.  The parent reaps every child before it
 returns or raises, and raises if any range failed.
 
-Every 53-bit draw `integers(0, 2^53)` takes exactly one 64-bit word of
-the PCG64 stream, and rows are filled in stream order, so a range
+Every 53-bit draw takes exactly one 64-bit word of the PCG64 stream,
+and rows are filled in stream order, so a range
 starting at trial lo advances a fresh PCG64(seed) by lo * columns words
 and draws what one whole-run block draw holds in rows lo onwards.  It
 draws in row chunks of CHUNK trials into one shared byte array of cell
@@ -70,6 +81,10 @@ RNG_ALGORITHM = "PCG64"
 # Trials per draw, sample and ledger-write chunk; bounds the temporaries.
 # Also the shortest trial range worth a process of its own.
 CHUNK = 1 << 16
+
+# A threshold lookup's guide table has one entry per value of a draw's top
+# _GUIDE_BITS bits: 8 KB at 10 bits.
+_GUIDE_BITS = 10
 
 # A block of rendered ledger rows pads to at most CHUNK * _ROW_BYTES bytes:
 # one block per chunk for rows up to 32 bytes wide, as short labels give.
@@ -365,12 +380,31 @@ class TrialLedger:
             _in_parallel([(lo, hi, offset) for (lo, hi), offset in zip(ranges, offsets)], write)
 
 
+def _draw_block(bit_generator, rows: int, cols: int) -> np.ndarray:
+    """The next rows * cols 53-bit draws of `bit_generator`, as a row-major
+    (rows, cols) int64 block: each is the top 53 bits of one raw word,
+    shifted in place.
+
+    These are exactly `Generator.integers(0, 2^53, dtype=np.int64)`'s draws
+    from the same bit generator.  For the range 2^53, numpy's Lemire method
+    keeps the high word of word * 2^53, which is word >> 11, and its
+    rejection threshold is 2^64 mod 2^53 = 0: it never rejects, and takes
+    one word per draw.  Reading the raw words keeps the bytes on the stream
+    that NumPy's RNG policy (NEP 19) pins, which `Generator`'s algorithms
+    are not.
+    """
+    words = bit_generator.random_raw(rows * cols)
+    words >>= 64 - U_BITS
+    return words.view(np.int64).reshape(rows, cols)
+
+
 def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_labels) -> TrialLedger:
     """Draw n rows of `cols` 53-bit integers, by trial range, CHUNK rows
     at a time.
 
-    `sample` maps one chunk's (rows, cols) draw block to the chunk's
-    cell codes (see `TrialLedger`).
+    `sample` maps one chunk's draws, transposed to a C-ordered (cols,
+    rows) block so that each column is contiguous, to the chunk's cell
+    codes (see `TrialLedger`).
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
@@ -380,9 +414,8 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
         bit_generator = np.random.PCG64(seed)
         # One 64-bit word per 53-bit value: skip the rows before lo.
         bit_generator.advance(lo * cols)
-        rng = np.random.Generator(bit_generator)
         for start, stop in _chunks(hi - lo):
-            draws = rng.integers(0, U_SCALE, size=(stop - start, cols), dtype=np.int64)
+            draws = np.ascontiguousarray(_draw_block(bit_generator, stop - start, cols).T)
             codes[lo + start:lo + stop] = sample(draws)
 
     _in_parallel(_ranges(n), draw)
@@ -392,7 +425,65 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
 def _settings(draws) -> tuple[np.ndarray, np.ndarray]:
     """Alice's and Bob's setting indices: the top bits of draw columns 0
     and 1, so each setting has probability exactly 1/2."""
-    return draws[:, 0] >> (U_BITS - 1), draws[:, 1] >> (U_BITS - 1)
+    return draws[0] >> (U_BITS - 1), draws[1] >> (U_BITS - 1)
+
+
+def _lookup(thresholds: np.ndarray):
+    """A function that maps int64 draws in [0, 2^53) to the number of the
+    sorted int64 `thresholds` below each, as `np.searchsorted(thresholds,
+    draws, side="left")` does: a draw equal to a threshold goes to the lower
+    interval.
+
+    This is guide-table ("indexed") search: Chen and Asau, AIIE Trans. 6,
+    163 (1974); Devroye, Non-Uniform Random Variate Generation (1986), ch.
+    III.  A table indexed by a draw's top _GUIDE_BITS bits gives the count
+    of thresholds below that bucket's start.  A branchless binary search
+    then counts the thresholds inside the bucket that are below the draw:
+    bit_length(m) passes of take, compare and add, m the most thresholds in
+    one bucket.  Past a bucket's last threshold the compare fails, since
+    every later threshold, and the U_SCALE padding, is above its draws.
+    """
+    shift = U_BITS - _GUIDE_BITS
+    starts = np.arange((1 << _GUIDE_BITS) + 1, dtype=np.int64) << shift
+    below = np.searchsorted(thresholds, starts, side="left")
+    guide = below[:-1]
+    passes = int(np.diff(below).max()).bit_length()
+    padded = np.concatenate([thresholds, np.full(1 << passes, U_SCALE, dtype=np.int64)])
+    # Pass p compares the threshold 2^p - 1 places on, and steps 2^p past it if below.
+    steps = [(padded[(1 << p) - 1:], 1 << p) for p in reversed(range(passes))]
+
+    def lookup(draws):
+        index = guide.take(draws >> shift)
+        for probe, step in steps:
+            np.add(index, step, out=index, where=probe.take(index) < draws)
+        return index
+
+    return lookup
+
+
+def _side_codes(uniform_map, settings, source_rows, setting_bit: int, outcome_bit: int):
+    """A function (setting, source interval, uniform draw) -> one side's
+    bits of the cell code, setting * setting_bit + (outcome > 0) * outcome_bit,
+    for arrays of each.
+
+    The bits sit in one flat uint8 table indexed [setting, source row,
+    refined interval], from `_readout`; `source_rows` gives each source
+    interval's row.
+    """
+    positive = np.array(_readout(uniform_map, settings)) > 0
+    bits = (np.arange(2)[:, None, None] * setting_bit + positive * outcome_bit).astype(np.uint8)
+    table = bits.ravel()
+    row_offsets = source_rows * positive.shape[2]
+    stride = positive[0].size
+    lookup = _lookup(_thresholds(uniform_map.breakpoints))
+
+    def codes(setting, source, draws):
+        index = lookup(draws)
+        index += row_offsets.take(source)
+        index += setting * stride
+        return table.take(index)
+
+    return codes
 
 
 def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedger:
@@ -408,21 +499,16 @@ def simulate_trials(model: ContextualModel, n: int, seed: int = 0) -> TrialLedge
     reduced = reduce_model(model)  # validates the model
 
     source_map = inverse_transform_partition(model.source.flattened())
-    source_k = _thresholds(source_map.breakpoints)
-    source_labels = np.array(source_map.labels, dtype=np.int64)
+    source_lookup = _lookup(_thresholds(source_map.breakpoints))
+    labels = np.array(source_map.labels, dtype=np.intp)
     cols = model.source.cols
-    alice_k = _thresholds(reduced.alice_map.breakpoints)
-    bob_k = _thresholds(reduced.bob_map.breakpoints)
-    # [setting, source index, refined interval] -> outcome > 0.
-    alice_out = (np.array(_readout(reduced.alice_map, model.alice)) > 0).astype(np.uint8)
-    bob_out = (np.array(_readout(reduced.bob_map, model.bob)) > 0).astype(np.uint8)
+    alice = _side_codes(reduced.alice_map, model.alice, labels // cols, 8, 2)
+    bob = _side_codes(reduced.bob_map, model.bob, labels % cols, 4, 1)
 
     def sample(draws):
         a_set, b_set = _settings(draws)
-        src = source_labels[np.searchsorted(source_k, draws[:, 2], side="left")]
-        a = alice_out[a_set, src // cols, np.searchsorted(alice_k, draws[:, 3], side="left")]
-        b = bob_out[b_set, src % cols, np.searchsorted(bob_k, draws[:, 4], side="left")]
-        return a_set * 8 + b_set * 4 + a * 2 + b
+        src = source_lookup(draws[2])
+        return alice(a_set, src, draws[3]) + bob(b_set, src, draws[4])
 
     return _sample_ledger(seed, n, 5, sample, model.alice_labels, model.bob_labels)
 
@@ -464,10 +550,13 @@ def quantum_reference(angles, n: int, seed: int = 0) -> TrialLedger:
     def sample(draws):
         a_set, b_set = _settings(draws)
         context = a_set * 2 + b_set
-        # Thresholds below the draw: searchsorted(side="left") on each sorted row.
-        grid_index = (draws[:, 2, None] > grid[context]).sum(axis=1)
         # Grid index 0 is (+1,+1), outcome bits 3; index 3 is (-1,-1), bits 0.
-        return context * 4 + 3 - grid_index
+        # Each step of the grid index is one of the context's thresholds below
+        # the draw, as searchsorted(side="left"); the last, 2^53, never is.
+        codes = context * 4 + 3
+        for inner in grid.T[:3]:
+            codes -= inner.take(context) < draws[2]
+        return codes
 
     return _sample_ledger(seed, n, 3, sample, QUANTUM_ALICE_LABELS, QUANTUM_BOB_LABELS)
 

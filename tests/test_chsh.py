@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from bell_lab.chsh import (
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.reduction import _reduced_route
+from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.expanded import _expanded_route
 from bell_lab.unified import SizeExceededError, _factored_route
 from tests_support import PRESETS, alter_local, counting
@@ -203,6 +205,45 @@ class TestSymmetries:
             after = chsh_from_correlations(correlation_set(swapped))
             assert before.s_max == after.s_max
             assert sorted(before.sums) == sorted(after.sums)
+
+
+def negation_models():
+    """The presets and three random `3,2,3,2,2,3` models, by name."""
+    models = {name: load() for name, load in sorted(PRESETS.items())}
+    spec = SearchSpec(cardinalities=(3, 2, 3, 2, 2, 3), mode=SearchMode.RANDOM)
+    for seed in (1, 2, 3):
+        models[f"random-{seed}"] = random_model(spec, random.Random(seed))
+    return models
+
+
+NEGATION_MODELS = negation_models()
+
+
+class TestNegatedSetting:
+    """Negating one setting's table negates, in every route, the two
+    contexts that read that setting, and leaves the other two."""
+
+    ROUTES = ("dedicated", "factored", "expanded", "reduced")
+
+    @pytest.mark.parametrize("name", sorted(NEGATION_MODELS))
+    def test_contexts_of_that_setting_change_sign(self, name):
+        model = NEGATION_MODELS[name]
+        base = certify_model(model)
+        moved = 0
+        for side, labels in (("alice", model.alice_labels), ("bob", model.bob_labels)):
+            settings = model.alice if side == "alice" else model.bob
+            for label in labels:
+                table = tuple(tuple(-v for v in row) for row in settings[label].table)
+                negated = certify_model(alter_local(model, side, label, table=table))
+                assert negated.contexts == base.contexts
+                reads = [ctx[0 if side == "alice" else 1] == label for ctx in base.contexts]
+                assert sum(reads) == 2
+                for route in self.ROUTES:
+                    for read, got, was in zip(reads, getattr(negated, route), getattr(base, route)):
+                        assert got == (-was if read else was), (side, label, route)
+                moved += sum(read and was != 0 for read, was in zip(reads, base.dedicated))
+        # The relation is not vacuous: some context that flips is nonzero.
+        assert moved > 0
 
 
 class TestCertifyModel:

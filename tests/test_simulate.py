@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 import oracles
 import bell_lab.models as models_module
 from bell_lab import simulate
+from bell_lab.cli import _parse_angles
 from bell_lab.exact import correlation_set, verify_no_signalling
 from bell_lab.models import (
     InvalidModelError,
@@ -68,7 +70,38 @@ def long_label_model():
     return model_from_dict(doc)
 
 
-ORACLE_MODELS = {**PRESETS, "quoted_labels": quoted_label_model, "wide_labels": wide_label_model}
+def clustered_model():
+    """A model whose thresholds cluster: weights of 2^-50 put up to four
+    thresholds in the first and in the last guide bucket of the source and
+    of each side, so a threshold lookup takes several passes there."""
+    tiny = F(1, 2**50)
+    alice_x = [tiny] * 4 + [1 - 4 * tiny]
+    alice_x2 = [2 * tiny, F(1, 2) - 2 * tiny, F(1, 2)]
+    bob_y = [F(1, 2), F(1, 2) - 3 * tiny, tiny, tiny, tiny]
+    bob_y2 = [5 * tiny, 1 - 5 * tiny]
+
+    def local(pmf, rows):
+        return {"pmf": [str(w) for w in pmf], "table": rows}
+
+    return model_from_dict({
+        "source": [[str(tiny), str(3 * tiny)], [str(F(1, 2) - 4 * tiny), "1/2"]],
+        "alice": {
+            "x": local(alice_x, [[1, -1, 1, -1, 1], [-1, 1, -1, 1, -1]]),
+            "x'": local(alice_x2, [[-1, 1, -1], [1, -1, 1]]),
+        },
+        "bob": {
+            "y": local(bob_y, [[1, -1, 1, -1, 1], [-1, -1, 1, 1, -1]]),
+            "y'": local(bob_y2, [[-1, 1], [1, -1]]),
+        },
+    })
+
+
+ORACLE_MODELS = {
+    **PRESETS,
+    "quoted_labels": quoted_label_model,
+    "wide_labels": wide_label_model,
+    "clustered": clustered_model,
+}
 
 
 def ledger_arrays(ledger):
@@ -99,6 +132,85 @@ class TestThresholds:
     def test_floor_of_irreducible(self):
         k = _thresholds((F(0), F(1, 3), F(1)))
         assert k.tolist() == [(1 << 53) // 3, U_SCALE]
+
+
+def lookup_cases():
+    """(name, sorted int64 thresholds) as `_thresholds` builds them."""
+    rng = np.random.default_rng(29)
+
+    def from_weights(weights):
+        return _thresholds([F(0), *itertools.accumulate(weights)])
+
+    def random_weights(k):
+        numerators = rng.integers(1, 1000, size=k).tolist()
+        total = sum(numerators)
+        return [F(w, total) for w in numerators]
+
+    tiny, tinier = F(1, 2**50), F(1, 2**55)
+    cases = [(f"random-{k}", from_weights(random_weights(k))) for k in (1, 2, 3, 256, 4096)]
+    cases += [
+        # Thresholds on guide-bucket starts: 2^51, 2^52, 3 * 2^51.
+        ("dyadic", from_weights([F(1, 4)] * 4)),
+        # Several thresholds in the first and the last bucket.
+        ("clustered", from_weights([tiny] * 6 + [1 - 12 * tiny] + [tiny] * 6)),
+        # Thresholds that collide: 2^-55 is below one unit of 2^-53.
+        ("collapsed", from_weights([tinier] * 9 + [F(1, 2) - 9 * tinier, F(1, 2)])),
+        # 4096 thresholds in the first bucket, 12 passes.
+        ("one-bucket", from_weights([tiny] * 4095 + [1 - 4095 * tiny])),
+    ]
+    return cases
+
+
+LOOKUP_CASES = lookup_cases()
+
+
+class TestLookup:
+    """`_lookup` against `np.searchsorted(side="left")`, the binary search it replaces."""
+
+    @pytest.mark.parametrize(("name", "thresholds"), LOOKUP_CASES, ids=[c[0] for c in LOOKUP_CASES])
+    def test_matches_searchsorted(self, name, thresholds):
+        assert thresholds[-1] == U_SCALE
+        near = np.concatenate([thresholds - 1, thresholds, thresholds + 1])
+        random = simulate._draw_block(np.random.PCG64(len(thresholds)), 10_000, 1).ravel()
+        draws = np.concatenate([[0, U_SCALE - 1], near[(near >= 0) & (near < U_SCALE)], random])
+        got = simulate._lookup(thresholds)(draws)
+        assert got.tolist() == np.searchsorted(thresholds, draws, side="left").tolist()
+
+    def test_clustered_cases_fill_a_bucket(self):
+        # So their lookups run the binary search past its first pass.
+        cases = dict(LOOKUP_CASES)
+        most = [np.bincount(cases[name][:-1] >> (53 - simulate._GUIDE_BITS)).max()
+                for name in ("clustered", "collapsed", "one-bucket")]
+        assert most == [6, 9, 4095]
+
+    def test_draws_next_to_clustered_thresholds(self, monkeypatch):
+        # Each uniform column draws each of its thresholds and their
+        # neighbours in turn, under all four setting pairs.
+        model = clustered_model()
+        reduced = reduce_model(model)
+        columns = [
+            _thresholds([F(0), *itertools.accumulate(model.source.flattened())]),
+            _thresholds(reduced.alice_map.breakpoints),
+            _thresholds(reduced.bob_map.breakpoints),
+        ]
+        columns = [np.concatenate([[0, U_SCALE - 1], k - 1, k, k + 1]) for k in columns]
+        columns = [c[(c >= 0) & (c < U_SCALE)] for c in columns]
+        n = 4 * max(len(c) for c in columns)
+
+        def near_thresholds(draws):
+            rows = np.arange(len(draws))
+            draws[:, 0] = rows % 2 * (U_SCALE // 2)
+            draws[:, 1] = rows // 2 % 2 * (U_SCALE // 2)
+            for col, values in zip((2, 3, 4), columns):
+                draws[:, col] = values[rows // 4 % len(values)]
+
+        patch_draws(monkeypatch, near_thresholds)
+        ledger = simulate_trials(model, n, seed=0)
+        expected = oracles.unchunked_trials_oracle(model, n, seed=0)
+        for got, want in zip(ledger_arrays(ledger), expected):
+            assert np.array_equal(got, want)
+        # Not vacuous: all 16 cell codes occur.
+        assert len(set(ledger.codes.tolist())) == 16
 
 
 class TestSimulateTrials:
@@ -187,20 +299,25 @@ class TestSimulateTrials:
 
 
 def patch_draws(monkeypatch, rewrite):
-    """Every generator, the oracles' included, passes its draw block through
-    `rewrite` before returning it."""
-    generator = np.random.Generator
+    """The samplers' row-major draw blocks, and every oracle generator's,
+    pass through `rewrite` before they are used."""
+    draw_block = simulate._draw_block
+
+    def rewritten_block(bit_generator, rows, cols):
+        draws = draw_block(bit_generator, rows, cols)
+        rewrite(draws)
+        return draws
 
     class RewrittenGenerator:
         def __init__(self, bit_generator):
-            self._rng = generator(bit_generator)
+            self._rng = np.random.Generator(bit_generator)
 
         def integers(self, *args, **kwargs):
             draws = self._rng.integers(*args, **kwargs)
             rewrite(draws)
             return draws
 
-    monkeypatch.setattr(np.random, "Generator", RewrittenGenerator)
+    monkeypatch.setattr(simulate, "_draw_block", rewritten_block)
     monkeypatch.setattr(
         np.random, "default_rng", lambda seed: RewrittenGenerator(np.random.PCG64(seed))
     )
@@ -327,6 +444,27 @@ class TestQuantumReference:
         assert ledger.n == 1
         with pytest.raises(ValueError, match="no trials"):
             empirical_chsh(ledger)
+
+    # The integer thresholds of the golden cases' two `--quantum` angle sets,
+    # so that a libm or numpy change fails here rather than shifting bytes.
+    GOLDEN_GRIDS = {
+        "0,1.5708,0.7854,2.3562": [
+            [659539819910628, 4503599627370496, 8347659434830363, 9007199254740992],
+            [3844071504854937, 4503599627370496, 5163127749886055, 9007199254740992],
+            [659539819910628, 4503599627370496, 8347659434830363, 9007199254740992],
+            [659539819910628, 4503599627370496, 8347659434830364, 9007199254740992],
+        ],
+        "0,0.7854,0.3927,1.1781": [
+            [171408845834123, 4503599627370496, 8835790408906869, 9007199254740992],
+            [1390079063267597, 4503599627370496, 7617120191473394, 9007199254740992],
+            [171408845834123, 4503599627370496, 8835790408906869, 9007199254740992],
+            [171408845834123, 4503599627370496, 8835790408906869, 9007199254740992],
+        ],
+    }
+
+    @pytest.mark.parametrize("raw", sorted(GOLDEN_GRIDS))
+    def test_golden_angle_thresholds(self, raw):
+        assert _quantum_grid(_parse_angles(raw)).tolist() == self.GOLDEN_GRIDS[raw]
 
     def test_draw_on_a_threshold_goes_to_the_lower_cell(self, monkeypatch):
         # Context (a0, b0); rows 0-2 land on its three inner thresholds, rows
@@ -602,6 +740,21 @@ class TestStreamPins:
         # Each draw is one word's top 53 bits.
         assert [word >> 11 for word in self.RAW_WORDS] == self.DRAWS[:4]
 
+    @pytest.mark.parametrize("seed", (0, 1, 7, 123456))
+    def test_raw_words_are_the_generator_draws(self, seed):
+        # The samplers draw raw words; the oracles draw through integers().
+        rows, cols = 40_000, 5
+        raw, generated = np.random.PCG64(seed), np.random.PCG64(seed)
+        expected = np.random.Generator(generated).integers(
+            0, U_SCALE, size=(rows, cols), dtype=np.int64)
+        draws = simulate._draw_block(raw, rows, cols)
+        assert draws.dtype == np.int64
+        assert np.array_equal(draws, expected)
+        words = np.random.PCG64(seed).random_raw(rows * cols)
+        assert np.array_equal(words >> np.uint64(11), expected.ravel())
+        # Both took one word per draw: the streams go on from the same word.
+        assert raw.random_raw(3).tolist() == generated.random_raw(3).tolist()
+
 
 class TestNegatedSetting:
     """Negating one setting's table flips exactly that setting's outcome
@@ -695,15 +848,17 @@ class TestTrialRanges:
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_range_count_changes_no_byte(self, monkeypatch, tmp_path, n):
-        # Ranges of n // cores trials fall mid-chunk of 1000.
+        # Ranges of n // cores trials fall mid-chunk of 1000.  The clustered
+        # model's lookups take several passes.
         monkeypatch.setattr(simulate, "CHUNK", 1000)
-        model = wide_label_model()
-        for run, expected in (
-            (lambda: simulate_trials(model, n, seed=n),
-             oracles.unchunked_trials_oracle(model, n, seed=n)),
-            (lambda: quantum_reference(OPTIMAL_ANGLES, n, seed=n),
-             oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=n)),
-        ):
+        runs = [
+            (lambda model=model: simulate_trials(model, n, seed=n),
+             oracles.unchunked_trials_oracle(model, n, seed=n))
+            for model in (wide_label_model(), clustered_model())
+        ]
+        runs.append((lambda: quantum_reference(OPTIMAL_ANGLES, n, seed=n),
+                     oracles.unchunked_quantum_oracle(OPTIMAL_ANGLES, n, seed=n)))
+        for run, expected in runs:
             want = None
             for cores in (1, 2, 3, 5):
                 monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
@@ -736,15 +891,13 @@ class TestTrialRanges:
     @pytest.mark.parametrize("cols", (3, 5))
     @pytest.mark.parametrize("lo", (0, 1, 65536, 123457))
     def test_advanced_stream_is_the_whole_run_from_row_lo(self, lo, cols):
-        # The split rests on this: integers(0, 2^53) takes one 64-bit word
-        # per value, so advancing lo * cols words skips exactly lo rows.
+        # The split rests on this: each 53-bit draw is one 64-bit word, so
+        # advancing lo * cols words skips exactly lo rows.
         rows = 300
-        whole = np.random.Generator(np.random.PCG64(11)).integers(
-            0, U_SCALE, size=(lo + rows, cols), dtype=np.int64)
+        whole = simulate._draw_block(np.random.PCG64(11), lo + rows, cols)
         bit_generator = np.random.PCG64(11)
         bit_generator.advance(lo * cols)
-        part = np.random.Generator(bit_generator).integers(
-            0, U_SCALE, size=(rows, cols), dtype=np.int64)
+        part = simulate._draw_block(bit_generator, rows, cols)
         assert np.array_equal(part, whole[lo:])
 
 
