@@ -5,6 +5,9 @@ two local indices the context actually uses, weighted by the source joint
 pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
+The loop order is (l1, lx, l2, ly): each source row's (l2, ly) factors are
+built once and every (l1, lx) multiplies them in, so each cell still adds
+one term while the innermost loop runs in ``sum(map(...))``.
 
 ``correlation_set`` validates the model once; the private
 ``_dedicated_route`` then scales the five factors (the source and the four
@@ -37,25 +40,27 @@ def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction
 
     `source` is the flattened source's ``(numerators, denominator)``;
     `alice` and `bob` are the read settings' ``_scaled_local`` triples.
-    Loop order fixed as (l1, l2, lx, ly) for reproducible traces; only
-    zero-probability source pairs are skipped.
+    Each table entry is signed once, w(l)·R(row, l).  Source row l1's
+    factors S(l1, l2)·w_B(ly)·B(l2, ly) skip only zero-probability pairs,
+    and each (l1, lx) adds w_A(lx)·A(l1, lx) times every one of them, so
+    every cell adds its own term and nothing is summed out beforehand.
     """
     source_nums, source_den = source
     a_pmf, a_den, a_table = alice
     b_pmf, b_den, b_table = bob
     cols = model.source.cols
+    a_signed = [[w * r for w, r in zip(a_pmf, row)] for row in a_table]
+    b_signed = [[w * r for w, r in zip(b_pmf, row)] for row in b_table]
     total = 0
-    for l1 in range(model.source.rows):
-        a_row = a_table[l1]
-        for l2 in range(cols):
-            w_source = source_nums[l1 * cols + l2]
-            if w_source == 0:
-                continue
-            b_row = b_table[l2]
-            for lx, w_a in enumerate(a_pmf):
-                w = w_source * w_a * a_row[lx]
-                for ly, w_b in enumerate(b_pmf):
-                    total += w * w_b * b_row[ly]
+    for l1, a_terms in enumerate(a_signed):
+        factors = [
+            w_source * b_term
+            for w_source, b_terms in zip(source_nums[l1 * cols : (l1 + 1) * cols], b_signed)
+            if w_source
+            for b_term in b_terms
+        ]
+        for a_term in a_terms:
+            total += sum(map(a_term.__mul__, factors))
     return Fraction(total, source_den * a_den * b_den)
 
 

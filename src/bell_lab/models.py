@@ -64,8 +64,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string like ``"-3"`` or ``"5/12"``."""
     if not isinstance(text, str) or RATIONAL_PATTERN.fullmatch(text) is None:
         raise ModelFormatError(f"invalid rational string {text!r}")
+    # Checked by the pattern: `Fraction(text)` would only match it against its own regex again.
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except ValueError as exc:  # past the interpreter's integer-digit limit
         raise ModelFormatError(f"rational string of {len(text)} characters: {exc}") from None
 

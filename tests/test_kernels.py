@@ -9,6 +9,9 @@ Python-integer path, forced through the private threshold, on every one of
 those models; models with D just below and at 2^63 pin which dtype runs.
 The Python-integer path also gets negative totals, totals at +-D, its
 block walk and its memory checked on their own.
+The dedicated loop and the no-signalling check on it are also compared
+with their oracles at the benchmark's size, on a skewed shape, and with
+weights that sum in Python integers.
 Every route returns its four correlations in context order, and each is
 checked to compute its per-model statistics once rather than once per
 context: the dedicated and expanded routes scale each of the five
@@ -70,13 +73,30 @@ def assert_expanded_matches_oracle(model: ContextualModel) -> tuple[Fraction, ..
     return values
 
 
+def assert_dedicated_matches_oracles(model: ContextualModel) -> None:
+    """The dedicated loop's correlations and no-signalling rows against their
+    per-cell `Fraction` oracles."""
+    assert correlation_set(model) == tuple(
+        oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()
+    )
+    a0, a1 = model.alice_labels
+    b0, b1 = model.bob_labels
+    rows = verify_no_signalling(model).rows
+    assert [(row.side, row.setting) for row in rows] == [
+        ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)
+    ]
+    for row in rows:
+        assert row.distributions == tuple(
+            oracles.outcome_distribution_fraction_oracle(model, row.side, row.setting, remote)
+            for remote in row.remote_labels
+        )
+
+
 def assert_kernels_match_oracles(model: ContextualModel) -> None:
     """Each route's tuple against its oracle, context by context."""
     contexts = model.contexts()
     reduced = reduce_model(model)
-    assert correlation_set(model) == tuple(
-        oracles.dedicated_fraction_oracle(model, ctx) for ctx in contexts
-    )
+    assert_dedicated_matches_oracles(model)
     assert _factored_route(model) == oracles.correlation_quadruple(model)
     assert_expanded_matches_oracle(model)
     assert _reduced_route(model) == tuple(
@@ -89,15 +109,6 @@ def assert_kernels_match_oracles(model: ContextualModel) -> None:
         oracles.product_mean(model, [("bob", b0), ("bob", b1)]),
         oracles.product_mean(model, [("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)]),
     )
-    rows = verify_no_signalling(model).rows
-    assert [(row.side, row.setting) for row in rows] == [
-        ("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)
-    ]
-    for row in rows:
-        assert row.distributions == tuple(
-            oracles.outcome_distribution_fraction_oracle(model, row.side, row.setting, remote)
-            for remote in row.remote_labels
-        )
 
 
 def build_model(source_rows, alice_pmfs, bob_pmfs, rng: random.Random) -> ContextualModel:
@@ -187,6 +198,21 @@ class TestKernelOracles:
             [[zero, Fraction(3, 4), Fraction(1, 4)], [Fraction(1), zero]],
             [[Fraction(2, 5), zero, Fraction(3, 5)], [zero, zero, Fraction(1)]],
             rng,
+        )
+        assert_kernels_match_oracles(model)
+
+    def test_zero_source_row_and_column(self):
+        # Row 1 builds no dedicated factors at all, and column 2 none in any row.
+        zero = Fraction(0)
+        model = build_model(
+            [
+                [Fraction(1, 4), Fraction(1, 8), zero],
+                [zero, zero, zero],
+                [Fraction(3, 8), Fraction(1, 4), zero],
+            ],
+            [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), zero, Fraction(1, 2)]],
+            [[Fraction(3, 5), Fraction(2, 5)], [zero, Fraction(1)]],
+            random.Random(13),
         )
         assert_kernels_match_oracles(model)
 
@@ -390,6 +416,10 @@ class TestBlocks:
         ]
         for model, expected in chunked_models:
             assert assert_expanded_matches_oracle(model) == expected
+
+    def test_chunked_models_dedicated_match_oracle(self, chunked_models):
+        for model, _ in chunked_models:
+            assert_dedicated_matches_oracles(model)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 8, 8, 16), (1, 64, 64, 1)])
     @pytest.mark.parametrize("inner", [1, 3, 16])

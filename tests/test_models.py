@@ -44,6 +44,16 @@ class TestRational:
         with pytest.raises(ModelFormatError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("text", ["1" * 4301, "-" + "1" * 4301, "3/" + "7" * 4301])
+    def test_past_the_digit_limit(self, text):
+        # One line, with the message `Fraction(text)` itself raises.
+        with pytest.raises(ValueError) as direct:
+            Fraction(text)
+        with pytest.raises(ModelFormatError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"rational string of {len(text)} characters: {direct.value}"
+        assert "\n" not in str(exc.value)
+
     @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
     def test_round_trip(self, num, den):
         value = Fraction(num, den)
