@@ -5,16 +5,13 @@ Subcommands: check, certify, search, simulate.  Exit codes: 0 all passed,
 resource guard tripped or memory exhausted.  All JSON output is printed
 with sorted keys and fixed indentation so identical inputs produce
 byte-identical bytes.  Only `certify` and `simulate` load numpy, when
-they run; `check` and `search` start and finish without it.  `main`
-builds its argparse parser once per process and reuses it on every call;
-`build_parser` returns a fresh one.
+they run; `check` and `search` start and finish without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -343,14 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` reuses: parsing an argv leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ModelFormatError as exc:

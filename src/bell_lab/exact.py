@@ -5,9 +5,11 @@ two local indices the context actually uses, weighted by the source joint
 pmf and the two local pmfs.  Everything stays rational: each factor's
 weights are integer numerators over that factor's common denominator, every
 cell adds an integer term, and the sum becomes one Fraction at the end.
-The loop order is (l1, lx, l2, ly): each source row's (l2, ly) factors are
-built once and every (l1, lx) multiplies them in, so each cell still adds
-one term while the innermost loop runs in ``sum(map(...))``.
+The loop order is (l1, lx, l2, ly): each local table is signed by its pmf
+once per model, w(l)·R(row, l), each source row's (l2, ly) factors are
+built once, and every (l1, lx) multiplies them in, so each cell still adds
+one term while the loop over (lx, l2, ly) runs in C, in ``sum(starmap(mul,
+product(...)))``.
 
 ``correlation_set`` validates the model once; the private
 ``_dedicated_route`` then scales the five factors (the source and the four
@@ -25,42 +27,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, starmap
+from operator import mul
 
 from .models import ContextualModel, _scaled_factors, require_valid
 
 
-def _scaled_local(local) -> tuple[list[int], int, tuple[tuple[int, ...], ...]]:
-    """One setting's pmf numerators, their denominator, and its response table."""
+def _scaled_local(local) -> tuple[list[int], int, list[list[int]]]:
+    """One setting's pmf numerators, their denominator, and its response
+    table signed by them: entry (l, l') is w(l')·R(l, l')."""
     nums, den = _scaled_factors(local.weights)
-    return nums, den, local.table
+    return nums, den, [list(map(mul, nums, row)) for row in local.table]
 
 
-def _context_expectation(model: ContextualModel, source, alice, bob) -> Fraction:
+def _context_expectation(source, alice, bob) -> Fraction:
     """E over one context from pre-scaled factors.
 
     `source` is the flattened source's ``(numerators, denominator)``;
     `alice` and `bob` are the read settings' ``_scaled_local`` triples.
-    Each table entry is signed once, w(l)·R(row, l).  Source row l1's
-    factors S(l1, l2)·w_B(ly)·B(l2, ly) skip only zero-probability pairs,
-    and each (l1, lx) adds w_A(lx)·A(l1, lx) times every one of them, so
-    every cell adds its own term and nothing is summed out beforehand.
+    Source row l1's factors S(l1, l2)·w_B(ly)·B(l2, ly) skip only
+    zero-probability pairs, and each of Alice's signed weights
+    w_A(lx)·A(l1, lx) is multiplied by every one of them, so every cell
+    adds its own term and nothing is summed out beforehand.
     """
     source_nums, source_den = source
-    a_pmf, a_den, a_table = alice
-    b_pmf, b_den, b_table = bob
-    cols = model.source.cols
-    a_signed = [[w * r for w, r in zip(a_pmf, row)] for row in a_table]
-    b_signed = [[w * r for w, r in zip(b_pmf, row)] for row in b_table]
+    _, a_den, a_signed = alice
+    _, b_den, b_signed = bob
+    # zip draws from b_signed first, so each row takes exactly one source
+    # row's weights from `weights` and no more.
+    weights = iter(source_nums)
     total = 0
-    for l1, a_terms in enumerate(a_signed):
-        factors = [
-            w_source * b_term
-            for w_source, b_terms in zip(source_nums[l1 * cols : (l1 + 1) * cols], b_signed)
-            if w_source
-            for b_term in b_terms
-        ]
-        for a_term in a_terms:
-            total += sum(map(a_term.__mul__, factors))
+    for a_terms in a_signed:
+        factors = []
+        for b_terms, w_source in zip(b_signed, weights):
+            if w_source:
+                factors += map(w_source.__mul__, b_terms)
+        total += sum(starmap(mul, product(a_terms, factors)))
     return Fraction(total, source_den * a_den * b_den)
 
 
@@ -77,7 +79,7 @@ def _dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
     scaled once; `model` is not revalidated."""
     source = _scaled_factors(model.source.flattened())
     alice, bob = _scaled_sides(model)
-    return tuple(_context_expectation(model, source, a, b) for a in alice for b in bob)
+    return tuple(_context_expectation(source, a, b) for a in alice for b in bob)
 
 
 def correlation_set(model: ContextualModel) -> tuple[Fraction, ...]:
@@ -87,18 +89,19 @@ def correlation_set(model: ContextualModel) -> tuple[Fraction, ...]:
     return _dedicated_route(model)
 
 
-def _outcome_distribution(model, source, side, own, remote) -> tuple[Fraction, Fraction]:
+def _outcome_distribution(source, side, own, remote) -> tuple[Fraction, Fraction]:
     """Exact (P(+1), P(-1)) for one side's outcome in a full context, from
     the pre-scaled source and the `own` and `remote` ``_scaled_local`` triples.
 
-    The remote setting enters with its own pmf and an all +1 table, so the
-    result could depend on it; `verify_no_signalling` checks that it never
-    does.  The expectation E gives P(+/-1) = (1 +/- E)/2.
+    The remote setting enters with its own pmf and an all +1 table, whose
+    signed rows are the pmf itself, so the result could depend on it;
+    `verify_no_signalling` checks that it never does.  The expectation E
+    gives P(+/-1) = (1 +/- E)/2.
     """
-    nums, den, table = remote
-    ones = (nums, den, tuple((1,) * len(row) for row in table))
+    nums, den, signed = remote
+    ones = (nums, den, [nums] * len(signed))
     pair = (own, ones) if side == "alice" else (ones, own)
-    e = _context_expectation(model, source, *pair)
+    e = _context_expectation(source, *pair)
     return ((1 + e) / 2, (1 - e) / 2)
 
 
@@ -130,7 +133,7 @@ def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
     ):
         for setting, own in zip(labels, owns):
             dists = tuple(
-                _outcome_distribution(model, source, side, own, remote) for remote in remotes
+                _outcome_distribution(source, side, own, remote) for remote in remotes
             )
             rows.append(
                 ExactMarginalRow(

@@ -64,7 +64,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string like ``"-3"`` or ``"5/12"``."""
     if not isinstance(text, str) or RATIONAL_PATTERN.fullmatch(text) is None:
         raise ModelFormatError(f"invalid rational string {text!r}")
-    # Checked by the pattern: `Fraction(text)` would only match it against its own regex again.
+    # RATIONAL_PATTERN guarantees both parts are ASCII decimal integers with a nonzero denominator.
     numerator, _, denominator = text.partition("/")
     try:
         return Fraction(int(numerator), int(denominator or 1))

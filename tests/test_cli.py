@@ -150,21 +150,6 @@ class TestCertify:
         _, second, _ = run(capsys, "certify", "--model", str(model_file))
         assert first == second
 
-    def test_one_parser_across_calls(self, capsys, monkeypatch, model_file):
-        # A rejected argv and another subcommand in between leave the reused
-        # parser as it was.
-        cli._parser.cache_clear()
-        built = counting(monkeypatch, cli, "build_parser")
-        certify = ("certify", "--model", str(model_file))
-        first = run(capsys, *certify)
-        with pytest.raises(SystemExit) as rejected:
-            main(["certify", "--model", str(model_file), "--limit", "many"])
-        assert rejected.value.code == 2
-        assert "invalid int value: 'many'" in capsys.readouterr().err
-        assert run(capsys, "search")[0] == 0
-        assert (first[0], run(capsys, *certify)) == (0, first)
-        assert len(built) == 1
-
     def test_cell_limit_guard(self, capsys, model_file):
         code, _, err = run(
             capsys, "certify", "--model", str(model_file), "--limit", "10"
