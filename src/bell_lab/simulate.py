@@ -26,12 +26,12 @@ its context's three inner thresholds.
 
 A run is split into contiguous trial ranges, one per usable core and
 none shorter than CHUNK trials.  Each range is sampled, and later
-rendered into the ledger, by its own process: the first by this process,
-each other by an `os.fork()`ed child.  A child leaves only through
-`os._exit`, so it never runs the parent's cleanup (an `atomic_writer`
-unlink, atexit handlers, buffered flushes); a failing child hands its
-exception back through a pipe.  The parent reaps every child before it
-returns or raises, and raises if any range failed.
+rendered into the ledger, on a thread of this process: the first on the
+calling thread, each other on a thread of its own.  numpy's draws,
+gathers and compares and the ledger's `pwrite`s release the interpreter
+lock, so the ranges overlap.  Once a range fails, the others stop at
+their next chunk.  Every thread is joined before a run returns or
+raises, and a run raises if any range failed.
 
 Every 53-bit draw takes exactly one 64-bit word of the PCG64 stream,
 and rows are filled in stream order, so a range
@@ -57,12 +57,11 @@ no-signalling check lives in `exact`.
 from __future__ import annotations
 
 import csv
-import errno
 import io
 import math
-import mmap
 import os
-import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -78,9 +77,10 @@ U_SCALE = 1 << U_BITS
 # The bit generator behind every draw; summary.json names it.
 RNG_ALGORITHM = "PCG64"
 
-# Trials per draw, sample and ledger-write chunk; bounds the temporaries.
-# Also the shortest trial range worth a process of its own.
-CHUNK = 1 << 16
+# Trials per draw, sample and ledger-write chunk; bounds the temporaries,
+# which every range's thread holds at once.  Also the shortest trial range
+# worth a thread of its own.
+CHUNK = 1 << 14
 
 # A threshold lookup's guide table has one entry per value of a draw's top
 # _GUIDE_BITS bits: 8 KB at 10 bits.
@@ -136,8 +136,9 @@ def _digits_below(t: int) -> int:
 
 
 def _cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """Cores this process may run on, each worth one range's thread; 1
+    where the host cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -150,79 +151,48 @@ def _ranges(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _pickled(exc: BaseException) -> bytes:
-    """`exc` pickled, or a RuntimeError naming it if it does not load back."""
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-    except Exception:  # noqa: BLE001 - any exception may fail to round-trip
-        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return payload
-
-
-def _reap(pid: int, read_end: int) -> BaseException | None:
-    """Wait for one child; the exception it failed with, or None."""
-    with os.fdopen(read_end, "rb") as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if payload:
-        return pickle.loads(payload)  # written by the child, from `_pickled`
-    if status:
-        code = os.waitstatus_to_exitcode(status)
-        return ChildProcessError(f"a trial-range process ended with status {code}")
-    return None
-
-
 def _in_parallel(items, task) -> None:
-    """Run task(*item) for every item at once: the first item in this
-    process, each other in a forked child (see the module docstring).
+    """Run task(*item) for every item at once: the first item on this
+    thread, each other on a thread of its own.  Each task is a generator
+    that yields after every chunk; once any item has failed, the others
+    stop at their next chunk.
 
-    Every child is reaped before this returns or raises.  This process's
-    own exception wins; otherwise the first failed child's is raised.
+    Every thread is joined before this returns or raises.  This thread's
+    own exception wins; otherwise the first failed item's is raised.
     """
-    children = []
+    failures = [None] * len(items)
+    failed = threading.Event()
+
+    def run(index):
+        try:
+            for _ in task(*items[index]):
+                if failed.is_set():
+                    return
+        except BaseException as exc:  # re-raised on the calling thread below
+            failures[index] = exc
+            failed.set()
+
+    started = []
     try:
-        for item in items[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_end)
-                    task(*item)
-                    status = 0
-                except BaseException as exc:
-                    with os.fdopen(write_end, "wb") as pipe:
-                        pipe.write(_pickled(exc))
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
-        task(*items[0])
+        for index in range(1, len(items)):
+            thread = threading.Thread(target=run, args=(index,))
+            thread.start()
+            started.append(thread)
+        run(0)
     finally:
-        failures = [_reap(pid, read_end) for pid, read_end in children]
+        for thread in started:
+            thread.join()
     for failure in failures:
         if failure is not None:
             raise failure
 
 
 def _shared_codes(n: int) -> np.ndarray:
-    """n zero cell codes in an anonymous shared mapping, which forked
-    children write into.  A size the host cannot map is a MemoryError."""
-    try:
-        buffer = mmap.mmap(-1, n)
-    except OverflowError:
-        raise MemoryError(f"cannot map {n} trial codes") from None
-    except OSError as exc:
-        if exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"cannot map {n} trial codes: {exc.strerror}") from None
-    return np.frombuffer(buffer, dtype=np.uint8)
+    """n zero cell codes, which every range's thread writes into.  A size
+    past sys.maxsize is a MemoryError, as one the host cannot allocate is."""
+    if n > sys.maxsize:
+        raise MemoryError(f"cannot allocate {n} trial codes")
+    return np.zeros(n, dtype=np.uint8)
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -376,6 +346,7 @@ class TrialLedger:
                     for rows in _render_rows(lo + start, self.codes[lo + start:lo + stop], endings):
                         _pwrite_all(fh.fileno(), rows, offset)
                         offset += len(rows)
+                    yield
 
             _in_parallel([(lo, hi, offset) for (lo, hi), offset in zip(ranges, offsets)], write)
 
@@ -417,6 +388,8 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
         for start, stop in _chunks(hi - lo):
             draws = np.ascontiguousarray(_draw_block(bit_generator, stop - start, cols).T)
             codes[lo + start:lo + stop] = sample(draws)
+            del draws  # not alive while the next chunk is drawn
+            yield
 
     _in_parallel(_ranges(n), draw)
     return TrialLedger(seed=seed, alice_labels=alice_labels, bob_labels=bob_labels, codes=codes)

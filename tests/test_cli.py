@@ -1,12 +1,12 @@
 import contextlib
 import csv
-import errno
 import io
 import json
 import math
 import os
 import random
 import stat
+import threading
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -510,14 +510,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n", [10**12, 10**30])
     def test_unmappable_n_is_guard_error(self, capsys, monkeypatch, tmp_path, model_file, n):
-        # 10^30 does not fit ssize_t, so no mapping is attempted.  10^12 is
-        # never mapped for real (under overcommit it would succeed): the
+        # 10^30 is past sys.maxsize, so nothing is allocated.  10^12 is
+        # never allocated for real (under overcommit it could succeed): the
         # host's refusal is patched in.
-        def refused(*args, **kwargs):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        zeros = simulate.np.zeros
 
-        if n == 10**12:
-            monkeypatch.setattr(simulate.mmap, "mmap", refused)
+        def refused(shape, *args, **kwargs):
+            if shape == 10**12:
+                raise MemoryError(f"Unable to allocate {shape} bytes")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(simulate.np, "zeros", refused)
         out_dir = tmp_path / "run"
         code, out, err = run(
             capsys, "simulate", "--model", str(model_file), "--n", str(n), "--out", str(out_dir),
@@ -528,13 +531,13 @@ class TestSimulate:
         assert not out_dir.exists()
 
     def test_failed_range_exits_as_one_range_would(self, capsys, monkeypatch, tmp_path, model_file):
-        # A MemoryError in a forked range's sampling still exits 3.
+        # A MemoryError in a worker thread's range still exits 3.
         monkeypatch.setattr(simulate, "CHUNK", 64)
         monkeypatch.setattr(simulate, "_cores", lambda: 2)
-        parent, settings = os.getpid(), simulate._settings
+        settings = simulate._settings
 
         def exhausted(draws):
-            if os.getpid() != parent:
+            if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("no room for the draws")
             return settings(draws)
 
@@ -548,6 +551,25 @@ class TestSimulate:
         assert_input_error(err)
         assert "no room for the draws" in err
         assert not out_dir.exists()
+
+    def test_two_ranges_fork_nothing(self, capsys, monkeypatch, tmp_path, model_file):
+        # Both ranges run on threads of this process, with one range's bytes.
+        def no_fork():
+            raise AssertionError("simulate forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        outputs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
+            assert len(simulate._ranges(200)) == cores
+            out_dir = tmp_path / f"run{cores}"
+            code, _, err = run(
+                capsys, "simulate", "--model", str(model_file), "--n", "200", "--out", str(out_dir),
+            )
+            assert (code, err) == (0, "")
+            outputs.append([(out_dir / name).read_bytes() for name in ("ledger.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
 
     def test_cells_counted_once_per_ledger(self, capsys, monkeypatch, tmp_path, model_file):
         calls = counting(monkeypatch, simulate, "_code_bins")

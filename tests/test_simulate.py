@@ -3,8 +3,9 @@ import itertools
 import math
 import os
 import re
-import signal
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -41,7 +42,8 @@ from tests_support import PRESETS, counting
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
-CHUNK_SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+# Whole runs of several chunks, and one trial either side of a chunk boundary.
+CHUNK_SIZES = (1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 12 * CHUNK + 7)
 
 
 def quoted_label_model():
@@ -699,8 +701,8 @@ class TestRenderRows:
         self.assert_rows(*render_labels(labels), STRADDLES)
 
     def test_memory_is_bounded_for_long_labels(self, monkeypatch, tmp_path):
-        # One range, so tracemalloc sees every block; chunks of 4096 rows
-        # keep the ledger near 9 MB.
+        # One range, so the peak is one block's rather than two at once;
+        # chunks of 4096 rows keep the ledger near 9 MB.
         monkeypatch.setattr(simulate, "CHUNK", 4096)
         monkeypatch.setattr(simulate, "_cores", lambda: 1)
         ledger = simulate_trials(long_label_model(), 3 * simulate.CHUNK, seed=4)
@@ -846,10 +848,21 @@ class TestAtomicLedger:
 class TestTrialRanges:
     """The number of trial ranges changes no cell code and no ledger byte."""
 
+    @pytest.fixture
+    def fast_switching(self):
+        """Threads switch every microsecond, so the ranges interleave finely."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("n", CHUNK_SIZES)
-    def test_range_count_changes_no_byte(self, monkeypatch, tmp_path, n):
-        # Ranges of n // cores trials fall mid-chunk of 1000.  The clustered
-        # model's lookups take several passes.
+    def test_range_count_changes_no_byte(self, monkeypatch, tmp_path, fast_switching, n):
+        # Ranges of n // cores trials fall mid-chunk of 1000, on up to 5
+        # threads that switch every microsecond.  The clustered model's
+        # lookups take several passes.
         monkeypatch.setattr(simulate, "CHUNK", 1000)
         runs = [
             (lambda model=model: simulate_trials(model, n, seed=n),
@@ -883,10 +896,29 @@ class TestTrialRanges:
         assert 1 <= len(ranges) <= cores
         assert len(ranges) == 1 or all(hi - lo >= 1000 for lo, hi in ranges)
 
-    def test_one_range_without_fork(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
+    def test_one_range_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert simulate._cores() == 1
         assert simulate._ranges(10 * CHUNK) == [(0, 10 * CHUNK)]
+
+    def test_two_range_memory_is_bounded(self, monkeypatch, tmp_path, noisy):
+        # tracemalloc traces every thread, so the peak holds both ranges'
+        # chunk temporaries at once.  At CHUNK = 2^14 each range samples
+        # from a 640 KB block of draws and its 640 KB transpose: one range
+        # peaked at 1.44 MB and two at up to 2.8 MB.  At 2^15 two peaked
+        # at 5.5 MB.  A larger CHUNK raises the process's peak RSS, and
+        # fails here.
+        monkeypatch.setattr(simulate, "_cores", lambda: 2)
+        n = 4 * CHUNK
+        assert len(simulate._ranges(n)) == 2
+        simulate_trials(noisy, n, seed=2).to_csv(tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            simulate_trials(noisy, n, seed=2).to_csv(tmp_path / "ledger.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("cols", (3, 5))
     @pytest.mark.parametrize("lo", (0, 1, 65536, 123457))
@@ -902,26 +934,26 @@ class TestTrialRanges:
 
 
 class TestRangeFailure:
-    """A range that fails in a child fails the run and leaves nothing behind."""
+    """A range that fails on a worker thread fails the run and leaves
+    nothing behind: no thread and no file."""
 
     @pytest.fixture
-    def parent(self, monkeypatch):
-        """Two ranges of 10 trials at n = 20; this process's pid."""
+    def threads(self, monkeypatch):
+        """Two ranges of 10 trials at n = 20; the live thread count."""
         monkeypatch.setattr(simulate, "CHUNK", 4)
         monkeypatch.setattr(simulate, "_cores", lambda: 2)
-        return os.getpid()
+        return threading.active_count()
 
     @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def on_worker() -> bool:
+        return threading.current_thread() is not threading.main_thread()
 
-    def test_child_write_failure_leaves_target_untouched(self, tmp_path, monkeypatch, noisy, parent):
+    def test_child_write_failure_leaves_target_untouched(self, tmp_path, monkeypatch, noisy, threads):
         ledger = simulate_trials(noisy, 20, seed=1)
         write = simulate._pwrite_all
 
         def full_disk(fd, data, offset):
-            if os.getpid() != parent:
+            if self.on_worker():
                 raise OSError(errno.ENOSPC, "No space left on device")
             write(fd, data, offset)
 
@@ -933,46 +965,51 @@ class TestRangeFailure:
         assert failure.value.errno == errno.ENOSPC
         assert target.read_text(encoding="utf-8") == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
-        self.assert_no_child_left()
+        assert threading.active_count() == threads
 
-    def test_child_sample_failure_fails_the_run(self, monkeypatch, noisy, parent):
+    def test_child_sample_failure_fails_the_run(self, monkeypatch, noisy, threads):
         settings = simulate._settings
 
         def exhausted(draws):
-            if os.getpid() != parent:
+            if self.on_worker():
                 raise MemoryError("no room for the draws")
             return settings(draws)
 
         monkeypatch.setattr(simulate, "_settings", exhausted)
         with pytest.raises(MemoryError, match="no room for the draws"):
             simulate_trials(noisy, 20, seed=1)
-        self.assert_no_child_left()
+        assert threading.active_count() == threads
 
-    def test_exception_that_cannot_be_sent_is_named(self, monkeypatch, noisy, parent):
-        class Local(Exception):  # a local class does not pickle
-            pass
-
+    @pytest.mark.parametrize("on_worker, error", ((False, KeyboardInterrupt), (True, MemoryError)))
+    def test_other_range_stops_at_its_next_chunk(self, monkeypatch, noisy, threads, on_worker, error):
+        # Two ranges of 200 trials, 50 chunks each.  One range fails at its
+        # first chunk, as on an interrupt; the other sleeps through each of
+        # its chunks, and stops after the one it is in.
         settings = simulate._settings
+        slow_chunks = []
 
         def failing(draws):
-            if os.getpid() != parent:
-                raise Local("in the child")
+            if self.on_worker() == on_worker:
+                raise error
+            slow_chunks.append(1)
+            time.sleep(0.01)
             return settings(draws)
 
         monkeypatch.setattr(simulate, "_settings", failing)
-        with pytest.raises(RuntimeError, match="Local: in the child"):
+        with pytest.raises(error):
+            simulate_trials(noisy, 400, seed=1)
+        assert len(slow_chunks) < 10
+        assert threading.active_count() == threads
+
+    def test_calling_threads_exception_wins(self, monkeypatch, noisy, threads):
+        # The worker is still running when the calling thread fails.
+        def failing(draws):
+            if self.on_worker():
+                time.sleep(0.1)
+                raise MemoryError("on the worker")
+            raise ValueError("on the calling thread")
+
+        monkeypatch.setattr(simulate, "_settings", failing)
+        with pytest.raises(ValueError, match="on the calling thread"):
             simulate_trials(noisy, 20, seed=1)
-        self.assert_no_child_left()
-
-    def test_killed_child_fails_the_run(self, monkeypatch, noisy, parent):
-        settings = simulate._settings
-
-        def killed(draws):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return settings(draws)
-
-        monkeypatch.setattr(simulate, "_settings", killed)
-        with pytest.raises(ChildProcessError, match="status -9"):
-            simulate_trials(noisy, 20, seed=1)
-        self.assert_no_child_left()
+        assert threading.active_count() == threads
