@@ -2,10 +2,11 @@
 
 Subcommands: check, certify, search, simulate.  Exit codes: 0 all passed,
 1 verdict failure or invariant violation, 2 input or I/O error, 3
-resource guard tripped or memory exhausted.  All JSON output is printed
-with sorted keys and fixed indentation so identical inputs produce
-byte-identical bytes.  Only `certify` and `simulate` load numpy, when
-they run; `check` and `search` start and finish without it.
+resource guard tripped or memory exhausted, 130 interrupted (SIGINT).
+All JSON output is printed with sorted keys and fixed indentation so
+identical inputs produce byte-identical bytes.  Only `certify` and
+`simulate` load numpy, when they run; `check` and `search` start and
+finish without it.
 """
 
 from __future__ import annotations
@@ -363,6 +364,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a run killed by it
 
 
 if __name__ == "__main__":

@@ -44,8 +44,8 @@ DECIMAL_DIGITS = 12  # significant digits of the decimal renderings
 class ModelFormatError(ValueError):
     """A model document is structurally malformed.
 
-    Raised for bad JSON shape, unknown fields, wrong value types, or
-    rational strings that do not match ``-?[0-9]+(/[1-9][0-9]*)?``.
+    Raised for bad JSON shape, unknown or duplicate fields, wrong value
+    types, or rational strings that do not match ``-?[0-9]+(/[1-9][0-9]*)?``.
     Semantic problems (weights not summing to one, outcomes outside
     {-1,+1}, dimension mismatches) are not format errors; they are
     reported by :func:`validate_model`.
@@ -373,13 +373,24 @@ def model_from_dict(doc) -> ContextualModel:
     return ContextualModel(source=source, alice=alice, bob=bob)
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object as a dict, refusing a key given twice, of which
+    `json` would silently keep the last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ModelFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_model(path) -> ContextualModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: not UTF-8 text ({exc})") from exc
-        except (RecursionError, ValueError) as exc:  # also nesting and integer-digit limits
+        except (RecursionError, ValueError) as exc:  # also nesting, digit limits, duplicate keys
             raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_dict(doc)
 

@@ -24,23 +24,15 @@ interval (from `reduction._readout`), so a trial's cell code is one
 gather per side and one add.  The quantum sampler compares its draw with
 its context's three inner thresholds.
 
-A run is split into contiguous trial ranges, one per usable core and
-none shorter than CHUNK trials.  Each range is sampled, and later
-rendered into the ledger, on a thread of this process: the first on the
-calling thread, each other on a thread of its own.  numpy's draws,
-gathers and compares and the ledger's `pwrite`s release the interpreter
-lock, so the ranges overlap.  Once a range fails, the others stop at
-their next chunk.  Every thread is joined before a run returns or
-raises, and a run raises if any range failed.
-
-Every 53-bit draw takes exactly one 64-bit word of the PCG64 stream,
-and rows are filled in stream order, so a range
-starting at trial lo advances a fresh PCG64(seed) by lo * columns words
-and draws what one whole-run block draw holds in rows lo onwards.  It
-draws in row chunks of CHUNK trials into one shared byte array of cell
-codes, so memory is about 1 B per trial.  Each range writes its rows at
-the byte offset that the codes before it fix.  So neither the chunk size
-nor the number of ranges changes a byte of the ledger.
+A run is cut into chunks of CHUNK trials, the only unit of parallel
+work: `_in_parallel` shares them out among one thread per usable core.
+numpy's draws, gathers and compares and the ledger's `pwrite`s release
+the interpreter lock, so the threads overlap.  Every 53-bit draw takes
+exactly one 64-bit word of the PCG64 stream, so the chunk starting at
+trial lo advances a fresh PCG64(seed) by lo * columns words.  It puts
+its cell codes into one shared byte array, about 1 B per trial, and
+writes its ledger rows at the byte offset that the codes before it fix.
+So neither the chunk size nor the number of threads changes a byte.
 
 Ledger rows are rendered a chunk at a time with numpy, no Python object
 per row (`_render_rows`).  The 16 possible row endings are rendered once
@@ -56,6 +48,7 @@ no-signalling check lives in `exact`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -77,9 +70,8 @@ U_SCALE = 1 << U_BITS
 # The bit generator behind every draw; summary.json names it.
 RNG_ALGORITHM = "PCG64"
 
-# Trials per draw, sample and ledger-write chunk; bounds the temporaries,
-# which every range's thread holds at once.  Also the shortest trial range
-# worth a thread of its own.
+# Trials per chunk, the unit of sampling, ledger writing and parallel work;
+# bounds the temporaries, which every thread holds at once.
 CHUNK = 1 << 14
 
 # A threshold lookup's guide table has one entry per value of a draw's top
@@ -136,63 +128,57 @@ def _digits_below(t: int) -> int:
 
 
 def _cores() -> int:
-    """Cores this process may run on, each worth one range's thread; 1
-    where the host cannot say."""
+    """Cores this process may run on, each worth one worker thread; 1 where
+    the host cannot say."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _ranges(n: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) trial ranges covering range(n): at most one per
-    usable core, and none shorter than CHUNK unless it is the only one."""
-    count = max(1, min(_cores(), n // CHUNK))
-    bounds = [n * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _in_parallel(items, task) -> None:
-    """Run task(*item) for every item at once: the first item on this
-    thread, each other on a thread of its own.  Each task is a generator
-    that yields after every chunk; once any item has failed, the others
-    stop at their next chunk.
+    """Run task(*item) for every item on k = min(_cores(), len(items)),
+    at least 1, workers, worker 0 on this thread: worker j takes items j,
+    j + k, j + 2k, ....  Once a task fails, every worker stops before its
+    next item.
 
-    Every thread is joined before this returns or raises.  This thread's
-    own exception wins; otherwise the first failed item's is raised.
+    Every thread is joined before this returns or raises.  An exception
+    on this thread, also one raised while a thread is started or joined,
+    stops the workers first and wins over theirs; otherwise the first
+    failed worker's exception is raised.
     """
-    failures = [None] * len(items)
-    failed = threading.Event()
+    workers = max(1, min(_cores(), len(items)))
+    failures = [None] * workers
+    stop = threading.Event()
 
-    def run(index):
+    def work(index):
         try:
-            for _ in task(*items[index]):
-                if failed.is_set():
+            for item in items[index::workers]:
+                if stop.is_set():
                     return
+                task(*item)
         except BaseException as exc:  # re-raised on the calling thread below
             failures[index] = exc
-            failed.set()
+            stop.set()
 
     started = []
     try:
-        for index in range(1, len(items)):
-            thread = threading.Thread(target=run, args=(index,))
+        for index in range(1, workers):
+            thread = threading.Thread(target=work, args=(index,))
             thread.start()
             started.append(thread)
-        run(0)
-    finally:
+        work(0)
         for thread in started:
             thread.join()
+    except BaseException:
+        stop.set()
+        while any(thread.is_alive() for thread in started):
+            with contextlib.suppress(BaseException):  # a second interrupt: the first wins
+                for thread in started:
+                    thread.join()
+        raise
     for failure in failures:
         if failure is not None:
             raise failure
-
-
-def _shared_codes(n: int) -> np.ndarray:
-    """n zero cell codes, which every range's thread writes into.  A size
-    past sys.maxsize is a MemoryError, as one the host cannot allocate is."""
-    if n > sys.maxsize:
-        raise MemoryError(f"cannot allocate {n} trial codes")
-    return np.zeros(n, dtype=np.uint8)
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -324,31 +310,28 @@ class TrialLedger:
     def to_csv(self, path) -> None:
         """Write one row per trial to `path`, atomically.
 
-        Each trial range renders its rows and writes them at its own byte
-        offset: the header, the digits of the trial numbers before it, and
-        the row endings of the codes before it.
+        Each chunk renders its rows and writes them at its own byte offset:
+        the header, the digits of the trial numbers before it, and the row
+        endings of the codes before it.
         """
         endings = self._row_endings()
         ending_bytes = np.array([len(e) for e in endings], dtype=np.int64)
         header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
-        ranges = _ranges(self.n)
-        offsets = [len(header.encode())]
-        for lo, hi in ranges[:-1]:
-            rows = int(_code_bins(self.codes[lo:hi]) @ ending_bytes)
-            offsets.append(offsets[-1] + rows + _digits_below(hi) - _digits_below(lo))
+        chunks, before = [], len(header.encode())
+        for lo, hi in _chunks(self.n):
+            chunks.append((lo, hi, before + _digits_below(lo)))
+            before += int(np.bincount(self.codes[lo:hi], minlength=16) @ ending_bytes)
 
         with atomic_writer(path, newline="") as fh:
             fh.write(header)
             fh.flush()
 
             def write(lo, hi, offset):
-                for start, stop in _chunks(hi - lo):
-                    for rows in _render_rows(lo + start, self.codes[lo + start:lo + stop], endings):
-                        _pwrite_all(fh.fileno(), rows, offset)
-                        offset += len(rows)
-                    yield
+                for rows in _render_rows(lo, self.codes[lo:hi], endings):
+                    _pwrite_all(fh.fileno(), rows, offset)
+                    offset += len(rows)
 
-            _in_parallel([(lo, hi, offset) for (lo, hi), offset in zip(ranges, offsets)], write)
+            _in_parallel(chunks, write)
 
 
 def _draw_block(bit_generator, rows: int, cols: int) -> np.ndarray:
@@ -370,8 +353,7 @@ def _draw_block(bit_generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_labels) -> TrialLedger:
-    """Draw n rows of `cols` 53-bit integers, by trial range, CHUNK rows
-    at a time.
+    """Draw n rows of `cols` 53-bit integers, CHUNK rows at a time.
 
     `sample` maps one chunk's draws, transposed to a C-ordered (cols,
     rows) block so that each column is contiguous, to the chunk's cell
@@ -379,19 +361,21 @@ def _sample_ledger(seed: int, n: int, cols: int, sample, alice_labels, bob_label
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
-    codes = _shared_codes(n)
+    if n > sys.maxsize:  # refused as a size the host cannot allocate is
+        raise MemoryError(f"cannot allocate {n} trial codes")
+    codes = np.zeros(n, dtype=np.uint8)
+    # PCG64(seed) seeds from SeedSequence(seed); hashing the seed once per
+    # run, not per chunk, halves each chunk's setup under the interpreter lock.
+    seed_sequence = np.random.SeedSequence(seed)
 
     def draw(lo, hi):
-        bit_generator = np.random.PCG64(seed)
+        bit_generator = np.random.PCG64(seed_sequence)
         # One 64-bit word per 53-bit value: skip the rows before lo.
         bit_generator.advance(lo * cols)
-        for start, stop in _chunks(hi - lo):
-            draws = np.ascontiguousarray(_draw_block(bit_generator, stop - start, cols).T)
-            codes[lo + start:lo + stop] = sample(draws)
-            del draws  # not alive while the next chunk is drawn
-            yield
+        draws = np.ascontiguousarray(_draw_block(bit_generator, hi - lo, cols).T)
+        codes[lo:hi] = sample(draws)
 
-    _in_parallel(_ranges(n), draw)
+    _in_parallel(list(_chunks(n)), draw)
     return TrialLedger(seed=seed, alice_labels=alice_labels, bob_labels=bob_labels, codes=codes)
 
 

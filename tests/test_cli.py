@@ -553,7 +553,7 @@ class TestSimulate:
         assert not out_dir.exists()
 
     def test_two_ranges_fork_nothing(self, capsys, monkeypatch, tmp_path, model_file):
-        # Both ranges run on threads of this process, with one range's bytes.
+        # Both workers run on threads of this process, with one worker's bytes.
         def no_fork():
             raise AssertionError("simulate forked")
 
@@ -562,14 +562,31 @@ class TestSimulate:
         outputs = []
         for cores in (1, 2):
             monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
-            assert len(simulate._ranges(200)) == cores
+            threads = counting(monkeypatch, threading.Thread, "start")
             out_dir = tmp_path / f"run{cores}"
             code, _, err = run(
                 capsys, "simulate", "--model", str(model_file), "--n", "200", "--out", str(out_dir),
             )
             assert (code, err) == (0, "")
+            # One worker thread each for sampling and writing, past the first.
+            assert len(threads) == 2 * (cores - 1)
             outputs.append([(out_dir / name).read_bytes() for name in ("ledger.csv", "summary.json")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", ["_draw_block", "_pwrite_all"])
+    def test_interrupt_exits_130(self, capsys, monkeypatch, tmp_path, model_file, name):
+        # An interrupt while sampling, or while writing the ledger, exits as
+        # a shell reports SIGINT, with one line and no file left behind.
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulate, name, interrupted)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "200", "--out", str(out_dir),
+        )
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_cells_counted_once_per_ledger(self, capsys, monkeypatch, tmp_path, model_file):
         calls = counting(monkeypatch, simulate, "_code_bins")
@@ -653,8 +670,9 @@ class TestLongRationals:
 
 def _unreadable_models() -> dict[str, str]:
     """Model files that `json.load` or `Fraction` cannot read: nesting past
-    the recursion limit, and numbers past the integer-digit limit; and a
-    setting label, a lone surrogate, that no output can encode."""
+    the recursion limit, and numbers past the integer-digit limit; a
+    setting label, a lone surrogate, that no output can encode; and keys
+    given twice, of which `json.load` alone keeps the last."""
     doc = model_to_dict(PRESETS["noisy_readout"]())
     surrogate = json.dumps({**doc, "bob": dict(zip(("y", "y\ud800"), doc["bob"].values()))})
     doc["alice"]["x"]["table"][0][0] = "LONG"
@@ -665,6 +683,12 @@ def _unreadable_models() -> dict[str, str]:
         "long_integer.json": long_integer,
         "long_rational.json": json.dumps(doc),
         "surrogate_label.json": surrogate,
+        "duplicate_keys.json": (
+            '{"source": [["1"]], "alice": {"x": {"pmf": ["1"], "table": [[-1]]}, '
+            '"x": {"pmf": ["1"], "table": [[1]]}, "x\'": {"pmf": ["1"], "table": [[1]]}}, '
+            '"bob": {"y": {"pmf": ["1"], "table": [[1]]}, "y\'": {"pmf": ["1"], "table": [[1]]}}, '
+            '"source": [["1"]]}'
+        ),
     }
 
 

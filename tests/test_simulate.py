@@ -822,13 +822,18 @@ class TestAtomicLedger:
     def test_failed_write_leaves_target_untouched(self, tmp_path, monkeypatch, noisy):
         # The write fails after its first chunk was written to the temporary file.
         monkeypatch.setattr(simulate, "CHUNK", 4)
+        monkeypatch.setattr(simulate, "_cores", lambda: 1)
         ledger = simulate_trials(noisy, 20, seed=1)
+        write = simulate._pwrite_all
+        writes = []
 
-        def chunks(n):
-            yield 0, 4
-            raise RuntimeError("interrupted")
+        def second_write_fails(fd, data, offset):
+            writes.append(offset)
+            if len(writes) == 2:
+                raise RuntimeError("interrupted")
+            write(fd, data, offset)
 
-        monkeypatch.setattr(simulate, "_chunks", chunks)
+        monkeypatch.setattr(simulate, "_pwrite_all", second_write_fails)
         target = tmp_path / "ledger.csv"
         target.write_text("previous\n", encoding="utf-8")
         with pytest.raises(RuntimeError, match="interrupted"):
@@ -845,12 +850,25 @@ class TestAtomicLedger:
         assert list(tmp_path.iterdir()) == []
 
 
+def started_threads(monkeypatch) -> list:
+    """Count every thread started from now on, in a list of the threads."""
+    threads = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return threads
+
+
 class TestTrialRanges:
-    """The number of trial ranges changes no cell code and no ledger byte."""
+    """The number of worker threads changes no cell code and no ledger byte."""
 
     @pytest.fixture
     def fast_switching(self):
-        """Threads switch every microsecond, so the ranges interleave finely."""
+        """Threads switch every microsecond, so the workers interleave finely."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -860,9 +878,8 @@ class TestTrialRanges:
 
     @pytest.mark.parametrize("n", CHUNK_SIZES)
     def test_range_count_changes_no_byte(self, monkeypatch, tmp_path, fast_switching, n):
-        # Ranges of n // cores trials fall mid-chunk of 1000, on up to 5
-        # threads that switch every microsecond.  The clustered model's
-        # lookups take several passes.
+        # Chunks of 1000 trials on up to 5 threads that switch every
+        # microsecond.  The clustered model's lookups take several passes.
         monkeypatch.setattr(simulate, "CHUNK", 1000)
         runs = [
             (lambda model=model: simulate_trials(model, n, seed=n),
@@ -875,7 +892,7 @@ class TestTrialRanges:
             want = None
             for cores in (1, 2, 3, 5):
                 monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
-                assert len(simulate._ranges(n)) == min(cores, max(1, n // 1000))
+                threads = started_threads(monkeypatch)
                 ledger = run()
                 for got, codes in zip(ledger_arrays(ledger), expected):
                     assert np.array_equal(got, codes)
@@ -884,40 +901,63 @@ class TestTrialRanges:
                     want = (tmp_path / "oracle.csv").read_bytes()
                 ledger.to_csv(tmp_path / "ledger.csv")
                 assert (tmp_path / "ledger.csv").read_bytes() == want
+                # Sampling and writing each start one thread per worker after the first.
+                assert len(threads) == 2 * (min(cores, -(-n // 1000)) - 1)
 
     @pytest.mark.parametrize("cores", (1, 2, 3, 5))
     @pytest.mark.parametrize("n", (1, 999, 1000, 1999, 2000, 4999, 5001))
     def test_ranges_tile_the_run(self, monkeypatch, n, cores):
+        # The chunks tile range(n), and k = min(cores, chunks) workers
+        # together take every chunk exactly once.
         monkeypatch.setattr(simulate, "CHUNK", 1000)
         monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
-        ranges = simulate._ranges(n)
-        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
-        assert ranges[-1][1] == n
-        assert 1 <= len(ranges) <= cores
-        assert len(ranges) == 1 or all(hi - lo >= 1000 for lo, hi in ranges)
+        chunks = list(simulate._chunks(n))
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n
+        assert all(0 < hi - lo <= 1000 for lo, hi in chunks)
+        taken = []
 
-    def test_one_range_without_affinity(self, monkeypatch):
+        def task(lo, hi):
+            taken.append((threading.current_thread(), (lo, hi)))
+
+        simulate._in_parallel(chunks, task)
+        assert sorted(chunk for _, chunk in taken) == chunks
+        workers = {thread for thread, _ in taken}
+        assert len(workers) == min(cores, len(chunks))
+        assert threading.current_thread() in workers
+
+    def test_empty_ledger_writes_the_header(self, tmp_path):
+        # No chunk at all still runs on one worker, which has nothing to do.
+        ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"),
+                             codes=np.zeros(0, dtype=np.uint8))
+        ledger.to_csv(tmp_path / "ledger.csv")
+        assert (tmp_path / "ledger.csv").read_bytes() == b"trial,alice_setting,bob_setting,a,b\r\n"
+
+    def test_one_worker_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         assert simulate._cores() == 1
-        assert simulate._ranges(10 * CHUNK) == [(0, 10 * CHUNK)]
+        threads = started_threads(monkeypatch)
+        simulate._in_parallel(list(simulate._chunks(10 * CHUNK)), lambda lo, hi: None)
+        assert threads == []
 
     def test_two_range_memory_is_bounded(self, monkeypatch, tmp_path, noisy):
-        # tracemalloc traces every thread, so the peak holds both ranges'
-        # chunk temporaries at once.  At CHUNK = 2^14 each range samples
-        # from a 640 KB block of draws and its 640 KB transpose: one range
+        # tracemalloc traces every thread, so the peak holds both workers'
+        # chunk temporaries at once.  At CHUNK = 2^14 each worker samples
+        # from a 640 KB block of draws and its 640 KB transpose: one worker
         # peaked at 1.44 MB and two at up to 2.8 MB.  At 2^15 two peaked
         # at 5.5 MB.  A larger CHUNK raises the process's peak RSS, and
         # fails here.
         monkeypatch.setattr(simulate, "_cores", lambda: 2)
         n = 4 * CHUNK
-        assert len(simulate._ranges(n)) == 2
         simulate_trials(noisy, n, seed=2).to_csv(tmp_path / "warm.csv")
+        threads = started_threads(monkeypatch)
         tracemalloc.start()
         try:
             simulate_trials(noisy, n, seed=2).to_csv(tmp_path / "ledger.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(threads) == 2
         assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("cols", (3, 5))
@@ -934,12 +974,12 @@ class TestTrialRanges:
 
 
 class TestRangeFailure:
-    """A range that fails on a worker thread fails the run and leaves
+    """A chunk that fails on a worker thread fails the run and leaves
     nothing behind: no thread and no file."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
-        """Two ranges of 10 trials at n = 20; the live thread count."""
+        """Two workers, of chunks of 4 trials; the live thread count."""
         monkeypatch.setattr(simulate, "CHUNK", 4)
         monkeypatch.setattr(simulate, "_cores", lambda: 2)
         return threading.active_count()
@@ -982,9 +1022,9 @@ class TestRangeFailure:
 
     @pytest.mark.parametrize("on_worker, error", ((False, KeyboardInterrupt), (True, MemoryError)))
     def test_other_range_stops_at_its_next_chunk(self, monkeypatch, noisy, threads, on_worker, error):
-        # Two ranges of 200 trials, 50 chunks each.  One range fails at its
-        # first chunk, as on an interrupt; the other sleeps through each of
-        # its chunks, and stops after the one it is in.
+        # Two workers of 50 chunks each.  One fails at its first chunk, as
+        # on an interrupt; the other sleeps through each of its chunks, and
+        # stops after the one it is in.
         settings = simulate._settings
         slow_chunks = []
 
@@ -1013,3 +1053,40 @@ class TestRangeFailure:
         with pytest.raises(ValueError, match="on the calling thread"):
             simulate_trials(noisy, 20, seed=1)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("method, error, failing", (
+        ("start", RuntimeError, {2}), ("join", KeyboardInterrupt, {1}),
+        ("join", KeyboardInterrupt, {1, 2}),
+    ))
+    def test_calling_thread_interrupted_stops_workers(self, monkeypatch, noisy, threads,
+                                                      method, error, failing):
+        # The calling thread fails while it starts its second worker thread
+        # (3 workers), or while it joins its one worker thread (2 workers)
+        # after its own fast chunks, once or again while it joins after the
+        # first failure.  The worker threads sleep through each of their
+        # chunks, about 33 or 50 of them, and stop after the one they are in.
+        monkeypatch.setattr(simulate, "_cores", lambda: 3 if method == "start" else 2)
+        settings = simulate._settings
+        slow_chunks = []
+
+        def slow_on_worker(draws):
+            if self.on_worker():
+                slow_chunks.append(1)
+                time.sleep(0.01)
+            return settings(draws)
+
+        original = getattr(threading.Thread, method)
+        calls = []
+
+        def fails_once(thread, *args):
+            calls.append(thread)
+            if len(calls) in failing:
+                raise error
+            return original(thread, *args)
+
+        monkeypatch.setattr(simulate, "_settings", slow_on_worker)
+        monkeypatch.setattr(threading.Thread, method, fails_once)
+        with pytest.raises(error):
+            simulate_trials(noisy, 400, seed=1)
+        assert threading.active_count() == threads
+        assert len(slow_chunks) < 10
