@@ -4,11 +4,14 @@
 `unified` describes, behind its cell-count guard: in int64 when D, the
 product of the five factor denominators, is below 2^63 (every preset and
 every `random_model` output), and in Python integers otherwise; its
-docstring states why each is exact.  It is the only route that computes
-with numpy, so it lives apart: `check` and `search` never import this
-module, and `bell_lab.chsh.certify_model` imports it when it runs.  It
-reads the model's factors directly and shares no scaling code with the
-dedicated and factored routes.
+docstring states why each is exact.  Each block of cells is one integer
+matrix product T @ B: T holds Alice's two factors times the source, by
+rows (l1, lx, lx') and columns l2, and B Bob's two factors, by rows l2
+and columns (ly, ly'), so the product adds every cell's term once.  It is
+the only route that computes with numpy, so it lives apart: `check` and
+`search` never import this module, and `bell_lab.chsh.certify_model`
+imports it when it runs.  It reads the model's factors directly and
+shares no scaling code with the dedicated and factored routes.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 from .models import ContextualModel, _scaled_factors
 from .unified import DEFAULT_CELL_LIMIT, SizeExceededError, _cell_count
 
-# Largest number of terms one block of the expanded sum holds.  Bob's two
-# local axes are never split, so a block holds at least |y| * |y'| terms.  It
-# bounds the route's memory: 128 KB of int64 terms, or 2^14 Python integers.
-_BLOCK_ELEMENTS = 1 << 14
+# Most elements that one block's T and its product T @ B hold together.  A
+# block holds at least one of Alice's (l1, lx, lx') rows, cols + |y| * |y'|
+# elements.  It bounds the route's memory: 64 KB of int64, or 2^13 Python
+# integers.
+_BLOCK_ELEMENTS = 1 << 13
 
 # The expanded sum runs in int64 when D is below this, and in Python integers
 # otherwise: every partial product of a cell term is at most D, and the
@@ -95,9 +99,15 @@ def _expanded_route(
     - Python integers (dtype object) when D >= 2^63 (weights with large
       denominators), which do not overflow at all.
 
-    The cell grid is walked in blocks of at most `_BLOCK_ELEMENTS` terms
-    (one Bob (ly, ly') grid when that alone is larger), each block's sum
-    is added into a Python integer, and memory does not grow with the
+    Per context, B[l2, (ly, ly')] = y[l2, ly] * y'[l2, ly'] is built once.
+    Alice's grid (l1, lx, lx') is walked in blocks; each block builds
+    T[(l1, lx, lx'), l2] = x * x' * src[l1, l2] and adds the sum of T @ B.
+    The product forms each cell's term T[n, l2] * B[l2, q] once and adds
+    it, so the bounds above hold for every partial sum; numpy's integer
+    and object matrix products use no BLAS and start no threads.  T and
+    the product hold at most `_BLOCK_ELEMENTS` elements together (one
+    (l1, lx, lx') row when cols + |y| * |y'| alone is more), each block's
+    sum is added into a Python integer, and memory does not grow with the
     number of cells.
     """
     size = _cell_count(model)
@@ -121,17 +131,16 @@ def _expanded_route(
         x, xp = (read if s == i else unread for s, (unread, read) in enumerate(alice))
         y, yp = (read if s == j else unread for s, (unread, read) in enumerate(bob))
 
-        # Blocks cut the grid (l1, lx, lx', l2); each index holds Bob's (ly, ly') cells.
-        shape = (rows, x.shape[1], xp.shape[1], cols)
-        inner = y.shape[1] * yp.shape[1]
+        # B[l2, (ly, ly')]: Bob's two factors, once per context.
+        bob_terms = (y[:, :, None] * yp[:, None, :]).reshape(cols, -1)
+        # Blocks cut Alice's grid (l1, lx, lx'); each index holds one row of
+        # T and one of the product T @ B.
+        shape = (rows, x.shape[1], xp.shape[1])
+        inner = cols + bob_terms.shape[1]
         total = 0
-        bob_cols = None
-        for r, ix, ixp, c in _blocks(shape, inner, _BLOCK_ELEMENTS):
-            if c != bob_cols:  # consecutive blocks mostly share Bob's columns
-                bob_terms = y[c, :, None] * yp[c, None, :]
-                bob_cols = c
+        for r, ix, ixp in _blocks(shape, inner, _BLOCK_ELEMENTS):
             alice_terms = x[r, ix, None] * xp[r, None, ixp]
-            terms = alice_terms[..., None] * src[r, None, None, c]
-            total += int((terms[..., None, None] * bob_terms).sum())
+            terms = (alice_terms[..., None] * src[r, None, None, :]).reshape(-1, cols)
+            total += int((terms @ bob_terms).sum())
         values.append(Fraction(total, denom))
     return tuple(values)

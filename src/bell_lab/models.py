@@ -197,16 +197,25 @@ class ContextualModel:
         return tuple((x, y) for x in a for y in b)
 
 
+def _check_total(weights, where: str, problems: list[str]) -> None:
+    """Report weights that do not sum to 1, summed as integer numerators
+    over their least common denominator."""
+    d = lcm(*[w.denominator for w in weights])
+    total = sum([w.numerator * (d // w.denominator) for w in weights])
+    if total != d:
+        problems.append(
+            f"{where}: weights sum to {format_rational(Fraction(total, d))}, expected 1"
+        )
+
+
 def _check_pmf(weights: tuple[Fraction, ...], where: str, problems: list[str]) -> None:
     if not weights:
         problems.append(f"{where}: empty support")
         return
     for k, w in enumerate(weights):
-        if w < 0:
+        if w.numerator < 0:
             problems.append(f"{where}[{k}]: negative weight {format_rational(w)}")
-    total = sum(weights, Fraction(0))
-    if total != 1:
-        problems.append(f"{where}: weights sum to {format_rational(total)}, expected 1")
+    _check_total(weights, where, problems)
 
 
 def validate_model(model: ContextualModel) -> list[str]:
@@ -229,12 +238,10 @@ def validate_model(model: ContextualModel) -> list[str]:
                 ragged = True
         for i, row in enumerate(src.weights):
             for j, w in enumerate(row):
-                if w < 0:
+                if w.numerator < 0:
                     problems.append(f"source[{i}][{j}]: negative weight {format_rational(w)}")
         if not ragged:
-            total = sum(src.flattened(), Fraction(0))
-            if total != 1:
-                problems.append(f"source: weights sum to {format_rational(total)}, expected 1")
+            _check_total(src.flattened(), "source", problems)
 
     for side, settings, source_dim in (
         ("alice", model.alice, src.rows),

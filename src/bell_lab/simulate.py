@@ -108,13 +108,15 @@ def _chunks(n: int):
         yield start, min(start + CHUNK, n)
 
 
-def _code_bins(codes) -> np.ndarray:
-    """Trials per cell code, int64 of length 16."""
+def _code_bins(codes) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The chunks of `codes` and each chunk's trials per cell code: the
+    `_chunks` ranges, and an int64 array of shape (chunks, 16)."""
+    chunks = list(_chunks(len(codes)))
+    bins = np.zeros((len(chunks), 16), dtype=np.int64)
     # bincount casts its input to intp; binning per chunk bounds that copy.
-    bins = np.zeros(16, dtype=np.int64)
-    for start in range(0, len(codes), CHUNK):
-        bins += np.bincount(codes[start:start + CHUNK], minlength=16)
-    return bins
+    for row, (lo, hi) in zip(bins, chunks):
+        row[:] = np.bincount(codes[lo:hi], minlength=16)
+    return chunks, bins
 
 
 def _digits_below(t: int) -> int:
@@ -227,11 +229,11 @@ def _render_rows(first: int, codes, endings):
         width = number_width + longest
         hi = min(stop, 10**w, lo + max(1, CHUNK * _ROW_BYTES // width))
         block = codes[lo - first:hi - first]
-        rows = _records([bytes(number_width) + e for e in endings], width)[block]
+        rows = _records([bytes(number_width) + e for e in endings], width).take(block)
         # Below 1000 the 4-digit record's leading zeros are not kept.
         keep = _records([bytes(number_width - w) + b"\1" * (w + len(e)) for e in endings], width)
         rows = rows.view(np.uint8).reshape(-1, width)
-        keep = keep[block].view(np.bool_).reshape(-1, width)
+        keep = keep.take(block).view(np.bool_).reshape(-1, width)
         low = rows[:, high:number_width].view(f"V{_LOW_DIGITS}")[:, 0]
         runs = [lo, *range((lo // _LOW_BLOCK + 1) * _LOW_BLOCK, hi, _LOW_BLOCK), hi]
         for run, end in zip(runs, runs[1:]):
@@ -287,8 +289,13 @@ class TrialLedger:
         return self._counts
 
     @cached_property
+    def _chunk_bins(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """`_code_bins` of the codes, binned once for the counts and the ledger."""
+        return _code_bins(self.codes)
+
+    @cached_property
     def _counts(self) -> np.ndarray:
-        counts = _code_bins(self.codes).reshape(2, 2, 2, 2)
+        counts = self._chunk_bins[1].sum(axis=0).reshape(2, 2, 2, 2)
         counts.flags.writeable = False
         return counts
 
@@ -310,17 +317,18 @@ class TrialLedger:
     def to_csv(self, path) -> None:
         """Write one row per trial to `path`, atomically.
 
-        Each chunk renders its rows and writes them at its own byte offset:
-        the header, the digits of the trial numbers before it, and the row
-        endings of the codes before it.
+        Each chunk of `_chunk_bins` renders its rows and writes them at its
+        own byte offset: the header, the digits of the trial numbers before
+        it, and the row endings of the codes before it, from the bins of the
+        chunks before it.
         """
         endings = self._row_endings()
         ending_bytes = np.array([len(e) for e in endings], dtype=np.int64)
         header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
-        chunks, before = [], len(header.encode())
-        for lo, hi in _chunks(self.n):
-            chunks.append((lo, hi, before + _digits_below(lo)))
-            before += int(np.bincount(self.codes[lo:hi], minlength=16) @ ending_bytes)
+        ranges, bins = self._chunk_bins
+        chunk_bytes = bins @ ending_bytes
+        before = len(header.encode()) + np.cumsum(chunk_bytes) - chunk_bytes
+        chunks = [(lo, hi, int(b) + _digits_below(lo)) for (lo, hi), b in zip(ranges, before)]
 
         with atomic_writer(path, newline="") as fh:
             fh.write(header)

@@ -8,7 +8,9 @@ The expanded route's int64 path (D < 2^63) is compared with its
 Python-integer path, forced through the private threshold, on every one of
 those models; models with D just below and at 2^63 pin which dtype runs.
 The Python-integer path also gets negative totals, totals at +-D, its
-block walk and its memory checked on their own.
+block walk and its memory checked on their own.  The expanded route's
+matrix-product blocks meet the oracle on shapes that force each way a
+block can fall, and exchanging the parties permutes every route's values.
 The dedicated loop and the no-signalling check on it are also compared
 with their oracles at the benchmark's size, on a skewed shape, and with
 weights that sum in Python integers.
@@ -373,9 +375,10 @@ class TestPythonIntegerExpanded:
         assert_expanded_matches_oracle(model)
 
     def test_memory_does_not_grow_with_cells(self):
-        # A block holds 2^14 Python integers, each below D (about 2^360): about
-        # 1.5 MB whether the model has 2^14 cells (one block per context) or
-        # 2^18 (sixteen).  Holding a context's terms at once would take 16x.
+        # A block's T and its product T @ B hold at most 2^13 Python
+        # integers together, each at most D (about 2^360): under 1 MB
+        # whether the model has 2^14 cells (one block per context) or 2^18
+        # (four).  Holding a context's terms at once would take 16x.
         peaks = []
         for shape in ((4, 4, 8, 8, 4, 4), (16, 16, 8, 8, 4, 4)):
             model = big_weight_model(0, shape=shape)
@@ -433,8 +436,9 @@ class TestBlocks:
         assert (seen == 1).all()
 
     def test_certify_op_memory_is_bounded(self):
-        # Blocks hold 2^14 int64 terms (128 KB); the old six-loop kernel
-        # held O(local cardinality), and one op peaked near 0.3 MB here.
+        # A block's T and its product T @ B hold at most 2^13 int64 values
+        # (64 KB) together; the old six-loop kernel held O(local
+        # cardinality), and one op peaked near 0.3 MB here.
         spec = SearchSpec(cardinalities=(16, 16, 8, 8, 4, 4), mode=SearchMode.RANDOM)
         model = random_model(spec, random.Random(0))
         certify_model(model)
@@ -445,6 +449,123 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+def matmul_blocks(model: ContextualModel) -> tuple[list, int]:
+    """The blocks `_expanded_route` cuts each context into, and the
+    elements one grid index holds: a row of T and a row of T @ B."""
+    (x, xp), (y, yp) = (
+        [len(local.weights) for local in settings.values()] for settings in (model.alice, model.bob)
+    )
+    inner = model.source.cols + y * yp
+    shape = (model.source.rows, x, xp)
+    return list(_blocks(shape, inner, expanded._BLOCK_ELEMENTS)), inner
+
+
+def zero_weight_model() -> ContextualModel:
+    """Size-1 source columns and local axes, zero weights, and cols = 1
+    against |y| * |y'| = 6."""
+    zero = Fraction(0)
+    return build_model(
+        [[Fraction(1, 3)], [zero], [Fraction(2, 3)]],
+        [[Fraction(1)], [Fraction(1, 4), zero, Fraction(3, 4), zero]],
+        [[zero, Fraction(1)], [Fraction(2, 7), Fraction(5, 7), zero]],
+        random.Random(21),
+    )
+
+
+def random_shape(shape, seed: int = 0) -> ContextualModel:
+    return random_model(SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM), random.Random(seed))
+
+
+class TestMatmulBlocks:
+    """The expanded route's blocks, one matrix product each, against the
+    per-cell oracle on shapes that force each way a block can fall."""
+
+    def test_several_blocks_inside_one_source_row(self):
+        for model in (random_shape((1, 2, 40, 40, 3, 3)),
+                      big_weight_model(4, shape=(1, 2, 40, 40, 3, 3))):
+            boxes, inner = matmul_blocks(model)
+            assert inner * 40 * 40 > expanded._BLOCK_ELEMENTS
+            assert len(boxes) > 1 and all(box[1] != slice(None) for box in boxes)
+            assert_expanded_matches_oracle(model)
+
+    def test_one_grid_index_above_the_cap(self):
+        # cols + |y| * |y'| = 1 + 91 * 91 elements: each block is one (l1, lx, lx').
+        model = random_shape((2, 1, 2, 3, 91, 91))
+        boxes, inner = matmul_blocks(model)
+        assert inner > expanded._BLOCK_ELEMENTS
+        assert len(boxes) == 2 * 2 * 3
+        assert_expanded_matches_oracle(model)
+
+    def test_size_one_axes_and_zero_weights(self):
+        model = zero_weight_model()
+        boxes, inner = matmul_blocks(model)
+        assert (len(boxes), inner) == (1, 1 + 6)
+        values = assert_expanded_matches_oracle(model)
+        assert values == oracles.correlation_quadruple(model)
+
+    @pytest.mark.parametrize("cap", [1, 7, 50])
+    def test_big_weights_in_small_blocks(self, monkeypatch, cap):
+        # Python integers, in blocks of one grid index (cap <= inner = 9) or a few.
+        model = big_weight_model(5, shape=(3, 3, 4, 3, 2, 3))
+        expected = tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
+        monkeypatch.setattr(expanded, "_BLOCK_ELEMENTS", cap)
+        assert len(matmul_blocks(model)[0]) > 3
+        assert _expanded_route(model) == expected
+
+    def test_int64_memory_does_not_grow_with_cells(self):
+        # A block's T and T @ B hold at most 2^13 int64 values (64 KB)
+        # together, at 2^18 cells as at 2^24.
+        peaks = []
+        for shape in ((16, 16, 8, 8, 4, 4), (32, 32, 16, 16, 8, 8)):
+            model = random_shape(shape)
+            tracemalloc.start()
+            try:
+                _expanded_route(model, cell_limit=2**24)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 256 * 1024
+        assert peaks[1] - peaks[0] < 64 * 1024
+
+
+def swap_parties(model: ContextualModel) -> ContextualModel:
+    """The model with Alice and Bob exchanged: the source transposed, and
+    each side's settings handed to the other."""
+    return ContextualModel(
+        source=JointPmf(tuple(zip(*model.source.weights))), alice=model.bob, bob=model.alice
+    )
+
+
+class TestPartySwap:
+    """Exchanging the parties permutes every route's four values to
+    (e_xy, e_x'y, e_xy', e_x'y'): the swapped model's context (y, x') is
+    the original's (x', y)."""
+
+    ROUTES = ("dedicated", "factored", "expanded", "reduced")
+
+    @pytest.mark.parametrize(
+        "model",
+        [*(random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES),
+         big_weight_model(6), zero_weight_model()],
+        ids=[*("x".join(map(str, shape)) for shape in SHAPES + CHUNKED_SHAPES),
+             "big_weight", "zero_weight"],
+    )
+    def test_routes_permute(self, model):
+        base = certify_model(model)
+        swapped = certify_model(swap_parties(model))
+        (x, xp), (y, yp) = model.alice_labels, model.bob_labels
+        assert swapped.contexts == ((y, x), (y, xp), (yp, x), (yp, xp))
+        for route in self.ROUTES:
+            e = getattr(base, route)
+            assert getattr(swapped, route) == (e[0], e[2], e[1], e[3]), route
+        assert swapped.certificate.report.s_max == base.certificate.report.s_max
+
+    def test_not_vacuous(self):
+        # Some model's two mixed contexts differ, so the swap moves a value.
+        models = [random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
+        assert any(e[1] != e[2] for e in map(_expanded_route, models))
 
 
 class TestScalingOncePerModel:

@@ -260,6 +260,39 @@ class TestRandomModel:
             assert all(w.denominator <= DEFAULT_MAX_DENOMINATOR for w in weights)
 
 
+class TestStreamPins:
+    """The `random.Random` draws behind every search, as literals.  Python
+    promises only that `random()` repeats across versions, so a change to
+    `randint` or `getrandbits` fails here rather than shifting search bytes."""
+
+    def test_randint_draws(self):
+        rng = random.Random(0)
+        assert [rng.randint(0, 64) for _ in range(8)] == [
+            49, 53, 5, 33, 62, 51, 38, 61
+        ]
+
+    def test_getrandbits_draws(self):
+        rng = random.Random(0)
+        assert [rng.getrandbits(1) for _ in range(16)] == [
+            1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1
+        ]
+
+    def test_drawn_state(self):
+        spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.RANDOM)
+        state = search_module._IntegerState.draw(spec, random.Random(0))
+        assert DEFAULT_MAX_DENOMINATOR == 64
+        assert (state.cols, state.source, state.pmfs) == (
+            2, (5, 44, 4, 11), ((33, 31), (38, 26), (27, 37), (12, 52))
+        )
+        assert state.tables == (
+            ((-1, -1), (1, 1)),
+            ((-1, 1), (1, -1)),
+            ((-1, 1), (1, 1)),
+            ((-1, -1), (1, -1)),
+        )
+        assert state.e == (-135808, 88576, -25464, 16608)
+
+
 class TestHillClimb:
     def test_budget_one_returns_start_evaluation(self):
         spec = SearchSpec(cardinalities=SMALL, mode=SearchMode.HILL_CLIMB, seed=7)

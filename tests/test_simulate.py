@@ -653,6 +653,30 @@ class TestLedgerViews:
             assert counts[0][i, j, a, b] == int(mask.sum())
         assert counts[0].sum() == ledger.n
 
+    def test_codes_binned_once_for_counts_and_csv(self, monkeypatch, tmp_path, noisy):
+        ledger = simulate_trials(noisy, 3 * CHUNK + 5, seed=8)
+        calls = counting(monkeypatch, simulate, "_code_bins")
+        ledger.to_csv(tmp_path / "ledger.csv")
+        counts = ledger.context_counts()
+        ledger.to_csv(tmp_path / "again.csv")
+        assert len(calls) == 1
+        assert np.array_equal(counts.ravel(), np.bincount(ledger.codes, minlength=16))
+        oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
+        want = (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "ledger.csv").read_bytes() == want
+        assert (tmp_path / "again.csv").read_bytes() == want
+
+    def test_csv_writes_the_chunks_it_binned(self, monkeypatch, tmp_path, noisy):
+        # Counted in chunks of 77 trials, written after CHUNK changed: the
+        # ledger writes the chunks whose bins fix its offsets.
+        ledger = simulate_trials(noisy, 5003, seed=3)
+        monkeypatch.setattr(simulate, "CHUNK", 77)
+        ledger.context_counts()
+        monkeypatch.setattr(simulate, "CHUNK", 4096)
+        ledger.to_csv(tmp_path / "ledger.csv")
+        oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
+        assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
 
 def _render_cases():
     """(first trial, cell codes): all 16 codes, then random ones."""
