@@ -41,12 +41,31 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
+def _entries(doc, path=()):
+    """(key path, value) for every key of `doc` and of the dicts nested in
+    it, keys sorted, depth first: a dict's own entry comes before its keys'."""
+    for key in sorted(doc):
+        value, here = doc[key], (*path, str(key))
+        yield here, value
+        if isinstance(value, dict):
+            yield from _entries(value, here)
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "text":
-        return "".join(f"{line}\n" for line in _text_lines(doc))
+        # A dict is a heading; its keys follow, indented one step deeper.
+        return "".join(
+            f"{'  ' * (len(path) - 1)}{path[-1]}:"
+            + ("\n" if isinstance(value, dict) else f" {value}\n")
+            for path, value in _entries(doc)
+        )
     if fmt == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_flat_items(doc, ()))
+        csv.writer(buf, lineterminator="\n").writerows(
+            (".".join(path), json.dumps(value) if isinstance(value, (list, str)) else str(value))
+            for path, value in _entries(doc)
+            if not isinstance(value, dict)
+        )
         return buf.getvalue()
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -64,26 +83,6 @@ def _emit(doc: dict, args) -> None:
         _write_atomic(out, rendered)
     else:
         sys.stdout.write(rendered)
-
-
-def _text_lines(doc, prefix=""):
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, dict):
-            yield f"{prefix}{key}:"
-            yield from _text_lines(value, prefix + "  ")
-        else:
-            yield f"{prefix}{key}: {value}"
-
-
-def _flat_items(doc, path):
-    for key in sorted(doc):
-        value = doc[key]
-        joined = ".".join((*path, str(key)))
-        if isinstance(value, dict):
-            yield from _flat_items(value, (*path, str(key)))
-        else:
-            yield joined, json.dumps(value) if isinstance(value, (list, str)) else str(value)
 
 
 def cmd_check(args) -> int:
@@ -166,32 +165,12 @@ def _parse_angles(raw: str):
     return angles
 
 
-def _context_section(ledger, exact):
-    """Per-context entries; `exact` is the model's four correlations, or None."""
-    from .simulate import empirical_chsh
-
-    empirical = empirical_chsh(ledger)
-    contexts = [
-        {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se}
-        for (alice, bob), n_ctx, e_hat, se in zip(
-            empirical.contexts,
-            empirical.n_per_context,
-            empirical.correlations,
-            empirical.standard_errors,
-        )
-    ]
-    if exact is not None:
-        for entry, e in zip(contexts, exact):
-            entry["e_exact"] = format_rational(e)
-            entry["e_exact_decimal"] = decimal_str(e)
-    return empirical, contexts
-
-
 def cmd_simulate(args) -> int:
     # Imported here, so that the other subcommands start without numpy.
     from .simulate import (
         RNG_ALGORITHM,
         EmptyContextError,
+        empirical_chsh,
         no_signalling_report,
         quantum_reference,
         simulate_trials,
@@ -219,10 +198,23 @@ def cmd_simulate(args) -> int:
         }
 
     try:
-        empirical, contexts = _context_section(ledger, exact)
+        empirical = empirical_chsh(ledger)
         signalling = no_signalling_report(ledger)
     except EmptyContextError as exc:
         raise ModelFormatError(f"{exc}: --n {args.n} is too small") from None
+    contexts = [
+        {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se}
+        for (alice, bob), n_ctx, e_hat, se in zip(
+            empirical.contexts,
+            empirical.n_per_context,
+            empirical.correlations,
+            empirical.standard_errors,
+        )
+    ]
+    if exact is not None:
+        for entry, e in zip(contexts, exact):
+            entry["e_exact"] = format_rational(e)
+            entry["e_exact_decimal"] = decimal_str(e)
     doc = {
         "command": "simulate",
         "n": ledger.n,

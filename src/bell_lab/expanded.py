@@ -7,9 +7,18 @@ every `random_model` output), and in Python integers otherwise; its
 docstring states why each is exact.  Each block of cells is one integer
 matrix product T @ B: T holds Alice's two factors times the source, by
 rows (l1, lx, lx') and columns l2, and B Bob's two factors, by rows l2
-and columns (ly, ly'), so the product adds every cell's term once.  It is
-the only route that computes with numpy, so it lives apart: `check` and
-`search` never import this module, and `bell_lab.chsh.certify_model`
+and columns (ly, ly'), so the product adds every cell's term once.
+
+The block bound, for both parties: per context, Bob's grid (ly, ly') is
+cut into blocks of B's columns and, inside each, Alice's grid
+(l1, lx, lx') into blocks of T's rows.  A block of B, and a block's T and
+T @ B together, each hold at most `_BLOCK_ELEMENTS` elements, or one
+column of B or one row of T and of T @ B when that alone is more.  Each
+block's sum is added into one Python integer, so the route's memory does
+not grow with the number of cells.
+
+It is the only route that computes with numpy, so it lives apart: `check`
+and `search` never import this module, and `bell_lab.chsh.certify_model`
 imports it when it runs.  It reads the model's factors directly and
 shares no scaling code with the dedicated and factored routes.
 """
@@ -24,10 +33,8 @@ import numpy as np
 from .models import ContextualModel, _scaled_factors
 from .unified import DEFAULT_CELL_LIMIT, SizeExceededError, _cell_count
 
-# Most elements that one block's T and its product T @ B hold together.  A
-# block holds at least one of Alice's (l1, lx, lx') rows, cols + |y| * |y'|
-# elements.  It bounds the route's memory: 64 KB of int64, or 2^13 Python
-# integers.
+# The cap of the module docstring's block bound, on a block of B and on a
+# block's T and T @ B together: 64 KB of int64 each, or 2^13 Python integers.
 _BLOCK_ELEMENTS = 1 << 13
 
 # The expanded sum runs in int64 when D is below this, and in Python integers
@@ -99,16 +106,11 @@ def _expanded_route(
     - Python integers (dtype object) when D >= 2^63 (weights with large
       denominators), which do not overflow at all.
 
-    Per context, B[l2, (ly, ly')] = y[l2, ly] * y'[l2, ly'] is built once.
-    Alice's grid (l1, lx, lx') is walked in blocks; each block builds
-    T[(l1, lx, lx'), l2] = x * x' * src[l1, l2] and adds the sum of T @ B.
-    The product forms each cell's term T[n, l2] * B[l2, q] once and adds
-    it, so the bounds above hold for every partial sum; numpy's integer
-    and object matrix products use no BLAS and start no threads.  T and
-    the product hold at most `_BLOCK_ELEMENTS` elements together (one
-    (l1, lx, lx') row when cols + |y| * |y'| alone is more), each block's
-    sum is added into a Python integer, and memory does not grow with the
-    number of cells.
+    Each context's cells are summed in the blocks of the module
+    docstring, one T @ B each.  The product forms each cell's term
+    T[n, l2] * B[l2, q] once and adds it, so the bounds above hold for
+    every partial sum; numpy's integer and object matrix products use no
+    BLAS and start no threads.
     """
     size = _cell_count(model)
     if size > cell_limit:
@@ -131,16 +133,17 @@ def _expanded_route(
         x, xp = (read if s == i else unread for s, (unread, read) in enumerate(alice))
         y, yp = (read if s == j else unread for s, (unread, read) in enumerate(bob))
 
-        # B[l2, (ly, ly')]: Bob's two factors, once per context.
-        bob_terms = (y[:, :, None] * yp[:, None, :]).reshape(cols, -1)
-        # Blocks cut Alice's grid (l1, lx, lx'); each index holds one row of
-        # T and one of the product T @ B.
         shape = (rows, x.shape[1], xp.shape[1])
-        inner = cols + bob_terms.shape[1]
         total = 0
-        for r, ix, ixp in _blocks(shape, inner, _BLOCK_ELEMENTS):
-            alice_terms = x[r, ix, None] * xp[r, None, ixp]
-            terms = (alice_terms[..., None] * src[r, None, None, :]).reshape(-1, cols)
-            total += int((terms @ bob_terms).sum())
+        # Blocks cut Bob's grid (ly, ly'), each index one column of B, and
+        # inside each, Alice's grid (l1, lx, lx'), each index one row of T
+        # and one of the product T @ B.
+        for iy, iyp in _blocks((y.shape[1], yp.shape[1]), cols, _BLOCK_ELEMENTS):
+            bob_terms = (y[:, iy, None] * yp[:, None, iyp]).reshape(cols, -1)
+            inner = cols + bob_terms.shape[1]
+            for r, ix, ixp in _blocks(shape, inner, _BLOCK_ELEMENTS):
+                alice_terms = x[r, ix, None] * xp[r, None, ixp]
+                terms = (alice_terms[..., None] * src[r, None, None, :]).reshape(-1, cols)
+                total += int((terms @ bob_terms).sum())
         values.append(Fraction(total, denom))
     return tuple(values)

@@ -403,8 +403,9 @@ def load_model(path) -> ContextualModel:
 
 
 @contextmanager
-def atomic_writer(path, newline=None):
-    """Text handle on a file beside `path`, renamed over it on success.
+def atomic_writer(path):
+    """UTF-8 text handle on a new file beside `path`, renamed over it on
+    success.  A writer may also write bytes to the handle's `fileno()`.
 
     On any exception the temporary file is removed and `path` is left as
     it was, so a reader never sees a partial file.  The temporary name
@@ -413,7 +414,7 @@ def atomic_writer(path, newline=None):
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh

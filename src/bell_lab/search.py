@@ -18,14 +18,15 @@ integer.  Draws are made straight into integer states, the only states
 whose sums are derived from scratch.  A hill-climb candidate is a move (a
 table flip or a 1/d mass step); one pass over a state scores its moves in
 scan order, each from the few products it changes.  An accepted move
-updates only the kept sums it changes, and in either mode a model is
-built only for a new best.  Candidates are never validated: draws and
-moves yield valid models by construction, and the tests compare each
-move's model and score with a neighbour built as a model and scored
-through the dedicated route, and each updated state with one built from
-scratch.  The CLI certifies
-the winner through `certify_lhv_bound`, which validates it, and refuses
-a winner whose certified s_max differs from the search's score.
+keeps its scan's four sums and updates only the other kept sums it
+changes, and in either mode a model is built only for a new best.
+Candidates are never validated: draws and moves yield valid models by
+construction, and the tests compare each move's model and score with a
+neighbour built as a model and scored through the dedicated route, and
+each updated state with one built from scratch.
+The CLI certifies the winner through `certify_lhv_bound`, which
+validates it, and refuses a winner whose certified s_max differs from
+the search's score.
 
 Exhaustive search answers its question without a sweep.  The correlations
 of a contextual LHV model are a mixture of those of the 16 deterministic
@@ -262,9 +263,10 @@ class _IntegerState:
     sum_l1 S(l1, l2) m_a(l1), over d^2; and ``e[2a + b]`` =
     sum_l1 m_a(l1) by_row[b][l1], the correlation numerator over d^3 of
     context (a, b), which reads factors a and 2 + b.  A move changes ``e``
-    by a few products of these sums.  The constructor derives them from
-    scratch and runs only for a draw; `apply` updates only the sums its
-    move changes and shares every other tuple.
+    by a few products of these sums, which `scored_moves` derives.  The
+    constructor derives them from scratch and runs only for a draw; `apply`
+    takes ``e`` from the scan, updates only the other sums its move
+    changes and shares every other tuple.
     """
 
     __slots__ = ("cols", "source", "pmfs", "tables", "means", "by_row", "by_col", "e")
@@ -317,24 +319,26 @@ class _IntegerState:
         return _s_num(self.e, _D3)
 
     def scored_moves(self):
-        """(move, s_max numerator over d^3 of the neighbour by move) for every
-        neighbour, in the fixed scan order: single table flips (Alice's
+        """(move, sums, s_max numerator over d^3) of the neighbour by move, for
+        every neighbour, in the fixed scan order: single table flips (Alice's
         settings in declared order then Bob's, row-major), then 1/d mass
         moves (source flat, then each local pmf, ordered index pairs (i, j),
         i != j, where weight i is not zero).
 
         Each score is checked as `_s_num` checks it; a neighbour that fails
-        is passed to `_s_num`, which raises.
+        is passed to `_s_num`, which raises.  ``sums`` are the neighbour's
+        four correlation numerators over d^3, which `apply` keeps.
         """
         d3, bound = _D3, 2 * _D3
-        for move, (x0, x1, x2, x3) in self._neighbour_sums():
+        for move, sums in self._neighbour_sums():
+            x0, x1, x2, x3 = sums
             t = x0 + x1 + x2 + x3
             s = max(abs(t - 2 * x0), abs(t - 2 * x1), abs(t - 2 * x2), abs(t - 2 * x3))
             if s > bound or not (
                 -d3 <= x0 <= d3 and -d3 <= x1 <= d3 and -d3 <= x2 <= d3 and -d3 <= x3 <= d3
             ):
-                s = _s_num((x0, x1, x2, x3), d3)
-            yield move, s
+                s = _s_num(sums, d3)
+            yield move, sums, s
 
     def _neighbour_sums(self):
         """(move, the neighbour's four correlation numerators) in scan order."""
@@ -382,23 +386,20 @@ class _IntegerState:
                             x[h] += cv[j] - cv[i]
                             yield (_MASS, f, i, j), x
 
-    def apply(self, move) -> _IntegerState:
-        """The neighbour by `move`: one weight unit shifted or one entry flipped.
+    def apply(self, move, sums) -> _IntegerState:
+        """The neighbour by `move`, with ``e`` = `sums` as `scored_moves`
+        yields them: one weight unit shifted or one entry flipped.
 
-        Only the sums the move changes are updated, each by its few
+        Only the other sums the move changes are updated, each by its few
         products; every other tuple is shared with this state.
         """
         kind, f, i, j = move
         cols, source, pmfs, tables = self.cols, self.source, self.pmfs, self.tables
-        means, by_row, by_col, e = self.means, self.by_row, self.by_col, list(self.e)
+        means, by_row, by_col = self.means, self.by_row, self.by_col
         if kind == _SOURCE:
             # S(i1, i2) loses one unit and S(j1, j2) gains it.
             (i1, i2), (j1, j2) = divmod(i, cols), divmod(j, cols)
             source = _shifted(source, i, j)
-            for a in (0, 1):
-                for b in (0, 1):
-                    m, n = means[a], means[2 + b]
-                    e[2 * a + b] += m[j1] * n[j2] - m[i1] * n[i2]
             rows, columns = [list(w) for w in by_row], [list(w) for w in by_col]
             for w, m in zip(rows, means[2:]):
                 w[i1] -= m[i2]
@@ -418,13 +419,10 @@ class _IntegerState:
                     (l, row[j] - row[i]) for l, row in enumerate(tables[f]) if row[j] != row[i]
                 ]
                 pmfs = _replaced(pmfs, f, _shifted(pmfs[f], i, j))
-            k, u, h, v = _reads(f, by_row, by_col)
             m = list(means[f])
             fed = by_col[f] if f < 2 else by_row[f - 2]
             for l, dm in changes:
                 m[l] += dm
-                e[k] += dm * u[l]
-                e[h] += dm * v[l]
                 # Alice's m_f(l) feeds by_col through source row l, Bob's feeds
                 # by_row through source column l.
                 line = source[l * cols:(l + 1) * cols] if f < 2 else source[l::cols]
@@ -436,7 +434,7 @@ class _IntegerState:
                 by_row = _replaced(by_row, f - 2, tuple(fed))
         new = _IntegerState.__new__(_IntegerState)
         new.cols, new.source, new.pmfs, new.tables = cols, source, pmfs, tables
-        new.means, new.by_row, new.by_col, new.e = means, by_row, by_col, tuple(e)
+        new.means, new.by_row, new.by_col, new.e = means, by_row, by_col, tuple(sums)
         return new
 
 
@@ -472,10 +470,10 @@ def _walk(spec: SearchSpec) -> SearchResult:
             state = _IntegerState.draw(spec, rng)
             current = state.score()
         else:
-            move, score = candidate
+            move, sums, score = candidate
             if score <= current:
                 continue
-            state, current = state.apply(move), score
+            state, current = state.apply(move, sums), score
         scan = moves(state)
         if current > best:
             best, best_model = current, state.model()

@@ -194,8 +194,7 @@ def _pwrite_all(fd: int, data, offset: int) -> None:
 @cache
 def _digit_records() -> np.ndarray:
     """The 4-digit strings 0000 .. 9999 as read-only V4 records."""
-    text = "".join(f"{i:0{_LOW_DIGITS}d}" for i in range(_LOW_BLOCK))
-    return np.frombuffer(text.encode(), dtype=f"V{_LOW_DIGITS}")
+    return _records([f"{i:0{_LOW_DIGITS}d}".encode() for i in range(_LOW_BLOCK)], _LOW_DIGITS)
 
 
 def _records(rows, width: int) -> np.ndarray:
@@ -246,10 +245,11 @@ def _render_rows(first: int, codes, endings):
         lo = hi
 
 
-def _csv_line(fields) -> str:
+def _csv_line(fields) -> bytes:
+    """One csv.writer row, in UTF-8."""
     buf = io.StringIO()
     csv.writer(buf).writerow(fields)
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,10 @@ class TrialLedger:
     Each trial is one uint8 cell code in 0..15:
     alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
     being positions in the label tuples and a, b the +/-1 outcomes.
-    A code outside 0..15 is refused, and the codes array is marked
-    read-only, so the counts, taken from the codes once, cannot drift
-    out of step with the records.
+    Codes that are not a 1-D integer ndarray, or a code outside 0..15, are
+    refused, and the codes array, not copied, is marked read-only, so the
+    counts, taken from the codes once, cannot drift out of step with the
+    records.
     """
 
     seed: int
@@ -271,8 +272,10 @@ class TrialLedger:
 
     def __post_init__(self):
         codes = self.codes
-        if codes.dtype.kind not in "iu":
-            raise ValueError(f"cell codes must be integers, got dtype {codes.dtype}")
+        if not (isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.dtype.kind in "iu"):
+            got = (f"a {codes.ndim}-D {codes.dtype} array" if isinstance(codes, np.ndarray)
+                   else type(codes).__name__)
+            raise ValueError(f"cell codes must be integers in a 1-D ndarray, got {got}")
         if codes.size and not 0 <= codes.min() <= codes.max() <= 15:
             trial = int(np.flatnonzero((codes < 0) | (codes > 15))[0])
             raise ValueError(f"trial {trial} has cell code {codes[trial]}, outside 0..15")
@@ -310,29 +313,29 @@ class TrialLedger:
         signs = ("-1", "+1")
         return tuple(
             _csv_line([0, self.alice_labels[code >> 3], self.bob_labels[(code >> 2) & 1],
-                       signs[(code >> 1) & 1], signs[code & 1]])[1:].encode()
+                       signs[(code >> 1) & 1], signs[code & 1]])[1:]
             for code in range(16)
         )
 
     def to_csv(self, path) -> None:
         """Write one row per trial to `path`, atomically.
 
-        Each chunk of `_chunk_bins` renders its rows and writes them at its
-        own byte offset: the header, the digits of the trial numbers before
-        it, and the row endings of the codes before it, from the bins of the
-        chunks before it.
+        Every byte is written by `_pwrite_all`: the header's at offset 0,
+        then each chunk of `_chunk_bins` renders its rows and writes them at
+        its own byte offset.  That offset counts the header, the digits of
+        the trial numbers before the chunk, and the row endings of the codes
+        before it, from the bins of the chunks before it.
         """
         endings = self._row_endings()
         ending_bytes = np.array([len(e) for e in endings], dtype=np.int64)
         header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
         ranges, bins = self._chunk_bins
         chunk_bytes = bins @ ending_bytes
-        before = len(header.encode()) + np.cumsum(chunk_bytes) - chunk_bytes
+        before = len(header) + np.cumsum(chunk_bytes) - chunk_bytes
         chunks = [(lo, hi, int(b) + _digits_below(lo)) for (lo, hi), b in zip(ranges, before)]
 
-        with atomic_writer(path, newline="") as fh:
-            fh.write(header)
-            fh.flush()
+        with atomic_writer(path) as fh:
+            _pwrite_all(fh.fileno(), header, 0)
 
             def write(lo, hi, offset):
                 for rows in _render_rows(lo, self.codes[lo:hi], endings):

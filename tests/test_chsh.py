@@ -1,6 +1,5 @@
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -21,10 +20,16 @@ from bell_lab.chsh import (
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.reduction import _reduced_route
-from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.expanded import _expanded_route
 from bell_lab.unified import SizeExceededError, _factored_route
-from tests_support import PRESETS, alter_local, counting
+from tests_support import (
+    PRESETS,
+    alter_local,
+    counting,
+    local_splits,
+    relation_models,
+    split_local,
+)
 
 
 def flip_all_alice_tables(model):
@@ -207,16 +212,7 @@ class TestSymmetries:
             assert sorted(before.sums) == sorted(after.sums)
 
 
-def negation_models():
-    """The presets and three random `3,2,3,2,2,3` models, by name."""
-    models = {name: load() for name, load in sorted(PRESETS.items())}
-    spec = SearchSpec(cardinalities=(3, 2, 3, 2, 2, 3), mode=SearchMode.RANDOM)
-    for seed in (1, 2, 3):
-        models[f"random-{seed}"] = random_model(spec, random.Random(seed))
-    return models
-
-
-NEGATION_MODELS = negation_models()
+NEGATION_MODELS = relation_models()
 
 
 class TestNegatedSetting:
@@ -244,6 +240,37 @@ class TestNegatedSetting:
                 moved += sum(read and was != 0 for read, was in zip(reads, base.dedicated))
         # The relation is not vacuous: some context that flips is nonzero.
         assert moved > 0
+
+
+def without_hashes(doc: dict) -> dict:
+    """`doc` with every ``model_sha256`` key, at any depth, left out."""
+    return {
+        key: without_hashes(value) if isinstance(value, dict) else value
+        for key, value in doc.items()
+        if key != "model_sha256"
+    }
+
+
+class TestSplitLocalValue:
+    """Splitting one setting's local value k into two halves of its weight,
+    with its table column duplicated, changes no route's values, and the
+    certify document only in the model's hash."""
+
+    ROUTES = ("dedicated", "factored", "expanded", "reduced")
+
+    @pytest.mark.parametrize("name", sorted(NEGATION_MODELS))
+    def test_routes_and_document_unchanged(self, name):
+        model = NEGATION_MODELS[name]
+        base = certify_model(model)
+        doc = base.to_dict()
+        for side, label, k in local_splits(model):
+            split = split_local(model, side, label, k)
+            result = certify_model(split)
+            for route in self.ROUTES:
+                assert getattr(result, route) == getattr(base, route), (side, label, k, route)
+            got = result.to_dict()
+            assert got["model_sha256"] == model_hash(split) != doc["model_sha256"]
+            assert without_hashes(got) == without_hashes(doc)
 
 
 class TestCertifyModel:

@@ -10,7 +10,9 @@ those models; models with D just below and at 2^63 pin which dtype runs.
 The Python-integer path also gets negative totals, totals at +-D, its
 block walk and its memory checked on their own.  The expanded route's
 matrix-product blocks meet the oracle on shapes that force each way a
-block can fall, and exchanging the parties permutes every route's values.
+block can fall, with a bound on its memory when Bob's grid is the wide one,
+and exchanging the parties, or one side's two settings, permutes every
+route's values.
 The dedicated loop and the no-signalling check on it are also compared
 with their oracles at the benchmark's size, on a skewed shape, and with
 weights that sum in Python integers.
@@ -25,7 +27,7 @@ scaling at all.
 
 import itertools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 import random
 import tracemalloc
 from fractions import Fraction
@@ -451,15 +453,19 @@ class TestBlocks:
         assert peak < 512 * 1024
 
 
-def matmul_blocks(model: ContextualModel) -> tuple[list, int]:
-    """The blocks `_expanded_route` cuts each context into, and the
-    elements one grid index holds: a row of T and a row of T @ B."""
+def matmul_blocks(model: ContextualModel) -> list[tuple[list, int]]:
+    """The blocks `_expanded_route` cuts each context into: per block of
+    Bob's grid, Alice's blocks inside it and the elements one of her grid
+    indices holds, a row of T and a row of T @ B."""
     (x, xp), (y, yp) = (
         [len(local.weights) for local in settings.values()] for settings in (model.alice, model.bob)
     )
-    inner = model.source.cols + y * yp
-    shape = (model.source.rows, x, xp)
-    return list(_blocks(shape, inner, expanded._BLOCK_ELEMENTS)), inner
+    cols, cap = model.source.cols, expanded._BLOCK_ELEMENTS
+    cuts = []
+    for iy, iyp in _blocks((y, yp), cols, cap):
+        inner = cols + len(range(y)[iy]) * len(range(yp)[iyp])
+        cuts.append((list(_blocks((model.source.rows, x, xp), inner, cap)), inner))
+    return cuts
 
 
 def zero_weight_model() -> ContextualModel:
@@ -485,22 +491,32 @@ class TestMatmulBlocks:
     def test_several_blocks_inside_one_source_row(self):
         for model in (random_shape((1, 2, 40, 40, 3, 3)),
                       big_weight_model(4, shape=(1, 2, 40, 40, 3, 3))):
-            boxes, inner = matmul_blocks(model)
+            [(boxes, inner)] = matmul_blocks(model)
             assert inner * 40 * 40 > expanded._BLOCK_ELEMENTS
             assert len(boxes) > 1 and all(box[1] != slice(None) for box in boxes)
             assert_expanded_matches_oracle(model)
 
     def test_one_grid_index_above_the_cap(self):
-        # cols + |y| * |y'| = 1 + 91 * 91 elements: each block is one (l1, lx, lx').
-        model = random_shape((2, 1, 2, 3, 91, 91))
-        boxes, inner = matmul_blocks(model)
+        # B is one block of 128 * 64 = 2^13 columns, so an (l1, lx, lx') index
+        # holds cols + 2^13 = 1 + 2^13 elements: each block is one (l1, lx, lx').
+        model = random_shape((2, 1, 2, 3, 128, 64))
+        [(boxes, inner)] = matmul_blocks(model)
         assert inner > expanded._BLOCK_ELEMENTS
         assert len(boxes) == 2 * 2 * 3
         assert_expanded_matches_oracle(model)
 
+    def test_several_blocks_of_bob(self):
+        # |y| * |y'| = 91 * 91 columns of B, cut into blocks of 90 * 91 and
+        # 1 * 91; Alice's blocks are single rows in the first, one in the last.
+        # Every weight is positive, so each block adds terms.
+        model = big_weight_model(7, shape=(2, 1, 2, 3, 91, 91), bits=4)
+        cuts = matmul_blocks(model)
+        assert [(len(boxes), inner) for boxes, inner in cuts] == [(12, 1 + 90 * 91), (1, 1 + 91)]
+        assert_expanded_matches_oracle(model)
+
     def test_size_one_axes_and_zero_weights(self):
         model = zero_weight_model()
-        boxes, inner = matmul_blocks(model)
+        [(boxes, inner)] = matmul_blocks(model)
         assert (len(boxes), inner) == (1, 1 + 6)
         values = assert_expanded_matches_oracle(model)
         assert values == oracles.correlation_quadruple(model)
@@ -511,7 +527,7 @@ class TestMatmulBlocks:
         model = big_weight_model(5, shape=(3, 3, 4, 3, 2, 3))
         expected = tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
         monkeypatch.setattr(expanded, "_BLOCK_ELEMENTS", cap)
-        assert len(matmul_blocks(model)[0]) > 3
+        assert sum(len(boxes) for boxes, _ in matmul_blocks(model)) > 3
         assert _expanded_route(model) == expected
 
     def test_int64_memory_does_not_grow_with_cells(self):
@@ -529,6 +545,19 @@ class TestMatmulBlocks:
         assert max(peaks) < 256 * 1024
         assert peaks[1] - peaks[0] < 64 * 1024
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1024, 1024), (4, 4, 1, 1, 512, 512)])
+    def test_bob_heavy_memory_is_bounded(self, shape):
+        # B = cols x |y| * |y'| has 2^20 int64 elements here, 8 MB whole;
+        # cut into blocks, the route peaks near 0.3 MB.
+        model = random_shape(shape)
+        tracemalloc.start()
+        try:
+            _expanded_route(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def swap_parties(model: ContextualModel) -> ContextualModel:
     """The model with Alice and Bob exchanged: the source transposed, and
@@ -538,6 +567,15 @@ def swap_parties(model: ContextualModel) -> ContextualModel:
     )
 
 
+SWAP_MODELS = pytest.mark.parametrize(
+    "model",
+    [*(random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES),
+     big_weight_model(6), zero_weight_model()],
+    ids=[*("x".join(map(str, shape)) for shape in SHAPES + CHUNKED_SHAPES),
+         "big_weight", "zero_weight"],
+)
+
+
 class TestPartySwap:
     """Exchanging the parties permutes every route's four values to
     (e_xy, e_x'y, e_xy', e_x'y'): the swapped model's context (y, x') is
@@ -545,13 +583,7 @@ class TestPartySwap:
 
     ROUTES = ("dedicated", "factored", "expanded", "reduced")
 
-    @pytest.mark.parametrize(
-        "model",
-        [*(random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES),
-         big_weight_model(6), zero_weight_model()],
-        ids=[*("x".join(map(str, shape)) for shape in SHAPES + CHUNKED_SHAPES),
-             "big_weight", "zero_weight"],
-    )
+    @SWAP_MODELS
     def test_routes_permute(self, model):
         base = certify_model(model)
         swapped = certify_model(swap_parties(model))
@@ -566,6 +598,39 @@ class TestPartySwap:
         # Some model's two mixed contexts differ, so the swap moves a value.
         models = [random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
         assert any(e[1] != e[2] for e in map(_expanded_route, models))
+
+
+def reverse_settings(model: ContextualModel, side: str) -> ContextualModel:
+    """The model with `side`'s two settings declared in the other order."""
+    settings = model.alice if side == "alice" else model.bob
+    return replace(model, **{side: dict(reversed(settings.items()))})
+
+
+class TestSettingSwap:
+    """Declaring one side's two settings in the other order permutes every
+    route's four values: Alice's swap to (e_x'y, e_x'y', e_xy, e_xy'), and
+    Bob's to (e_xy', e_xy, e_x'y', e_x'y)."""
+
+    ORDERS = {"alice": (2, 3, 0, 1), "bob": (1, 0, 3, 2)}
+
+    @pytest.mark.parametrize("side", sorted(ORDERS))
+    @SWAP_MODELS
+    def test_routes_permute(self, model, side):
+        base = certify_model(model)
+        swapped = certify_model(reverse_settings(model, side))
+        order = self.ORDERS[side]
+        assert swapped.contexts == tuple(base.contexts[k] for k in order)
+        for route in TestPartySwap.ROUTES:
+            e = getattr(base, route)
+            assert getattr(swapped, route) == tuple(e[k] for k in order), route
+        assert swapped.certificate.report.s_max == base.certificate.report.s_max
+
+    @pytest.mark.parametrize("side", sorted(ORDERS))
+    def test_not_vacuous(self, side):
+        # Some model's values are not fixed by the permutation, so it moves one.
+        order = self.ORDERS[side]
+        models = [random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
+        assert any(tuple(e[k] for k in order) != e for e in map(_expanded_route, models))
 
 
 class TestScalingOncePerModel:

@@ -366,7 +366,7 @@ def expected_neighbour_count(model):
 
 def materialised(state):
     """Every neighbour of `state` as a model, in move order."""
-    return [state.apply(move).model() for move, _ in state.scored_moves()]
+    return [state.apply(move, sums).model() for move, sums, _ in state.scored_moves()]
 
 
 class TestMovesStayValid:
@@ -430,9 +430,9 @@ def recorded_scores(monkeypatch):
         return s
 
     def recording_moves(self):
-        for move, s in scored_moves(self):
+        for move, sums, s in scored_moves(self):
             calls.append((self, move, s))
-            yield move, s
+            yield move, sums, s
 
     monkeypatch.setattr(state_class, "score", recording_score)
     monkeypatch.setattr(state_class, "scored_moves", recording_moves)
@@ -452,7 +452,7 @@ class TestScoresMatchOracle:
             assert Fraction(state.score(), D3) == oracles.score_oracle(state.model())
             neighbours = list(oracles.neighbors_oracle(state.model(), STEP))
             assert materialised(state) == neighbours
-            assert [Fraction(score, D3) for _, score in state.scored_moves()] == [
+            assert [Fraction(score, D3) for _, _, score in state.scored_moves()] == [
                 oracles.score_oracle(n) for n in neighbours
             ]
 
@@ -472,13 +472,14 @@ class TestScoresMatchOracle:
                 continue
             if id(state) not in scanned:
                 scanned[id(state)] = (
-                    [m for m, _ in state.scored_moves()],
+                    [(m, sums) for m, sums, _ in state.scored_moves()],
                     list(oracles.neighbors_oracle(model, STEP)),
                 )
             moves, neighbours = scanned[id(state)]
             assert len(moves) == len(neighbours)
-            neighbour = neighbours[moves.index(move)]
-            assert state.apply(move).model() == neighbour
+            index = [m for m, _ in moves].index(move)
+            neighbour = neighbours[index]
+            assert state.apply(*moves[index]).model() == neighbour
             assert Fraction(score, D3) == oracles.score_oracle(neighbour)
         assert result == oracles.hill_climb_oracle(spec)
 
@@ -558,9 +559,9 @@ class TestIncrementalApply:
         for _ in range(2):
             state = search_module._IntegerState.draw(spec, rng)
             for _ in range(250):
-                move = rng.choice([m for m, _ in state.scored_moves()])
+                move, sums, _ = rng.choice(list(state.scored_moves()))
                 kinds.add((move[0], move[1]))
-                state = state.apply(move)
+                state = state.apply(move, sums)
                 assert kept_sums(state) == kept_sums(fresh(state))
         # Flips of all four tables and the source's mass moves at least;
         # a one-entry pmf has no mass move.
@@ -572,7 +573,9 @@ class TestIncrementalApply:
     def test_unchanged_sums_are_shared(self):
         spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB)
         state = search_module._IntegerState.draw(spec, random.Random(4))
-        flipped = state.apply((search_module._FLIP, 0, 1, 0))  # Alice's first setting
+        move = (search_module._FLIP, 0, 1, 0)  # Alice's first setting
+        sums = next(x for m, x, _ in state.scored_moves() if m == move)
+        flipped = state.apply(move, sums)
         assert flipped.means[1:] == state.means[1:]
         assert all(a is b for a, b in zip(flipped.means[1:], state.means[1:]))
         assert flipped.by_row is state.by_row and flipped.by_col[1] is state.by_col[1]

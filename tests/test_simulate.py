@@ -38,7 +38,7 @@ from bell_lab.simulate import (
     quantum_reference,
     simulate_trials,
 )
-from tests_support import PRESETS, counting
+from tests_support import PRESETS, counting, local_splits, relation_models, split_local
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -559,6 +559,21 @@ class TestLedgerCodes:
         with pytest.raises(ValueError, match="must be integers"):
             self.ledger([0.0, 3.0], np.float64)
 
+    @pytest.mark.parametrize(("codes", "got"), [
+        ([0, 5, 15], "list"),
+        (np.array([[0, 5], [15, 3]], dtype=np.uint8), "a 2-D uint8 array"),
+        (np.uint8(5), "uint8"),
+    ])
+    def test_rejects_codes_that_are_not_a_1d_array(self, codes, got):
+        message = f"cell codes must be integers in a 1-D ndarray, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"), codes=codes)
+
+    def test_keeps_the_given_array(self):
+        codes = np.array([0, 5, 15], dtype=np.uint8)
+        ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"), codes=codes)
+        assert ledger.codes is codes
+
     def test_codes_are_read_only(self):
         codes = np.array([0, 5, 15], dtype=np.uint8)
         ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"), codes=codes)
@@ -814,6 +829,25 @@ class TestNegatedSetting:
                 kept = np.flatnonzero(~flipped) + 1
                 assert [lines[0], *(lines[t] for t in kept.tolist())] == \
                     [base_lines[0], *(base_lines[t] for t in kept.tolist())]
+
+
+SPLIT_MODELS = relation_models()
+
+
+class TestSplitLocalValue:
+    """Splitting one setting's local value k into two halves of its weight,
+    with its table column duplicated, leaves every trial's cell code as it
+    was: the new breakpoint falls inside interval k, and both halves read
+    the same outcome."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_codes_unchanged(self, name):
+        model = SPLIT_MODELS[name]
+        n = 100_000
+        codes = simulate_trials(model, n, seed=5).codes
+        for side, label, k in local_splits(model):
+            ledger = simulate_trials(split_local(model, side, label, k), n, seed=5)
+            assert np.array_equal(ledger.codes, codes), (side, label, k)
 
 
 class TestChunkedOracles:
