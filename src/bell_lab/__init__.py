@@ -17,6 +17,7 @@ from .chsh import (
     Certification,
     ChshReport,
     LhvCertificate,
+    SizeExceededError,
     certify_lhv_bound,
     certify_model,
     chsh_from_correlations,
@@ -49,11 +50,7 @@ from .search import (
     random_model,
     run_search,
 )
-from .unified import (
-    CounterfactualSet,
-    SizeExceededError,
-    counterfactuals,
-)
+from .unified import CounterfactualSet, counterfactuals
 
 __version__ = "0.1.0"
 

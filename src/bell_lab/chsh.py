@@ -12,13 +12,14 @@ exact without per-term Fraction arithmetic.
 from; the certificates (`certify_lhv_bound`, `certify_model`) validate the
 model before computing them.
 
-`certify_model` validates the model and checks the expanded route's cell
-count before any route runs, then runs the dedicated, factored, expanded
-and reduced routes.  It is the one public way to run them: the routes are
-private to their modules and trust that the model is valid.  The expanded
-route (`bell_lab.expanded`) is the only one that computes with numpy, and
-`certify_model` imports it when it runs, so importing this module, as
-`search` does, loads no numpy.  Each route returns the model's four
+`certify_model` validates the model and refuses one of more than
+`cell_limit` cells (`SizeExceededError`) before any route runs, then runs
+the dedicated, factored, expanded and reduced routes.  It is the one
+public way to run them: the routes are private to their modules, take
+only the model, and trust that it is valid and within the limit.  The
+expanded route (`bell_lab.expanded`) is the only one that computes with
+numpy, and `certify_model` imports it when it runs, so importing this
+module, as `search` does, loads no numpy.  Each route returns the model's four
 correlations as a plain tuple in context order, (x,y), (x,y'), (x',y),
 (x',y'): a context is its position, never a label lookup.
 Each check in `Certification` is one exact equality between those tuples.
@@ -27,6 +28,7 @@ Each check in `Certification` is one exact equality between those tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +42,7 @@ from .models import (
     require_valid,
 )
 from .reduction import _reduced_route
-from .unified import DEFAULT_CELL_LIMIT, _factored_route
+from .unified import _factored_route
 
 # Canonical order: one negated term sweeping left to right, then the negations.
 CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
@@ -56,6 +58,8 @@ CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = (
 
 LHV_BOUND = Fraction(2)
 
+DEFAULT_CELL_LIMIT = 10**7
+
 # Output keys of the four correlations, in context order.
 CORRELATION_KEYS = ("e_xy", "e_xy'", "e_x'y", "e_x'y'")
 
@@ -66,6 +70,21 @@ class BoundViolationError(AssertionError):
     This cannot happen for any well-formed model; raising (rather than
     reporting) makes an implementation bug impossible to overlook.
     """
+
+
+class SizeExceededError(RuntimeError):
+    """Expanded enumeration would exceed the configured cell limit."""
+
+    def __init__(self, size: int, limit: int):
+        self.size = size
+        self.limit = limit
+        super().__init__(f"unified space has {size} cells, limit is {limit}")
+
+
+def _cell_count(model: ContextualModel) -> int:
+    """Cells of the expanded space: the source grid times the four local sizes."""
+    sizes = [len(local.weights) for side in (model.alice, model.bob) for local in side.values()]
+    return math.prod(sizes, start=model.source.rows * model.source.cols)
 
 
 @dataclass(frozen=True)
@@ -196,22 +215,24 @@ def certify_model(model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT) 
     """The whole verification stack on one model, in one pass.
 
     Validates the model first, so an invalid model of any size raises
-    `InvalidModelError` with its violations.  The expanded route runs next:
-    its first step raises `SizeExceededError` past `cell_limit` cells, so
-    an oversized model is refused before any route sums a cell, and a
-    certificate never silently skips the route.  The dedicated, factored
-    and reduced routes then each compute their own four correlations, so
-    the routes stay independent.
+    `InvalidModelError` with its violations.  A model whose product space
+    has more than `cell_limit` cells then raises `SizeExceededError`
+    before any route runs, so a certificate never silently skips the
+    expanded route.  The dedicated, factored, expanded and reduced routes
+    then each compute their own four correlations, so the routes stay
+    independent.
     """
+    require_valid(model)
+    size = _cell_count(model)
+    if size > cell_limit:
+        raise SizeExceededError(size, cell_limit)
     # Imported here: `search` imports this module and must not load numpy.
     from .expanded import _expanded_route
 
-    require_valid(model)
-    expanded = _expanded_route(model, cell_limit)
     return Certification(
         contexts=model.contexts(),
         factored=_factored_route(model),
-        expanded=expanded,
+        expanded=_expanded_route(model),
         reduced=_reduced_route(model),
         certificate=_lhv_certificate(model, _dedicated_route(model)),
     )

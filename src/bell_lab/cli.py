@@ -19,7 +19,13 @@ import math
 import sys
 from pathlib import Path
 
-from .chsh import BoundViolationError, certify_lhv_bound, certify_model
+from .chsh import (
+    DEFAULT_CELL_LIMIT,
+    BoundViolationError,
+    SizeExceededError,
+    certify_lhv_bound,
+    certify_model,
+)
 from .exact import correlation_set, verify_no_signalling
 from .models import (
     InvalidModelError,
@@ -33,7 +39,6 @@ from .models import (
     validate_model,
 )
 from .search import SearchLimitError, SearchMode, SearchSpec, run_search
-from .unified import DEFAULT_CELL_LIMIT, SizeExceededError
 
 EXIT_OK = 0
 EXIT_VERDICT = 1

@@ -1,10 +1,10 @@
 """The expanded route: one integer term per cell of the product space.
 
 `_expanded_route` sums every cell (l1, l2, lx, lxp, ly, lyp) of the space
-`unified` describes, behind its cell-count guard: in int64 when D, the
-product of the five factor denominators, is below 2^63 (every preset and
-every `random_model` output), and in Python integers otherwise; its
-docstring states why each is exact.  Each block of cells is one integer
+`unified` describes: in int64 when D, the product of the five factor
+denominators, is below 2^63 (every preset and every `random_model`
+output), and in Python integers otherwise; its docstring states why each
+is exact.  Each block of cells is one integer
 matrix product T @ B: T holds Alice's two factors times the source, by
 rows (l1, lx, lx') and columns l2, and B Bob's two factors, by rows l2
 and columns (ly, ly'), so the product adds every cell's term once.
@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from .models import ContextualModel, _scaled_factors
-from .unified import DEFAULT_CELL_LIMIT, SizeExceededError, _cell_count
 
 # The cap of the module docstring's block bound, on a block of B and on a
 # block's T and T @ B together: 64 KB of int64 each, or 2^13 Python integers.
@@ -81,14 +80,11 @@ def _local_axes(settings, scaled, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
     return axes
 
 
-def _expanded_route(
-    model: ContextualModel, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> tuple[Fraction, ...]:
-    """The guarded expanded route: the four correlations in context order.
+def _expanded_route(model: ContextualModel) -> tuple[Fraction, ...]:
+    """The expanded route: the four correlations in context order.
 
-    Raises `SizeExceededError` when the space has more than `cell_limit`
-    cells.  Otherwise scales the five factors, builds each setting's read
-    and unread axes once, then sums each context's cells.  Every cell
+    Scales the five factors, builds each setting's read and unread axes
+    once, then sums each context's cells.  Every cell
     (l1, l2, lx, lx', ly, ly') gets its own integer term
     w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf written as
     integer numerators over its common denominator; nothing is summed out
@@ -112,9 +108,6 @@ def _expanded_route(
     every partial sum; numpy's integer and object matrix products use no
     BLAS and start no threads.
     """
-    size = _cell_count(model)
-    if size > cell_limit:
-        raise SizeExceededError(size, cell_limit)
     source, denom = _scaled_factors(model.source.flattened())
     alice_scaled, bob_scaled = (
         [_scaled_factors(local.weights) for local in settings.values()]

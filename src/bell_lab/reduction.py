@@ -132,7 +132,8 @@ def _reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
     intervals times source pairs; each interval contributes its width
     times the response value its pair selects.  The source and each side's
     widths are scaled to integer numerators once, and each setting's
-    per-source interval means are computed once.
+    per-source interval means are computed once, Bob's then weighted by the
+    source once per row, so each context is one dot product.
     """
     reduced = _reduce(model)
     source, source_den = _scaled_factors(model.source.flattened())
@@ -140,11 +141,10 @@ def _reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
     bob, b_den = _interval_means(reduced.bob_map, model.bob)
     cols = model.source.cols
     rows = [source[i:i + cols] for i in range(0, len(source), cols)]
+    # Per Bob setting and source row l1: sum over l2 of S(l1, l2) * m_B(l2).
+    bob = [[sum(w * m for w, m in zip(row, b_means) if w) for row in rows] for b_means in bob]
     den = source_den * a_den * b_den
     return tuple(
-        Fraction(sum(
-            a_mean * sum(w * b_mean for w, b_mean in zip(row, b_means) if w)
-            for row, a_mean in zip(rows, a_means)
-        ), den)
-        for a_means in alice for b_means in bob
+        Fraction(sum(a * b for a, b in zip(a_means, b_sums)), den)
+        for a_means in alice for b_sums in bob
     )

@@ -19,7 +19,7 @@ whose sums are derived from scratch.  A hill-climb candidate is a move (a
 table flip or a 1/d mass step); one pass over a state scores its moves in
 scan order, each from the few products it changes.  An accepted move
 keeps its scan's four sums and updates only the other kept sums it
-changes, and in either mode a model is built only for a new best.
+changes, and in either mode one model is built, for the walk's winner.
 Candidates are never validated: draws and moves yield valid models by
 construction, and the tests compare each move's model and score with a
 neighbour built as a model and scored through the dedicated route, and
@@ -454,16 +454,18 @@ def _walk(spec: SearchSpec) -> SearchResult:
     kept.
 
     Scores compare as integers over d^3 and stay numerators until the
-    result is built; a model is built only for a new best.  Moves keep each
-    pmf's sum and non-negativity and flips keep outcomes in {-1, +1}, so
-    nothing is validated.
+    result is built.  A new best keeps its state, which no later step
+    mutates (`apply` returns a new one), and one model is built, for the
+    winner, when the walk ends.  Moves keep each pmf's sum and
+    non-negativity and flips keep outcomes in {-1, +1}, so nothing is
+    validated.
     """
     rng = random.Random(spec.seed)
     moves = (_IntegerState.scored_moves if spec.mode is SearchMode.HILL_CLIMB
              else lambda state: iter(()))
     state = _IntegerState.draw(spec, rng)
     current = best = state.score()
-    best_model, improvements, scan = state.model(), [(1, best)], moves(state)
+    best_state, improvements, scan = state, [(1, best)], moves(state)
     for evaluated in range(2, spec.budget + 1):
         candidate = next(scan, None)
         if candidate is None:
@@ -476,9 +478,9 @@ def _walk(spec: SearchSpec) -> SearchResult:
             state, current = state.apply(move, sums), score
         scan = moves(state)
         if current > best:
-            best, best_model = current, state.model()
+            best, best_state = current, state
             improvements.append((evaluated, best))
-    return SearchResult(best_model, Fraction(best, _D3), spec.budget,
+    return SearchResult(best_state.model(), Fraction(best, _D3), spec.budget,
                         tuple((k, Fraction(s, _D3)) for k, s in improvements), RNG_ALGORITHM)
 
 

@@ -11,9 +11,7 @@ the counterfactuals integrate the unread factors out in Fraction arithmetic:
 one mean vector per setting, the source applied once to each vector read on
 Bob's side, and one dot product per expectation.  They share no scaling code
 with the dedicated and expanded routes.  The expanded route, which sums one
-integer term per cell in numpy, lives in `bell_lab.expanded`.  Its cell
-count, default limit and guard error stay here, where the CLI reads them
-without loading numpy: nothing in this module imports it.
+integer term per cell in numpy, lives in `bell_lab.expanded`.
 
 Lifting is by projection: the response function for Alice's first setting
 reads only (l1, lx), her second only (l1, lxp), and symmetrically for
@@ -24,30 +22,10 @@ well-defined exact expectations; those are the counterfactuals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .models import ContextualModel, LocalSetting, require_valid
-
-DEFAULT_CELL_LIMIT = 10**7
-
-
-class SizeExceededError(RuntimeError):
-    """Expanded enumeration would exceed the configured cell limit."""
-
-    def __init__(self, size: int, limit: int):
-        self.size = size
-        self.limit = limit
-        super().__init__(f"unified space has {size} cells, limit is {limit}")
-
-
-def _cell_count(model: ContextualModel) -> int:
-    """Cells of the expanded space: the source grid times the four local sizes."""
-    n = model.source.rows * model.source.cols
-    for local in itertools.chain(model.alice.values(), model.bob.values()):
-        n *= len(local.weights)
-    return n
 
 
 def _means(local: LocalSetting) -> list[Fraction]:

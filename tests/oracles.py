@@ -48,7 +48,14 @@ from math import lcm
 
 import numpy as np
 
-from bell_lab.chsh import CHSH_PATTERNS, LHV_BOUND, ChshReport, chsh_from_correlations
+from bell_lab.chsh import (
+    CHSH_PATTERNS,
+    DEFAULT_CELL_LIMIT,
+    LHV_BOUND,
+    ChshReport,
+    SizeExceededError,
+    chsh_from_correlations,
+)
 from bell_lab.exact import correlation_set
 from bell_lab.models import (
     ContextualModel,
@@ -64,7 +71,6 @@ from bell_lab.search import (
     SearchResult,
     random_model,
 )
-from bell_lab.unified import DEFAULT_CELL_LIMIT, SizeExceededError
 from bell_lab.simulate import U_SCALE, _quantum_grid, _thresholds
 
 

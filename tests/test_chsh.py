@@ -13,6 +13,7 @@ from bell_lab.chsh import (
     CHSH_PATTERNS,
     BoundViolationError,
     Certification,
+    SizeExceededError,
     certify_lhv_bound,
     certify_model,
     chsh_from_correlations,
@@ -21,14 +22,16 @@ from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError, model_hash
 from bell_lab.reduction import _reduced_route
 from bell_lab.expanded import _expanded_route
-from bell_lab.unified import SizeExceededError, _factored_route
+from bell_lab.unified import _factored_route
 from tests_support import (
     PRESETS,
     alter_local,
     counting,
     local_splits,
     relation_models,
+    source_splits,
     split_local,
+    split_source,
 )
 
 
@@ -251,26 +254,47 @@ def without_hashes(doc: dict) -> dict:
     }
 
 
+def assert_only_the_hash_changes(base: Certification, split, where) -> None:
+    """`split`'s certification has `base`'s values on every route, and its
+    document differs from `base`'s only in the model's hash."""
+    result = certify_model(split)
+    for route in TestNegatedSetting.ROUTES:
+        assert getattr(result, route) == getattr(base, route), (*where, route)
+    got, doc = result.to_dict(), base.to_dict()
+    assert got["model_sha256"] == model_hash(split) != doc["model_sha256"]
+    assert without_hashes(got) == without_hashes(doc)
+
+
 class TestSplitLocalValue:
     """Splitting one setting's local value k into two halves of its weight,
     with its table column duplicated, changes no route's values, and the
     certify document only in the model's hash."""
 
-    ROUTES = ("dedicated", "factored", "expanded", "reduced")
+    @pytest.mark.parametrize("name", sorted(NEGATION_MODELS))
+    def test_routes_and_document_unchanged(self, name):
+        model = NEGATION_MODELS[name]
+        base = certify_model(model)
+        for side, label, k in local_splits(model):
+            assert_only_the_hash_changes(base, split_local(model, side, label, k), (side, label, k))
+
+
+class TestSplitSourceIndex:
+    """Splitting source row i into two rows of half its weights, with row i
+    of both of Alice's tables duplicated, changes no route's values, and the
+    certify document only in the model's hash; so does splitting source
+    column j with row j of Bob's tables duplicated.  The sampler's ledger
+    does change: its row-major source partition reorders."""
 
     @pytest.mark.parametrize("name", sorted(NEGATION_MODELS))
     def test_routes_and_document_unchanged(self, name):
         model = NEGATION_MODELS[name]
         base = certify_model(model)
-        doc = base.to_dict()
-        for side, label, k in local_splits(model):
-            split = split_local(model, side, label, k)
-            result = certify_model(split)
-            for route in self.ROUTES:
-                assert getattr(result, route) == getattr(base, route), (side, label, k, route)
-            got = result.to_dict()
-            assert got["model_sha256"] == model_hash(split) != doc["model_sha256"]
-            assert without_hashes(got) == without_hashes(doc)
+        for side, index in source_splits(model):
+            split = split_source(model, side, index)
+            assert (split.source.rows, split.source.cols) == (
+                model.source.rows + (side == "alice"), model.source.cols + (side == "bob")
+            )
+            assert_only_the_hash_changes(base, split, (side, index))
 
 
 class TestCertifyModel:

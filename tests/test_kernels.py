@@ -51,12 +51,16 @@ from bell_lab.reduction import _reduced_route, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.expanded import _blocks, _expanded_route
 from bell_lab.unified import _factored_route, counterfactuals
-from tests_support import PRESETS, counting
+from tests_support import PRESETS, counting, positive_model
 
 BIG = 2**64 + 13
 
 SHAPES = ((1, 1, 1, 1, 1, 1), (3, 1, 5, 2, 1, 4), (4, 4, 3, 3, 2, 2))
 CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
+# Budgets 1 and 7 cut the first chunked shape into single grid indices, about
+# 4M one-row matrix products at budget 1, so they take this shape: the same
+# pattern of one source cell (cols = 1), Alice's grid the wide one.
+SMALL_BUDGET_SHAPE = (1, 1, 16, 16, 8, 8)
 
 
 INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
@@ -396,22 +400,28 @@ class TestPythonIntegerExpanded:
 
 @pytest.fixture(scope="module")
 def chunked_models():
-    """Skewed and bench-sized models, which take the int64 path, and a
-    big-weight model, which takes the Python-integer one, with their
-    unpatched expanded values."""
-    cases = []
-    for shape in CHUNKED_SHAPES:
-        spec = SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM)
-        cases.append(random_model(spec, random.Random(3)))
+    """Skewed and bench-sized models with every weight positive, which take
+    the int64 path, and a big-weight model, which takes the Python-integer
+    one, with their unpatched expanded values."""
+    cases = [positive_model(shape, 3) for shape in CHUNKED_SHAPES]
     cases.append(big_weight_model(0, shape=(4, 4, 8, 8, 4, 4)))
     return [(model, _expanded_route(model)) for model in cases]
+
+
+@pytest.fixture(scope="module")
+def small_budget_models(chunked_models):
+    """`chunked_models` with the first at `SMALL_BUDGET_SHAPE`."""
+    small = positive_model(SMALL_BUDGET_SHAPE, 3)
+    return [(small, _expanded_route(small)), *chunked_models[1:]]
 
 
 class TestBlocks:
     @pytest.mark.parametrize("budget", [1, 7, 4096])
     @pytest.mark.parametrize("case", range(len(CHUNKED_SHAPES) + 1))
-    def test_block_budget_does_not_change_values(self, monkeypatch, chunked_models, case, budget):
-        model, expected = chunked_models[case]
+    def test_block_budget_does_not_change_values(
+        self, monkeypatch, chunked_models, small_budget_models, case, budget
+    ):
+        model, expected = (chunked_models if budget == 4096 else small_budget_models)[case]
         monkeypatch.setattr(expanded, "_BLOCK_ELEMENTS", budget)
         assert _expanded_route(model) == expected
 
@@ -480,16 +490,12 @@ def zero_weight_model() -> ContextualModel:
     )
 
 
-def random_shape(shape, seed: int = 0) -> ContextualModel:
-    return random_model(SearchSpec(cardinalities=shape, mode=SearchMode.RANDOM), random.Random(seed))
-
-
 class TestMatmulBlocks:
     """The expanded route's blocks, one matrix product each, against the
     per-cell oracle on shapes that force each way a block can fall."""
 
     def test_several_blocks_inside_one_source_row(self):
-        for model in (random_shape((1, 2, 40, 40, 3, 3)),
+        for model in (positive_model((1, 2, 40, 40, 3, 3)),
                       big_weight_model(4, shape=(1, 2, 40, 40, 3, 3))):
             [(boxes, inner)] = matmul_blocks(model)
             assert inner * 40 * 40 > expanded._BLOCK_ELEMENTS
@@ -499,7 +505,7 @@ class TestMatmulBlocks:
     def test_one_grid_index_above_the_cap(self):
         # B is one block of 128 * 64 = 2^13 columns, so an (l1, lx, lx') index
         # holds cols + 2^13 = 1 + 2^13 elements: each block is one (l1, lx, lx').
-        model = random_shape((2, 1, 2, 3, 128, 64))
+        model = positive_model((2, 1, 2, 3, 128, 64))
         [(boxes, inner)] = matmul_blocks(model)
         assert inner > expanded._BLOCK_ELEMENTS
         assert len(boxes) == 2 * 2 * 3
@@ -535,10 +541,10 @@ class TestMatmulBlocks:
         # together, at 2^18 cells as at 2^24.
         peaks = []
         for shape in ((16, 16, 8, 8, 4, 4), (32, 32, 16, 16, 8, 8)):
-            model = random_shape(shape)
+            model = positive_model(shape)
             tracemalloc.start()
             try:
-                _expanded_route(model, cell_limit=2**24)
+                _expanded_route(model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -548,15 +554,17 @@ class TestMatmulBlocks:
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1024, 1024), (4, 4, 1, 1, 512, 512)])
     def test_bob_heavy_memory_is_bounded(self, shape):
         # B = cols x |y| * |y'| has 2^20 int64 elements here, 8 MB whole;
-        # cut into blocks, the route peaks near 0.3 MB.
-        model = random_shape(shape)
+        # cut into blocks, the route peaks near 0.3 MB.  Every weight is
+        # positive, so each of Bob's blocks adds terms to the values.
+        model = positive_model(shape)
         tracemalloc.start()
         try:
-            _expanded_route(model)
+            values = _expanded_route(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert values == correlation_set(model)
 
 
 def swap_parties(model: ContextualModel) -> ContextualModel:
@@ -569,7 +577,7 @@ def swap_parties(model: ContextualModel) -> ContextualModel:
 
 SWAP_MODELS = pytest.mark.parametrize(
     "model",
-    [*(random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES),
+    [*(positive_model(shape, 3) for shape in SHAPES + CHUNKED_SHAPES),
      big_weight_model(6), zero_weight_model()],
     ids=[*("x".join(map(str, shape)) for shape in SHAPES + CHUNKED_SHAPES),
          "big_weight", "zero_weight"],
@@ -596,7 +604,7 @@ class TestPartySwap:
 
     def test_not_vacuous(self):
         # Some model's two mixed contexts differ, so the swap moves a value.
-        models = [random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
+        models = [positive_model(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
         assert any(e[1] != e[2] for e in map(_expanded_route, models))
 
 
@@ -629,7 +637,7 @@ class TestSettingSwap:
     def test_not_vacuous(self, side):
         # Some model's values are not fixed by the permutation, so it moves one.
         order = self.ORDERS[side]
-        models = [random_shape(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
+        models = [positive_model(shape, 3) for shape in SHAPES + CHUNKED_SHAPES]
         assert any(tuple(e[k] for k in order) != e for e in map(_expanded_route, models))
 
 

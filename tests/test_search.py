@@ -509,16 +509,18 @@ class TestScoresMatchOracle:
                 spec = SearchSpec(cardinalities=cards, mode=mode, seed=seed, budget=budget)
                 assert run_search(spec) == oracle(spec)
 
-    def test_models_built_only_for_a_new_best(self, monkeypatch):
+    def test_one_model_built_for_the_winner(self, monkeypatch):
         built = counting(monkeypatch, search_module._IntegerState, "model")
         drawn = counting(monkeypatch, search_module, "random_model")
         for mode in (SearchMode.HILL_CLIMB, SearchMode.RANDOM):
             spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=mode, seed=3, budget=2000)
             built.clear()
             result = run_search(spec)
-            # One build per record, the start included; restarts are drawn as states.
+            # Several records, one build: the best state's, when the walk
+            # ends; the start and restarts are drawn as states.
             assert len(result.improvements) > 1
-            assert len(built) == len(result.improvements)
+            assert len(built) == 1
+            assert oracles.score_oracle(result.best_model) == result.best_s_max
         assert drawn == []
 
     def test_constructor_runs_once_per_draw(self, monkeypatch):

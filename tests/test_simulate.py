@@ -38,7 +38,14 @@ from bell_lab.simulate import (
     quantum_reference,
     simulate_trials,
 )
-from tests_support import PRESETS, counting, local_splits, relation_models, split_local
+from tests_support import (
+    PRESETS,
+    alter_pmf,
+    counting,
+    local_splits,
+    relation_models,
+    split_local,
+)
 
 F = Fraction
 OPTIMAL_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -374,6 +381,97 @@ class TestZeroSourceDraw:
         expected = oracles.unchunked_trials_oracle(model, 4, seed=0)
         for got, want in zip(ledger_arrays(ledger), expected):
             assert np.array_equal(got, want)
+
+
+def draw_intervals(*pmfs) -> list[tuple[int, int]]:
+    """(first draw, last draw) of each interval of the partition whose
+    breakpoints are the cumulative sums of `pmfs`, by the sampler's contract
+    alone: thresholds floor(c * 2^53), a draw equal to one goes to the lower
+    interval, and draws stop at 2^53 - 1."""
+    cuts = sorted({c for pmf in pmfs for c in itertools.accumulate(pmf) if c})
+    ends = [min((c.numerator << 53) // c.denominator, U_SCALE - 1) for c in cuts]
+    return list(zip([0, *(t + 1 for t in ends[:-1])], ends))
+
+
+def thirds_model():
+    """The noisy preset with pmfs of thirds on Alice's x and Bob's y, so that
+    two breakpoints are not multiples of 2^-53."""
+    model = alter_pmf(PRESETS["noisy_readout"](), "alice", "x", (F(1, 3), F(2, 3)))
+    return alter_pmf(model, "bob", "y", (F(2, 3), F(1, 3)))
+
+
+LAW_MODELS = {**relation_models(), "thirds": thirds_model()}
+
+
+class TestSamplerLaw:
+    """The model sampler's law, summed exactly from its own code tables:
+    one trial per setting pair and per source, Alice and Bob interval,
+    weighted by the product of the three intervals' widths in draws, gives
+    each cell code's probability over 4 * 2^159.  It is compared with
+    P(a, b | x, y) / 4, built from the exact marginals of
+    `verify_no_signalling` and the dedicated route's correlation, neither of
+    which uses the reduction.
+
+    They are not exactly equal: interval 0 of each partition holds one draw
+    more than its width times 2^53, the last one draw fewer, and a threshold
+    that is not a multiple of 2^-53 moves an interval end by under a draw.
+    So each interval's probability is off by at most 2^-53, and none is off
+    when it is its partition's only interval.  Summed over a cell, where the
+    other two factors' widths sum to at most 1, P(a, b | x, y) is off by at
+    most m * 2^-53, m the number of the cell's intervals, over the three
+    partitions, that end at a threshold inside (0, 1)."""
+
+    @pytest.mark.parametrize("name", sorted(LAW_MODELS))
+    def test_cell_law_within_the_threshold_bound(self, monkeypatch, name):
+        model = LAW_MODELS[name]
+        partitions = [
+            draw_intervals(model.source.flattened()),
+            draw_intervals(*(local.weights for local in model.alice.values())),
+            draw_intervals(*(local.weights for local in model.bob.values())),
+        ]
+        assert all(lo <= hi for intervals in partitions for lo, hi in intervals)
+        combos = list(itertools.product(range(2), range(2), *partitions))
+        # Each combination's first draws, then its last draws.
+        rows = np.array(
+            [[x << 52, y << 52, *(interval[end] for interval in intervals)]
+             for end in (0, 1) for x, y, *intervals in combos],
+            dtype=np.int64,
+        )
+        rows[len(combos):, :2] += U_SCALE // 2 - 1
+        assert len(rows) <= CHUNK
+
+        def rewrite(draws):
+            draws[:] = rows
+
+        patch_draws(monkeypatch, rewrite)
+        codes = simulate_trials(model, len(rows), seed=0).codes.tolist()
+        # Each interval's draws map to one cell: its two ends agree.
+        assert codes[:len(combos)] == codes[len(combos):]
+
+        weights = [0] * 16
+        used = [[set(), set(), set()] for _ in range(16)]
+        for code, (x, y, *intervals) in zip(codes, combos):
+            assert code >> 2 == 2 * x + y
+            width = 1
+            for k, (lo, hi) in enumerate(intervals):
+                width *= hi - lo + 1
+                if len(partitions[k]) > 1:
+                    used[code][k].add(lo)
+            weights[code] += width
+        for x, y in itertools.product(range(2), repeat=2):
+            assert sum(weights[8 * x + 4 * y:8 * x + 4 * y + 4]) == 2**159
+
+        marginals = verify_no_signalling(model).rows
+        correlations = correlation_set(model)
+        for code in range(16):
+            x, y, a, b = code >> 3, code >> 2 & 1, 2 * (code >> 1 & 1) - 1, 2 * (code & 1) - 1
+            (a_plus, a_minus), (b_plus, b_minus) = (
+                marginals[x].distributions[y], marginals[2 + y].distributions[x]
+            )
+            exact = (1 + a * (a_plus - a_minus) + b * (b_plus - b_minus)
+                     + a * b * correlations[2 * x + y]) / 4
+            m = sum(map(len, used[code]))
+            assert abs(F(weights[code], 4 * 2**159) - exact / 4) <= F(m, 4 * 2**53), code
 
 
 class TestValidation:

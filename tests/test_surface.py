@@ -167,6 +167,17 @@ def test_product_space_and_reduction_do_not_import_the_dedicated_route():
         assert "bell_lab.exact" not in imports, module.__name__
 
 
+def test_routes_take_only_the_model():
+    # `certify_model` validates and applies the cell limit; no route does.
+    for route in (exact._dedicated_route, unified._factored_route,
+                  expanded._expanded_route, reduction._reduced_route):
+        assert list(inspect.signature(route).parameters) == ["model"], route.__name__
+    guard = {"DEFAULT_CELL_LIMIT", "SizeExceededError", "_cell_count"}
+    assert guard <= set(vars(chsh))
+    assert not guard & (set(vars(unified)) | set(vars(expanded)))
+    assert {m for m in imported_modules(expanded) if m.startswith("bell_lab")} == {"bell_lab.models"}
+
+
 def test_exact_modules_and_cli_import_no_numpy():
     # Top-level imports and imports inside functions alike.
     for module in (chsh, exact, models, reduction, search, unified, bell_lab.cli):

@@ -4,17 +4,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from bell_lab.chsh import certify_model
+from bell_lab import chsh, expanded
+from bell_lab.chsh import SizeExceededError, _cell_count, certify_model
 from bell_lab.exact import correlation_set
 from bell_lab.models import InvalidModelError
 from bell_lab.expanded import _expanded_route
-from bell_lab.unified import (
-    SizeExceededError,
-    _cell_count,
-    _factored_route,
-    counterfactuals,
-)
-from tests_support import alter_local, alter_pmf
+from bell_lab.unified import _factored_route, counterfactuals
+from tests_support import alter_local, alter_pmf, counting
 
 HALF = Fraction(1, 2)
 
@@ -37,10 +33,25 @@ class TestConstruction:
 
 
 class TestSizeGuard:
-    def test_expanded_expectation_guarded(self, noisy):
+    def test_expanded_expectation_guarded(self, monkeypatch, noisy):
+        # `certify_model` owns the guard: one cell over the limit refuses
+        # the model before any route runs, and a limit of exactly the
+        # cell count lets all four run.
+        calls = [
+            counting(monkeypatch, module, name)
+            for module, name in (
+                (chsh, "_dedicated_route"),
+                (chsh, "_factored_route"),
+                (chsh, "_reduced_route"),
+                (expanded, "_expanded_route"),
+            )
+        ]
         with pytest.raises(SizeExceededError) as err:
-            _expanded_route(noisy, 10)
-        assert err.value.size == 64 and err.value.limit == 10
+            certify_model(noisy, cell_limit=63)
+        assert err.value.size == 64 and err.value.limit == 63
+        assert calls == [[]] * 4
+        assert certify_model(noisy, cell_limit=64).all_passed
+        assert [len(c) for c in calls] == [1] * 4
 
     def test_factored_route_unaffected(self, noisy):
         # The factored route takes no cell limit: it never expands.
@@ -108,9 +119,9 @@ class TestCounterfactuals:
 
     def test_no_guard_in_factor_aware_route(self, noisy):
         # Counterfactuals never expand the product: they take no cell limit
-        # and still run where the expanded route refuses one cell.
+        # and still run where a certificate refuses one cell.
         with pytest.raises(SizeExceededError):
-            _expanded_route(noisy, 1)
+            certify_model(noisy, cell_limit=1)
         assert astuple(counterfactuals(noisy)) == (0, -1, 0)
 
     def test_invalid_model_rejected(self, noisy):
