@@ -250,13 +250,19 @@ def cmd_simulate(args) -> int:
         **extra,
     }
 
+    summary = _render(doc, "json")
+    histogram = _histogram_text(ledger) if args.histogram else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # summary.json marks a finished run: the last run's summary and
+    # histogram go before anything is written, and the summary comes last.
+    for name in ("summary.json", "histogram.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     ledger.to_csv(out_dir / "ledger.csv")
-    _write_atomic(out_dir / "summary.json", _render(doc, "json"))
-    if args.histogram:
-        _write_atomic(out_dir / "histogram.csv", _histogram_text(ledger))
-    sys.stdout.write(_render(doc, args.format))
+    if histogram is not None:
+        _write_atomic(out_dir / "histogram.csv", histogram)
+    _write_atomic(out_dir / "summary.json", summary)
+    sys.stdout.write(summary if args.format == "json" else _render(doc, args.format))
     return EXIT_OK
 
 

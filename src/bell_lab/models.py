@@ -198,10 +198,10 @@ class ContextualModel:
 
 
 def _check_total(weights, where: str, problems: list[str]) -> None:
-    """Report weights that do not sum to 1, summed as integer numerators
-    over their least common denominator."""
-    d = lcm(*[w.denominator for w in weights])
-    total = sum([w.numerator * (d // w.denominator) for w in weights])
+    """Report weights that do not sum to 1, summed as `_scaled_factors`'
+    integer numerators over their least common denominator."""
+    nums, d = _scaled_factors(weights)
+    total = sum(nums)
     if total != d:
         problems.append(
             f"{where}: weights sum to {format_rational(Fraction(total, d))}, expected 1"

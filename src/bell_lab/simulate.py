@@ -11,9 +11,11 @@ is the top bit of its draw, so both settings are exactly uniform in both
 samplers.  Any other dyadic draw k/2^53 is compared against integer
 thresholds floor(c * 2^53) of the exact rational cumulative breakpoints
 c; a draw landing exactly on a threshold goes to the lower interval.
-Thresholds beyond 53-bit resolution would collapse; each interval is
-then under-weighted by at most 2^-53, which is far below anything the
-statistics here can resolve.
+So interval 0 of each partition holds one draw more than its share when
+its end c * 2^53 is an integer, the last interval up to one draw fewer,
+and each interval is within 2^-53 of its exact width, either way: far
+below anything the statistics here can resolve.  `TestSamplerLaw` bounds
+each cell's law by m * 2^-53, m its intervals that end inside (0, 1).
 
 A chunk's draws are transposed once, so each column is contiguous.  The
 model sampler finds each column's interval by a guide-table lookup
@@ -56,7 +58,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -106,17 +108,6 @@ def _chunks(n: int):
     """(start, stop) row ranges of at most CHUNK trials covering range(n)."""
     for start in range(0, n, CHUNK):
         yield start, min(start + CHUNK, n)
-
-
-def _code_bins(codes) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The chunks of `codes` and each chunk's trials per cell code: the
-    `_chunks` ranges, and an int64 array of shape (chunks, 16)."""
-    chunks = list(_chunks(len(codes)))
-    bins = np.zeros((len(chunks), 16), dtype=np.int64)
-    # bincount casts its input to intp; binning per chunk bounds that copy.
-    for row, (lo, hi) in zip(bins, chunks):
-        row[:] = np.bincount(codes[lo:hi], minlength=16)
-    return chunks, bins
 
 
 def _digits_below(t: int) -> int:
@@ -260,9 +251,10 @@ class TrialLedger:
     alice_setting*8 + bob_setting*4 + (a > 0)*2 + (b > 0), the settings
     being positions in the label tuples and a, b the +/-1 outcomes.
     Codes that are not a 1-D integer ndarray, or a code outside 0..15, are
-    refused, and the codes array, not copied, is marked read-only, so the
-    counts, taken from the codes once, cannot drift out of step with the
-    records.
+    refused, and the codes array, not copied, is marked read-only.  The
+    constructor then bins the codes once, a chunk of `_chunks` at a time:
+    the counts and the ledger's byte offsets both come from those bins, so
+    they cannot drift out of step with the records.
     """
 
     seed: int
@@ -280,6 +272,16 @@ class TrialLedger:
             trial = int(np.flatnonzero((codes < 0) | (codes > 15))[0])
             raise ValueError(f"trial {trial} has cell code {codes[trial]}, outside 0..15")
         codes.flags.writeable = False
+        chunks = list(_chunks(len(codes)))
+        bins = np.zeros((len(chunks), 16), dtype=np.int64)
+        # bincount casts its input to intp; binning per chunk bounds that copy.
+        for row, (lo, hi) in zip(bins, chunks):
+            row[:] = np.bincount(codes[lo:hi], minlength=16)
+        counts = bins.sum(axis=0).reshape(2, 2, 2, 2)
+        counts.flags.writeable = False
+        object.__setattr__(self, "_ranges", chunks)
+        object.__setattr__(self, "_bins", bins)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def n(self) -> int:
@@ -288,19 +290,9 @@ class TrialLedger:
     def context_counts(self) -> np.ndarray:
         """Trial counts, int64 of shape (2, 2, 2, 2), indexed
         [alice setting, bob setting, a > 0, b > 0]: the bits of the cell code.
-        Counted on the first call; every call returns the same read-only array."""
+        Counted when the ledger is built; every call returns the same
+        read-only array."""
         return self._counts
-
-    @cached_property
-    def _chunk_bins(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """`_code_bins` of the codes, binned once for the counts and the ledger."""
-        return _code_bins(self.codes)
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        counts = self._chunk_bins[1].sum(axis=0).reshape(2, 2, 2, 2)
-        counts.flags.writeable = False
-        return counts
 
     def _row_endings(self) -> tuple[bytes, ...]:
         """The 16 possible `,alice,bob,a,b` row endings in UTF-8, indexed
@@ -321,18 +313,17 @@ class TrialLedger:
         """Write one row per trial to `path`, atomically.
 
         Every byte is written by `_pwrite_all`: the header's at offset 0,
-        then each chunk of `_chunk_bins` renders its rows and writes them at
-        its own byte offset.  That offset counts the header, the digits of
-        the trial numbers before the chunk, and the row endings of the codes
-        before it, from the bins of the chunks before it.
+        then each chunk the constructor binned renders its rows and writes
+        them at its own byte offset.  That offset counts the header, the
+        digits of the trial numbers before the chunk, and the row endings of
+        the codes before it, from the bins of the chunks before it.
         """
         endings = self._row_endings()
         ending_bytes = np.array([len(e) for e in endings], dtype=np.int64)
         header = _csv_line(["trial", "alice_setting", "bob_setting", "a", "b"])
-        ranges, bins = self._chunk_bins
-        chunk_bytes = bins @ ending_bytes
+        chunk_bytes = self._bins @ ending_bytes
         before = len(header) + np.cumsum(chunk_bytes) - chunk_bytes
-        chunks = [(lo, hi, int(b) + _digits_below(lo)) for (lo, hi), b in zip(ranges, before)]
+        chunks = [(lo, hi, int(b) + _digits_below(lo)) for (lo, hi), b in zip(self._ranges, before)]
 
         with atomic_writer(path) as fh:
             _pwrite_all(fh.fileno(), header, 0)

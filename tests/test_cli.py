@@ -589,13 +589,25 @@ class TestSimulate:
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_cells_counted_once_per_ledger(self, capsys, monkeypatch, tmp_path, model_file):
-        calls = counting(monkeypatch, simulate, "_code_bins")
+        # One bincount per chunk, all while the ledger is built: the summary,
+        # the histogram and the ledger write reuse its bins.
+        calls = counting(monkeypatch, simulate.np, "bincount")
+        built = []
+        sample_ledger = simulate._sample_ledger
+
+        def recorded(*args):
+            ledger = sample_ledger(*args)
+            built.append(len(calls))
+            return ledger
+
+        monkeypatch.setattr(simulate, "_sample_ledger", recorded)
         code, _, _ = run(
-            capsys, "simulate", "--model", str(model_file), "--n", "200",
+            capsys, "simulate", "--model", str(model_file), "--n", str(2 * simulate.CHUNK + 1),
             "--out", str(tmp_path / "run"), "--histogram",
         )
         assert code == 0
-        assert len(calls) == 1
+        assert built == [3]
+        assert len(calls) == 3
 
     def test_rng_algorithm_in_summary(self, capsys, tmp_path, model_file):
         for source in (["--model", str(model_file)], ["--quantum", "0,0,0,0"]):
@@ -609,6 +621,83 @@ class TestSimulate:
             assert doc == json.loads(out)
             names = sorted(p.name for p in out_dir.iterdir())
             assert names == ["histogram.csv", "ledger.csv", "summary.json"]
+
+
+class TestOneRunPerDirectory:
+    """summary.json marks a finished run: it is removed, with any histogram,
+    before a run writes anything, and written last, so a directory that
+    holds one holds that run's files only."""
+
+    @pytest.fixture
+    def previous(self, capsys, tmp_path, model_file):
+        """A directory holding a finished run with a histogram, and its files' bytes."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "1000", "--seed", "1",
+            "--histogram", "--out", str(out_dir),
+        )
+        assert code == 0
+        return out_dir, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    @pytest.fixture
+    def rerun(self, capsys, tmp_path, previous):
+        """Run random_seed7 into the previous run's directory: (code, stdout, stderr)."""
+        model = tmp_path / "seed7.json"
+        save_model(PRESETS["random_seed7"](), model)
+        return lambda *extra: run(
+            capsys, "simulate", "--model", str(model), "--n", "2000", "--seed", "2",
+            "--out", str(previous[0]), *extra,
+        )
+
+    def test_rerun_without_histogram_removes_it(self, previous, rerun):
+        out_dir, _ = previous
+        code, out, _ = rerun()
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ledger.csv", "summary.json"]
+        assert (out_dir / "summary.json").read_text(encoding="utf-8") == out
+        assert json.loads(out)["n"] == 2000
+        assert len((out_dir / "ledger.csv").read_bytes().splitlines()) == 2001
+
+    def test_failure_after_ledger_leaves_no_summary(self, monkeypatch, previous, rerun):
+        out_dir, before = previous
+        rename = os.replace
+
+        def fail_after_ledger(src, dst):
+            rename(src, dst)
+            if os.path.basename(dst) == "ledger.csv":
+                raise OSError("injected failure")
+
+        monkeypatch.setattr(os, "replace", fail_after_ledger)
+        assert rerun("--histogram") == (2, "", "error: injected failure\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ledger.csv"]
+        assert (out_dir / "ledger.csv").read_bytes() != before["ledger.csv"]
+
+    @pytest.mark.parametrize(("name", "left"), [
+        # Sampling: nothing is computed yet, so the last run stands.
+        ("_draw_block", ["histogram.csv", "ledger.csv", "summary.json"]),
+        # The ledger write: the last run's summary is gone, its ledger stays.
+        ("_pwrite_all", ["ledger.csv"]),
+    ])
+    def test_interrupt_leaves_no_mixed_run(self, monkeypatch, previous, rerun, name, left):
+        out_dir, before = previous
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulate, name, interrupted)
+        assert rerun("--histogram") == (130, "", "error: interrupted\n")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
+            name: before[name] for name in left
+        }
+
+    def test_refused_run_leaves_the_last_run(self, capsys, previous, model_file):
+        out_dir, before = previous
+        code, out, err = run(
+            capsys, "simulate", "--model", str(model_file), "--n", "2", "--out", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("--n 2 is too small\n")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def _long_rational_model(path, bits: int, seed: int):

@@ -383,17 +383,21 @@ class TestPythonIntegerExpanded:
     def test_memory_does_not_grow_with_cells(self):
         # A block's T and its product T @ B hold at most 2^13 Python
         # integers together, each at most D (about 2^360): under 1 MB
-        # whether the model has 2^14 cells (one block per context) or 2^18
-        # (four).  Holding a context's terms at once would take 16x.
-        peaks = []
-        for shape in ((4, 4, 8, 8, 4, 4), (16, 16, 8, 8, 4, 4)):
+        # whether the model has 2^13 cells (one block per context) or 2^15
+        # (four).  The larger model's whole T and T @ B, 4096 rows of 2 + 4
+        # integers each, would take three times the cap.
+        peaks, blocks = [], []
+        for shape in ((4, 2, 16, 16, 2, 2), (16, 2, 16, 16, 2, 2)):
             model = big_weight_model(0, shape=shape)
+            assert denominator_product(model).bit_length() > 350
+            blocks.append([len(boxes) for boxes, _ in matmul_blocks(model)])
             tracemalloc.start()
             try:
                 _expanded_route(model)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert blocks == [[1], [4]]
         assert max(peaks) < 4 * 2**20
         assert peaks[1] - peaks[0] < 2**19
 
@@ -708,13 +712,15 @@ class TestScalingOncePerModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_counterfactuals(self, monkeypatch, name):
         # The source is applied to Bob's product of means and to all ones.
+        # Validation scales the source and the four pmfs, once each, to
+        # check their totals; the factored sums scale nothing.
         model = PRESETS[name]()
         assert "_scaled_factors" not in vars(unified)
         scaled_models = counting(monkeypatch, models, "_scaled_factors")
         means = counting(monkeypatch, unified, "_means")
         source_times = counting(monkeypatch, unified, "_source_times")
         cf = unified.counterfactuals(model)
-        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 0)
+        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 5)
         a0, a1 = model.alice_labels
         b0, b1 = model.bob_labels
         assert cf.full_product == oracles.product_mean(

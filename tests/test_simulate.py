@@ -767,12 +767,14 @@ class TestLedgerViews:
         assert counts[0].sum() == ledger.n
 
     def test_codes_binned_once_for_counts_and_csv(self, monkeypatch, tmp_path, noisy):
+        # One bincount per chunk while the ledger is built, none after.
+        calls = counting(monkeypatch, np, "bincount")
         ledger = simulate_trials(noisy, 3 * CHUNK + 5, seed=8)
-        calls = counting(monkeypatch, simulate, "_code_bins")
+        assert len(calls) == 4
         ledger.to_csv(tmp_path / "ledger.csv")
         counts = ledger.context_counts()
         ledger.to_csv(tmp_path / "again.csv")
-        assert len(calls) == 1
+        assert len(calls) == 4
         assert np.array_equal(counts.ravel(), np.bincount(ledger.codes, minlength=16))
         oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
         want = (tmp_path / "oracle.csv").read_bytes()
@@ -780,15 +782,29 @@ class TestLedgerViews:
         assert (tmp_path / "again.csv").read_bytes() == want
 
     def test_csv_writes_the_chunks_it_binned(self, monkeypatch, tmp_path, noisy):
-        # Counted in chunks of 77 trials, written after CHUNK changed: the
+        # Built in chunks of 77 trials, written after CHUNK changed: the
         # ledger writes the chunks whose bins fix its offsets.
-        ledger = simulate_trials(noisy, 5003, seed=3)
         monkeypatch.setattr(simulate, "CHUNK", 77)
-        ledger.context_counts()
+        ledger = simulate_trials(noisy, 5003, seed=3)
         monkeypatch.setattr(simulate, "CHUNK", 4096)
         ledger.to_csv(tmp_path / "ledger.csv")
         oracles.ledger_csv_oracle(ledger, tmp_path / "oracle.csv")
         assert (tmp_path / "ledger.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_counts_of_given_codes(self, monkeypatch, n):
+        # Codes from outside the sampler, up to and past chunk boundaries.
+        codes = np.random.default_rng(n).integers(0, 16, size=n).astype(np.uint8)
+        want = np.bincount(codes, minlength=16).reshape(2, 2, 2, 2)
+        calls = counting(monkeypatch, np, "bincount")
+        ledger = TrialLedger(seed=0, alice_labels=("x", "x'"), bob_labels=("y", "y'"),
+                             codes=codes)
+        counts = ledger.context_counts()
+        assert len(calls) == math.ceil(n / CHUNK)
+        assert np.array_equal(counts, want)
+        assert not counts.flags.writeable
+        assert ledger.context_counts() is counts
+        assert np.array_equal(replace(ledger).context_counts(), want)
 
 
 def _render_cases():
