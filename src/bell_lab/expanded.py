@@ -1,10 +1,15 @@
 """The expanded route: one integer term per cell of the product space.
 
 `_expanded_route` sums every cell (l1, l2, lx, lxp, ly, lyp) of the space
-`unified` describes: in int64 when D, the product of the five factor
-denominators, is below 2^63 (every preset and every `random_model`
-output), and in Python integers otherwise; its docstring states why each
-is exact.  Each block of cells is one integer
+`unified` describes, in one of three tiers chosen from D, the product of
+the five factor denominators:
+
+- float64 when D < 2^53 (every preset and every `random_model` output),
+  whose matrix products run in BLAS;
+- int64 when 2^53 <= D < 2^63, in numpy's integer loop;
+- Python integers (dtype object) otherwise.
+
+Its docstring states why each is exact.  Each block of cells is one
 matrix product T @ B: T holds Alice's two factors times the source, by
 rows (l1, lx, lx') and columns l2, and B Bob's two factors, by rows l2
 and columns (ly, ly'), so the product adds every cell's term once.
@@ -33,13 +38,16 @@ import numpy as np
 from .models import ContextualModel, _scaled_factors
 
 # The cap of the module docstring's block bound, on a block of B and on a
-# block's T and T @ B together: 64 KB of int64 each, or 2^13 Python integers.
+# block's T and T @ B together: 64 KB of int64 or float64 each, or 2^13
+# Python integers.
 _BLOCK_ELEMENTS = 1 << 13
 
-# The expanded sum runs in int64 when D is below this, and in Python integers
-# otherwise: every partial product of a cell term is at most D, and the
-# absolute terms of a context sum to exactly D, so below it no product or
-# partial sum can overflow.
+# The expanded sum runs in float64 when D is below `_EXACT_FLOAT`, in int64
+# when it is below `_ONE_WORD`, and in Python integers otherwise: every
+# partial product of a cell term is at most D, and the absolute terms of a
+# context sum to exactly D, so below 2^53 no double operation rounds and
+# below 2^63 no int64 product or partial sum overflows.
+_EXACT_FLOAT = 1 << 53
 _ONE_WORD = 1 << 63
 
 
@@ -91,22 +99,30 @@ def _expanded_route(model: ContextualModel) -> tuple[Fraction, ...]:
     before the tables multiply in.  The absolute terms sum to exactly D,
     the product of the five factor denominators (each factor's numerators
     sum to its denominator and A, B are +-1), so |total| <= D, and the
-    total is returned as Fraction(total, D).  The terms are integers of one
-    array dtype, chosen from D, and either sum is exact:
+    total is returned as Fraction(total, D).  The terms are integers held
+    in one array dtype, chosen from D, and each sum is exact:
 
-    - int64 when D < 2^63 (every preset and every `random_model` output).
+    - float64 when D < 2^53 (every preset and every `random_model` output).
       Each factor's numerators are at most its denominator, so every
-      partial product of a term is at most D, and every partial sum is at
-      most the sum of the absolute terms, D.  Plain int64 products and
-      sums then cannot overflow.
+      partial product of a term is at most D, and every partial sum, being
+      a sum of some of the terms, is at most the sum of the absolute terms,
+      D.  A double holds every integer of magnitude up to 2^53 exactly, so
+      no multiplication, addition or fused multiply-add inside T @ B or its
+      `.sum()` rounds, in whatever order BLAS groups them.  A BLAS that
+      broke this would make this route disagree with the others, and
+      `certify` would report the mismatch and exit 1; it could never turn
+      a failing model into a pass.
+    - int64 when 2^53 <= D < 2^63.  By the same bounds no product or
+      partial sum overflows.
     - Python integers (dtype object) when D >= 2^63 (weights with large
       denominators), which do not overflow at all.
 
     Each context's cells are summed in the blocks of the module
     docstring, one T @ B each.  The product forms each cell's term
     T[n, l2] * B[l2, q] once and adds it, so the bounds above hold for
-    every partial sum; numpy's integer and object matrix products use no
-    BLAS and start no threads.
+    every partial sum.  numpy's int64 and object matrix products use no
+    BLAS and start no threads; the float64 ones call BLAS, which may run
+    a large block on its own threads.
     """
     source, denom = _scaled_factors(model.source.flattened())
     alice_scaled, bob_scaled = (
@@ -115,7 +131,7 @@ def _expanded_route(model: ContextualModel) -> tuple[Fraction, ...]:
     )
     for _, d in alice_scaled + bob_scaled:
         denom *= d
-    dtype = np.int64 if denom < _ONE_WORD else object
+    dtype = np.float64 if denom < _EXACT_FLOAT else np.int64 if denom < _ONE_WORD else object
     rows, cols = model.source.rows, model.source.cols
     src = np.array(source, dtype=dtype).reshape(rows, cols)
     alice = _local_axes(model.alice, alice_scaled, dtype)

@@ -243,7 +243,7 @@ def _csv_line(fields) -> bytes:
     return buf.getvalue().encode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialLedger:
     """Per-trial records, plus the seed that produced them.
 
@@ -254,7 +254,8 @@ class TrialLedger:
     refused, and the codes array, not copied, is marked read-only.  The
     constructor then bins the codes once, a chunk of `_chunks` at a time:
     the counts and the ledger's byte offsets both come from those bins, so
-    they cannot drift out of step with the records.
+    they cannot drift out of step with the records.  Ledgers compare and
+    hash by identity, since an ndarray field has no single truth value.
     """
 
     seed: int

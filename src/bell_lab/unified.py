@@ -29,9 +29,16 @@ from .models import ContextualModel, LocalSetting, require_valid
 
 
 def _means(local: LocalSetting) -> list[Fraction]:
-    """One setting's mean vector m(l) = sum_k p(k) * R(l, k), one entry per source index."""
+    """One setting's mean vector m(l) = sum_k p(k) * R(l, k), one entry per source index.
+
+    Computed as 2 * (sum of p(k) over R(l, k) = +1) - 1, the same rational
+    for a validated setting: its pmf sums to 1 and each outcome is +-1.
+    """
     weights = local.weights
-    return [sum((w * v for w, v in zip(weights, row)), Fraction(0)) for row in local.table]
+    return [
+        2 * sum((w for w, v in zip(weights, row) if v > 0), Fraction(0)) - 1
+        for row in local.table
+    ]
 
 
 def _source_times(model: ContextualModel, v) -> list[Fraction]:
@@ -54,7 +61,8 @@ def _factored_route(model: ContextualModel) -> tuple[Fraction, ...]:
     read settings' mean vectors; S v is built once per Bob setting and
     shared by both Alice settings.  Deliberately a different computation
     route from the dedicated-space four-fold sum; exact agreement between
-    the two is the point.
+    the two is the point.  `certify_model` validates the model first, as
+    `_means` requires.
     """
     alice = [_means(local) for local in model.alice.values()]
     bob = [_source_times(model, _means(local)) for local in model.bob.values()]

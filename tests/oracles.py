@@ -15,6 +15,8 @@ numerators, kept verbatim so each integer kernel is compared against the
 loop it replaced.  They scale nothing through the package's helpers.
 `chsh_fraction_oracle` is likewise the Fraction-generator CHSH report the
 package used before its eight sums moved to integers.
+`means_oracle` is the factored route's mean vector as the package summed
+it before it took each mean from the half-sum of the weights read +1.
 
 `score_oracle`, `neighbors_oracle`, `hill_climb_oracle` and
 `random_sampling_oracle` are the search the package ran before it scored
@@ -146,6 +148,11 @@ def product_mean(model: ContextualModel, selected) -> Fraction:
                             v *= model.bob[label].table[j][lb[t]]
                     total += w * v
     return total
+
+
+def means_oracle(local: LocalSetting) -> list[Fraction]:
+    """One setting's mean vector m(l) = sum_k p(k) * R(l, k), term by term."""
+    return [sum((w * v for w, v in zip(local.weights, row)), Fraction(0)) for row in local.table]
 
 
 def correlation_quadruple(model: ContextualModel):

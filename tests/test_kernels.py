@@ -4,11 +4,14 @@ Every kernel that sums integer numerators over a common denominator is
 compared, for exact rational equality, with its old loop in `oracles.py`
 on the presets, the small campaign, fixed odd shapes, models with zero
 weights and with denominators above 2^64, and a hypothesis property.
-The expanded route's int64 path (D < 2^63) is compared with its
-Python-integer path, forced through the private threshold, on every one of
-those models; models with D just below and at 2^63 pin which dtype runs.
-The Python-integer path also gets negative totals, totals at +-D, its
-block walk and its memory checked on their own.  The expanded route's
+The expanded route, in the tier D selects (float64 below 2^53, int64
+below 2^63), is compared with its Python-integer path, forced through the
+private thresholds, on every one of those models; models with D at and
+around 2^53 and 2^63 pin which dtype runs.  The float64 tier is also compared
+with a forced int64 run and the oracle at D just under 2^53 on shapes that
+stress each way its blocks fall.  The Python-integer path also gets
+negative totals, totals at +-D, its block walk and its memory checked on
+their own.  The expanded route's
 matrix-product blocks meet the oracle on shapes that force each way a
 block can fall, with a bound on its memory when Bob's grid is the wide one,
 and exchanging the parties, or one side's two settings, permutes every
@@ -51,7 +54,7 @@ from bell_lab.reduction import _reduced_route, reduce_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
 from bell_lab.expanded import _blocks, _expanded_route
 from bell_lab.unified import _factored_route, counterfactuals
-from tests_support import PRESETS, counting, positive_model
+from tests_support import PRESETS, alter_local, counting, positive_model, relation_models
 
 BIG = 2**64 + 13
 
@@ -63,13 +66,23 @@ CHUNKED_SHAPES = ((1, 1, 64, 64, 16, 16), (16, 16, 8, 8, 4, 4))
 SMALL_BUDGET_SHAPE = (1, 1, 16, 16, 8, 8)
 
 
-INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
+FLOAT64, INT64, OBJECT = np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)
 
 
 def python_integers(model: ContextualModel) -> tuple[Fraction, ...]:
-    """`_expanded_route` with the int64 path switched off: no D is below 1."""
+    """`_expanded_route` with the float64 and int64 tiers switched off: no D
+    is below 1."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expanded, "_EXACT_FLOAT", 1)
         patch.setattr(expanded, "_ONE_WORD", 1)
+        return _expanded_route(model)
+
+
+def int64_words(model: ContextualModel) -> tuple[Fraction, ...]:
+    """`_expanded_route` with the float64 tier switched off, so every D below
+    2^63 sums in int64."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expanded, "_EXACT_FLOAT", 1)
         return _expanded_route(model)
 
 
@@ -266,6 +279,23 @@ def denominator_product(model: ContextualModel) -> int:
     return d
 
 
+def below(bound: int, shape, seed: int = 0) -> ContextualModel:
+    """`positive_model(shape, seed)` with D raised to just below `bound`.
+
+    Alice's first pmf is redrawn as positive weights over the largest q that
+    keeps D = q * (the other four denominators) below `bound`; its first
+    weight is 1/q, so its denominator is exactly q.
+    """
+    model = positive_model(shape, seed)
+    label, local = next(iter(model.alice.items()))
+    rest = denominator_product(model) // math.lcm(*[w.denominator for w in local.weights])
+    q = (bound - 1) // rest
+    cuts = sorted(random.Random(seed).sample(range(2, q), len(local.weights) - 2))
+    bounds = [0, 1, *cuts, q]
+    pmf = [Fraction(hi - lo, q) for lo, hi in zip(bounds, bounds[1:])]
+    return alter_local(model, "alice", label, pmf=pmf)
+
+
 def big_weight_model(seed: int, shape=(2, 2, 2, 3, 3, 2), bits: int = 70) -> ContextualModel:
     """Coin-flip tables and positive weights drawn up to 2^bits, normalised."""
     rng = random.Random(seed)
@@ -331,11 +361,16 @@ class TestOneWordExpanded:
             pytest.param(2**15 - 1, 2**12, INT64, id="D=2^63-2^48"),
             pytest.param(2**63 - 25, 1, INT64, id="D=2^63-25"),  # the largest prime below 2^63
             pytest.param(2**15, 2**12, OBJECT, id="D=2^63"),
+            pytest.param(2**53 - 1, 1, FLOAT64, id="D=2^53-1"),
+            pytest.param(2**13, 2**10, INT64, id="D=2^53"),
+            pytest.param(2**53 + 1, 1, INT64, id="D=2^53+1"),
         ],
     )
     @pytest.mark.parametrize("readout", [1, -1])
     def test_totals_at_the_switch(self, monkeypatch, source_d, local_d, dtype, readout):
-        # A total of +2^63 does not fit in int64, so an int64 sum at D = 2^63 wraps.
+        # A total of +2^63 does not fit in int64, so an int64 sum at D = 2^63
+        # wraps; 2^53 + 1 is the least integer a double does not hold, so a
+        # float64 sum of the terms 1 and 2^53 at D = 2^53 + 1 rounds.
         model = constant_model(source_d, local_d, readout)
         assert denominator_product(model) == source_d * local_d**4
         dtypes = axis_dtypes(monkeypatch)
@@ -350,7 +385,34 @@ class TestOneWordExpanded:
         model = random_model(spec, random.Random(0))
         dtypes = axis_dtypes(monkeypatch)
         _expanded_route(model)
-        assert dtypes == [INT64] * 8
+        assert dtypes == [FLOAT64] * 8
+
+
+FLOAT_SHAPES = pytest.mark.parametrize(
+    "shape",
+    [(16, 16, 8, 8, 4, 4), (1, 1, 128, 128, 2, 2), (1, 1, 2, 2, 128, 128),
+     (4, 1, 16, 16, 8, 8), (1, 2, 40, 40, 3, 3)],
+    ids=["benchmark", "alice_heavy", "bob_heavy", "one_source_column", "blocks_in_a_row"],
+)
+
+
+class TestFloatExpanded:
+    """The float64 tier at D just under 2^53, where cell terms and partial
+    sums come nearest the largest integers a double holds, against a forced
+    int64 run and the per-cell oracle; each shape cuts every context into
+    several blocks."""
+
+    @FLOAT_SHAPES
+    def test_matches_int64_and_oracle(self, monkeypatch, shape):
+        model = below(2**53, shape)
+        assert 2**52 < denominator_product(model) < 2**53
+        assert sum(len(boxes) for boxes, _ in matmul_blocks(model)) > 1
+        dtypes = axis_dtypes(monkeypatch)
+        values = _expanded_route(model)
+        assert dtypes == [FLOAT64] * 8
+        assert values == int64_words(model)
+        assert values == tuple(oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts())
+        assert any(v != 0 for v in values)
 
 
 class TestPythonIntegerExpanded:
@@ -404,10 +466,10 @@ class TestPythonIntegerExpanded:
 
 @pytest.fixture(scope="module")
 def chunked_models():
-    """Skewed and bench-sized models with every weight positive, which take
-    the int64 path, and a big-weight model, which takes the Python-integer
-    one, with their unpatched expanded values."""
-    cases = [positive_model(shape, 3) for shape in CHUNKED_SHAPES]
+    """Skewed and bench-sized models with every weight positive and D just
+    below 2^63, which take the int64 tier, and a big-weight model, which
+    takes the Python-integer one, with their unpatched expanded values."""
+    cases = [below(2**63, shape, 3) for shape in CHUNKED_SHAPES]
     cases.append(big_weight_model(0, shape=(4, 4, 8, 8, 4, 4)))
     return [(model, _expanded_route(model)) for model in cases]
 
@@ -415,7 +477,7 @@ def chunked_models():
 @pytest.fixture(scope="module")
 def small_budget_models(chunked_models):
     """`chunked_models` with the first at `SMALL_BUDGET_SHAPE`."""
-    small = positive_model(SMALL_BUDGET_SHAPE, 3)
+    small = below(2**63, SMALL_BUDGET_SHAPE, 3)
     return [(small, _expanded_route(small)), *chunked_models[1:]]
 
 
@@ -430,7 +492,7 @@ class TestBlocks:
         assert _expanded_route(model) == expected
 
     def test_chunked_models_match_oracle(self, chunked_models):
-        assert [denominator_product(model) < 2**63 for model, _ in chunked_models] == [
+        assert [2**53 <= denominator_product(model) < 2**63 for model, _ in chunked_models] == [
             True, True, False
         ]
         for model, expected in chunked_models:
@@ -452,7 +514,7 @@ class TestBlocks:
         assert (seen == 1).all()
 
     def test_certify_op_memory_is_bounded(self):
-        # A block's T and its product T @ B hold at most 2^13 int64 values
+        # A block's T and its product T @ B hold at most 2^13 float64 values
         # (64 KB) together; the old six-loop kernel held O(local
         # cardinality), and one op peaked near 0.3 MB here.
         spec = SearchSpec(cardinalities=(16, 16, 8, 8, 4, 4), mode=SearchMode.RANDOM)
@@ -545,7 +607,8 @@ class TestMatmulBlocks:
         # together, at 2^18 cells as at 2^24.
         peaks = []
         for shape in ((16, 16, 8, 8, 4, 4), (32, 32, 16, 16, 8, 8)):
-            model = positive_model(shape)
+            model = below(2**63, shape)
+            assert denominator_product(model) >= 2**53
             tracemalloc.start()
             try:
                 _expanded_route(model)
@@ -557,7 +620,7 @@ class TestMatmulBlocks:
 
     @pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1024, 1024), (4, 4, 1, 1, 512, 512)])
     def test_bob_heavy_memory_is_bounded(self, shape):
-        # B = cols x |y| * |y'| has 2^20 int64 elements here, 8 MB whole;
+        # B = cols x |y| * |y'| has 2^20 float64 elements here, 8 MB whole;
         # cut into blocks, the route peaks near 0.3 MB.  Every weight is
         # positive, so each of Bob's blocks adds terms to the values.
         model = positive_model(shape)
@@ -673,14 +736,14 @@ class TestScalingOncePerModel:
 
     @pytest.mark.parametrize("name", [*sorted(PRESETS), "big_weight_model"])
     def test_expanded_route(self, monkeypatch, name):
-        # Every preset sums in int64, weights near 2^70 in Python integers;
+        # Every preset sums in float64, weights near 2^70 in Python integers;
         # either way each side's axes are built once, two per setting.
         big = name == "big_weight_model"
         model = big_weight_model(0) if big else PRESETS[name]()
         scaled = counting(monkeypatch, expanded, "_scaled_factors")
         dtypes = axis_dtypes(monkeypatch)
         values = expanded._expanded_route(model)
-        assert (len(scaled), dtypes) == (5, [OBJECT if big else INT64] * 8)
+        assert (len(scaled), dtypes) == (5, [OBJECT if big else FLOAT64] * 8)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
         )
@@ -726,3 +789,16 @@ class TestScalingOncePerModel:
         assert cf.full_product == oracles.product_mean(
             model, [("alice", a0), ("alice", a1), ("bob", b0), ("bob", b1)]
         )
+
+
+class TestMeans:
+    """Each setting's mean vector, from half-sums, against the plain sum of
+    p(k) * R(l, k) it replaced."""
+
+    @pytest.mark.parametrize(
+        "model", [*relation_models().values(), zero_weight_model()],
+        ids=[*relation_models(), "zero_weight"],
+    )
+    def test_matches_plain_sum(self, model):
+        for local in (*model.alice.values(), *model.bob.values()):
+            assert unified._means(local) == oracles.means_oracle(local)

@@ -653,6 +653,16 @@ class TestLedgerCodes:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.ledger(codes, dtype)
 
+    def test_compare_and_hash_by_identity(self):
+        # Generated field-wise equality would ask an ndarray of 3 trials
+        # for its truth value and raise; identity equality cannot.
+        first, second = self.ledger([0, 5, 15]), self.ledger([0, 5, 15])
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        copy = replace(first, seed=7)
+        assert copy != first and copy.seed == 7 and copy.codes is first.codes
+        assert np.array_equal(copy.context_counts(), first.context_counts())
+
     def test_rejects_non_integer_codes(self):
         with pytest.raises(ValueError, match="must be integers"):
             self.ledger([0.0, 3.0], np.float64)
