@@ -54,21 +54,11 @@ from .unified import CounterfactualSet, counterfactuals
 
 __version__ = "0.1.0"
 
-# Exported from `simulate`, which imports numpy; resolved on first access.
-_SIMULATE_NAMES = frozenset({
-    "EmpiricalChsh",
-    "EmptyContextError",
-    "NoSignallingReport",
-    "TrialLedger",
-    "empirical_chsh",
-    "no_signalling_report",
-    "quantum_reference",
-    "simulate_trials",
-})
 
-
+# Names in `__all__` that the imports above do not bind come from
+# `simulate`, which imports numpy; they resolve on first access.
 def __getattr__(name: str):
-    if name in _SIMULATE_NAMES:
+    if name in __all__:
         from . import simulate
 
         return getattr(simulate, name)
@@ -76,7 +66,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SIMULATE_NAMES})
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

@@ -191,12 +191,15 @@ def cmd_simulate(args) -> int:
     if args.quantum is not None:
         angles = _parse_angles(args.quantum)
         ledger = quantum_reference(angles, n=args.n, seed=args.seed)
-        exact = None
+        exact = [{}] * 4  # no exact targets for the singlet
         extra = {"quantum_angles": list(angles)}
     else:
         model = load_model(args.model)
         ledger = simulate_trials(model, n=args.n, seed=args.seed)
-        exact = correlation_set(model)
+        exact = [
+            {"e_exact": format_rational(e), "e_exact_decimal": decimal_str(e)}
+            for e in correlation_set(model)
+        ]
         extra = {
             "model_sha256": model_hash(model),
             "exact_no_signalling_equal": verify_no_signalling(model).equal,
@@ -208,18 +211,15 @@ def cmd_simulate(args) -> int:
     except EmptyContextError as exc:
         raise ModelFormatError(f"{exc}: --n {args.n} is too small") from None
     contexts = [
-        {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se}
-        for (alice, bob), n_ctx, e_hat, se in zip(
+        {"alice": alice, "bob": bob, "n": n_ctx, "e_hat": e_hat, "standard_error": se, **fields}
+        for (alice, bob), n_ctx, e_hat, se, fields in zip(
             empirical.contexts,
             empirical.n_per_context,
             empirical.correlations,
             empirical.standard_errors,
+            exact,
         )
     ]
-    if exact is not None:
-        for entry, e in zip(contexts, exact):
-            entry["e_exact"] = format_rational(e)
-            entry["e_exact_decimal"] = decimal_str(e)
     doc = {
         "command": "simulate",
         "n": ledger.n,
@@ -250,18 +250,17 @@ def cmd_simulate(args) -> int:
         **extra,
     }
 
-    summary = _render(doc, "json")
-    histogram = _histogram_text(ledger) if args.histogram else None
+    # Written in this order, after the ledger: summary.json marks a finished run.
+    texts = {"histogram.csv": _histogram_text(ledger)} if args.histogram else {}
+    texts["summary.json"] = summary = _render(doc, "json")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # summary.json marks a finished run: the last run's summary and
-    # histogram go before anything is written, and the summary comes last.
+    # The last run's summary and histogram go before anything is written.
     for name in ("summary.json", "histogram.csv"):
         (out_dir / name).unlink(missing_ok=True)
     ledger.to_csv(out_dir / "ledger.csv")
-    if histogram is not None:
-        _write_atomic(out_dir / "histogram.csv", histogram)
-    _write_atomic(out_dir / "summary.json", summary)
+    for name, text in texts.items():
+        _write_atomic(out_dir / name, text)
     sys.stdout.write(summary if args.format == "json" else _render(doc, args.format))
     return EXIT_OK
 
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelFormatError as exc:
+    except (ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidModelError as exc:
@@ -364,9 +363,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print("error:", str(exc) or "out of memory", file=sys.stderr)
         return EXIT_GUARD
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as a shell reports a run killed by it

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo simulation and empirical statistics.
 
 Trials are driven through the two-uniform reduced form, so the sampling
-path itself exercises the partition maps: per trial the stream provides
-five 53-bit dyadic uniforms, consumed in the fixed column order (Alice
+path itself exercises the partition maps: per trial the model sampler
+takes five 53-bit dyadic uniforms, in the fixed column order (Alice
 setting, Bob setting, source pair, U1, U2).  Each is the top 53 bits of
 one raw PCG64 word, the stream that NumPy's RNG policy (NEP 19) pins;
 they are the very draws `Generator.integers(0, 2^53)` makes, so the
@@ -23,8 +23,8 @@ model sampler finds each column's interval by a guide-table lookup
 search inside the bucket, one pass in practice.  Per side, one uint8
 table holds that side's code bits by setting, source row and refined
 interval (from `reduction._readout`), so a trial's cell code is one
-gather per side and one add.  The quantum sampler compares its draw with
-its context's three inner thresholds.
+gather per side and one add.  The quantum sampler takes three uniforms:
+the settings and a U, placed by its context's three inner thresholds.
 
 A run is cut into chunks of CHUNK trials, the only unit of parallel
 work: `_in_parallel` shares them out among one thread per usable core.

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shlex
 import stat
 import threading
 from collections import Counter
@@ -21,7 +22,7 @@ from bell_lab.cli import main
 from bell_lab.chsh import certify_model
 from bell_lab.models import load_model, model_from_dict, model_to_dict, save_model
 from bell_lab.search import SearchMode, SearchSpec, random_model
-from tests_support import PRESETS, counting
+from tests_support import PRESET_DIR, PRESETS, counting
 
 
 @pytest.fixture
@@ -672,6 +673,20 @@ class TestOneRunPerDirectory:
         assert sorted(p.name for p in out_dir.iterdir()) == ["ledger.csv"]
         assert (out_dir / "ledger.csv").read_bytes() != before["ledger.csv"]
 
+    def test_failed_histogram_leaves_no_summary(self, monkeypatch, previous, rerun):
+        out_dir, before = previous
+        rename = os.replace
+
+        def fail_on_histogram(src, dst):
+            if os.path.basename(dst) == "histogram.csv":
+                raise OSError("injected failure")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_histogram)
+        assert rerun("--histogram") == (2, "", "error: injected failure\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["ledger.csv"]
+        assert (out_dir / "ledger.csv").read_bytes() != before["ledger.csv"]
+
     @pytest.mark.parametrize(("name", "left"), [
         # Sampling: nothing is computed yet, so the last run stands.
         ("_draw_block", ["histogram.csv", "ledger.csv", "summary.json"]),
@@ -882,3 +897,27 @@ class TestArgvFuzz:
                 code = exc.code
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in stderr.getvalue(), argv
+
+
+def readme_commands() -> list[str]:
+    """Every ``bell-lab`` line inside README's fenced code blocks."""
+    commands, fenced = [], False
+    for line in (PRESET_DIR.parent / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("bell-lab "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    parser = cli.build_parser()
+    seen = set()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            seen.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    assert seen == {"check", "certify", "search", "simulate"}, commands

@@ -1,36 +1,39 @@
-"""CLI output bytes pinned across commits by digest.
+"""CLI output bytes pinned across commits, verbatim.
 
 Each case runs ``bell_lab.cli.main`` in this process on a fixed argv and
-compares its exit code and the SHA-256 of its stdout, its stderr and every
-file it writes with ``golden_outputs.json``.  The digests were generated at
-commit 1118feb, before the model and correlation types became plain data;
-the two ``--format text`` simulate cases and ``simulate-n1`` were added at
-commit 67e2cf2, before contexts became positions; the three
-``search-random-budget1``, ``search-hill-climb-csv`` and
-``search-random-text`` cases were added at commit 0f12edd, before random
-sampling and hill climbing became one walk; the six ``--format csv``
-cases were regenerated after commit 91c5ed8, when their rows started to
-go through ``csv.writer``.  Each time the file was written by running this
-module as a script from the repository root:
+compares its record with the one kept under ``golden/<case>/``: the file
+``exit`` holds the exit code, ``stdout`` and ``stderr`` the streams, and
+``files/`` every file the run wrote, byte for byte, except that a
+``ledger.csv`` (84-89 KB per case) is kept only as the SHA-256 in
+``files/ledger.csv.sha256``.  A failing case shows a unified diff of its
+first output that differs.  Before the records, the cases were pinned
+by SHA-256 alone in ``golden_outputs.json``, generated at commit 1118feb
+and added to or regenerated at 67e2cf2, 0f12edd and 91c5ed8.  When the
+records were first written, each record file's SHA-256 was checked
+against that file as of commit 099fe99, and the file was retired: no
+byte changed on the way.  The records are written by running this module as
+a script from the repository root:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-which rewrites ``golden_outputs.json`` from the checked-out code and
-prints each case whose digests changed, were added or were removed.  A
-change that alters output bytes on purpose regenerates the file and says
-which cases changed and why.
+which rewrites ``golden/`` from the checked-out code and prints each
+case whose record changed, was added or was removed.  A change that
+alters output bytes on purpose rewrites the records, and its diff shows
+the new bytes; it says which cases changed and why.
 
 Two tests run cases in a fresh interpreter instead: every ``check`` and
-``search`` case with numpy blocked, which must give the same digests, and
-one case of each subcommand in turn, which shows numpy first loaded by
-``certify``.
+``search`` case with numpy blocked, which must give the same records,
+and one case of each subcommand in turn, which shows numpy first loaded
+by ``certify``.
 """
 
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,8 +44,9 @@ import pytest
 from bell_lab.cli import main
 from tests_support import PRESET_DIR, PRESETS
 
-GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 OUT = "{out}"  # replaced by a fresh output directory per run
+DIGEST_ONLY = {"ledger.csv"}  # kept as files/<name>.sha256
 
 
 def _cases() -> dict[str, list[str]]:
@@ -87,39 +91,68 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run_case(argv: list[str], out_dir: Path) -> dict:
-    """Exit code and digests of stdout, stderr and each file under `out_dir`."""
+def run_case(argv: list[str], out_dir: Path) -> dict[str, str]:
+    """The run's record: its text by path under ``golden/<case>/``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([str(out_dir) if arg == OUT else arg for arg in argv])
+    record = {"exit": f"{code}\n", "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    for path in sorted(out_dir.iterdir()):
+        if path.name in DIGEST_ONLY:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            record[f"files/{path.name}.sha256"] = f"{digest}\n"
+        else:
+            record[f"files/{path.name}"] = path.read_bytes().decode("utf-8")
+    return record
+
+
+def read_record(case: str) -> dict[str, str]:
+    root = GOLDEN / case
     return {
-        "exit": code,
-        "stdout": _sha(stdout.getvalue().encode("utf-8")),
-        "stderr": _sha(stderr.getvalue().encode("utf-8")),
-        "files": {
-            path.name: _sha(path.read_bytes()) for path in sorted(out_dir.iterdir())
-        },
+        path.relative_to(root).as_posix(): path.read_bytes().decode("utf-8")
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
     }
 
 
+def write_record(case: str, record: dict[str, str]) -> None:
+    shutil.rmtree(GOLDEN / case, ignore_errors=True)
+    for name, text in record.items():
+        path = GOLDEN / case / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+
+
+def first_difference(expected: dict[str, str], actual: dict[str, str]) -> str:
+    """A unified diff, at most 20 lines, of the first output that differs."""
+    for name in [*actual, *(name for name in expected if name not in actual)]:
+        if expected.get(name) != actual.get(name):
+            diff = difflib.unified_diff(
+                expected.get(name, "").splitlines(keepends=True),
+                actual.get(name, "").splitlines(keepends=True),
+                f"golden/{name}" if name in expected else "/dev/null",
+                f"run/{name}" if name in actual else "/dev/null",
+            )
+            return "".join(list(diff)[:20])
+    return ""
+
+
 def test_golden_file_covers_exactly_the_cases():
-    assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_the_golden_digests(name, tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    assert run_case(CASES[name], out_dir) == golden
+    record = run_case(CASES[name], out_dir)
+    golden = read_record(name)
+    if record != golden:
+        pytest.fail(first_difference(golden, record), pytrace=False)
 
 
 # Runs the named cases in a fresh interpreter, numpy blocked when argv[3] is
-# "block", and prints each case's digests and whether numpy was then loaded.
+# "block", and prints each case's record and whether numpy was then loaded.
 FRESH_PROCESS = """
 import json, sys, tempfile
 from pathlib import Path
@@ -152,10 +185,9 @@ NUMPY_FREE_CASES = sorted(name for name in CASES if name.startswith(("check-", "
 def test_check_and_search_run_with_numpy_blocked():
     assert len(NUMPY_FREE_CASES) == 16
     assert {"search-default", "search-random", "search-hill-climb"} <= set(NUMPY_FREE_CASES)
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     results = run_fresh(NUMPY_FREE_CASES, block_numpy=True)
-    assert {name: digests for name, (digests, _) in results.items()} == {
-        name: golden[name] for name in NUMPY_FREE_CASES
+    assert {name: record for name, (record, _) in results.items()} == {
+        name: read_record(name) for name in NUMPY_FREE_CASES
     }
 
 
@@ -163,10 +195,9 @@ def test_numpy_loads_only_for_certify_and_simulate():
     # In order, in one interpreter: numpy is first imported by the certify case.
     names = ["check-noisy_readout-json", "search-hill-climb",
              "certify-noisy_readout-json", "simulate-noisy_readout"]
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     results = run_fresh(names, block_numpy=False)
     assert [results[name] for name in names] == [
-        [golden[name], loaded] for name, loaded in zip(names, [False, False, True, True])
+        [read_record(name), loaded] for name, loaded in zip(names, [False, False, True, True])
     ]
 
 
@@ -209,17 +240,18 @@ def test_csv_rows_parse_to_the_json_document(name):
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    digests = {}
+    old = {path.name for path in GOLDEN.iterdir()} if GOLDEN.exists() else set()
+    for case in sorted(old - CASES.keys()):
+        shutil.rmtree(GOLDEN / case)
+        print(f"removed: {case}")
     for case, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            digests[case] = run_case(argv, Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for case in sorted(old.keys() | digests.keys()):
-        if case not in digests:
-            print(f"removed: {case}")
-        elif case not in old:
+            record = run_case(argv, Path(tmp))
+        if case not in old:
             print(f"added: {case}")
-        elif old[case] != digests[case]:
+        elif read_record(case) != record:
             print(f"changed: {case}")
-    print(f"wrote {len(digests)} cases to {GOLDEN}")
+        else:
+            continue
+        write_record(case, record)
+    print(f"{len(CASES)} cases recorded in {GOLDEN}")
