@@ -3,6 +3,7 @@
 Run from anywhere inside the repository:
 
     python3 scripts/bench_pairs.py PARENT CHANGE [--workload W]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload all
 
 Both commits are exported with ``git archive`` into a temporary directory,
 so neither run loads bytecode a working tree left behind.  Each of ten
@@ -15,6 +16,9 @@ the medians against the bound in the change's ``BENCHMARK.json``, and
 whether the pairs show a gain: the change fails no more ops in total than
 the parent, wins at least nine pairs in ten, and its median is better
 than the parent's by more than the parent's interquartile range.
+``--workload all`` runs the ten pairs for each workload the change's
+``BENCHMARK.json`` declares, in its order, and prints each workload's
+summary after its pairs.
 """
 
 from __future__ import annotations
@@ -98,6 +102,28 @@ def render(rows) -> str:
     return "\n".join(lines)
 
 
+def run_pairs(trees: dict, workload: str) -> tuple[list, list]:
+    """Ten alternating pairs of `workload` in the two `trees`, each printed
+    as it finishes: the pairs' metric dicts and failed-op counts, both as
+    (parent, change)."""
+    pairs, failed = [], []
+    for k in range(1, PAIRS + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        runs = {side: bench(trees[side], workload, k) for side in order}
+        values = {side: {name: m["value"] for name, m in run["metrics"].items()}
+                  for side, run in runs.items()}
+        pairs.append((values["parent"], values["change"]))
+        failed.append((runs["parent"]["failed"], runs["change"]["failed"]))
+        print(f"{workload} pair {k} ({order[0]} first, seed {k}):"
+              + "".join(f" {side} failed {runs[side]['failed']}/{runs[side]['attempted']};"
+                        for side in ("parent", "change")))
+        for name in values["parent"]:
+            print(f"  {name:<36} parent {values['parent'][name]:.6g}  "
+                  f"change {values['change'][name]:.6g}")
+        sys.stdout.flush()
+    return pairs, failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -109,22 +135,13 @@ def main(argv=None) -> int:
                  for side, commit in (("parent", args.parent), ("change", args.change))}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         end_to_end = {m["name"]: m for m in spec["end_to_end"]}
-        pairs, failed = [], []
-        for k in range(1, PAIRS + 1):
-            order = ("parent", "change") if k % 2 else ("change", "parent")
-            runs = {side: bench(trees[side], args.workload, k) for side in order}
-            values = {side: {name: m["value"] for name, m in run["metrics"].items()}
-                      for side, run in runs.items()}
-            pairs.append((values["parent"], values["change"]))
-            failed.append((runs["parent"]["failed"], runs["change"]["failed"]))
-            print(f"pair {k} ({order[0]} first, seed {k}):"
-                  + "".join(f" {side} failed {runs[side]['failed']}/{runs[side]['attempted']};"
-                            for side in ("parent", "change")))
-            for name in values["parent"]:
-                print(f"  {name:<36} parent {values['parent'][name]:.6g}  "
-                      f"change {values['change'][name]:.6g}")
+        names = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                 else [args.workload])
+        for workload in names:
+            pairs, failed = run_pairs(trees, workload)
+            print(f"summary of {workload}:")
+            print(render(summarize(pairs, failed, end_to_end)))
             sys.stdout.flush()
-    print(render(summarize(pairs, failed, end_to_end)))
     return 0
 
 

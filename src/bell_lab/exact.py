@@ -12,15 +12,16 @@ one term while the loop over (lx, l2, ly) runs in C, in ``sum(starmap(mul,
 product(...)))``.
 
 ``correlation_set`` validates the model once; the private
-``_dedicated_route`` then scales the five factors (the source and the four
-local pmfs) once and runs one integer loop per context.  Both return the
+``_dedicated_route`` then reads the integer numerators that each of the
+five factors (the source and the four local pmfs) carries from its
+construction, and runs one integer loop per context.  Both return the
 four correlations as a plain tuple in context order, (x,y), (x,y'),
 (x',y), (x',y'), the shape every certify route returns.
 
 The exact no-signalling check runs on the same loop: one side's outcome
 law in a context is the context expectation with the remote table set to
-all +1, so the remote pmf is still summed explicitly.  It too scales the
-five factors once per model.
+all +1, so the remote pmf is still summed explicitly.  It too reads the
+five factors' stored numerators.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from fractions import Fraction
 from itertools import product, starmap
 from operator import mul
 
-from .models import ContextualModel, _scaled_factors, require_valid
+from .models import ContextualModel, require_valid
 
 
 def _scaled_local(local) -> tuple[list[int], int, list[list[int]]]:
-    """One setting's pmf numerators, their denominator, and its response
-    table signed by them: entry (l, l') is w(l')·R(l, l')."""
-    nums, den = _scaled_factors(local.weights)
+    """One setting's stored pmf numerators, their denominator, and its
+    response table signed by them: entry (l, l') is w(l')·R(l, l')."""
+    nums, den = local._scaled
     return nums, den, [list(map(mul, nums, row)) for row in local.table]
 
 
@@ -75,9 +76,9 @@ def _scaled_sides(model: ContextualModel) -> tuple[list, list]:
 
 
 def _dedicated_route(model: ContextualModel) -> tuple[Fraction, ...]:
-    """The four correlations of a valid model in context order, each factor
-    scaled once; `model` is not revalidated."""
-    source = _scaled_factors(model.source.flattened())
+    """The four correlations of a valid model in context order, from each
+    factor's stored numerators; `model` is not revalidated."""
+    source = model.source._scaled
     alice, bob = _scaled_sides(model)
     return tuple(_context_expectation(source, a, b) for a in alice for b in bob)
 
@@ -124,7 +125,7 @@ def verify_no_signalling(model: ContextualModel) -> ExactNoSignallingReport:
     """Exact check: each side's outcome law is identical across the remote
     setting, as rationals, for all four side/setting combinations."""
     require_valid(model)
-    source = _scaled_factors(model.source.flattened())
+    source = model.source._scaled
     alice, bob = _scaled_sides(model)
     rows = []
     for side, owns, remotes, labels, remote_labels in (

@@ -24,8 +24,9 @@ not grow with the number of cells.
 
 It is the only route that computes with numpy, so it lives apart: `check`
 and `search` never import this module, and `bell_lab.chsh.certify_model`
-imports it when it runs.  It reads the model's factors directly and
-shares no scaling code with the dedicated and factored routes.
+imports it when it runs.  It reads each factor's integer numerators,
+which the factor carries from its construction, as the dedicated and
+reduced routes do, and shares no summation code with them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import ContextualModel, _scaled_factors
+from .models import ContextualModel
 
 # The cap of the module docstring's block bound, on a block of B and on a
 # block's T and T @ B together: 64 KB of int64 or float64 each, or 2^13
@@ -77,8 +78,9 @@ def _local_axes(settings, scaled, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each setting's local factor at every source index, shape (n_src, n),
     as the pair (unread, read), in declared setting order.
 
-    `scaled` holds each setting's `_scaled_factors` pair; the read factor
-    also carries the response value, so a cell's product picks it up once.
+    `scaled` holds each setting's stored `_scaled_factors` pair; the read
+    factor also carries the response value, so a cell's product picks it
+    up once.
     """
     axes = []
     for local, (nums, _) in zip(settings.values(), scaled):
@@ -91,8 +93,8 @@ def _local_axes(settings, scaled, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
 def _expanded_route(model: ContextualModel) -> tuple[Fraction, ...]:
     """The expanded route: the four correlations in context order.
 
-    Scales the five factors, builds each setting's read and unread axes
-    once, then sums each context's cells.  Every cell
+    Reads the five factors' stored numerators, builds each setting's read
+    and unread axes once, then sums each context's cells.  Every cell
     (l1, l2, lx, lx', ly, ly') gets its own integer term
     w_src * w_x * w_x' * w_y * w_y' * A * B, with each pmf written as
     integer numerators over its common denominator; nothing is summed out
@@ -124,10 +126,9 @@ def _expanded_route(model: ContextualModel) -> tuple[Fraction, ...]:
     BLAS and start no threads; the float64 ones call BLAS, which may run
     a large block on its own threads.
     """
-    source, denom = _scaled_factors(model.source.flattened())
+    source, denom = model.source._scaled
     alice_scaled, bob_scaled = (
-        [_scaled_factors(local.weights) for local in settings.values()]
-        for settings in (model.alice, model.bob)
+        [local._scaled for local in settings.values()] for settings in (model.alice, model.bob)
     )
     for _, d in alice_scaled + bob_scaled:
         denom *= d

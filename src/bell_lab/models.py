@@ -16,7 +16,10 @@ settings in declared order with Alice's the outer loop: (x,y), (x,y'),
 All probabilities are exact rationals (:class:`fractions.Fraction`).
 Floats are rejected at construction so that every downstream expectation
 is computed without rounding; floats only ever appear in Monte Carlo
-estimates and report rendering.
+estimates and report rendering.  Each factor (the source and each local
+pmf) also computes, when it is built, its weights as integer numerators
+over their least common denominator, which validation and the integer
+routes read.
 """
 
 from __future__ import annotations
@@ -124,7 +127,12 @@ def _outcome(value) -> int:
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Source distribution, indexed by (alice share, bob share)."""
+    """Source distribution, indexed by (alice share, bob share).
+
+    Construction coerces the weights to exact rationals and scales them
+    once: ``_scaled`` holds the flattened weights' `_scaled_factors` pair,
+    which validation and the integer routes read instead of rescaling.
+    """
 
     weights: tuple[tuple[Fraction, ...], ...]
 
@@ -133,6 +141,7 @@ class JointPmf:
             tuple(_as_fraction(w, "source weight") for w in row) for row in self.weights
         )
         object.__setattr__(self, "weights", coerced)
+        object.__setattr__(self, "_scaled", _scaled_factors(self.flattened()))
 
     @property
     def rows(self) -> int:
@@ -152,9 +161,11 @@ class LocalSetting:
     """One setting's measurement channel: local pmf plus response table.
 
     ``weights[k]`` is the probability of local value k and ``table[l][k]``
-    the outcome at source share l and local value k.  Construction only
-    coerces: weights must be exact rationals and outcomes integers (numpy
-    integers become int); whether they form a valid setting is checked by
+    the outcome at source share l and local value k.  Construction coerces
+    (weights must be exact rationals and outcomes integers; numpy integers
+    become int) and scales the weights once: ``_scaled`` holds their
+    `_scaled_factors` pair, which validation and the integer routes read.
+    Whether the fields form a valid setting is checked by
     :func:`validate_model`.
     """
 
@@ -165,6 +176,7 @@ class LocalSetting:
         weights = tuple(_as_fraction(w, "pmf weight") for w in self.weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "table", tuple(tuple(map(_outcome, row)) for row in self.table))
+        object.__setattr__(self, "_scaled", _scaled_factors(weights))
 
 
 @dataclass(frozen=True)
@@ -197,10 +209,11 @@ class ContextualModel:
         return tuple((x, y) for x in a for y in b)
 
 
-def _check_total(weights, where: str, problems: list[str]) -> None:
-    """Report weights that do not sum to 1, summed as `_scaled_factors`'
-    integer numerators over their least common denominator."""
-    nums, d = _scaled_factors(weights)
+def _check_total(scaled, where: str, problems: list[str]) -> None:
+    """Report weights that do not sum to 1, summed from a factor's stored
+    `_scaled_factors` pair: integer numerators over their least common
+    denominator."""
+    nums, d = scaled
     total = sum(nums)
     if total != d:
         problems.append(
@@ -208,14 +221,15 @@ def _check_total(weights, where: str, problems: list[str]) -> None:
         )
 
 
-def _check_pmf(weights: tuple[Fraction, ...], where: str, problems: list[str]) -> None:
+def _check_pmf(local: LocalSetting, where: str, problems: list[str]) -> None:
+    weights = local.weights
     if not weights:
         problems.append(f"{where}: empty support")
         return
     for k, w in enumerate(weights):
         if w.numerator < 0:
             problems.append(f"{where}[{k}]: negative weight {format_rational(w)}")
-    _check_total(weights, where, problems)
+    _check_total(local._scaled, where, problems)
 
 
 def validate_model(model: ContextualModel) -> list[str]:
@@ -241,7 +255,7 @@ def validate_model(model: ContextualModel) -> list[str]:
                 if w.numerator < 0:
                     problems.append(f"source[{i}][{j}]: negative weight {format_rational(w)}")
         if not ragged:
-            _check_total(src.flattened(), "source", problems)
+            _check_total(src._scaled, "source", problems)
 
     for side, settings, source_dim in (
         ("alice", model.alice, src.rows),
@@ -251,7 +265,7 @@ def validate_model(model: ContextualModel) -> list[str]:
             problems.append(f"{side}: expected exactly 2 settings, found {len(settings)}")
         for label, local in settings.items():
             where = f"{side}[{label!r}]"
-            _check_pmf(local.weights, f"{where}.pmf", problems)
+            _check_pmf(local, f"{where}.pmf", problems)
             if len(local.table) != source_dim:
                 problems.append(
                     f"{where}.table: {len(local.table)} rows, expected source support {source_dim}"
@@ -335,7 +349,28 @@ def _expect_keys(doc: dict, required: tuple[str, ...], where: str) -> None:
         raise ModelFormatError(f"{where}: missing field(s) {missing}")
 
 
-def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
+def _rational_parser():
+    """`parse_rational` that parses each distinct string once.
+
+    The memo lives as long as the returned function, one document's
+    parse.  A value that is not a string (unhashable when it is an array
+    or an object) skips it, so `parse_rational` raises the same error for
+    it as before.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def parse(text) -> Fraction:
+        if not isinstance(text, str):
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
+    return parse
+
+
+def _parse_side(side: str, doc, parse) -> dict[str, LocalSetting]:
     _expect_mapping(doc, side)
     settings: dict[str, LocalSetting] = {}
     for label, entry in doc.items():
@@ -351,7 +386,7 @@ def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
         pmf_doc = entry["pmf"]
         if not isinstance(pmf_doc, list):
             raise ModelFormatError(f"{where}.pmf: expected an array")
-        weights = tuple(parse_rational(w) for w in pmf_doc)
+        weights = tuple(map(parse, pmf_doc))
         table_doc = entry["table"]
         if not isinstance(table_doc, list) or not all(isinstance(r, list) for r in table_doc):
             raise ModelFormatError(f"{where}.table: expected an array of arrays")
@@ -365,7 +400,8 @@ def _parse_side(side: str, doc) -> dict[str, LocalSetting]:
 def model_from_dict(doc) -> ContextualModel:
     """Strict parse of a model document; see the schema comment above.
 
-    Raises :class:`ModelFormatError` on any structural problem.  The result
+    Each distinct weight string is parsed once per document.  Raises
+    :class:`ModelFormatError` on any structural problem.  The result
     may still fail :func:`validate_model`; parsing and validation are
     separate so that diagnostics can name semantic violations precisely.
     """
@@ -374,9 +410,10 @@ def model_from_dict(doc) -> ContextualModel:
     source_doc = doc["source"]
     if not isinstance(source_doc, list) or not all(isinstance(r, list) for r in source_doc):
         raise ModelFormatError("source: expected an array of arrays")
-    source = JointPmf(tuple(tuple(parse_rational(w) for w in row) for row in source_doc))
-    alice = _parse_side("alice", doc["alice"])
-    bob = _parse_side("bob", doc["bob"])
+    parse = _rational_parser()
+    source = JointPmf(tuple(tuple(map(parse, row)) for row in source_doc))
+    alice = _parse_side("alice", doc["alice"], parse)
+    bob = _parse_side("bob", doc["bob"], parse)
     return ContextualModel(source=source, alice=alice, bob=bob)
 
 

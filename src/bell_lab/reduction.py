@@ -130,13 +130,14 @@ def _reduced_route(model: ContextualModel) -> tuple[Fraction, ...]:
 
     Reduces `model` without revalidating it, then integrates over refined
     intervals times source pairs; each interval contributes its width
-    times the response value its pair selects.  The source and each side's
-    widths are scaled to integer numerators once, and each setting's
+    times the response value its pair selects.  The source's integer
+    numerators are the ones it was built with, each side's widths are
+    scaled to integer numerators once, and each setting's
     per-source interval means are computed once, Bob's then weighted by the
     source once per row, so each context is one dot product.
     """
     reduced = _reduce(model)
-    source, source_den = _scaled_factors(model.source.flattened())
+    source, source_den = model.source._scaled
     alice, a_den = _interval_means(reduced.alice_map, model.alice)
     bob, b_den = _interval_means(reduced.bob_map, model.bob)
     cols = model.source.cols

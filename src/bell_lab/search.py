@@ -26,7 +26,10 @@ neighbour built as a model and scored through the dedicated route, and
 each updated state with one built from scratch.
 The CLI certifies the winner through `certify_lhv_bound`, which
 validates it, and refuses a winner whose certified s_max differs from
-the search's score.
+the search's score.  A walk refuses, before its first draw, a shape of
+more than `chsh.DEFAULT_CELL_LIMIT` cells (the product of its six
+cardinalities) with `SizeExceededError`, as `certify_model` refuses such
+a model.
 
 Exhaustive search answers its question without a sweep.  The correlations
 of a contextual LHV model are a mixture of those of the 16 deterministic
@@ -45,11 +48,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chsh import BoundViolationError, _bounded_report
+from .chsh import DEFAULT_CELL_LIMIT, BoundViolationError, SizeExceededError, _bounded_report
 from .exact import correlation_set
 from .models import (
     DEFAULT_ALICE_LABELS,
@@ -453,13 +457,18 @@ def _walk(spec: SearchSpec) -> SearchResult:
     exactly `spec.budget` of them; the first achiever of the best score is
     kept.
 
-    Scores compare as integers over d^3 and stay numerators until the
-    result is built.  A new best keeps its state, which no later step
-    mutates (`apply` returns a new one), and one model is built, for the
-    winner, when the walk ends.  Moves keep each pmf's sum and
+    A shape of more than `DEFAULT_CELL_LIMIT` cells raises
+    `SizeExceededError` before the first draw.  Scores compare as
+    integers over d^3 and stay numerators until the result is built.  A
+    new best keeps its state, which no later step mutates (`apply`
+    returns a new one), and one model is built, for the winner, when the
+    walk ends.  Moves keep each pmf's sum and
     non-negativity and flips keep outcomes in {-1, +1}, so nothing is
     validated.
     """
+    cells = math.prod(spec.cardinalities)
+    if cells > DEFAULT_CELL_LIMIT:
+        raise SizeExceededError(cells, DEFAULT_CELL_LIMIT)
     rng = random.Random(spec.seed)
     moves = (_IntegerState.scored_moves if spec.mode is SearchMode.HILL_CLIMB
              else lambda state: iter(()))

@@ -58,3 +58,41 @@ def test_summary_applies_the_pair_rule():
                                     {"hill-climb/op_cost.p50": 2.5})], [(0, 0)], END_TO_END)
     assert (row["wins"], row["worse_by"], row["bound"]) == (0, 0.25, 0.25)
     assert "hill-climb/op_cost.p50" in bench_pairs.render([row])
+
+
+def test_all_runs_ten_pairs_per_declared_workload(tmp_path, monkeypatch, capsys):
+    # Two declared workloads, with no real export or benchmark run: each
+    # gets ten alternating pairs, seeds 1..10, and its own summary.
+    declared = {"workloads": [{"name": "w-one"}, {"name": "w-two"}],
+                "end_to_end": list(END_TO_END.values())}
+    calls = []
+
+    def export(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(bench_pairs.json.dumps(declared), encoding="utf-8")
+        (dest / "commit").write_text(commit, encoding="utf-8")
+        return dest
+
+    def bench(tree, workload, seed):
+        side = (tree / "commit").read_text(encoding="utf-8")
+        calls.append((workload, seed, side))
+        value = 12.0 if side == "change" else 10.0
+        return {"failed": 0, "attempted": 5, "metrics": {"work_per_probe": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["parent", "change", "--workload", "all"]) == 0
+
+    expected = [
+        (workload, k, side)
+        for workload in ("w-one", "w-two")
+        for k in range(1, 11)
+        for side in (("parent", "change") if k % 2 else ("change", "parent"))
+    ]
+    assert calls == expected
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("summary of")] == [
+        "summary of w-one:", "summary of w-two:"
+    ]
+    assert out.count("work_per_probe") == 2 * 10 + 2
+    assert out.rstrip().endswith("yes")

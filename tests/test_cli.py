@@ -250,6 +250,18 @@ class TestSearch:
         assert out == ""
         assert err == f"error: {count} table assignments exceed the limit of 16777216\n"
 
+    @pytest.mark.parametrize("mode", ["random", "hill-climb"])
+    @pytest.mark.parametrize("cardinalities, cells", [
+        ("3163,3163,1,1,1,1", 10004569),
+        ("99999999,1,1,1,1,1", 99999999),
+    ])
+    def test_walk_cell_guard(self, capsys, mode, cardinalities, cells):
+        # Refused before any draw: no output, one line on stderr, exit 3.
+        code, out, err = run(capsys, "search", "--mode", mode, "--budget", "1",
+                             "--cardinalities", cardinalities)
+        assert (code, out) == (3, "")
+        assert err == f"error: unified space has {cells} cells, limit is 10000000\n"
+
     @pytest.mark.parametrize("cardinalities, code", [("3,3,2,2,2,2", 0), ("5,5,2,1,1,1", 3)])
     def test_limit_guard_boundary(self, capsys, cardinalities, code):
         # 24 table bits give 2^24 assignments, the most the guard accepts;

@@ -19,13 +19,17 @@ route's values.
 The dedicated loop and the no-signalling check on it are also compared
 with their oracles at the benchmark's size, on a skewed shape, and with
 weights that sum in Python integers.
-Every route returns its four correlations in context order, and each is
-checked to compute its per-model statistics once rather than once per
-context: the dedicated and expanded routes scale each of the five
-factors once, the reduced route scales the source and each side's widths
-once, and the factored route and the counterfactuals build each
-setting's mean vector once and apply the source to two vectors, with no
-scaling at all.
+Each of the five factors is scaled to integer numerators once, when it
+is built, and its stored pair is compared with the oracle's scaling on
+the presets, drawn models, zero and big weights, and after
+`dataclasses.replace`.  Every route returns its four correlations in
+context order, and each is checked to compute its per-model statistics
+once rather than once per context: validation, the dedicated and
+expanded routes and the no-signalling check read the stored pairs and
+scale nothing, the reduced route scales each side's widths once, and the
+factored route and the counterfactuals build each setting's mean vector
+once and apply the source to two vectors, with no scaling at all.
+Parsing a model document parses each distinct weight string once.
 """
 
 import itertools
@@ -708,15 +712,90 @@ class TestSettingSwap:
         assert any(tuple(e[k] for k in order) != e for e in map(_expanded_route, models))
 
 
+def factors(model: ContextualModel) -> list:
+    """The model's five factors: the source, then each setting in declared order."""
+    return [model.source, *model.alice.values(), *model.bob.values()]
+
+
+def stored_pair_models() -> dict:
+    """Models whose factors' stored pairs the oracle checks, by name."""
+    spec = SearchSpec(cardinalities=(3, 2, 4, 1, 2, 5), mode=SearchMode.RANDOM)
+    return {
+        **{name: load() for name, load in sorted(PRESETS.items())},
+        **{f"random-{seed}": random_model(spec, random.Random(seed)) for seed in (0, 1, 2)},
+        "zero_weight": zero_weight_model(),
+        **{f"big_weight-{seed}": big_weight_model(seed) for seed in (0, 1)},
+    }
+
+
+class TestStoredScaling:
+    """Each factor's `_scaled` pair, computed at construction, against the
+    oracle's own scaling of the same weights."""
+
+    @pytest.mark.parametrize("name", sorted(stored_pair_models()))
+    def test_matches_oracle(self, name):
+        model = stored_pair_models()[name]
+        if name.startswith("big_weight"):
+            assert all(f._scaled[1] > 2**64 for f in factors(model))
+        assert model.source._scaled == oracles._oracle_scaled_factors(
+            list(model.source.flattened())
+        )
+        for local in factors(model)[1:]:
+            assert local._scaled == oracles._oracle_scaled_factors(list(local.weights))
+
+    @pytest.mark.parametrize("name", sorted(stored_pair_models()))
+    def test_recomputed_by_replace(self, name):
+        # New weights through `dataclasses.replace` get their own pair: the
+        # source's rows reversed, each pmf reversed and its table's columns too.
+        model = stored_pair_models()[name]
+        source = replace(model.source, weights=model.source.weights[::-1])
+        assert source._scaled == oracles._oracle_scaled_factors(list(source.flattened()))
+        for local in factors(model)[1:]:
+            swapped = replace(local, weights=local.weights[::-1],
+                              table=[row[::-1] for row in local.table])
+            assert swapped._scaled == oracles._oracle_scaled_factors(list(swapped.weights))
+
+
 class TestScalingOncePerModel:
-    """Each route computes its per-model statistics once, not once per context."""
+    """Each factor is scaled once, when it is built; the routes read the
+    stored pairs and scale nothing per model or per context."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_construction(self, monkeypatch, name):
+        # Loading a model builds five factors, each scaled once, in order.
+        scaled = counting(monkeypatch, models, "_scaled_factors")
+        model = PRESETS[name]()
+        assert [list(weights) for (weights,) in scaled] == [
+            list(model.source.flattened()), *(list(f.weights) for f in factors(model)[1:])
+        ]
+
+    def test_construction_of_a_drawn_model(self, monkeypatch):
+        scaled = counting(monkeypatch, models, "_scaled_factors")
+        spec = SearchSpec(cardinalities=(3, 2, 4, 1, 2, 5), mode=SearchMode.RANDOM)
+        random_model(spec, random.Random(0))
+        assert len(scaled) == 5
+
+    def test_parse_once_per_distinct_string(self, monkeypatch):
+        # Twelve weight strings, of which "1/2", "0" and "2/4" repeat: six
+        # distinct ones, each parsed once, and "2/4" apart from "1/2".
+        doc = models.model_to_dict(PRESETS["noisy_readout"]())
+        doc["source"] = [["1/2", "0"], ["0", "2/4"]]
+        pmfs = [["1/2", "2/4"], ["1"], ["1/3", "2/3"], ["1/2", "0", "1/2"]]
+        for local, pmf in zip([*doc["alice"].values(), *doc["bob"].values()], pmfs):
+            local["pmf"] = pmf
+            local["table"] = [[1] * len(pmf)] * 2
+        parsed = counting(monkeypatch, models, "parse_rational")
+        model = models.model_from_dict(doc)
+        assert sorted(text for (text,) in parsed) == ["0", "1", "1/2", "1/3", "2/3", "2/4"]
+        assert model.source.weights == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_dedicated_route(self, monkeypatch, name):
         model = PRESETS[name]()
-        scaled = counting(monkeypatch, exact, "_scaled_factors")
+        assert "_scaled_factors" not in vars(exact)
+        scaled = counting(monkeypatch, models, "_scaled_factors")
         values = correlation_set(model)
-        assert len(scaled) == 5
+        assert len(scaled) == 0
         assert values == tuple(
             oracles.dedicated_fraction_oracle(model, ctx) for ctx in model.contexts()
         )
@@ -724,9 +803,9 @@ class TestScalingOncePerModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_no_signalling(self, monkeypatch, name):
         model = PRESETS[name]()
-        scaled = counting(monkeypatch, exact, "_scaled_factors")
+        scaled = counting(monkeypatch, models, "_scaled_factors")
         report = exact.verify_no_signalling(model)
-        assert len(scaled) == 5
+        assert len(scaled) == 0
         assert len(report.rows) == 4
         for row in report.rows:
             assert row.distributions == tuple(
@@ -740,22 +819,26 @@ class TestScalingOncePerModel:
         # either way each side's axes are built once, two per setting.
         big = name == "big_weight_model"
         model = big_weight_model(0) if big else PRESETS[name]()
-        scaled = counting(monkeypatch, expanded, "_scaled_factors")
+        assert "_scaled_factors" not in vars(expanded)
+        scaled = counting(monkeypatch, models, "_scaled_factors")
         dtypes = axis_dtypes(monkeypatch)
         values = expanded._expanded_route(model)
-        assert (len(scaled), dtypes) == (5, [OBJECT if big else FLOAT64] * 8)
+        assert (len(scaled), dtypes) == (0, [OBJECT if big else FLOAT64] * 8)
         assert values == tuple(
             oracles.expanded_scaled_oracle(model, ctx) for ctx in model.contexts()
         )
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_reduced_route(self, monkeypatch, name):
-        # The source, then Alice's and Bob's overlay widths.
+        # Alice's and Bob's overlay widths; the source's pair is stored.
         model = PRESETS[name]()
         scaled = counting(monkeypatch, reduction, "_scaled_factors")
         values = reduction._reduced_route(model)
-        assert len(scaled) == 3
+        assert len(scaled) == 2
         reduced = reduce_model(model)
+        assert [widths for (widths,) in scaled] == [
+            reduced.alice_map.widths(), reduced.bob_map.widths()
+        ]
         assert values == tuple(
             oracles.reduced_fraction_oracle(model, reduced, ctx) for ctx in model.contexts()
         )
@@ -775,15 +858,15 @@ class TestScalingOncePerModel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_counterfactuals(self, monkeypatch, name):
         # The source is applied to Bob's product of means and to all ones.
-        # Validation scales the source and the four pmfs, once each, to
-        # check their totals; the factored sums scale nothing.
+        # Validation reads the five factors' stored pairs and the factored
+        # sums scale nothing, so nothing is scaled.
         model = PRESETS[name]()
         assert "_scaled_factors" not in vars(unified)
         scaled_models = counting(monkeypatch, models, "_scaled_factors")
         means = counting(monkeypatch, unified, "_means")
         source_times = counting(monkeypatch, unified, "_source_times")
         cf = unified.counterfactuals(model)
-        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 5)
+        assert (len(means), len(source_times), len(scaled_models)) == (4, 2, 0)
         a0, a1 = model.alice_labels
         b0, b1 = model.bob_labels
         assert cf.full_product == oracles.product_mean(

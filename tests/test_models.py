@@ -256,6 +256,81 @@ class TestDocuments:
             load_model(path)
 
 
+# Weight strings from a small pool, so a document repeats some of them;
+# "2/4" and "1/2" name one value in two spellings.
+WEIGHT_TEXT = st.one_of(
+    st.sampled_from(["1/2", "2/4", "0", "1", "-1/3", "4/12"]),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-9, 9).map(str),
+)
+
+
+@st.composite
+def weight_documents(draw):
+    """A model document of drawn shape whose weights are drawn strings; the
+    tables are all +1, so the document always parses."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    texts = st.lists(WEIGHT_TEXT, min_size=1, max_size=4)
+
+    def side(labels, table_rows):
+        return {
+            label: {"pmf": pmf, "table": [[1] * len(pmf)] * table_rows}
+            for label, pmf in zip(labels, (draw(texts), draw(texts)))
+        }
+
+    return {
+        "alice": side(("x", "x'"), rows),
+        "bob": side(("y", "y'"), cols),
+        "source": [draw(st.lists(WEIGHT_TEXT, min_size=cols, max_size=cols)) for _ in range(rows)],
+    }
+
+
+class TestParseOnce:
+    """`model_from_dict` parses each distinct weight string once per
+    document; the result and every error are as if each were parsed alone."""
+
+    @given(weight_documents())
+    def test_same_fractions_as_parse_rational(self, doc):
+        model = model_from_dict(doc)
+        assert model.source.weights == tuple(
+            tuple(parse_rational(text) for text in row) for row in doc["source"]
+        )
+        for side in ("alice", "bob"):
+            for label, entry in doc[side].items():
+                local = getattr(model, side)[label]
+                assert local.weights == tuple(parse_rational(text) for text in entry["pmf"])
+
+    def test_two_spellings_of_one_value(self):
+        doc = {
+            "alice": {x: {"pmf": ["2/4", "1/2"], "table": [[1, 1]]} for x in ("x", "x'")},
+            "bob": {y: {"pmf": ["1/2", "2/4"], "table": [[1, 1]]} for y in ("y", "y'")},
+            "source": [["1/2"]],
+        }
+        model = model_from_dict(doc)
+        half = Fraction(1, 2)
+        assert model.source.weights == ((half,),)
+        assert all(local.weights == (half, half)
+                   for local in (*model.alice.values(), *model.bob.values()))
+
+    @pytest.mark.parametrize("bad", [["1/2"], [], {"a": "1/2"}, {}, 1, 0.5, True, False, None],
+                             ids=repr)
+    @pytest.mark.parametrize("position", ["source", "pmf"])
+    def test_same_error_for_non_strings(self, noisy, bad, position):
+        # The position follows a weight already parsed, so the memo holds
+        # strings when the bad value reaches it; lists and objects are
+        # unhashable and must not be looked up.
+        with pytest.raises(ModelFormatError) as direct:
+            parse_rational(bad)
+        doc = model_to_dict(noisy)
+        if position == "source":
+            doc["source"][1][1] = bad
+        else:
+            doc["bob"]["y'"]["pmf"][1] = bad
+        with pytest.raises(ModelFormatError) as parsed:
+            model_from_dict(doc)
+        assert str(parsed.value) == str(direct.value)
+
+
 class TestHashing:
     def test_canonical_json_is_compact_and_ordered(self, perfect):
         text = canonical_json(perfect)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,12 @@ import bell_lab.models as models_module
 import bell_lab.search as search_module
 import oracles
 from bell_lab import cli
-from bell_lab.chsh import BoundViolationError, chsh_from_correlations
+from bell_lab.chsh import (
+    DEFAULT_CELL_LIMIT,
+    BoundViolationError,
+    SizeExceededError,
+    chsh_from_correlations,
+)
 from bell_lab.exact import correlation_set
 from bell_lab.models import model_from_dict, validate_model
 from bell_lab.search import (
@@ -700,3 +706,35 @@ class TestRunSearch:
                 SearchSpec(cardinalities=cards, mode=mode, seed=4, budget=budget)
             )
             assert result.best_s_max <= 2
+
+
+WALK_MODES = pytest.mark.parametrize("mode", [SearchMode.RANDOM, SearchMode.HILL_CLIMB])
+
+
+class TestWalkCellGuard:
+    """The walk modes refuse a shape of more than `DEFAULT_CELL_LIMIT` cells,
+    the product of the six cardinalities, before the first draw."""
+
+    @WALK_MODES
+    @pytest.mark.parametrize("cards", [
+        (11, 909091, 1, 1, 1, 1),  # 10^7 + 1 cells, one past the limit
+        (3163, 3163, 1, 1, 1, 1),
+        (99999999, 1, 1, 1, 1, 1),
+        (10**6,) * 6,
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, mode, cards):
+        draws = counting(monkeypatch, search_module._IntegerState, "draw")
+        with pytest.raises(SizeExceededError) as err:
+            run_search(SearchSpec(cardinalities=cards, mode=mode, budget=5))
+        assert (err.value.size, err.value.limit) == (math.prod(cards), DEFAULT_CELL_LIMIT)
+        assert draws == []
+
+    @WALK_MODES
+    def test_at_the_limit(self, monkeypatch, mode):
+        # Exactly 10^7 cells from small factors: accepted, and drawn once.
+        cards = (10, 10, 10, 10, 10, 100)
+        draws = counting(monkeypatch, search_module._IntegerState, "draw")
+        result = run_search(SearchSpec(cardinalities=cards, mode=mode, budget=1))
+        assert len(draws) == 1
+        assert validate_model(result.best_model) == []
+        assert result.best_s_max == exact_s_max(result.best_model)
