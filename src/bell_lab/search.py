@@ -14,10 +14,13 @@ d.  A context's correlation is then E = sum_{l1, l2} S(l1, l2) m_A(l1) m_B(l2)
 over d^3, S the source pmf.
 With T the sum of the four correlations, the eight CHSH pattern sums are
 exactly +/-(T - 2 E_k), so s_max is max_k |T - 2 E_k|, compared as an
-integer.  Draws are made straight into integer states, the only states
-whose sums are derived from scratch.  A hill-climb candidate is a move (a
-table flip or a 1/d mass step); one pass over a state scores its moves in
-scan order, each from the few products it changes.  An accepted move
+integer; paired as (k, h | o1, o2), that is max(|E_k + E_h| + |E_o1 - E_o2|,
+|E_k - E_h| + |E_o1 + E_o2|).  Draws are made straight into integer states,
+the only states whose sums are derived from scratch.  A hill-climb
+candidate is a move (a table flip or a 1/d mass step).  A scan scores and
+checks every neighbour it reaches, a flip or local mass step from the two
+correlations that read its factor and the state's other two, checked with
+the state, and hands the walk only an improving one.  An accepted move
 keeps its scan's four sums and updates only the other kept sums it
 changes, and in either mode one model is built, for the walk's winner.
 Candidates are never validated: draws and moves yield valid models by
@@ -227,12 +230,16 @@ def _replaced(items: tuple, index: int, item) -> tuple:
     return (*items[:index], item, *items[index + 1:])
 
 
-def _reads(f: int, by_row, by_col):
-    """The two contexts that read factor f, each with the vector that a
-    change of m_f multiplies there: (k, u, h, v)."""
-    if f < 2:
-        return 2 * f, by_row[0], 2 * f + 1, by_row[1]
-    return f - 2, by_col[0], f, by_col[1]
+# For factor f, the contexts (k, h) that read it, then the other two (o1, o2):
+# context 2a + b reads Alice's factor a and Bob's factor 2 + b.
+_PAIRS = ((0, 1, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3), (1, 3, 0, 2))
+
+
+def _paired(e, k: int, h: int, p: int, q: int) -> tuple[int, ...]:
+    """`e` with e_k = (p + q) / 2 and e_h = (p - q) / 2."""
+    x = list(e)
+    x[k], x[h] = (p + q) // 2, (p - q) // 2
+    return tuple(x)
 
 
 def _s_num(e, d3: int) -> int:
@@ -267,7 +274,7 @@ class _IntegerState:
     sum_l1 S(l1, l2) m_a(l1), over d^2; and ``e[2a + b]`` =
     sum_l1 m_a(l1) by_row[b][l1], the correlation numerator over d^3 of
     context (a, b), which reads factors a and 2 + b.  A move changes ``e``
-    by a few products of these sums, which `scored_moves` derives.  The
+    by a few products of these sums, from which `improving` scores it.  The
     constructor derives them from scratch and runs only for a draw; `apply`
     takes ``e`` from the scan, updates only the other sums its move
     changes and shares every other tuple.
@@ -322,76 +329,104 @@ class _IntegerState:
         """s_max numerator over d^3 of this model."""
         return _s_num(self.e, _D3)
 
-    def scored_moves(self):
-        """(move, sums, s_max numerator over d^3) of the neighbour by move, for
-        every neighbour, in the fixed scan order: single table flips (Alice's
-        settings in declared order then Bob's, row-major), then 1/d mass
-        moves (source flat, then each local pmf, ordered index pairs (i, j),
-        i != j, where weight i is not zero).
+    def improving(self, floor: int, limit: int):
+        """(position, move, sums, score) of each of the first `limit`
+        neighbours that scores above `floor`, then (the number scored, None,
+        None, None).
 
-        Each score is checked as `_s_num` checks it; a neighbour that fails
-        is passed to `_s_num`, which raises.  ``sums`` are the neighbour's
-        four correlation numerators over d^3, which `apply` keeps.
+        Scan order: table flips (Alice's settings in declared order then
+        Bob's, row-major), then 1/d mass moves (source flat, then each local
+        pmf, ordered index pairs (i, j), i != j, where weight i is not zero).
+        ``position`` is the 1-based index in it, ``sums`` the four correlation
+        numerators over d^3, which `apply` keeps, and ``score`` the s_max
+        numerator.  Every neighbour reached is scored and checked, yielded or
+        not, and one that fails goes to `_s_num`, which raises.  A flip or mass
+        step of factor f changes the sums (k, h) of `_PAIRS[f]`; with
+        p = x_k + x_h and q = x_k - x_h, both are in range exactly when
+        |p| + |q| <= 2 d^3.  A source step is scored as (0, 1 | 2, 3).
         """
-        d3, bound = _D3, 2 * _D3
-        for move, sums in self._neighbour_sums():
-            x0, x1, x2, x3 = sums
-            t = x0 + x1 + x2 + x3
-            s = max(abs(t - 2 * x0), abs(t - 2 * x1), abs(t - 2 * x2), abs(t - 2 * x3))
-            if s > bound or not (
-                -d3 <= x0 <= d3 and -d3 <= x1 <= d3 and -d3 <= x2 <= d3 and -d3 <= x3 <= d3
-            ):
-                s = _s_num(sums, d3)
-            yield move, sums, s
-
-    def _neighbour_sums(self):
-        """(move, the neighbour's four correlation numerators) in scan order."""
-        e0, e1, e2, e3 = e = self.e
-        cols, source, pmfs, tables = self.cols, self.source, self.pmfs, self.tables
-        means, by_row, by_col, mul = self.means, self.by_row, self.by_col, int.__mul__
+        e, pmfs, tables = self.e, self.pmfs, self.tables
+        bound = 2 * _D3
+        cap = min(floor, bound)  # a score up to cap passes and does not improve
+        base, reads = 0, []
         for f, (pmf, table) in enumerate(zip(pmfs, tables)):
-            k, u, h, v = _reads(f, by_row, by_col)
+            k, h, o1, o2 = _PAIRS[f]
+            u, v = self.by_row if f < 2 else self.by_col
+            a, b, p0, q0 = abs(e[o1] - e[o2]), abs(e[o1] + e[o2]), e[k] + e[h], e[k] - e[h]
+            reads.append((k, h, a, b, p0, q0, u, v))
+            n = len(pmf)
             for i, row in enumerate(table):
-                ui, vi = u[i], v[i]
-                for j, r in enumerate(row):
-                    # m_f(i) changes by -2 p_f(j) R_f(i, j).
-                    dm = -2 * pmf[j] * r
-                    x = list(e)
-                    x[k] += dm * ui
-                    x[h] += dm * vi
-                    yield (_FLIP, f, i, j), x
+                # m_f(i) changes by -2 p_f(j) R_f(i, j), so p by that times
+                # u[i] + v[i] and q by that times u[i] - v[i].
+                du, dv = -2 * (u[i] + v[i]), -2 * (u[i] - v[i])
+                for j in range(n if base + n <= limit else limit - base):
+                    dm = pmf[j] * row[j]
+                    p, q = p0 + dm * du, q0 + dm * dv
+                    ap, aq = abs(p), abs(q)
+                    if ap + a > cap or aq + b > cap or ap + aq > bound:
+                        s, sums = max(ap + a, aq + b), _paired(e, k, h, p, q)
+                        if s > bound or ap + aq > bound:
+                            s = _s_num(sums, _D3)
+                        if s > floor:
+                            yield base + j + 1, (_FLIP, f, i, j), sums, s
+                base += n
         # A source step i -> j trades context (a, b)'s term m_a(i1) m_{2+b}(i2)
-        # for m_a(j1) m_{2+b}(j2).
-        m0, m1, n0, n1 = means
-        terms = []
-        for q in range(len(source)):
-            q1, q2 = divmod(q, cols)
-            terms.append((m0[q1] * n0[q2], m0[q1] * n1[q2], m1[q1] * n0[q2], m1[q1] * n1[q2]))
-        for i, w in enumerate(source):
+        # for m_a(j1) m_{2+b}(j2).  tp and tq hold the sum and the difference
+        # of contexts (0, 1)'s terms, tr and tt those of (2, 3)'s.
+        m0, m1, n0, n1 = self.means
+        ns, nd = [x + y for x, y in zip(n0, n1)], [x - y for x, y in zip(n0, n1)]
+        tp, tq = [x * y for x in m0 for y in ns], [x * y for x in m0 for y in nd]
+        tr, tt = [x * y for x in m1 for y in ns], [x * y for x in m1 for y in nd]
+        e0, e1, e2, e3 = e
+        n = len(self.source)
+        for i, w in enumerate(self.source):
             if w:
-                t0, t1, t2, t3 = terms[i]
-                for j, (s0, s1, s2, s3) in enumerate(terms):
-                    if j != i:
-                        yield (_SOURCE, None, i, j), (e0 + s0 - t0, e1 + s1 - t1,
-                                                      e2 + s2 - t2, e3 + s3 - t3)
-        for f, (pmf, table) in enumerate(zip(pmfs, tables)):
-            # A step i -> j changes m_f(l) by R_f(l, j) - R_f(l, i), so context
-            # k by cu[j] - cu[i], cu[c] the table's column c dotted with u.
-            k, u, h, v = _reads(f, by_row, by_col)
-            columns = list(zip(*table))
-            cu = [sum(map(mul, column, u)) for column in columns]
-            cv = [sum(map(mul, column, v)) for column in columns]
+                p0, q0, r0, t0 = e0 + e1 - tp[i], e0 - e1 - tq[i], e2 + e3 - tr[i], e2 - e3 - tt[i]
+                # Near the limit, only the row's first `stop` targets j != i.
+                stop = limit - base
+                for j in range(n if stop >= n - 1 else stop + (stop > i)):
+                    if j == i:
+                        continue
+                    p, q, r, t = p0 + tp[j], q0 + tq[j], r0 + tr[j], t0 + tt[j]
+                    ap, aq, ar, at = abs(p), abs(q), abs(r), abs(t)
+                    if ap + at > cap or aq + ar > cap or ap + aq > bound or ar + at > bound:
+                        s, sums = max(ap + at, aq + ar), ((p + q) // 2, (p - q) // 2,
+                                                          (r + t) // 2, (r - t) // 2)
+                        if s > bound or ap + aq > bound or ar + at > bound:
+                            s = _s_num(sums, _D3)
+                        if s > floor:
+                            yield base + j + (j < i), (_SOURCE, None, i, j), sums, s
+                base += n - 1
+        for f, (pmf, table, (k, h, a, b, p0, q0, u, v)) in enumerate(zip(pmfs, tables, reads)):
+            # A step i -> j changes m_f(l) by R_f(l, j) - R_f(l, i), so p by
+            # cp[j] - cp[i], cp[c] the table's column c dotted with u + v, and
+            # q likewise with u - v.
+            n = len(pmf)
+            cp, cq = [0] * n, [0] * n
+            for row, x, y in zip(table, u, v):
+                for c in range(n):
+                    cp[c] += row[c] * (x + y)
+                    cq[c] += row[c] * (x - y)
             for i, w in enumerate(pmf):
                 if w:
-                    for j in range(len(pmf)):
-                        if j != i:
-                            x = list(e)
-                            x[k] += cu[j] - cu[i]
-                            x[h] += cv[j] - cv[i]
-                            yield (_MASS, f, i, j), x
+                    pi, qi = p0 - cp[i], q0 - cq[i]
+                    stop = limit - base
+                    for j in range(n if stop >= n - 1 else stop + (stop > i)):
+                        if j == i:
+                            continue
+                        p, q = pi + cp[j], qi + cq[j]
+                        ap, aq = abs(p), abs(q)
+                        if ap + a > cap or aq + b > cap or ap + aq > bound:
+                            s, sums = max(ap + a, aq + b), _paired(e, k, h, p, q)
+                            if s > bound or ap + aq > bound:
+                                s = _s_num(sums, _D3)
+                            if s > floor:
+                                yield base + j + (j < i), (_MASS, f, i, j), sums, s
+                    base += n - 1
+        yield min(base, limit), None, None, None
 
     def apply(self, move, sums) -> _IntegerState:
-        """The neighbour by `move`, with ``e`` = `sums` as `scored_moves`
+        """The neighbour by `move`, with ``e`` = `sums` as `improving`
         yields them: one weight unit shifted or one entry flipped.
 
         Only the other sums the move changes are updated, each by its few
@@ -438,7 +473,7 @@ class _IntegerState:
                 by_row = _replaced(by_row, f - 2, tuple(fed))
         new = _IntegerState.__new__(_IntegerState)
         new.cols, new.source, new.pmfs, new.tables = cols, source, pmfs, tables
-        new.means, new.by_row, new.by_col, new.e = means, by_row, by_col, tuple(sums)
+        new.means, new.by_row, new.by_col, new.e = means, by_row, by_col, sums
         return new
 
 
@@ -446,46 +481,42 @@ def _walk(spec: SearchSpec) -> SearchResult:
     """Random sampling and hill climbing: one first-improvement walk with
     random restarts, within budget.
 
-    The walk starts from a drawn state.  Hill climbing scans its scored
-    moves (one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass
-    step between two pmf weights) lazily and takes the first strict
-    increase, which updates the state's kept sums in place of a rebuild;
-    random sampling has no moves.  When no move improves, the walk
-    restarts from a fresh draw, the only state built from scratch.  The
-    budget counts score evaluations, starts and restarts included, and
-    each pass of the loop is one evaluation, so the walk ends after
-    exactly `spec.budget` of them; the first achiever of the best score is
-    kept.
+    The walk starts from a drawn state.  Hill climbing scans its moves
+    (one table entry flipped, or one 1/DEFAULT_MAX_DENOMINATOR mass step)
+    and takes the first strict increase, which updates the state's kept
+    sums in place of a rebuild; random sampling opens no scan.  When no
+    move improves, the walk restarts from a fresh draw.  The budget counts
+    score evaluations, starts and restarts included: a scan, limited to
+    the budget left, adds the position of the move it yields or the number
+    it scored, so the walk ends after exactly `spec.budget` of them.  The
+    first achiever of the best score is kept.
 
     A shape of more than `DEFAULT_CELL_LIMIT` cells raises
-    `SizeExceededError` before the first draw.  Scores compare as
-    integers over d^3 and stay numerators until the result is built.  A
-    new best keeps its state, which no later step mutates (`apply`
-    returns a new one), and one model is built, for the winner, when the
-    walk ends.  Moves keep each pmf's sum and
-    non-negativity and flips keep outcomes in {-1, +1}, so nothing is
-    validated.
+    `SizeExceededError` before the first draw.  Scores stay numerators
+    over d^3 until the result is built.  A new best keeps its state, which
+    no later step mutates, and one model is built, for the winner.  Moves
+    keep each pmf's sum and non-negativity and flips keep outcomes in
+    {-1, +1}, so nothing is validated.
     """
     cells = math.prod(spec.cardinalities)
     if cells > DEFAULT_CELL_LIMIT:
         raise SizeExceededError(cells, DEFAULT_CELL_LIMIT)
-    rng = random.Random(spec.seed)
-    moves = (_IntegerState.scored_moves if spec.mode is SearchMode.HILL_CLIMB
-             else lambda state: iter(()))
+    rng, budget = random.Random(spec.seed), spec.budget
+    hill = spec.mode is SearchMode.HILL_CLIMB
     state = _IntegerState.draw(spec, rng)
     current = best = state.score()
-    best_state, improvements, scan = state, [(1, best)], moves(state)
-    for evaluated in range(2, spec.budget + 1):
-        candidate = next(scan, None)
-        if candidate is None:
+    best_state, improvements, evaluated = state, [(1, best)], 1
+    while evaluated < budget:
+        move = None
+        if hill:
+            position, move, sums, score = next(state.improving(current, budget - evaluated))
+            evaluated += position
+        if move is not None:
+            state, current = state.apply(move, sums), score
+        elif evaluated < budget:
             state = _IntegerState.draw(spec, rng)
             current = state.score()
-        else:
-            move, sums, score = candidate
-            if score <= current:
-                continue
-            state, current = state.apply(move, sums), score
-        scan = moves(state)
+            evaluated += 1
         if current > best:
             best, best_state = current, state
             improvements.append((evaluated, best))

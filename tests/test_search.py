@@ -2,10 +2,11 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bell_lab.models as models_module
@@ -370,9 +371,18 @@ def expected_neighbour_count(model):
     return flips + moves
 
 
+def scanned(state):
+    """Every neighbour's (position, move, sums, score), in scan order: a
+    floor below every score makes each one an improvement."""
+    *candidates, (count, move, _, _) = state.improving(-1, 1 << 62)
+    assert move is None
+    assert [position for position, *_ in candidates] == list(range(1, count + 1))
+    return candidates
+
+
 def materialised(state):
     """Every neighbour of `state` as a model, in move order."""
-    return [state.apply(move, sums).model() for move, sums, _ in state.scored_moves()]
+    return [state.apply(move, sums).model() for _, move, sums, _ in scanned(state)]
 
 
 class TestMovesStayValid:
@@ -424,25 +434,32 @@ ORACLE_SEEDS = (0, 7, 12345)
 
 
 def recorded_scores(monkeypatch):
-    """Record every (state, move, score) the search scores: a draw's own
-    score with move None, then each neighbour's as the walk consumes it."""
+    """Record, in order, each draw's score as ("draw", state, score) and
+    each scan the walk opens as ("scan", state, floor, limit, item), item
+    the one (position, move, sums, score) the walk reads from it."""
     calls = []
     state_class = search_module._IntegerState
-    score, scored_moves = state_class.score, state_class.scored_moves
+    score, improving = state_class.score, state_class.improving
 
     def recording_score(self):
         s = score(self)
-        calls.append((self, None, s))
+        calls.append(("draw", self, s))
         return s
 
-    def recording_moves(self):
-        for move, sums, s in scored_moves(self):
-            calls.append((self, move, s))
-            yield move, sums, s
+    def recording_improving(self, floor, limit):
+        for item in improving(self, floor, limit):
+            calls.append(("scan", self, floor, limit, item))
+            yield item
 
     monkeypatch.setattr(state_class, "score", recording_score)
-    monkeypatch.setattr(state_class, "scored_moves", recording_moves)
+    monkeypatch.setattr(state_class, "improving", recording_improving)
     return calls
+
+
+def counted(calls):
+    """The walk's evaluation count after each recorded call: one per draw,
+    and a scan's position, where it stopped."""
+    return list(itertools.accumulate(1 if kind == "draw" else rest[-1][0] for kind, *rest in calls))
 
 
 class TestScoresMatchOracle:
@@ -458,7 +475,7 @@ class TestScoresMatchOracle:
             assert Fraction(state.score(), D3) == oracles.score_oracle(state.model())
             neighbours = list(oracles.neighbors_oracle(state.model(), STEP))
             assert materialised(state) == neighbours
-            assert [Fraction(score, D3) for _, _, score in state.scored_moves()] == [
+            assert [Fraction(score, D3) for *_, score in scanned(state)] == [
                 oracles.score_oracle(n) for n in neighbours
             ]
 
@@ -468,25 +485,31 @@ class TestScoresMatchOracle:
         spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=seed, budget=120)
         calls = recorded_scores(monkeypatch)
         result = run_search(spec)
-        monkeypatch.undo()  # the scans below must not record
-        assert len(calls) == result.evaluated
-        scanned = {}
-        for state, move, score in calls:
+        monkeypatch.undo()
+        for kind, state, *rest in calls:
             model = state.model()
-            if move is None:
-                assert Fraction(score, D3) == oracles.score_oracle(model)
+            if kind == "draw":
+                assert Fraction(rest[0], D3) == oracles.score_oracle(model)
                 continue
-            if id(state) not in scanned:
-                scanned[id(state)] = (
-                    [(m, sums) for m, sums, _ in state.scored_moves()],
-                    list(oracles.neighbors_oracle(model, STEP)),
-                )
-            moves, neighbours = scanned[id(state)]
-            assert len(moves) == len(neighbours)
-            index = [m for m, _ in moves].index(move)
-            neighbour = neighbours[index]
-            assert state.apply(*moves[index]).model() == neighbour
-            assert Fraction(score, D3) == oracles.score_oracle(neighbour)
+            floor, limit, (position, move, sums, score) = rest
+            neighbours = list(oracles.neighbors_oracle(model, STEP))
+            # A scan stops at its first improvement, else after its last
+            # neighbour or the budget left, whichever comes first.
+            if move is None:
+                assert position == min(len(neighbours), limit)
+                passed = position
+            else:
+                assert position <= limit
+                passed = position - 1
+            for neighbour in neighbours[:passed]:
+                assert oracles.score_oracle(neighbour) <= Fraction(floor, D3)
+            if move is not None:
+                neighbour = neighbours[position - 1]
+                assert Fraction(score, D3) == oracles.score_oracle(neighbour) > Fraction(floor, D3)
+                moved = state.apply(move, sums)
+                assert moved.model() == neighbour
+                assert kept_sums(moved) == kept_sums(fresh(moved))
+        assert counted(calls)[-1] == result.evaluated
         assert result == oracles.hill_climb_oracle(spec)
 
     @pytest.mark.parametrize("cards", ORACLE_SHAPES)
@@ -497,12 +520,33 @@ class TestScoresMatchOracle:
         result = run_search(spec)
         rng = random.Random(seed)
         assert len(calls) == 40
-        for state, move, score in calls:
+        for kind, state, score in calls:
             model = random_model(spec, rng)
-            assert move is None
+            assert kind == "draw"
             assert state.model() == model
             assert Fraction(score, D3) == oracles.score_oracle(model)
         assert result == oracles.random_sampling_oracle(spec)
+
+    @pytest.mark.parametrize("cards", ORACLE_SHAPES)
+    def test_budget_ending_at_a_scan_stop(self, monkeypatch, cards):
+        # Budgets one short of, at and one past where each of the first
+        # scans stopped, among them the first that ran out of neighbours.
+        spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=5, budget=400)
+        calls = recorded_scores(monkeypatch)
+        run_search(spec)
+        monkeypatch.undo()
+        scans = [(stop, rest[-1]) for (kind, *rest), stop in zip(calls, counted(calls))
+                 if kind == "scan"]
+        exhausted = next(stop for stop, item in scans if item[1] is None)
+        for stop in sorted({*(stop for stop, _ in scans[:4]), exhausted}):
+            for budget in (stop - 1, stop, stop + 1):
+                spec = SearchSpec(cardinalities=cards, mode=SearchMode.HILL_CLIMB, seed=5,
+                                  budget=budget)
+                calls = recorded_scores(monkeypatch)
+                result = run_search(spec)
+                monkeypatch.undo()
+                assert counted(calls)[-1] == budget
+                assert result == oracles.hill_climb_oracle(spec)
 
     @pytest.mark.parametrize("cards", ORACLE_SHAPES)
     @pytest.mark.parametrize("budget", [1, 2, 50, 400])
@@ -567,7 +611,7 @@ class TestIncrementalApply:
         for _ in range(2):
             state = search_module._IntegerState.draw(spec, rng)
             for _ in range(250):
-                move, sums, _ = rng.choice(list(state.scored_moves()))
+                _, move, sums, _ = rng.choice(scanned(state))
                 kinds.add((move[0], move[1]))
                 state = state.apply(move, sums)
                 assert kept_sums(state) == kept_sums(fresh(state))
@@ -582,7 +626,7 @@ class TestIncrementalApply:
         spec = SearchSpec(cardinalities=(2, 2, 2, 2, 2, 2), mode=SearchMode.HILL_CLIMB)
         state = search_module._IntegerState.draw(spec, random.Random(4))
         move = (search_module._FLIP, 0, 1, 0)  # Alice's first setting
-        sums = next(x for m, x, _ in state.scored_moves() if m == move)
+        sums = next(x for _, m, x, _ in scanned(state) if m == move)
         flipped = state.apply(move, sums)
         assert flipped.means[1:] == state.means[1:]
         assert all(a is b for a, b in zip(flipped.means[1:], state.means[1:]))
@@ -591,31 +635,191 @@ class TestIncrementalApply:
 
 
 class TestScanChecks:
-    """Every neighbour's score passes the checks of `_s_num`, with its messages."""
+    """Every neighbour the scan reaches passes the checks of `_s_num`, with
+    its messages, whether or not it improves on the floor."""
 
     D = DEFAULT_MAX_DENOMINATOR
+    RANGE = r"^correlation -2 outside \[-1, 1\]$"
+    BOUND = r"^search candidate scored s_max = 4 > 2$"
 
-    def test_correlation_outside_range_raises(self):
+    def out_of_range(self):
         # Alice's first setting carries weight 2, so flipping its one entry
         # gives E_xy = -2 with every CHSH sum at most 2 in magnitude.
         d = self.D
         half = (d // 2, d // 2)
-        state = search_module._IntegerState(
+        return search_module._IntegerState(
             1, (d,), ((2 * d,), half, (d,), half), (((1,),), ((1, -1),), ((1,),), ((1, -1),))
         )
-        with pytest.raises(ValueError, match=r"^correlation -2 outside \[-1, 1\]$"):
-            next(state.scored_moves())
 
-    def test_score_above_two_raises(self):
+    @staticmethod
+    def source_out_of_range():
+        # All sums 0 and all eight flips of weight 0.  The source steps from
+        # cell 0 to cells 1 and 2, at positions 9 and 10, add m_x n_y = 0 and
+        # 2^10 (-2^9) = -2 d^3 to E_xy.
+        return hand_built(
+            3, (1, 0, 0), ((0,),) * 4, (((1,),),) * 2 + (((1,), (1,), (1,)),) * 2,
+            ((2**10,), (0,), (0, 0, -(2**9)), (0, 0, 0)), ((0,), (0,)), ((0,) * 3,) * 2, (0,) * 4,
+        )
+
+    @staticmethod
+    def mass_out_of_range():
+        return mass_step_state(D3 // 2)
+
+    def pr_box(self):
         # A signed source mixes the deterministic strategies into the PR box;
         # the first move, flipping Alice's first entry back, reaches it.
         d = self.D
-        state = search_module._IntegerState(
+        return search_module._IntegerState(
             2, (d // 2, d // 2, d // 2, -d // 2), ((d,),) * 4,
             (((-1,), (1,)), ((1,), (-1,)), ((1,), (1,)), ((1,), (-1,))),
         )
-        with pytest.raises(BoundViolationError, match=r"^search candidate scored s_max = 4 > 2$"):
-            next(state.scored_moves())
+
+    def test_correlation_outside_range_raises(self):
+        with pytest.raises(ValueError, match=self.RANGE):
+            next(self.out_of_range().improving(-1, 1 << 62))
+
+    def test_score_above_two_raises(self):
+        with pytest.raises(BoundViolationError, match=self.BOUND):
+            next(self.pr_box().improving(-1, 1 << 62))
+
+    # The bad neighbours score 2 and 4: floors at and above the score make
+    # them no improvement.
+    @pytest.mark.parametrize("floor", [2 * D3, 2 * D3 + 1, 8 * D3])
+    @pytest.mark.parametrize("kind", ["flip", "source", "mass"])
+    def test_range_checked_without_an_improvement(self, kind, floor):
+        state = {"flip": self.out_of_range, "source": self.source_out_of_range,
+                 "mass": self.mass_out_of_range}[kind]()
+        for at in (floor, -1):
+            with pytest.raises(ValueError, match=self.RANGE):
+                list(state.improving(at, 1 << 62))
+
+    @pytest.mark.parametrize("floor", [4 * D3, 4 * D3 + 1, 8 * D3])
+    def test_bound_checked_without_an_improvement(self, floor):
+        with pytest.raises(BoundViolationError, match=self.BOUND):
+            next(self.pr_box().improving(floor, 1 << 62))
+
+    @pytest.mark.parametrize("kind, bad", [("flip", 1), ("source", 10), ("mass", 12)])
+    def test_nothing_scored_past_the_limit(self, kind, bad):
+        state = {"flip": self.out_of_range, "source": self.source_out_of_range,
+                 "mass": self.mass_out_of_range}[kind]()
+        assert list(state.improving(8 * D3, bad - 1)) == [(bad - 1, None, None, None)]
+        with pytest.raises(ValueError, match=self.RANGE):
+            list(state.improving(8 * D3, bad))
+
+
+def mass_step_state(half):
+    """All sums 0, and Alice's x reads by_row[0] = (half, half) through two
+    rows of (1, 1, -1) with pmf (1, 0, 0).  Its two flips of weight 1 move
+    E_xy to -2 half; of its mass steps, at positions 11 and 12 after ten
+    flips, 0 -> 1 changes nothing and 0 -> 2 moves E_xy to -4 half."""
+    return hand_built(
+        1, (0, 0), ((1, 0, 0), (0,), (0,), (0,)),
+        (((1, 1, -1), (1, 1, -1)), ((1,), (1,)), ((1,),), ((1,),)),
+        ((0, 0), (0, 0), (0,), (0,)), ((half, half), (0, 0)), ((0,), (0,)), (0,) * 4,
+    )
+
+
+def list_or_error(scan):
+    """Every item of `scan`, or the exception it raised."""
+    try:
+        return list(scan)
+    except (ValueError, BoundViolationError) as err:
+        return err
+
+
+def hand_built(cols, source, pmfs, tables, means, by_row, by_col, e):
+    """A state whose kept sums are given, not derived from its weights."""
+    state = search_module._IntegerState.__new__(search_module._IntegerState)
+    state.cols, state.source, state.pmfs, state.tables = cols, source, pmfs, tables
+    state.means, state.by_row, state.by_col, state.e = means, by_row, by_col, e
+    return state
+
+
+SUM = st.integers(-D3, D3)
+# Even targets up to one step of 2 past either end of [-d^3, d^3].
+CHANGED = st.integers(-D3 // 2 - 1, D3 // 2 + 1).map(lambda n: 2 * n)
+
+
+class TestTwoPairScore:
+    """The scan's two-pair score and range check against `_s_num` and the
+    eight Fraction sums of `oracles.chsh_fraction_oracle`.
+
+    The states are built by hand with drawn sums.  Every pmf weight but the
+    one under test is 0, so each earlier neighbour keeps the state's own
+    sums, which are in range and score at most 2.  The scan's last
+    neighbour must then score as `_s_num` does, or raise as it does, and
+    reach `_s_num` only if it fails a check.
+    """
+
+    @staticmethod
+    def check(state, position, move, x):
+        """Scan `state` up to `position` at a floor below every score and at
+        one above: the neighbour there has sums `x`."""
+        for floor in (-1, 8 * D3):
+            with pytest.MonkeyPatch.context() as patch:
+                failed = counting(patch, search_module, "_s_num")
+                scan = list_or_error(state.improving(floor, position))
+            try:
+                report = oracles.chsh_fraction_oracle(tuple(Fraction(n, D3) for n in x))
+            except ValueError as err:
+                assert (type(scan), str(scan), len(failed)) == (ValueError, str(err), 1)
+                continue
+            if report.s_max > 2:
+                assert type(scan) is BoundViolationError and len(failed) == 1
+                assert str(scan).startswith("search candidate scored s_max = ")
+                continue
+            assert failed == []
+            *before, end = scan
+            assert end == (position, None, None, None)
+            if floor > 0:
+                assert before == []
+                continue
+            assert before[-1] == (position, move, tuple(x), search_module._s_num(x, D3))
+            assert Fraction(before[-1][3], D3) == report.s_max
+
+    @pytest.mark.parametrize("f", range(4))
+    @settings(max_examples=150, deadline=None)
+    @given(x_k=CHANGED, x_h=CHANGED, e_o1=SUM, e_o2=SUM)
+    @example(x_k=D3, x_h=-D3, e_o1=0, e_o2=0)
+    @example(x_k=-D3, x_h=D3, e_o1=D3, e_o2=-D3)
+    @example(x_k=D3 + 2, x_h=0, e_o1=0, e_o2=0)
+    def test_flip_of_each_factor(self, f, x_k, x_h, e_o1, e_o2):
+        # Factor f's flip, at position f + 1, moves x_k and x_h from 0 by
+        # 2 u and 2 v; every other flip has weight 0.  Context 2a + b reads
+        # Alice's factor a and Bob's factor 2 + b.
+        k, h = [c for c in range(4) if (c // 2 if f < 2 else 2 + c % 2) == f]
+        o1, o2 = [c for c in range(4) if c not in (k, h)]
+        e, x = [0] * 4, [0] * 4
+        e[o1] = x[o1] = e_o1
+        e[o2] = x[o2] = e_o2
+        x[k], x[h] = x_k, x_h
+        reads, still = ((x_k // 2,), (x_h // 2,)), ((0,), (0,))
+        state = hand_built(
+            1, (1,), tuple((1,) if g == f else (0,) for g in range(4)), (((-1,),),) * 4,
+            ((0,),) * 4, reads if f < 2 else still, still if f < 2 else reads, tuple(e),
+        )
+        self.check(state, f + 1, (search_module._FLIP, f, 0, 0), x)
+
+    @pytest.mark.parametrize("half", [D3 // 4, D3 // 4 + 1, D3 // 2])
+    def test_mass_step_at_the_edge(self, half):
+        self.check(mass_step_state(half), 12, (search_module._MASS, 0, 0, 2), (-4 * half, 0, 0, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.lists(SUM, min_size=4, max_size=4),
+           m=st.lists(st.integers(-600, 600), min_size=4, max_size=4))
+    def test_source_step(self, e, m):
+        # A 1 x 2 source moves its weight from cell 0, where every term is
+        # 0, to cell 1, which adds (a c, a g, b c, b g); the six flips
+        # before it have weight 0.
+        t = e[0] + e[1] + e[2] + e[3]
+        assume(max(abs(t - 2 * n) for n in e) <= 2 * D3)
+        a, b, c, g = m
+        x = [e[0] + a * c, e[1] + a * g, e[2] + b * c, e[3] + b * g]
+        state = hand_built(
+            2, (1, 0), ((0,),) * 4, (((1,),),) * 2 + (((1,), (1,)),) * 2,
+            ((a,), (b,), (0, c), (0, g)), ((0,), (0,)), ((0, 0), (0, 0)), tuple(e),
+        )
+        self.check(state, 7, (search_module._SOURCE, None, 0, 1), x)
 
 
 class TestFourSumScore:
